@@ -9,6 +9,8 @@ the audited region.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _RADIUS = {2: 1, 4: 2}
@@ -51,13 +53,12 @@ def diff2(f: np.ndarray, axis: int, h: float, order: int = 4) -> np.ndarray:
     raise ValueError(f"unsupported stencil order {order!r}; use 2 or 4")
 
 
-def gradient(f: np.ndarray, spacing, order: int = 4, ndim: int | None = None) -> np.ndarray:
-    """Stack of first partials along the leading ``ndim`` grid axes.
+def gradient(f: np.ndarray, spacing, order: int = 4) -> np.ndarray:
+    """Stack of first partials along the grid axes, one per spacing.
 
-    Returns an array of shape ``f.shape + (ndim,)``.
+    Returns an array of shape ``f.shape + (len(spacing),)``.
     """
-    n = len(spacing) if ndim is None else ndim
-    parts = [diff(f, axis, spacing[axis], order) for axis in range(n)]
+    parts = [diff(f, axis, h, order) for axis, h in enumerate(spacing)]
     return np.stack(parts, axis=-1)
 
 
@@ -91,6 +92,29 @@ def interior_mask(shape, periodic, cells: int) -> np.ndarray:
         sl[axis] = slice(shape[axis] - cells, shape[axis])
         mask[tuple(sl)] = False
     return mask
+
+
+def masked_max(resid: np.ndarray, mask: np.ndarray) -> float:
+    """Largest absolute residual over the masked nodes (0.0 when none)."""
+    return float(np.max(np.abs(resid[mask]))) if np.any(mask) else 0.0
+
+
+def golden_max(fn, a: float, b: float) -> float:
+    """Deterministic golden-section maximization of ``fn`` on [a, b]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(80):      # shrinks [a, b] by invphi**80, about 2e-17
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
 
 
 def fit_order(hs, residuals, floor: float = 1e-13):

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from ._grid import golden_max
+
 
 # ---------------------------------------------------------------------------
 # warping profiles
@@ -405,25 +407,6 @@ def warping_eval(W: WarpedProduct, t) -> WarpingData:
     )
 
 
-def _golden_max(fn, a: float, b: float, iters: int = 80):
-    """Deterministic golden-section maximization on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, float(fn(x))
-
-
 def _sign_verdict(values: np.ndarray, pos_threshold: float = 1e-8,
                   tol: float = 1e-12) -> str:
     scale = max(1.0, float(np.max(np.abs(values))))
@@ -460,7 +443,8 @@ def profile_summary(W: WarpedProduct, samples: int = 10000) -> dict:
     i = int(np.argmax(qs))
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, samples - 1)]
-    t_star, q_star = _golden_max(lambda t: float(q(t)), float(lo), float(hi))
+    t_star = golden_max(lambda t: float(q(t)), float(lo), float(hi))
+    q_star = float(q(t_star))
     alpha_sampled = max(float(np.max(qs)), q_star)
     dh = p.dhcal(ts)
     h = p.hcal(ts)

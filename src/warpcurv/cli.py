@@ -9,9 +9,10 @@ Four subcommands map onto the compute modules:
 
 Every number written to a report is copied from a module output; the CLI
 itself only builds inputs, dispatches, gates against tolerances, and
-serializes.  Reports are JSON with sorted keys and round-trip float
-formatting, plus tab-separated tables for plotting, so a rerun with the
-same config and seed is byte-identical.
+serializes.  Reports are strict JSON with sorted keys and round-trip float
+formatting (non-finite numbers are written as the strings ``"nan"``,
+``"inf"`` and ``"-inf"``), plus tab-separated tables for plotting, so a
+rerun with the same config and seed is byte-identical.
 
 Exit codes: 0 success (also when every operation was not-applicable, with
 a flag in the summary), 1 violation (a gated residual, trend, or verdict
@@ -21,12 +22,15 @@ failed), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import itertools
 import json
 import logging
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from .comparison import (
     omori_yau_probe,
     solve_comparison,
 )
+from ._grid import interior_mask
 from .hypersurface import (
     DiscretizationConfig,
     GraphImmersion,
@@ -50,8 +55,6 @@ from .hypersurface import (
     sectional_bound_report,
     structure_identities,
 )
-
-LOGGER = logging.getLogger(__name__)
 
 ENV_OUT = "WARPCURV_OUT"
 EXIT_OK = 0
@@ -68,6 +71,18 @@ class ConfigError(ValueError):
     """Raised for unreadable, unparseable, or out-of-registry configs."""
 
 
+@contextlib.contextmanager
+def _config_inputs():
+    """Report a ValueError or TypeError raised while building inputs from
+    the config as a config error."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -75,11 +90,10 @@ class ConfigError(ValueError):
 def _jsonable(obj):
     """Plain-type view of module outputs (grids summarized, not dumped)."""
     if isinstance(obj, operators.IdentityResidual):
-        return {"id": obj.id, "max": float(obj.max),
-                "slope": None if obj.slope is None else float(obj.slope)}
+        return _jsonable({"id": obj.id, "max": obj.max, "slope": obj.slope})
     if isinstance(obj, operators.OperatorField):
-        return {"k": obj.k, "kind": obj.kind,
-                "max_abs": float(np.max(np.abs(obj.values)))}
+        return _jsonable({"k": obj.k, "kind": obj.kind,
+                          "max_abs": np.max(np.abs(obj.values))})
     if isinstance(obj, scenarios.ScenarioReport):
         return _jsonable(obj.to_dict())
     if isinstance(obj, dict):
@@ -90,20 +104,21 @@ def _jsonable(obj):
         return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        # strict JSON has no NaN or Infinity: write their repr as a string
+        obj = float(obj)
+        return obj if math.isfinite(obj) else repr(obj)
     if isinstance(obj, np.ndarray):
         if obj.size > 64:
-            return {"shape": list(obj.shape),
-                    "max_abs": float(np.max(np.abs(obj)))}
+            return _jsonable({"shape": list(obj.shape),
+                              "max_abs": np.max(np.abs(obj))})
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
     return obj
 
 
 def write_json(path: str, obj) -> None:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -139,7 +154,7 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _registry_miss(kind: str, name: str, registry) -> ConfigError:
+def _registry_miss(kind: str, name, registry) -> ConfigError:
     return ConfigError(
         f"unknown {kind} {name!r}; registry: {', '.join(sorted(registry))}")
 
@@ -153,8 +168,6 @@ def build_ambient(section: dict) -> WarpedProduct:
     elif isinstance(prof_spec, dict):
         params = dict(prof_spec)
         name = params.pop("name", None)
-        if name is None:
-            raise ConfigError("ambient.profile object needs a 'name'")
     else:
         raise ConfigError("ambient.profile must be a name or an object")
     if name not in PROFILES:
@@ -165,12 +178,9 @@ def build_ambient(section: dict) -> WarpedProduct:
     n = int(section.get("n", 2))
     kappa = float(section.get("kappa", 0.0))
     lengths = section.get("lengths")
-    try:
-        fiber = FiberSpec(n=n, kappa=kappa, chart=chart,
-                          lengths=None if lengths is None else
-                          tuple(float(v) for v in lengths))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    fiber = FiberSpec(n=n, kappa=kappa, chart=chart,
+                      lengths=None if lengths is None else
+                      tuple(float(v) for v in lengths))
     return WarpedProduct(profile=profile, fiber=fiber)
 
 
@@ -239,9 +249,9 @@ def build_immersion(W: WarpedProduct, section: dict,
                                             orientation=orientation)
     if box is None:
         box = tuple(tuple(b) for b in W.fiber.default_box())
+    t_center = float(section.get("t_center", W.profile.t0))
+    amplitude = float(section.get("amplitude", 0.2))
     if family == "random":
-        t_center = float(section.get("t_center", W.profile.t0))
-        amplitude = float(section.get("amplitude", 0.2))
         max_mode = int(section.get("max_mode", 1))
         dev = random_height_function(box, W.fiber.periodic, rng,
                                      amplitude=amplitude, max_mode=max_mode)
@@ -249,8 +259,6 @@ def build_immersion(W: WarpedProduct, section: dict,
             W, lambda mesh: t_center + dev(mesh), shape, box=box,
             orientation=orientation)
     if family == "bump":
-        t_center = float(section.get("t_center", W.profile.t0))
-        amplitude = float(section.get("amplitude", 0.2))
         width = float(section.get("width", 0.15))
         center = section.get("center")
         if center is None:
@@ -267,297 +275,354 @@ def build_immersion(W: WarpedProduct, section: dict,
                          ("slice", "random", "bump"))
 
 
+def _audited_immersion(config, W, cfg, seed) -> GraphImmersion:
+    """The configured immersion, refused if the audit margin covers it."""
+    imm = build_immersion(W, config.get("immersion", {}),
+                          np.random.default_rng(seed))
+    if not interior_mask(imm.shape, imm.periodic, cfg.margin_cells).any():
+        raise ConfigError(f"no node of the {imm.shape} grid is outside the "
+                          f"{cfg.margin_cells}-cell audit margin")
+    return imm
+
+
 def build_discretization(config: dict, args) -> DiscretizationConfig:
     section = config.get("discretization", {})
-    kwargs = {}
-    for key in ("order", "eigen_tol", "identity_tol", "refine_levels",
-                "margin_factor"):
-        if key in section:
-            kwargs[key] = section[key]
+    kwargs = {f.name: type(f.default)(section[f.name])
+              for f in dataclasses.fields(DiscretizationConfig)
+              if f.name in section}
+    for key, value in kwargs.items():
+        if value != section[key]:
+            raise ConfigError(f"discretization {key}={section[key]!r} is not "
+                              f"of type {type(value).__name__}")
     if args.refine is not None:
         kwargs["refine_levels"] = args.refine
     return DiscretizationConfig(**kwargs)
+
+
+def _build_model(spec, **params):
+    """A radial model from a registry name, or an object with a 'name' and
+    the model's parameters."""
+    if isinstance(spec, dict):
+        params = {**spec, **params}
+        spec = params.pop("name", None)
+    if not isinstance(spec, str) or spec not in MODELS:
+        raise _registry_miss("radial model", spec, MODELS)
+    return builtin_model(spec, **params)
+
+
+# ---------------------------------------------------------------------------
+# operations shared by verify and scenario
+# ---------------------------------------------------------------------------
+
+def _index(op: dict, key: str = "k") -> int:
+    return int(op.get(key, 1))
+
+
+def _index_range(lo: int, below_n: int, key: str = "k"):
+    """Check that ``op[key]`` lies in [lo, n - below_n], the range its
+    operator enforces."""
+    def check(op, n):
+        value, hi = _index(op, key), n - below_n
+        if not lo <= value <= hi:
+            raise ConfigError(
+                f"{op['op']}: {key}={value} outside [{lo}, {hi}]")
+    return check
+
+
+_TENSOR_K = _index_range(0, 1)      # Newton tensor index, P_0..P_{n-1}
+_DIVERGENCE_K = _index_range(1, 1)  # div P_0 vanishes identically
+_CURVATURE_K = _index_range(1, 0)   # curvature order, H_1..H_n
+_CALLIGRAPHIC_K = _index_range(2, 0)
+
+
+def _holds(flag) -> str:
+    return STATUS_PASS if flag else STATUS_FAIL
+
+
+def _gate(residuals: dict, tol: float) -> str:
+    """Pass only when every residual is finite and at most ``tol``."""
+    return _holds(all(math.isfinite(r) and r <= tol
+                      for r in residuals.values()))
+
+
+def _operations(subcommand: str, config: dict, table: dict, n: int) -> list:
+    """The configured operations, each checked against ``table`` for a fiber
+    of dimension ``n``."""
+    ops = config.get("operations")
+    if not isinstance(ops, list) or not ops:
+        raise ConfigError("'operations' must be a non-empty list")
+    for i, op in enumerate(ops):
+        if not isinstance(op, dict) or "op" not in op:
+            raise ConfigError(f"operation {i} must be an object with 'op'")
+        if op["op"] not in table:
+            raise _registry_miss(f"{subcommand} operation", op["op"], table)
+        check = table[op["op"]][1]
+        if check is not None:
+            check(op, n)
+    return ops
+
+
+def _run_operations(subcommand: str, ops: list, entries: list, table: dict,
+                    run, out_dir: str) -> list:
+    """Run each operation into its entry and write the entry's report.
+
+    An operation that declines reports not-applicable with its reason; an
+    entry whose runner set no status is gated on its residuals.
+    """
+    for i, (op, entry) in enumerate(zip(ops, entries)):
+        stem = os.path.join(out_dir, f"{subcommand}-{i:02d}-{op['op']}")
+        try:
+            entry.update(table[op["op"]][0](run, op, stem))
+        except operators.NotApplicableError as exc:
+            entry.update(status=STATUS_NA, reason=str(exc))
+        if "status" not in entry:
+            entry["status"] = _gate(entry["residuals"], entry["tol"])
+        write_json(stem + ".json", entry)
+    return entries
 
 
 # ---------------------------------------------------------------------------
 # verify subcommand
 # ---------------------------------------------------------------------------
 
-def _convergence_residual_fn(name: str, k: int):
-    """Residual-grid closures for refinement studies, keyed by identity."""
-    def height_hessian(imm, geom):
-        return structure_identities(geom)["height-hessian"]["grid"]
+def _structure(run, op, stem):
+    return {"residuals": {key: val["max"] for key, val in
+                          structure_identities(run.geom).items()}}
 
-    def sigma_hessian(imm, geom):
-        return structure_identities(geom)["sigma-hessian"]["grid"]
 
-    def height(imm, geom):
-        return operators.height_sigma_identities(imm, k, geom=geom)["height"].grid
+def _identities(name: str, keys=None):
+    """Runner of the identity suite ``operators.<name>``: the maxima of its
+    residuals named by ``keys`` (default: all of them)."""
+    def run_suite(run, op, stem):
+        out = getattr(operators, name)(run.imm, _index(op), run.cfg,
+                                       geom=run.geom)
+        return {"residuals": {key: out[key].max for key in keys or out}}
+    return run_suite
 
-    def sigma(imm, geom):
-        return operators.height_sigma_identities(imm, k, geom=geom)["sigma"].grid
 
-    def div_newton(imm, geom):
-        return operators.div_pk(imm, k, geom=geom)["residual_ab"].grid
+def _calligraphic(run, op, stem):
+    out = operators.calligraphic_ops(run.imm, _index(op), run.cfg,
+                                     geom=run.geom)
+    fields = {"residuals": {key: out[key].max for key in
+                            ("sigma_identity_algebraic", "sigma_identity")},
+              "min_eigenvalue": out["min_eigenvalue"],
+              "implication_respected": out["implication_respected"]}
+    if not out["implication_respected"]:
+        fields["status"] = STATUS_FAIL
+    return fields
 
-    def theta_hat(imm, geom):
-        return operators.theta_hat_identity(imm, k, geom=geom)["operator"].grid
 
-    def calligraphic(imm, geom):
-        return operators.calligraphic_ops(imm, k, geom=geom)["sigma_identity"].grid
+def _frak_phi(run, op, stem):
+    k = _index(op)
+    out = operators.frak_phi(run.imm, k, run.cfg, geom=run.geom)
+    if not out.get("applicable"):
+        raise operators.NotApplicableError(
+            f"order-{k} curvature not positive (min {out['min_Hk']:.3e})")
+    return {"residuals": {"four-term": out["residual"].max},
+            "term_minima": out["term_minima"]}
 
-    def frak(imm, geom):
-        out = operators.frak_phi(imm, k, geom=geom)
-        if not out.get("applicable"):
-            raise operators.NotApplicableError(
-                "curvature not positive on the refined grid", out["location"])
-        return out["residual"].grid
 
-    table = {"height-hessian": height_hessian, "sigma-hessian": sigma_hessian,
-             "height": height, "sigma": sigma, "div-newton": div_newton,
-             "theta-hat": theta_hat, "calligraphic": calligraphic,
-             "frak-phi": frak}
-    if name not in table:
-        raise _registry_miss("convergence identity", name, table)
-    return table[name]
+def _laplacian_cross_check(run, op, stem):
+    geom = run.geom
+    lk0 = operators.lk_apply(run.imm, 0, geom.sigma, run.cfg,
+                             geom=geom).values
+    lb = operators.laplace_beltrami(geom, geom.sigma)
+    return {"residuals": {"trace-vs-divergence":
+                          float(np.max(np.abs(lk0 - lb)[geom.interior]))}}
+
+
+def _check_origin(op, n):
+    origin = op.get("origin", [0.0] * n)
+    if not isinstance(origin, list) or len([float(v) for v in origin]) != n:
+        raise ConfigError(f"gamma-probe: origin must be a list of {n} numbers")
+
+
+def _gamma_probe(run, op, stem):
+    origin = op.get("origin")
+    if origin is None:
+        origin = [float(ax[0]) for ax in run.imm.axes()]
+    out = extrinsic_gamma_probe(run.imm, tuple(float(v) for v in origin),
+                                run.cfg, geom=run.geom)
+    return {"gradient_bound_holds": out["gradient_bound_holds"],
+            "residuals": {"hessian": out["hessian_max"]},
+            "min_margin": out["min_margin"],
+            "status": _holds(out["gradient_bound_holds"])}
+
+
+def _sectional_bound(run, op, stem):
+    out = sectional_bound_report(run.imm, run.cfg, geom=run.geom)
+    return {"sectional_min": out["sectional_min"],
+            "ambient_min": out["ambient_min"],
+            "status": _holds(out["chain_holds"] and out["fiber_bound_holds"])}
+
+
+def _frak_phi_grid(imm, geom, k):
+    out = operators.frak_phi(imm, k, geom=geom)
+    if not out.get("applicable"):
+        raise operators.NotApplicableError(
+            "curvature not positive on the refined grid", out["location"])
+    return out["residual"].grid
+
+
+# identity -> (residual grid of (immersion, geometry, k), check of k)
+_CONVERGENCE = {
+    "height-hessian": (lambda imm, geom, k: structure_identities(geom)
+                       ["height-hessian"]["grid"], None),
+    "sigma-hessian": (lambda imm, geom, k: structure_identities(geom)
+                      ["sigma-hessian"]["grid"], None),
+    "height": (lambda imm, geom, k: operators.height_sigma_identities(
+        imm, k, geom=geom)["height"].grid, _TENSOR_K),
+    "sigma": (lambda imm, geom, k: operators.height_sigma_identities(
+        imm, k, geom=geom)["sigma"].grid, _TENSOR_K),
+    "div-newton": (lambda imm, geom, k: operators.div_pk(
+        imm, k, geom=geom)["residual_ab"].grid, _DIVERGENCE_K),
+    "theta-hat": (lambda imm, geom, k: operators.theta_hat_identity(
+        imm, k, geom=geom)["operator"].grid, _TENSOR_K),
+    "calligraphic": (lambda imm, geom, k: operators.calligraphic_ops(
+        imm, k, geom=geom)["sigma_identity"].grid, _CALLIGRAPHIC_K),
+    "frak-phi": (_frak_phi_grid, _CURVATURE_K),
+}
+
+
+def _check_convergence(op, n):
+    identity = op.get("identity", "height")
+    if identity not in _CONVERGENCE:
+        raise _registry_miss("convergence identity", identity, _CONVERGENCE)
+    check = _CONVERGENCE[identity][1]
+    if check is not None:
+        check(op, n)
+
+
+def _convergence(run, op, stem):
+    identity, k = op.get("identity", "height"), _index(op)
+    residual = _CONVERGENCE[identity][0]
+    study = operators.convergence_study(
+        run.imm, run.cfg, lambda imm, geom: residual(imm, geom, k))
+    write_table(stem + ".tsv", ["spacing", "max_residual"],
+                list(zip(study["spacings"], study["maxima"])))
+    fields = dict(study, identity=identity)
+    if study["slope"] is None:
+        return dict(fields, status=STATUS_PASS,
+                    note="all levels at rounding floor")
+    return dict(fields, status=_holds(study["slope"] >= run.min_slope))
+
+
+# name -> (runner, check).  runner(run inputs, op config, report path stem)
+# returns the entry's fields; check(op, n), if any, rejects bad parameters
+# before any work.  Runners look module functions up at call time, so a
+# replaced attribute (a tracer, a test stub) is the one that runs.
+VERIFY_OPS = {
+    "structure": (_structure, None),
+    "height-sigma": (_identities("height_sigma_identities"), _TENSOR_K),
+    "div-newton": (_identities("div_pk", ("residual_ab", "residual_ac",
+                                          "residual_bc")), _DIVERGENCE_K),
+    "theta-hat": (_identities("theta_hat_identity", (
+        "gradient", "operator", "beta_routes", "general_vs_constant")),
+        _TENSOR_K),
+    "calligraphic": (_calligraphic, _CALLIGRAPHIC_K),
+    "frak-phi": (_frak_phi, _CURVATURE_K),
+    "laplacian-cross-check": (_laplacian_cross_check, None),
+    "gamma-probe": (_gamma_probe, _check_origin),
+    "sectional-bound": (_sectional_bound, None),
+    "convergence": (_convergence, _check_convergence),
+}
 
 
 def run_verify(config: dict, args, out_dir: str) -> int:
-    cfg = build_discretization(config, args)
-    W = build_ambient(config.get("ambient", {}))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    rng = np.random.default_rng(seed)
-    imm = build_immersion(W, config.get("immersion", {}), rng)
-    geom = evaluate_geometry(imm, cfg)
-    tol = args.tol if args.tol is not None else float(
-        config.get("tolerance", 1e-8))
-    min_slope = float(config.get("min_slope", 1.9))
-
-    ops = config.get("operations")
-    if not isinstance(ops, list) or not ops:
-        raise ConfigError("'operations' must be a non-empty list")
-
-    results = []
-    for i, op in enumerate(ops):
-        if not isinstance(op, dict) or "op" not in op:
-            raise ConfigError(f"operation {i} must be an object with 'op'")
-        name = op["op"]
-        k = int(op.get("k", 1))
-        op_tol = float(op.get("tol", tol))
-        entry = {"op": name, "k": k, "tol": op_tol}
-        try:
-            if name == "structure":
-                out = structure_identities(geom)
-                entry["residuals"] = {key: val["max"]
-                                      for key, val in out.items()}
-                worst = max(entry["residuals"].values())
-                entry["status"] = STATUS_PASS if worst <= op_tol \
-                    else STATUS_FAIL
-            elif name == "height-sigma":
-                out = operators.height_sigma_identities(imm, k, cfg, geom=geom)
-                entry["residuals"] = {key: val.max for key, val in out.items()}
-                worst = max(entry["residuals"].values())
-                entry["status"] = STATUS_PASS if worst <= op_tol \
-                    else STATUS_FAIL
-            elif name == "div-newton":
-                out = operators.div_pk(imm, k, cfg, geom=geom)
-                entry["residuals"] = {
-                    key: out[key].max
-                    for key in ("residual_ab", "residual_ac", "residual_bc")}
-                worst = max(entry["residuals"].values())
-                entry["status"] = STATUS_PASS if worst <= op_tol \
-                    else STATUS_FAIL
-            elif name == "theta-hat":
-                out = operators.theta_hat_identity(imm, k, cfg, geom=geom)
-                entry["residuals"] = {
-                    key: out[key].max
-                    for key in ("gradient", "operator", "beta_routes",
-                                "general_vs_constant")}
-                worst = max(entry["residuals"].values())
-                entry["status"] = STATUS_PASS if worst <= op_tol \
-                    else STATUS_FAIL
-            elif name == "calligraphic":
-                out = operators.calligraphic_ops(imm, k, cfg, geom=geom)
-                entry["residuals"] = {
-                    "sigma_identity_algebraic":
-                        out["sigma_identity_algebraic"].max,
-                    "sigma_identity": out["sigma_identity"].max}
-                entry["min_eigenvalue"] = out["min_eigenvalue"]
-                entry["implication_respected"] = out["implication_respected"]
-                worst = max(entry["residuals"].values())
-                entry["status"] = STATUS_PASS if worst <= op_tol \
-                    and out["implication_respected"] else STATUS_FAIL
-            elif name == "frak-phi":
-                out = operators.frak_phi(imm, k, cfg, geom=geom)
-                if not out.get("applicable"):
-                    entry["status"] = STATUS_NA
-                    entry["reason"] = ("order-{} curvature not positive "
-                                       "(min {:.3e})".format(k, out["min_Hk"]))
-                else:
-                    entry["residuals"] = {"four-term": out["residual"].max}
-                    entry["term_minima"] = out["term_minima"]
-                    entry["status"] = STATUS_PASS \
-                        if out["residual"].max <= op_tol else STATUS_FAIL
-            elif name == "laplacian-cross-check":
-                lk0 = operators.lk_apply(imm, 0, geom.sigma, cfg,
-                                         geom=geom).values
-                lb = operators.laplace_beltrami(geom, geom.sigma)
-                diff = np.abs(lk0 - lb)[geom.interior]
-                entry["residuals"] = {"trace-vs-divergence": float(np.max(diff))}
-                entry["status"] = STATUS_PASS \
-                    if float(np.max(diff)) <= op_tol else STATUS_FAIL
-            elif name == "gamma-probe":
-                origin = op.get("origin")
-                if origin is None:
-                    axes = imm.axes()
-                    origin = [float(ax[0]) for ax in axes]
-                out = extrinsic_gamma_probe(imm, tuple(origin), cfg, geom=geom)
-                entry["gradient_bound_holds"] = out["gradient_bound_holds"]
-                entry["residuals"] = {"hessian": out["hessian_max"]}
-                entry["min_margin"] = out["min_margin"]
-                entry["status"] = STATUS_PASS if out["gradient_bound_holds"] \
-                    else STATUS_FAIL
-            elif name == "sectional-bound":
-                out = sectional_bound_report(imm, cfg, geom=geom)
-                entry["sectional_min"] = out["sectional_min"]
-                entry["ambient_min"] = out["ambient_min"]
-                entry["status"] = STATUS_PASS if out["chain_holds"] \
-                    and out["fiber_bound_holds"] else STATUS_FAIL
-            elif name == "convergence":
-                ident = op.get("identity", "height")
-                fn = _convergence_residual_fn(ident, k)
-                study = operators.convergence_study(imm, cfg, fn)
-                entry["identity"] = ident
-                entry["spacings"] = study["spacings"]
-                entry["maxima"] = study["maxima"]
-                entry["slope"] = study["slope"]
-                if study["slope"] is None:
-                    entry["status"] = STATUS_PASS
-                    entry["note"] = "all levels at rounding floor"
-                else:
-                    entry["status"] = STATUS_PASS \
-                        if study["slope"] >= min_slope else STATUS_FAIL
-                write_table(
-                    os.path.join(out_dir, f"verify-{i:02d}-convergence.tsv"),
-                    ["spacing", "max_residual"],
-                    list(zip(study["spacings"], study["maxima"])))
-            else:
-                raise _registry_miss(
-                    "verify operation", name,
-                    ("structure", "height-sigma", "div-newton", "theta-hat",
-                     "calligraphic", "frak-phi", "laplacian-cross-check",
-                     "gamma-probe", "sectional-bound", "convergence"))
-        except operators.NotApplicableError as exc:
-            entry["status"] = STATUS_NA
-            entry["reason"] = str(exc)
-        results.append(entry)
-        write_json(os.path.join(out_dir, f"verify-{i:02d}-{name}.json"), entry)
-
-    return _summarize("verify", config, seed, results, out_dir)
+    with _config_inputs():
+        cfg = build_discretization(config, args)
+        W = build_ambient(config.get("ambient", {}))
+        ops = _operations("verify", config, VERIFY_OPS, W.fiber.n)
+        entries = [{"op": op["op"], "k": _index(op),
+                    "tol": float(op.get("tol", args.tol))} for op in ops]
+        min_slope = float(config.get("min_slope", 1.9))
+        imm = _audited_immersion(config, W, cfg, args.seed)
+    run = SimpleNamespace(imm=imm, geom=evaluate_geometry(imm, cfg), cfg=cfg,
+                          min_slope=min_slope)
+    results = _run_operations("verify", ops, entries, VERIFY_OPS, run, out_dir)
+    return _summarize("verify", config, args.seed, results, out_dir)
 
 
 # ---------------------------------------------------------------------------
 # scenario subcommand
 # ---------------------------------------------------------------------------
 
-def run_scenario(config: dict, args, out_dir: str) -> int:
-    cfg = build_discretization(config, args)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    tol = args.tol if args.tol is not None else float(
-        config.get("tolerance", 1e-8))
+_VERDICT_STATUS = {scenarios.VERDICT_CONSISTENT: STATUS_PASS,
+                   scenarios.VERDICT_HYPOTHESIS: STATUS_HYPOTHESIS}
 
-    ops = config.get("operations")
-    if not isinstance(ops, list) or not ops:
-        raise ConfigError("'operations' must be a non-empty list")
 
-    needs_geometry = any(op.get("op") != "parabolicity" for op in ops
-                         if isinstance(op, dict))
-    W = imm = None
-    if needs_geometry:
-        W = build_ambient(config.get("ambient", {}))
-        rng = np.random.default_rng(seed)
-        imm = build_immersion(W, config.get("immersion", {}), rng)
+def _audit_entry(rep) -> dict:
+    return {"report": rep,
+            "status": _VERDICT_STATUS.get(rep.verdict, STATUS_FAIL)}
 
-    results = []
-    for i, op in enumerate(ops):
-        if not isinstance(op, dict) or "op" not in op:
-            raise ConfigError(f"operation {i} must be an object with 'op'")
-        name = op["op"]
-        entry = {"op": name}
-        if name == "theorem-audit":
-            theorem_id = op.get("id")
-            if theorem_id not in scenarios.THEOREM_IDS:
-                raise _registry_miss("theorem id", theorem_id,
-                                     scenarios.THEOREM_IDS)
-            rep = scenarios.theorem_audit(
-                imm, W, theorem_id, k=op.get("k"), cfg=cfg, tol=tol)
-            entry["report"] = rep
-            entry["status"] = _verdict_status(rep.verdict)
-        elif name == "curvature-estimate":
-            order = int(op.get("order", 1))
-            rep = scenarios.curvature_estimate_scenario(
-                imm, W, order, cfg=cfg, tol=tol)
-            entry["report"] = rep
-            entry["status"] = _verdict_status(rep.verdict)
-        elif name == "elliptic-signs":
-            rep = scenarios.elliptic_point_and_signs(imm, cfg=cfg, tol=tol)
-            entry["report"] = rep
-            entry["status"] = _verdict_status(rep.verdict)
-        elif name == "parabolicity":
-            model_spec = op.get("model", "flat")
-            if isinstance(model_spec, str):
-                if model_spec not in MODELS:
-                    raise _registry_miss("radial model", model_spec, MODELS)
-                model = builtin_model(model_spec,
-                                      **{key: op[key] for key in ("m", "R")
-                                         if key in op})
-            else:
-                raise ConfigError("parabolicity model must be a registry name")
-            H_spec = op.get("H", 1.0)
-            if not isinstance(H_spec, (int, float)):
-                raise ConfigError("parabolicity H must be a constant in "
-                                  "config-driven runs")
-            try:
-                rep = scenarios.parabolicity_integral(
-                    model, float(H_spec), int(op.get("k", 2)),
-                    t_max=op.get("t_max"))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-            entry["report"] = {key: val for key, val in rep.items()
-                               if key not in ("ts", "integrand")}
-            entry["status"] = STATUS_PASS
-            write_table(
-                os.path.join(out_dir, f"scenario-{i:02d}-parabolicity.tsv"),
-                ["t", "integrand"],
+
+def _check_theorem(op, n):
+    theorem_id = op.get("id")
+    if theorem_id not in scenarios.THEOREM_IDS:
+        raise _registry_miss("theorem id", theorem_id, scenarios.THEOREM_IDS)
+    scenarios.audit_order(theorem_id, n, op.get("k"))
+
+
+def _theorem_audit(run, op, stem):
+    return _audit_entry(scenarios.theorem_audit(
+        run.imm, run.W, op["id"], k=op.get("k"), cfg=run.cfg, tol=run.tol))
+
+
+def _curvature_estimate(run, op, stem):
+    return _audit_entry(scenarios.curvature_estimate_scenario(
+        run.imm, run.W, _index(op, "order"), cfg=run.cfg, tol=run.tol))
+
+
+def _elliptic_signs(run, op, stem):
+    return _audit_entry(scenarios.elliptic_point_and_signs(
+        run.imm, cfg=run.cfg, tol=run.tol))
+
+
+def _parabolicity(run, op, stem):
+    with _config_inputs():
+        model = _build_model(op.get("model", "flat"),
+                             **{key: op[key] for key in ("m", "R")
+                                if key in op})
+        rep = scenarios.parabolicity_integral(
+            model, float(op.get("H", 1.0)), int(op.get("k", 2)),
+            t_max=op.get("t_max"))
+    write_table(stem + ".tsv", ["t", "integrand"],
                 list(zip(rep["ts"], rep["integrand"])))
-        else:
-            raise _registry_miss(
-                "scenario operation", name,
-                ("theorem-audit", "curvature-estimate", "elliptic-signs",
-                 "parabolicity"))
-        results.append(entry)
-        write_json(os.path.join(out_dir, f"scenario-{i:02d}-{name}.json"),
-                   entry)
-
-    return _summarize("scenario", config, seed, results, out_dir)
+    return {"report": {key: val for key, val in rep.items()
+                       if key not in ("ts", "integrand")},
+            "status": STATUS_PASS}
 
 
-def _verdict_status(verdict: str) -> str:
-    if verdict == scenarios.VERDICT_CONSISTENT:
-        return STATUS_PASS
-    if verdict == scenarios.VERDICT_HYPOTHESIS:
-        return STATUS_HYPOTHESIS
-    return STATUS_FAIL
+SCENARIO_OPS = {
+    "theorem-audit": (_theorem_audit, _check_theorem),
+    "curvature-estimate": (_curvature_estimate,
+                           _index_range(1, 0, key="order")),
+    "elliptic-signs": (_elliptic_signs, None),
+    "parabolicity": (_parabolicity, None),
+}
+
+
+def run_scenario(config: dict, args, out_dir: str) -> int:
+    with _config_inputs():
+        cfg = build_discretization(config, args)
+        W = build_ambient(config.get("ambient", {}))
+        ops = _operations("scenario", config, SCENARIO_OPS, W.fiber.n)
+        imm = (_audited_immersion(config, W, cfg, args.seed)
+               if any(op["op"] != "parabolicity" for op in ops) else None)
+    run = SimpleNamespace(imm=imm, W=W, cfg=cfg, tol=args.tol)
+    entries = [{"op": op["op"]} for op in ops]
+    results = _run_operations("scenario", ops, entries, SCENARIO_OPS, run,
+                              out_dir)
+    return _summarize("scenario", config, args.seed, results, out_dir)
 
 
 # ---------------------------------------------------------------------------
 # probe subcommand
 # ---------------------------------------------------------------------------
 
-_HEIGHT_FAMILIES = ("tanh", "gaussian-bump", "negative-square")
-
-
 def _height_function(section: dict):
+    if not isinstance(section, dict):
+        raise ConfigError("'height' must be an object")
     family = section.get("family", "tanh")
     if family == "tanh":
         scale = float(section.get("scale", 1.0))
@@ -569,61 +634,38 @@ def _height_function(section: dict):
         return lambda r: amplitude * np.exp(-((r - center) / width) ** 2)
     if family == "negative-square":
         return lambda r: -np.asarray(r) ** 2
-    raise _registry_miss("height family", family, _HEIGHT_FAMILIES)
+    raise _registry_miss("height family", family,
+                         ("tanh", "gaussian-bump", "negative-square"))
 
 
-def _build_model(spec) -> object:
-    if isinstance(spec, str):
-        if spec not in MODELS:
-            raise _registry_miss("radial model", spec, MODELS)
-        return builtin_model(spec)
-    if isinstance(spec, dict):
-        params = dict(spec)
-        name = params.pop("name", None)
-        if name not in MODELS:
-            raise _registry_miss("radial model", name, MODELS)
-        return builtin_model(name, **params)
-    raise ConfigError("'model' must be a registry name or object")
+def _growth(spec):
+    if spec not in GROWTH_FUNCTIONS:
+        raise _registry_miss("growth function", spec, GROWTH_FUNCTIONS)
+    return builtin_growth(spec)
 
 
 def run_probe(config: dict, args, out_dir: str) -> int:
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    model = _build_model(config.get("model", "hyperbolic"))
-    u = _height_function(config.get("height", {}))
-    jmax = int(config.get("jmax", 20))
-    growth_spec = config.get("growth")
-    G = None
-    if growth_spec is not None:
-        if growth_spec not in GROWTH_FUNCTIONS:
-            raise _registry_miss("growth function", growth_spec,
-                                 GROWTH_FUNCTIONS)
-        G = builtin_growth(growth_spec)
-    selector = config.get("selector", "laplacian")
-    if isinstance(selector, list):
-        selector = tuple(float(v) for v in selector)
+    with _config_inputs():
+        model = _build_model(config.get("model", "hyperbolic"))
+        u = _height_function(config.get("height", {}))
+        jmax = int(config.get("jmax", 20))
+        growth_spec = config.get("growth")
+        G = None if growth_spec is None else _growth(growth_spec)
+        # the probe's ValueErrors all reject its arguments
+        probe = omori_yau_probe(model, u, jmax=jmax, G=G,
+                                L=config.get("selector", "laplacian"))
 
-    probe = omori_yau_probe(model, u, L=selector, jmax=jmax, G=G)
-
-    entry = {
-        "op": "omori-yau-probe",
-        "model": model.name,
-        "dimension": model.m,
-        "growth": probe.growth_name,
-        "u_star": probe.u_star,
-        "p0_radius": probe.p0_radius,
-        "boundary_flag": probe.boundary_flag,
-        "trends": probe.trends,
-        "gamma_constants": probe.gamma_constants,
-        "records": probe.records,
-    }
+    entry = {"op": "omori-yau-probe", "model": model.name,
+             "dimension": model.m, **dataclasses.asdict(probe)}
+    entry["growth"] = entry.pop("growth_name")
     if probe.boundary_flag:
         entry["status"] = STATUS_NA
         entry["reason"] = ("maximizers pinned at the model boundary; the "
                            "sequence is not certifying an interior principle")
     else:
-        entry["status"] = STATUS_PASS if all(
+        entry["status"] = _holds(all(
             bool(v) for v in probe.trends.values()
-            if isinstance(v, (bool, np.bool_))) else STATUS_FAIL
+            if isinstance(v, (bool, np.bool_))))
 
     write_json(os.path.join(out_dir, "probe-00-omori-yau.json"), entry)
     write_table(
@@ -631,7 +673,7 @@ def run_probe(config: dict, args, out_dir: str) -> int:
         ["j", "radius", "gap", "grad_norm", "Lu"],
         [(rec["j"], rec["radius"], rec["gap"], rec["grad_norm"], rec["Lu"])
          for rec in probe.records])
-    return _summarize("probe", config, seed, [entry], out_dir)
+    return _summarize("probe", config, args.seed, [entry], out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -639,14 +681,11 @@ def run_probe(config: dict, args, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 def run_comparison(config: dict, args, out_dir: str) -> int:
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    growth_spec = config.get("growth", "one")
-    if growth_spec not in GROWTH_FUNCTIONS:
-        raise _registry_miss("growth function", growth_spec, GROWTH_FUNCTIONS)
-    G = builtin_growth(growth_spec)
-    T = float(config.get("T", 5.0))
-
-    cond = check_growth_conditions(G, T)
+    with _config_inputs():
+        G = _growth(config.get("growth", "one"))
+        T = float(config.get("T", 5.0))
+        model = _build_model(config["model"]) if "model" in config else None
+        cond = check_growth_conditions(G, T)
     sol = solve_comparison(G, T)
     results = []
 
@@ -670,9 +709,7 @@ def run_comparison(config: dict, args, out_dir: str) -> int:
             sol.report["envelope_identity_nonneg"]),
     }
     ode_entry = {"op": "comparison-solution", "report": sol.report,
-                 "gates": gates,
-                 "status": STATUS_PASS if all(gates.values())
-                 else STATUS_FAIL}
+                 "gates": gates, "status": _holds(all(gates.values()))}
     results.append(ode_entry)
     write_json(os.path.join(out_dir, "comparison-01-solution.json"), ode_entry)
     write_table(
@@ -680,8 +717,7 @@ def run_comparison(config: dict, args, out_dir: str) -> int:
         ["t", "phi", "dphi", "psi", "dpsi", "envelope"],
         list(zip(sol.ts, sol.phi, sol.dphi, sol.psi, sol.dpsi, sol.envelope)))
 
-    if "model" in config:
-        model = _build_model(config["model"])
+    if model is not None:
         hess = hessian_comparison_check(model, G)
         entry = {"op": "hessian-comparison", "report": hess}
         if not hess.get("applicable", True):
@@ -690,12 +726,11 @@ def run_comparison(config: dict, args, out_dir: str) -> int:
                                "bound near radius "
                                f"{hess['violating_radius']:.4g}")
         else:
-            entry["status"] = STATUS_PASS \
-                if hess["slope_comparison_holds"] else STATUS_FAIL
+            entry["status"] = _holds(hess["slope_comparison_holds"])
         results.append(entry)
         write_json(os.path.join(out_dir, "comparison-02-hessian.json"), entry)
 
-    return _summarize("comparison", config, seed, results, out_dir)
+    return _summarize("comparison", config, args.seed, results, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +801,14 @@ def main(argv=None) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         config = load_config(args.config)
+        # a flag overrides the config; every subcommand reads the result
+        with _config_inputs():
+            if args.seed is None:
+                args.seed = int(config.get("seed", 0))
+            if args.tol is None:
+                args.tol = float(config.get("tolerance", 1e-8))
         return _RUNNERS[args.subcommand](config, args, out_dir)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

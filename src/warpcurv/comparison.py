@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
+from ._grid import golden_max
+
 
 # ---------------------------------------------------------------------------
 # growth functions
@@ -275,11 +277,6 @@ class RadialModel:
         if float(np.min(self.f(rs))) <= 0.0:
             raise ValueError("radial factor must be positive on (0, R]")
 
-    def radial_curvature(self, r):
-        """-f''/f (defined by continuity at the origin for the built-ins)."""
-        r = np.asarray(r, dtype=float)
-        return -self.d2f(r) / self.f(r)
-
     def volume_slope(self, r):
         """f'/f, the logarithmic derivative entering radial Laplacians."""
         r = np.asarray(r, dtype=float)
@@ -392,23 +389,6 @@ def _derivatives(u, r, h=1e-5):
     return float(up), float(upp)
 
 
-def _golden_max_1d(fn, a, b, iters=80):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def default_growth_for(model: RadialModel, floor: float = 1.0) -> GrowthFunction:
     """Constant growth bound dominating the model's radial curvature.
 
@@ -500,7 +480,7 @@ def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
             def fj_cont(r, _j=j):
                 return float((u_fn(r) - u_p0 + 1.0)
                              / envelope_gamma(r) ** (1.0 / _j))
-            r_j = _golden_max_1d(fj_cont, float(rs[i - 1]), float(rs[i + 1]))
+            r_j = golden_max(fj_cont, float(rs[i - 1]), float(rs[i + 1]))
 
         if u_fn is not None:
             u_j = float(u_fn(r_j))

@@ -24,13 +24,13 @@ potential already contains second derivatives: four nested stencils).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import symfun
-from ._grid import diff, gradient, hessian, interior_mask, stencil_radius
+from ._grid import (diff, gradient, hessian, interior_mask, masked_max,
+                    stencil_radius)
 from .ambient import WarpedProduct, warping_eval
 
 
@@ -39,7 +39,6 @@ class DiscretizationConfig:
     """Stencil order, tolerances, and refinement depth for grid audits."""
 
     order: int = 4
-    eigen_tol: float = 1e-10
     identity_tol: float = 1e-8
     refine_levels: int = 3
     # deepest stencil nesting is 4 (divergence-of-flux identities), so
@@ -108,6 +107,8 @@ class GraphImmersion:
                       periodic=None, orientation: int = 1) -> "GraphImmersion":
         if isinstance(shape, int):
             shape = (shape,) * W.fiber.n
+        if any(s < 8 for s in shape):
+            raise ValueError("grid resolution must be at least 8 per axis")
         if box is None:
             box = W.fiber.default_box()
         if periodic is None:
@@ -224,9 +225,6 @@ class GeometryGrid:
     def frame_vector_to_chart(self, w: np.ndarray) -> np.ndarray:
         """Chart components of a tangent vector given in the frame."""
         return np.einsum("...ji,...j->...i", self.L_inv, w)
-
-    def chart_vector_to_frame(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("...ji,...j->...i", self.L, v)
 
     def ambient_components(self, v_chart: np.ndarray) -> np.ndarray:
         """Ambient (T, fiber) components of a tangent vector in chart form."""
@@ -382,10 +380,6 @@ def point_geometry(geom: GeometryGrid, idx) -> PointGeometry:
 # structure identities
 # ---------------------------------------------------------------------------
 
-def _masked_max(resid: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.max(np.abs(resid[mask]))) if np.any(mask) else 0.0
-
-
 def structure_identities(geom: GeometryGrid) -> dict:
     """Pointwise residuals of the gradient/Hessian structure of the height.
 
@@ -401,24 +395,24 @@ def structure_identities(geom: GeometryGrid) -> dict:
     out = {}
 
     unit = np.einsum("...i,...i->...", geom.a, geom.a) + geom.theta ** 2 - 1.0
-    out["unit-decomposition"] = {"grid": unit, "max": _masked_max(unit, mask)}
+    out["unit-decomposition"] = {"grid": unit, "max": masked_max(unit, mask)}
 
     tang = -geom.theta[..., None] * geom.normal[..., 1:]
     gdec = geom.grad_h_chart - tang
-    out["gradient-decomposition"] = {"grid": gdec, "max": _masked_max(gdec, mask)}
+    out["gradient-decomposition"] = {"grid": gdec, "max": masked_max(gdec, mask)}
 
     hess_fd = geom.hess_covariant(geom.u)
     outer = geom.du[..., :, None] * geom.du[..., None, :]
     hess_closed = geom.hcal[..., None, None] * (geom.g - outer) \
         + geom.theta[..., None, None] * geom.II
     hh = hess_fd - hess_closed
-    out["height-hessian"] = {"grid": hh, "max": _masked_max(hh, mask)}
+    out["height-hessian"] = {"grid": hh, "max": masked_max(hh, mask)}
 
     sig_fd = geom.hess_covariant(geom.sigma)
     sig_closed = geom.drho[..., None, None] * outer \
         + geom.rho[..., None, None] * hess_closed
     sh = sig_fd - sig_closed
-    out["sigma-hessian"] = {"grid": sh, "max": _masked_max(sh, mask)}
+    out["sigma-hessian"] = {"grid": sh, "max": masked_max(sh, mask)}
     return out
 
 
@@ -470,7 +464,7 @@ def extrinsic_gamma_probe(imm: GraphImmersion, origin, cfg: DiscretizationConfig
         "min_margin": float(np.min(margin[mask])) if np.any(mask) else float("nan"),
         "gradient_bound_holds": bool(np.all(margin[mask] >= -1e-10)) if np.any(mask) else True,
         "hessian_residual": resid,
-        "hessian_max": _masked_max(resid, mask),
+        "hessian_max": masked_max(resid, mask),
         "window": window,
         "mask": mask,
     }

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import diff
+from ._grid import diff, masked_max
 from .ambient import curvature_tensor_components, profile_summary
 from .hypersurface import (DiscretizationConfig, GeometryGrid, GraphImmersion,
                            audit_window, coarsest_trim, evaluate_geometry)
@@ -52,10 +52,6 @@ class IdentityResidual:
     grid: np.ndarray
     max: float
     slope: float = None
-
-
-def _masked_max(resid: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.max(np.abs(resid[mask]))) if np.any(mask) else 0.0
 
 
 def _require_geom(imm, cfg, geom) -> GeometryGrid:
@@ -181,7 +177,7 @@ def height_sigma_identities(imm: GraphImmersion, k: int,
             ("sigma_algebraic", lhs_s_alg, rhs_s)):
         grid = lhs - rhs
         out[name] = IdentityResidual(id=f"lk-{name}", grid=grid,
-                                     max=_masked_max(grid, mask))
+                                     max=masked_max(grid, mask))
     return out
 
 
@@ -289,11 +285,11 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
         "closed_form": b,
         "curvature_sum": c,
         "residual_ab": IdentityResidual("div-pk-numeric-vs-closed", a - b,
-                                        _masked_max(a - b, mask)),
+                                        masked_max(a - b, mask)),
         "residual_ac": IdentityResidual("div-pk-numeric-vs-curvature", a - c,
-                                        _masked_max(a - c, mask)),
+                                        masked_max(a - c, mask)),
         "residual_bc": IdentityResidual("div-pk-closed-vs-curvature", b - c,
-                                        _masked_max(b - c, mask)),
+                                        masked_max(b - c, mask)),
     }
 
 
@@ -323,7 +319,7 @@ def curvature_trace_identity(imm: GraphImmersion, j: int, w: np.ndarray,
                   * np.einsum("...i,...i->...", geom.a, w))
     grid = total - rhs
     return IdentityResidual("curvature-trace", grid,
-                            _masked_max(grid, geom.interior))
+                            masked_max(grid, geom.interior))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +394,9 @@ def calligraphic_ops(imm: GraphImmersion, k: int,
     return {
         "field": Pcal,
         "sigma_identity_algebraic": IdentityResidual(
-            "calligraphic-sigma-algebraic", grid_alg, _masked_max(grid_alg, mask)),
+            "calligraphic-sigma-algebraic", grid_alg, masked_max(grid_alg, mask)),
         "sigma_identity": IdentityResidual(
-            "calligraphic-sigma", grid_fd, _masked_max(grid_fd, mask)),
+            "calligraphic-sigma", grid_fd, masked_max(grid_fd, mask)),
         "min_eigenvalue": min_eig,
         "sign_hypotheses_hold": hypotheses,
         "semidefinite": min_eig >= -tol,
@@ -436,7 +432,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
         "...ij,...j->...i", geom.shape_frame, geom.a)
     ggrid = grad_fd - grad_closed
     gradient_residual = IdentityResidual("theta-hat-gradient", ggrid,
-                                         _masked_max(ggrid, mask))
+                                         masked_max(ggrid, mask))
 
     P = geom.newton[..., k, :, :]
     ck = geom.c[k]
@@ -471,11 +467,11 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
     return {
         "gradient": gradient_residual,
         "operator": IdentityResidual("theta-hat-operator", ogrid,
-                                     _masked_max(ogrid, mask)),
+                                     masked_max(ogrid, mask)),
         "beta_routes": IdentityResidual("theta-hat-beta-routes", bgrid,
-                                        _masked_max(bgrid, mask)),
+                                        masked_max(bgrid, mask)),
         "general_vs_constant": IdentityResidual(
-            "theta-hat-general-vs-constant", agrid, _masked_max(agrid, mask)),
+            "theta-hat-general-vs-constant", agrid, masked_max(agrid, mask)),
         "lhs": lhs_fd,
         "rhs": rhs_const,
     }
@@ -574,7 +570,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
         "terms": terms,
         "term_minima": term_mins,
         "variable_correction": variable_correction,
-        "residual": IdentityResidual("frak-phi", grid, _masked_max(grid, mask)),
+        "residual": IdentityResidual("frak-phi", grid, masked_max(grid, mask)),
         "hypotheses": hypotheses,
         "all_terms_nonnegative": all(v >= -sign_tol for v in term_mins.values()),
     }

@@ -10,7 +10,6 @@ case that simply wandered outside the theorem's assumptions.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +26,6 @@ from .hypersurface import (
     evaluate_geometry,
     sectional_bound_report,
 )
-
-LOGGER = logging.getLogger(__name__)
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_HYPOTHESIS = "hypothesis-violated"
@@ -363,15 +360,22 @@ _AUDITS = {
 }
 
 
-def _resolve_order(spec: dict, n: int, k) -> int:
+def audit_order(theorem_id: str, n: int, k=None) -> int:
+    """The curvature order audited for ``theorem_id`` in dimension ``n``.
+
+    ``k=None`` selects the statement's own order (or its lowest one);
+    raises ValueError when ``k`` does not fit the statement.
+    """
+    spec = _AUDITS[theorem_id]
     if spec["k_fixed"] is not None:
         if k not in (None, spec["k_fixed"]):
             raise ValueError(f"this audit is specific to order "
                              f"{spec['k_fixed']}, got k={k}")
-        return spec["k_fixed"]
-    k_min = spec["k_min"]
-    if k is None:
-        k = k_min
+        k = k_min = spec["k_fixed"]
+    else:
+        k_min = spec["k_min"]
+        if k is None:
+            k = k_min
     if not k_min <= k <= n:
         raise ValueError(f"curvature order k={k} outside [{k_min}, {n}]")
     return k
@@ -402,7 +406,7 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
     input_orientation = imm.orientation
     imm, geom, flipped = _positive_mean_curvature_geometry(imm, cfg)
     n = geom.n
-    k = _resolve_order(spec, n, k)
+    k = audit_order(theorem_id, n, k)
 
     report = ScenarioReport(scenario_id=theorem_id)
     notes = []

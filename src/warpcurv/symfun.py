@@ -27,10 +27,6 @@ MAX_DIM = 8
 _SYM_TOL = 1e-10
 
 
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
-
-
 def trace_coefficient(n: int, k: int) -> int:
     """The constant c_k = (n-k)*binomial(n,k)."""
     return (n - k) * math.comb(n, k)
@@ -98,31 +94,6 @@ def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SpectrumData:
-    """Principal curvatures at a point: dimension ``n`` and the kappas."""
-
-    n: int
-    kappas: tuple
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
-        if self.n > MAX_DIM:
-            raise ValueError(f"dimension {self.n} exceeds cap {MAX_DIM}")
-        ks = tuple(float(k) for k in self.kappas)
-        if len(ks) != self.n:
-            raise ValueError("need exactly n principal curvatures")
-        if not all(math.isfinite(k) for k in ks):
-            raise ValueError("non-finite principal curvature")
-        object.__setattr__(self, "kappas", ks)
-
-    @classmethod
-    def from_matrix(cls, A: np.ndarray) -> "SpectrumData":
-        vals = jacobi_eigenvalues(_symmetrized(A))
-        return cls(len(vals), tuple(vals))
-
-
-@dataclass(frozen=True)
 class SymmetricPack:
     """S_0..S_n, H_0..H_n and the trace constants c_0..c_{n-1}."""
 
@@ -159,8 +130,6 @@ def elementary_symmetric(kappas) -> SymmetricPack:
     descending-index update; subset enumeration is retained as a test
     oracle only.
     """
-    if isinstance(kappas, SpectrumData):
-        kappas = kappas.kappas
     ks = [float(k) for k in kappas]
     n = len(ks)
     if n == 0:

@@ -2,13 +2,16 @@
 and byte-identical reruns."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from warpcurv.cli import ENV_OUT, main
+from warpcurv import operators
+from warpcurv.cli import ENV_OUT, main, write_json
 
 
 def _write_config(path, cfg):
@@ -124,6 +127,94 @@ def test_config_errors_exit_two(tmp_path, capsys):
         "ambient": {"profile": "exp"}, "operations": []})
     assert main(["verify", "--config", cfg, "--out", out]) == 2
     assert "non-empty" in capsys.readouterr().err
+
+    # bad values deep inside a config: one line on stderr, no traceback
+    torus = {"profile": "cosh", "chart": "flat-torus", "n": 2}
+    slice12 = {"family": "slice", "resolution": 12}
+    structure = [{"op": "structure"}]
+    for name, sub, config in (
+            ("k", "verify", {"ambient": torus, "immersion": slice12,
+                             "operations": [{"op": "div-newton", "k": 5}]}),
+            ("param", "verify", {"ambient": {"profile": {"name": "cosh",
+                                                         "bogus": 1}},
+                                 "operations": structure}),
+            ("res", "verify", {"ambient": torus,
+                               "immersion": {"family": "slice",
+                                             "resolution": "big"},
+                               "operations": structure}),
+            ("t", "verify", {"ambient": torus,
+                             "immersion": dict(slice12, t=1e6),
+                             "operations": structure}),
+            ("res0", "verify", {"ambient": torus,
+                                "immersion": dict(slice12, resolution=0),
+                                "operations": structure}),
+            ("origin", "verify", {"ambient": torus, "immersion": slice12,
+                                  "operations": [{"op": "gamma-probe",
+                                                  "origin": "x"}]}),
+            ("levels", "verify", {"ambient": torus, "immersion": slice12,
+                                  "discretization": {"refine_levels": 1.5},
+                                  "operations": structure}),
+            ("n1", "scenario", {
+                "ambient": dict(torus, n=1), "immersion": slice12,
+                "operations": [{"op": "theorem-audit",
+                                "id": "compact-constant-h2"}]}),
+            ("height", "probe", {"height": "tanh"}),
+            ("jmax", "probe", {"jmax": 0}),
+            ("T", "comparison", {"T": 0}),
+            ("margin", "verify", {"ambient": {"chart": "round-sphere",
+                                              "kappa": 1.0},
+                                  "immersion": dict(slice12, resolution=16),
+                                  "operations": structure})):
+        cfg = _write_config(tmp_path / f"{name}.json", config)
+        assert main([sub, "--config", cfg, "--out", out]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    # every operation is checked before any report is written
+    late = tmp_path / "late"
+    cfg = _write_config(tmp_path / "late.json", {
+        "ambient": torus, "immersion": slice12,
+        "operations": [{"op": "structure"}, {"op": "does-not-exist"}]})
+    assert main(["verify", "--config", cfg, "--out", str(late)]) == 2
+    assert "unknown verify operation" in capsys.readouterr().err
+    assert list(late.iterdir()) == []
+
+
+def _reject_constant(token):
+    raise ValueError(f"report holds the non-JSON constant {token}")
+
+
+def test_nan_residual_fails_the_gate(tmp_path, monkeypatch):
+    # Python's max() drops a NaN that is not the first item, so a gate on
+    # the worst residual would pass this suite
+    def height_sigma_identities(imm, k, cfg=None, geom=None):
+        return {"height": operators.IdentityResidual("lk-height", None, 1e-12),
+                "sigma": operators.IdentityResidual("lk-sigma", None,
+                                                    np.float64("nan"))}
+
+    monkeypatch.setattr(operators, "height_sigma_identities",
+                        height_sigma_identities)
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "ambient": {"profile": "cosh", "chart": "flat-torus", "n": 2},
+        "immersion": {"family": "slice", "t": 0.7, "resolution": 12},
+        "operations": [{"op": "height-sigma", "k": 1, "tol": 1e-3}]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    entry = json.loads((out / "verify-00-height-sigma.json").read_text(),
+                       parse_constant=_reject_constant)
+    assert entry["status"] == "fail"
+    assert entry["residuals"] == {"height": 1e-12, "sigma": "nan"}
+    assert _read_json(out, "verify-summary.json")["failed"] == ["height-sigma"]
+
+
+def test_reports_are_strict_json(tmp_path):
+    path = tmp_path / "report.json"
+    write_json(str(path), {"numpy": np.float64("nan"), "python": math.inf,
+                           "small": np.array([-np.inf, 1.0]),
+                           "large": np.full(65, np.nan)})
+    assert json.loads(path.read_text(), parse_constant=_reject_constant) == {
+        "numpy": "nan", "python": "inf", "small": ["-inf", 1.0],
+        "large": {"shape": [65], "max_abs": "nan"}}
 
 
 def test_out_dir_from_environment(tmp_path, monkeypatch):
