@@ -95,8 +95,12 @@ def interior_mask(shape, periodic, cells: int) -> np.ndarray:
 
 
 def masked_max(resid: np.ndarray, mask: np.ndarray) -> float:
-    """Largest absolute residual over the masked nodes (0.0 when none)."""
-    return float(np.max(np.abs(resid[mask]))) if np.any(mask) else 0.0
+    """Largest absolute residual over the masked nodes.
+
+    NaN when the mask is empty: a residual audited nowhere must fail every
+    gate, not pass as zero.
+    """
+    return float(np.max(np.abs(resid[mask]))) if np.any(mask) else math.nan
 
 
 def golden_max(fn, a: float, b: float) -> float:

@@ -154,6 +154,19 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _integer(section: dict, key: str, default: int) -> int:
+    """``section[key]`` (``default`` when absent) as an int; a value the
+    conversion would change, such as 1.9 or "3", is refused."""
+    value = section.get(key, default)
+    try:
+        converted = int(value)
+    except (ValueError, TypeError, OverflowError):
+        converted = None
+    if converted is None or converted != value:
+        raise ConfigError(f"{key}={value!r} is not an integer")
+    return converted
+
+
 def _registry_miss(kind: str, name, registry) -> ConfigError:
     return ConfigError(
         f"unknown {kind} {name!r}; registry: {', '.join(sorted(registry))}")
@@ -175,7 +188,7 @@ def build_ambient(section: dict) -> WarpedProduct:
     profile = builtin_profile(name, **params)
 
     chart = section.get("chart", "flat-torus")
-    n = int(section.get("n", 2))
+    n = _integer(section, "n", 2)
     kappa = float(section.get("kappa", 0.0))
     lengths = section.get("lengths")
     fiber = FiberSpec(n=n, kappa=kappa, chart=chart,
@@ -184,35 +197,31 @@ def build_ambient(section: dict) -> WarpedProduct:
     return WarpedProduct(profile=profile, fiber=fiber)
 
 
-def random_height_function(box, periodic, rng: np.random.Generator,
-                           amplitude: float = 0.2, max_mode: int = 1,
-                           norm_samples: int = 64):
-    """Normalized low-frequency trigonometric deviation, as a closed form.
+def _trigonometric_field(box, rng: np.random.Generator, max_mode: int):
+    """Low-frequency trigonometric sum on ``box``, as a closed form.
 
-    Sums cos/sin waves over integer frequency vectors with sup-norm at
-    most ``max_mode`` (conjugate pairs collapsed), with standard-normal
-    coefficients drawn once from ``rng``, rescaled so the sup-norm over a
-    fixed dense sampling of the box equals ``amplitude``.  Returning a
-    function of the stacked mesh (..., n) keeps the generated immersion
-    refinable; iteration order is fixed, so equal seeds give equal fields.
+    Sums ``a cos + b sin`` waves over integer frequency vectors with
+    sup-norm at most ``max_mode`` (conjugate pairs collapsed), with
+    standard-normal coefficients drawn from ``rng`` in a fixed order, so
+    equal seeds give equal fields.  Returns the field, a function of the
+    stacked mesh (..., n), and its terms as ``(mode, a, b)``.
     """
     n = len(box)
-    modes, coeffs = [], []
+    terms = []
     for mode in itertools.product(range(-max_mode, max_mode + 1), repeat=n):
         if all(m == 0 for m in mode):
             continue
         first = next(m for m in mode if m != 0)
         if first < 0:        # keep one representative per conjugate pair
             continue
-        modes.append(mode)
-        coeffs.append((rng.normal(), rng.normal()))
+        terms.append((mode, rng.normal(), rng.normal()))
     los = [float(lo) for lo, _ in box]
     lengths = [float(hi) - float(lo) for lo, hi in box]
 
     def raw(mesh):
         mesh = np.asarray(mesh, dtype=float)
         dev = np.zeros(mesh.shape[:-1])
-        for mode, (a, b) in zip(modes, coeffs):
+        for mode, a, b in terms:
             phase = np.zeros(mesh.shape[:-1])
             for ax_i, m in enumerate(mode):
                 if m:
@@ -221,10 +230,47 @@ def random_height_function(box, periodic, rng: np.random.Generator,
             dev = dev + a * np.cos(phase) + b * np.sin(phase)
         return dev
 
-    sample_axes = [np.linspace(lo, hi, norm_samples, endpoint=not per)
-                   for (lo, hi), per in zip(box, periodic)]
-    sample = np.stack(np.meshgrid(*sample_axes, indexing="ij"), axis=-1)
-    peak = float(np.max(np.abs(raw(sample))))
+    return raw, terms
+
+
+def _sample_peak(raw, terms, box, periodic, samples: int) -> float:
+    """Largest ``|raw|`` over ``samples`` points per axis of ``box``.
+
+    On an all-periodic box the samples form a DFT grid, and while the
+    modes stay distinct modulo ``samples`` one inverse transform of the
+    coefficients gives the field at every sample up to rounding.  That only
+    locates the peak: the closed form is evaluated at the samples within
+    1e-9 relative of the transform's maximum, so the result equals the
+    dense evaluation's, which every other box still uses.
+    """
+    axes = [np.linspace(lo, hi, samples, endpoint=not per)
+            for (lo, hi), per in zip(box, periodic)]
+    max_mode = max((max(map(abs, mode)) for mode, _, _ in terms), default=0)
+    if all(periodic) and 2 * max_mode < samples:
+        spec = np.zeros((samples,) * len(box), dtype=complex)
+        for mode, a, b in terms:
+            # Re((a - ib) e^{i phase}) = a cos(phase) + b sin(phase)
+            spec[tuple(m % samples for m in mode)] = complex(a, -b)
+        field = np.abs(np.fft.ifftn(spec).real)
+        near = np.nonzero(field >= (1.0 - 1e-9) * field.max())
+        points = np.stack([ax[idx] for ax, idx in zip(axes, near)], axis=-1)
+    else:
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return float(np.max(np.abs(raw(points))))
+
+
+def random_height_function(box, periodic, rng: np.random.Generator,
+                           amplitude: float = 0.2, max_mode: int = 1,
+                           norm_samples: int = 64):
+    """Normalized low-frequency trigonometric deviation, as a closed form.
+
+    The field of ``_trigonometric_field``, rescaled so its sup-norm over
+    ``norm_samples`` points per axis of the box (the far edge dropped on
+    periodic axes) equals ``amplitude``.  Returning a function of the
+    stacked mesh (..., n) keeps the generated immersion refinable.
+    """
+    raw, terms = _trigonometric_field(box, rng, max_mode)
+    peak = _sample_peak(raw, terms, box, periodic, norm_samples)
     scale = amplitude / peak if peak > 0.0 else 0.0
     return lambda mesh: scale * raw(mesh)
 
@@ -234,8 +280,8 @@ def build_immersion(W: WarpedProduct, section: dict,
     if not isinstance(section, dict):
         raise ConfigError("'immersion' must be an object")
     family = section.get("family", "slice")
-    res = int(section.get("resolution", 48))
-    orientation = int(section.get("orientation", 1))
+    res = _integer(section, "resolution", 48)
+    orientation = _integer(section, "orientation", 1)
     n = W.fiber.n
     shape = tuple(section.get("shape", (res,) * n))
     box = section.get("box")
@@ -252,7 +298,7 @@ def build_immersion(W: WarpedProduct, section: dict,
     t_center = float(section.get("t_center", W.profile.t0))
     amplitude = float(section.get("amplitude", 0.2))
     if family == "random":
-        max_mode = int(section.get("max_mode", 1))
+        max_mode = _integer(section, "max_mode", 1)
         dev = random_height_function(box, W.fiber.periodic, rng,
                                      amplitude=amplitude, max_mode=max_mode)
         return GraphImmersion.from_function(
@@ -315,7 +361,7 @@ def _build_model(spec, **params):
 # ---------------------------------------------------------------------------
 
 def _index(op: dict, key: str = "k") -> int:
-    return int(op.get(key, 1))
+    return _integer(op, key, 1)
 
 
 def _index_range(lo: int, below_n: int, key: str = "k"):
@@ -556,16 +602,22 @@ def _audit_entry(rep) -> dict:
             "status": _VERDICT_STATUS.get(rep.verdict, STATUS_FAIL)}
 
 
+def _audit_k(op):
+    """The configured curvature order of an audit; None selects the
+    statement's own."""
+    return None if op.get("k") is None else _integer(op, "k", None)
+
+
 def _check_theorem(op, n):
     theorem_id = op.get("id")
     if theorem_id not in scenarios.THEOREM_IDS:
         raise _registry_miss("theorem id", theorem_id, scenarios.THEOREM_IDS)
-    scenarios.audit_order(theorem_id, n, op.get("k"))
+    scenarios.audit_order(theorem_id, n, _audit_k(op))
 
 
 def _theorem_audit(run, op, stem):
     return _audit_entry(scenarios.theorem_audit(
-        run.imm, run.W, op["id"], k=op.get("k"), cfg=run.cfg, tol=run.tol))
+        run.imm, run.W, op["id"], k=_audit_k(op), cfg=run.cfg, tol=run.tol))
 
 
 def _curvature_estimate(run, op, stem):
@@ -578,14 +630,28 @@ def _elliptic_signs(run, op, stem):
         run.imm, cfg=run.cfg, tol=run.tol))
 
 
+def _positive(op, key, default):
+    value = op.get(key, default)
+    if value is not None and not 0.0 < float(value) < math.inf:
+        raise ConfigError(f"parabolicity: {key}={value!r} must be a positive "
+                          f"finite number")
+    return None if value is None else float(value)
+
+
+def _parabolicity_inputs(op):
+    """The radial model and the checked ``H``, ``k`` and ``t_max`` of a
+    parabolicity operation."""
+    model = _build_model(op.get("model", "flat"),
+                         **{key: op[key] for key in ("m", "R") if key in op})
+    k = _integer(op, "k", 2)
+    if k < 1:
+        raise ConfigError(f"parabolicity: k={k} must be at least 1")
+    return model, _positive(op, "H", 1.0), k, _positive(op, "t_max", None)
+
+
 def _parabolicity(run, op, stem):
-    with _config_inputs():
-        model = _build_model(op.get("model", "flat"),
-                             **{key: op[key] for key in ("m", "R")
-                                if key in op})
-        rep = scenarios.parabolicity_integral(
-            model, float(op.get("H", 1.0)), int(op.get("k", 2)),
-            t_max=op.get("t_max"))
+    model, H, k, t_max = _parabolicity_inputs(op)
+    rep = scenarios.parabolicity_integral(model, H, k, t_max=t_max)
     write_table(stem + ".tsv", ["t", "integrand"],
                 list(zip(rep["ts"], rep["integrand"])))
     return {"report": {key: val for key, val in rep.items()
@@ -598,7 +664,8 @@ SCENARIO_OPS = {
     "curvature-estimate": (_curvature_estimate,
                            _index_range(1, 0, key="order")),
     "elliptic-signs": (_elliptic_signs, None),
-    "parabolicity": (_parabolicity, None),
+    "parabolicity": (_parabolicity,
+                     lambda op, n: _parabolicity_inputs(op)),
 }
 
 
@@ -648,7 +715,7 @@ def run_probe(config: dict, args, out_dir: str) -> int:
     with _config_inputs():
         model = _build_model(config.get("model", "hyperbolic"))
         u = _height_function(config.get("height", {}))
-        jmax = int(config.get("jmax", 20))
+        jmax = _integer(config, "jmax", 20)
         growth_spec = config.get("growth")
         G = None if growth_spec is None else _growth(growth_spec)
         # the probe's ValueErrors all reject its arguments
@@ -804,7 +871,7 @@ def main(argv=None) -> int:
         # a flag overrides the config; every subcommand reads the result
         with _config_inputs():
             if args.seed is None:
-                args.seed = int(config.get("seed", 0))
+                args.seed = _integer(config, "seed", 0)
             if args.tol is None:
                 args.tol = float(config.get("tolerance", 1e-8))
         return _RUNNERS[args.subcommand](config, args, out_dir)

@@ -462,7 +462,9 @@ def extrinsic_gamma_probe(imm: GraphImmersion, origin, cfg: DiscretizationConfig
         "grad_norm": grad_norm,
         "bound": bound,
         "min_margin": float(np.min(margin[mask])) if np.any(mask) else float("nan"),
-        "gradient_bound_holds": bool(np.all(margin[mask] >= -1e-10)) if np.any(mask) else True,
+        # vacuous on an empty audit region, so it does not hold there
+        "gradient_bound_holds": bool(np.any(mask)
+                                     and np.all(margin[mask] >= -1e-10)),
         "hessian_residual": resid,
         "hessian_max": masked_max(resid, mask),
         "window": window,

@@ -9,9 +9,19 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpcurv import operators
-from warpcurv.cli import ENV_OUT, main, write_json
+from warpcurv.ambient import FiberSpec
+from warpcurv.cli import (
+    ENV_OUT,
+    _sample_peak,
+    _trigonometric_field,
+    main,
+    random_height_function,
+    write_json,
+)
 
 
 def _write_config(path, cfg):
@@ -164,7 +174,46 @@ def test_config_errors_exit_two(tmp_path, capsys):
             ("margin", "verify", {"ambient": {"chart": "round-sphere",
                                               "kappa": 1.0},
                                   "immersion": dict(slice12, resolution=16),
-                                  "operations": structure})):
+                                  "operations": structure}),
+            # integer fields refuse a value int() would change
+            ("k1.9", "verify", {"ambient": torus, "immersion": slice12,
+                                "operations": [{"op": "height-sigma",
+                                                "k": 1.9}]}),
+            ("order", "scenario", {"ambient": torus, "immersion": slice12,
+                                   "operations": [{"op": "curvature-estimate",
+                                                   "order": 1.5}]}),
+            ("audit-k", "scenario", {
+                "ambient": dict(torus, n=3), "immersion": slice12,
+                "operations": [{"op": "theorem-audit",
+                                "id": "compact-constant-hk", "k": 3.5}]}),
+            ("res12.5", "verify", {"ambient": torus,
+                                   "immersion": dict(slice12, resolution=12.5),
+                                   "operations": structure}),
+            ("n2.5", "verify", {"ambient": dict(torus, n=2.5),
+                                "immersion": slice12, "operations": structure}),
+            ("max_mode", "verify", {"ambient": torus,
+                                    "immersion": {"family": "random",
+                                                  "resolution": 12,
+                                                  "max_mode": 1.5},
+                                    "operations": structure}),
+            ("orientation", "verify", {"ambient": torus,
+                                       "immersion": dict(slice12,
+                                                         orientation=-0.5),
+                                       "operations": structure}),
+            ("jmax8.5", "probe", {"jmax": 8.5}),
+            ("seed", "comparison", {"seed": 1.5}),
+            ("inf", "verify", {"ambient": torus,
+                               "immersion": dict(slice12, resolution=math.inf),
+                               "operations": structure}),
+            # parabolicity parameters are checked before the op runs
+            ("parab-k", "scenario", {"operations": [{"op": "parabolicity",
+                                                     "k": 0}]}),
+            ("parab-H", "scenario", {"operations": [{"op": "parabolicity",
+                                                     "H": -1.0}]}),
+            ("parab-t", "scenario", {"operations": [{"op": "parabolicity",
+                                                     "t_max": 0}]}),
+            ("parab-m", "scenario", {"operations": [{"op": "parabolicity",
+                                                     "m": 1}]})):
         cfg = _write_config(tmp_path / f"{name}.json", config)
         assert main([sub, "--config", cfg, "--out", out]) == 2, name
         err = capsys.readouterr().err
@@ -177,6 +226,14 @@ def test_config_errors_exit_two(tmp_path, capsys):
         "operations": [{"op": "structure"}, {"op": "does-not-exist"}]})
     assert main(["verify", "--config", cfg, "--out", str(late)]) == 2
     assert "unknown verify operation" in capsys.readouterr().err
+    assert list(late.iterdir()) == []
+
+    late = tmp_path / "late-parabolicity"
+    cfg = _write_config(tmp_path / "late-parabolicity.json", {
+        "operations": [{"op": "parabolicity"},
+                       {"op": "parabolicity", "k": 0}]})
+    assert main(["scenario", "--config", cfg, "--out", str(late)]) == 2
+    assert "k=0" in capsys.readouterr().err
     assert list(late.iterdir()) == []
 
 
@@ -382,3 +439,51 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "comparison-summary.json").exists()
+
+
+def _check_normalization(box, periodic, seed, max_mode, amplitude=0.2):
+    """Compare the scale of ``random_height_function`` with an oracle that
+    evaluates the closed form at every one of the 64**n samples; return the
+    height field and the samples."""
+    raw, terms = _trigonometric_field(box, np.random.default_rng(seed),
+                                      max_mode)
+    axes = [np.linspace(lo, hi, 64, endpoint=not per)
+            for (lo, hi), per in zip(box, periodic)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"),
+                      axis=-1).reshape(-1, len(box))
+    values = raw(points)
+    peak = float(np.max(np.abs(values)))
+    assert _sample_peak(raw, terms, box, periodic, 64) == peak
+    dev = random_height_function(box, periodic, np.random.default_rng(seed),
+                                 amplitude=amplitude, max_mode=max_mode)
+    # a scale one ulp off changes most products
+    some = slice(None, None, 1 + len(points) // 512)
+    assert np.array_equal(dev(points[some]), (amplitude / peak) * values[some])
+    return dev, points
+
+
+@given(n=st.integers(1, 3), max_mode=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1),
+       box=st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.5, 10.0)),
+                    min_size=3, max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_periodic_normalization_matches_dense_sampling(n, max_mode, seed, box):
+    # the inverse-DFT peak search must reproduce the dense scale bit for
+    # bit, so every seeded height field is unchanged
+    box = [(lo, lo + length) for lo, length in box[:n]]
+    _check_normalization(box, (True,) * n, seed, max_mode)
+
+
+_SPHERE = FiberSpec(n=2, kappa=1.0, chart="round-sphere")
+
+
+@pytest.mark.parametrize("box,periodic,max_mode", [
+    # a polar chart box: its first axis is not periodic
+    (_SPHERE.default_box(), _SPHERE.periodic, 1),
+    # modes up to 32 alias on 64 samples
+    ([(0.0, 2.0 * math.pi)], (True,), 32),
+])
+def test_dense_normalization_fallbacks(box, periodic, max_mode):
+    dev, points = _check_normalization(box, periodic, 7, max_mode)
+    # A/peak*peak rounds to within an ulp of A
+    assert float(np.max(np.abs(dev(points)))) == pytest.approx(0.2, rel=1e-15)

@@ -157,6 +157,21 @@ def test_distance_probe_on_graph():
     assert rep["hessian_max"] <= 5e-3
 
 
+def test_empty_audit_region_fails_instead_of_reading_zero():
+    # order-4 stencils leave an 8-cell margin on each non-periodic side,
+    # which covers all 16 rows of the polar axis
+    W = make_product("exp", "round-sphere", 2, 1.0)
+    imm = slice_immersion(W, W.profile.t0, res=16)
+    geom = evaluate_geometry(imm)
+    assert not geom.interior.any()
+    residuals = structure_identities(geom)
+    assert residuals and all(math.isnan(val["max"])
+                             for val in residuals.values())
+    rep = extrinsic_gamma_probe(imm, (1.5, 3.0), geom=geom)
+    assert not rep["gradient_bound_holds"]
+    assert math.isnan(rep["min_margin"]) and math.isnan(rep["hessian_max"])
+
+
 def test_sectional_report_on_exponential_slice():
     # slice of the exp product over a flat fiber is intrinsically flat
     W = make_product("exp", "flat-torus", 2, 0.0)
