@@ -22,10 +22,9 @@ supplied (the identity for an orthonormal fiber basis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._grid import golden_max
 
@@ -40,9 +39,9 @@ class WarpingProfile:
 
     Derivatives are registered, never differenced: identity audits must
     not be polluted by profile-differencing error.  ``sigma`` is the
-    primitive of rho based at ``t0``; when no closed form is registered
-    it is computed once by adaptive quadrature and cached.
-    ``alpha`` optionally records the analytic sup of rho'^2 - rho'' rho.
+    closed-form primitive of rho based at ``t0``; it is required for the
+    same reason.  ``alpha`` optionally records the analytic sup of
+    rho'^2 - rho'' rho.
     """
 
     name: str
@@ -51,10 +50,9 @@ class WarpingProfile:
     rho: callable
     drho: callable
     d2rho: callable
+    sigma: callable
     t0: float = 0.0
-    sigma: callable = None
     alpha: float = None
-    _sigma_dense: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.t_min < self.t_max:
@@ -77,37 +75,7 @@ class WarpingProfile:
         return self.d2rho(t) / self.rho(t) - h * h
 
     def sigma_fn(self, t):
-        if self.sigma is not None:
-            return self.sigma(np.asarray(t, dtype=float))
-        if self._sigma_dense is None:
-            self._sigma_dense = _build_sigma_dense(self)
-        return self._sigma_dense(np.asarray(t, dtype=float))
-
-
-def _build_sigma_dense(profile: WarpingProfile):
-    """Quadrature primitive of rho based at t0, as a dense evaluator."""
-    def rhs(t, y):
-        return [profile.rho(t)]
-
-    sols = {}
-    if profile.t_max > profile.t0:
-        sols["fwd"] = solve_ivp(rhs, (profile.t0, profile.t_max), [0.0],
-                                rtol=1e-12, atol=1e-14, dense_output=True)
-    if profile.t_min < profile.t0:
-        sols["bwd"] = solve_ivp(rhs, (profile.t0, profile.t_min), [0.0],
-                                rtol=1e-12, atol=1e-14, dense_output=True)
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        fwd = t >= profile.t0
-        if np.any(fwd):
-            out[fwd] = sols["fwd"].sol(t[fwd])[0]
-        if np.any(~fwd):
-            out[~fwd] = sols["bwd"].sol(t[~fwd])[0]
-        return out
-
-    return evaluate
+        return self.sigma(np.asarray(t, dtype=float))
 
 
 def _exp_profile(t_min=-3.0, t_max=3.0, t0=0.0):
@@ -248,14 +216,14 @@ class FiberSpec:
         return [(0.2, 2.2), (0.0, 2.0 * math.pi)]
 
     # -- metric data -------------------------------------------------------
+    # The flat chart's constant fields are read-only views of one n x n
+    # identity or one n^3 zero array, not copies at every point.
     def metric(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         shape = x.shape[:-1]
-        g = np.zeros(shape + (self.n, self.n))
         if self.chart == "flat-torus":
-            for i in range(self.n):
-                g[..., i, i] = 1.0
-            return g
+            return np.broadcast_to(np.eye(self.n), shape + (self.n, self.n))
+        g = np.zeros(shape + (self.n, self.n))
         s = self.scale
         if self.chart == "round-sphere":
             g[..., 0, 0] = s * s
@@ -268,6 +236,8 @@ class FiberSpec:
 
     def inverse_metric(self, x: np.ndarray) -> np.ndarray:
         g = self.metric(x)
+        if self.chart == "flat-torus":
+            return g
         inv = np.zeros_like(g)
         for i in range(self.n):
             inv[..., i, i] = 1.0 / g[..., i, i]
@@ -276,10 +246,10 @@ class FiberSpec:
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         """Closed-form symbols, indexed [..., k, i, j] for Gamma^k_{ij}."""
         x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1]
-        gam = np.zeros(shape + (self.n, self.n, self.n))
+        shape = x.shape[:-1] + (self.n,) * 3
         if self.chart == "flat-torus":
-            return gam
+            return np.broadcast_to(np.zeros((self.n,) * 3), shape)
+        gam = np.zeros(shape)
         if self.chart == "round-sphere":
             th = x[..., 0]
             gam[..., 0, 1, 1] = -np.sin(th) * np.cos(th)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import json
 import logging
 import math
@@ -52,6 +51,7 @@ from .hypersurface import (
     GraphImmersion,
     evaluate_geometry,
     extrinsic_gamma_probe,
+    random_height_function,
     sectional_bound_report,
     structure_identities,
 )
@@ -156,13 +156,14 @@ def load_config(path: str) -> dict:
 
 def _integer(section: dict, key: str, default: int) -> int:
     """``section[key]`` (``default`` when absent) as an int; a value the
-    conversion would change, such as 1.9 or "3", is refused."""
+    conversion would change, such as 1.9 or "3", is refused, and so is a
+    boolean, although ``True == 1``."""
     value = section.get(key, default)
     try:
         converted = int(value)
     except (ValueError, TypeError, OverflowError):
         converted = None
-    if converted is None or converted != value:
+    if converted is None or converted != value or isinstance(value, bool):
         raise ConfigError(f"{key}={value!r} is not an integer")
     return converted
 
@@ -195,84 +196,6 @@ def build_ambient(section: dict) -> WarpedProduct:
                       lengths=None if lengths is None else
                       tuple(float(v) for v in lengths))
     return WarpedProduct(profile=profile, fiber=fiber)
-
-
-def _trigonometric_field(box, rng: np.random.Generator, max_mode: int):
-    """Low-frequency trigonometric sum on ``box``, as a closed form.
-
-    Sums ``a cos + b sin`` waves over integer frequency vectors with
-    sup-norm at most ``max_mode`` (conjugate pairs collapsed), with
-    standard-normal coefficients drawn from ``rng`` in a fixed order, so
-    equal seeds give equal fields.  Returns the field, a function of the
-    stacked mesh (..., n), and its terms as ``(mode, a, b)``.
-    """
-    n = len(box)
-    terms = []
-    for mode in itertools.product(range(-max_mode, max_mode + 1), repeat=n):
-        if all(m == 0 for m in mode):
-            continue
-        first = next(m for m in mode if m != 0)
-        if first < 0:        # keep one representative per conjugate pair
-            continue
-        terms.append((mode, rng.normal(), rng.normal()))
-    los = [float(lo) for lo, _ in box]
-    lengths = [float(hi) - float(lo) for lo, hi in box]
-
-    def raw(mesh):
-        mesh = np.asarray(mesh, dtype=float)
-        dev = np.zeros(mesh.shape[:-1])
-        for mode, a, b in terms:
-            phase = np.zeros(mesh.shape[:-1])
-            for ax_i, m in enumerate(mode):
-                if m:
-                    phase = phase + (2.0 * math.pi * m
-                                     * (mesh[..., ax_i] - los[ax_i]) / lengths[ax_i])
-            dev = dev + a * np.cos(phase) + b * np.sin(phase)
-        return dev
-
-    return raw, terms
-
-
-def _sample_peak(raw, terms, box, periodic, samples: int) -> float:
-    """Largest ``|raw|`` over ``samples`` points per axis of ``box``.
-
-    On an all-periodic box the samples form a DFT grid, and while the
-    modes stay distinct modulo ``samples`` one inverse transform of the
-    coefficients gives the field at every sample up to rounding.  That only
-    locates the peak: the closed form is evaluated at the samples within
-    1e-9 relative of the transform's maximum, so the result equals the
-    dense evaluation's, which every other box still uses.
-    """
-    axes = [np.linspace(lo, hi, samples, endpoint=not per)
-            for (lo, hi), per in zip(box, periodic)]
-    max_mode = max((max(map(abs, mode)) for mode, _, _ in terms), default=0)
-    if all(periodic) and 2 * max_mode < samples:
-        spec = np.zeros((samples,) * len(box), dtype=complex)
-        for mode, a, b in terms:
-            # Re((a - ib) e^{i phase}) = a cos(phase) + b sin(phase)
-            spec[tuple(m % samples for m in mode)] = complex(a, -b)
-        field = np.abs(np.fft.ifftn(spec).real)
-        near = np.nonzero(field >= (1.0 - 1e-9) * field.max())
-        points = np.stack([ax[idx] for ax, idx in zip(axes, near)], axis=-1)
-    else:
-        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return float(np.max(np.abs(raw(points))))
-
-
-def random_height_function(box, periodic, rng: np.random.Generator,
-                           amplitude: float = 0.2, max_mode: int = 1,
-                           norm_samples: int = 64):
-    """Normalized low-frequency trigonometric deviation, as a closed form.
-
-    The field of ``_trigonometric_field``, rescaled so its sup-norm over
-    ``norm_samples`` points per axis of the box (the far edge dropped on
-    periodic axes) equals ``amplitude``.  Returning a function of the
-    stacked mesh (..., n) keeps the generated immersion refinable.
-    """
-    raw, terms = _trigonometric_field(box, rng, max_mode)
-    peak = _sample_peak(raw, terms, box, periodic, norm_samples)
-    scale = amplitude / peak if peak > 0.0 else 0.0
-    return lambda mesh: scale * raw(mesh)
 
 
 def build_immersion(W: WarpedProduct, section: dict,
@@ -337,7 +260,7 @@ def build_discretization(config: dict, args) -> DiscretizationConfig:
               for f in dataclasses.fields(DiscretizationConfig)
               if f.name in section}
     for key, value in kwargs.items():
-        if value != section[key]:
+        if value != section[key] or isinstance(section[key], bool):
             raise ConfigError(f"discretization {key}={section[key]!r} is not "
                               f"of type {type(value).__name__}")
     if args.refine is not None:
@@ -543,7 +466,8 @@ def _convergence(run, op, stem):
     identity, k = op.get("identity", "height"), _index(op)
     residual = _CONVERGENCE[identity][0]
     study = operators.convergence_study(
-        run.imm, run.cfg, lambda imm, geom: residual(imm, geom, k))
+        run.imm, run.cfg,
+        lambda imm, geom: {identity: residual(imm, geom, k)})[identity]
     write_table(stem + ".tsv", ["spacing", "max_residual"],
                 list(zip(study["spacings"], study["maxima"])))
     fields = dict(study, identity=identity)

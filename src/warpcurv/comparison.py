@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from ._grid import golden_max
 
@@ -86,6 +85,9 @@ def check_growth_conditions(G: GrowthFunction, T: float, samples: int = 2000) ->
 
     (iii) and (iv) are finite-domain heuristics and flagged as such.
     """
+    # scipy.integrate is most of the package's import time: load it on use
+    from scipy.integrate import quad
+
     if T <= 0:
         raise ValueError("need T > 0")
     g0 = float(G(0.0))
@@ -174,6 +176,8 @@ def solve_comparison(G: GrowthFunction, T: float, n_eval: int = 2001,
     (for psi) and of G^{-1/2} (for the envelope).  The solution is
     rejected if phi loses positivity on (0, T].
     """
+    from scipy.integrate import solve_ivp
+
     if T <= 0:
         raise ValueError("need T > 0")
     g0 = float(G(0.0))

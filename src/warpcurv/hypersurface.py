@@ -16,6 +16,9 @@ obtained from the Cholesky factor L of g (g = L L^T):
 * the shape operator in the frame is ``A~ = L^{-1} II L^{-T}``, which is
   symmetric and has the principal curvatures as eigenvalues.
 
+The seeded random graph family (``random_height_function``) lives here
+too, so library code and tests build the same graphs the CLI does.
+
 Finite differencing wraps periodically; on non-periodic axes a margin of
 cells is excluded from every audit.  The margin is sized for the deepest
 differencing chain in the package (a divergence of a flux whose
@@ -24,6 +27,8 @@ potential already contains second derivatives: four nested stencils).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +53,9 @@ class DiscretizationConfig:
     def __post_init__(self):
         if self.order not in (2, 4):
             raise ValueError("stencil order must be 2 or 4")
-        if self.refine_levels < 1:
-            raise ValueError("need at least one refinement level")
+        if self.refine_levels < 2:
+            raise ValueError("a convergence slope needs at least two "
+                             "refinement levels")
 
     @property
     def margin_cells(self) -> int:
@@ -143,6 +149,88 @@ class GraphImmersion:
         return GraphImmersion.from_function(
             self.W, self.fn, shape, box=self.box, periodic=self.periodic,
             orientation=self.orientation)
+
+
+# ---------------------------------------------------------------------------
+# graph families
+# ---------------------------------------------------------------------------
+
+def _trigonometric_field(box, rng: np.random.Generator, max_mode: int):
+    """Low-frequency trigonometric sum on ``box``, as a closed form.
+
+    Sums ``a cos + b sin`` waves over integer frequency vectors with
+    sup-norm at most ``max_mode`` (conjugate pairs collapsed), with
+    standard-normal coefficients drawn from ``rng`` in a fixed order, so
+    equal seeds give equal fields.  Returns the field, a function of the
+    stacked mesh (..., n), and its terms as ``(mode, a, b)``.
+    """
+    n = len(box)
+    terms = []
+    for mode in itertools.product(range(-max_mode, max_mode + 1), repeat=n):
+        if all(m == 0 for m in mode):
+            continue
+        first = next(m for m in mode if m != 0)
+        if first < 0:        # keep one representative per conjugate pair
+            continue
+        terms.append((mode, rng.normal(), rng.normal()))
+    los = [float(lo) for lo, _ in box]
+    lengths = [float(hi) - float(lo) for lo, hi in box]
+
+    def raw(mesh):
+        mesh = np.asarray(mesh, dtype=float)
+        dev = np.zeros(mesh.shape[:-1])
+        for mode, a, b in terms:
+            phase = np.zeros(mesh.shape[:-1])
+            for ax_i, m in enumerate(mode):
+                if m:
+                    phase = phase + (2.0 * math.pi * m
+                                     * (mesh[..., ax_i] - los[ax_i]) / lengths[ax_i])
+            dev = dev + a * np.cos(phase) + b * np.sin(phase)
+        return dev
+
+    return raw, terms
+
+
+def _sample_peak(raw, terms, box, periodic, samples: int) -> float:
+    """Largest ``|raw|`` over ``samples`` points per axis of ``box``.
+
+    On an all-periodic box the samples form a DFT grid, and while the
+    modes stay distinct modulo ``samples`` one inverse transform of the
+    coefficients gives the field at every sample up to rounding.  That only
+    locates the peak: the closed form is evaluated at the samples within
+    1e-9 relative of the transform's maximum, so the result equals the
+    dense evaluation's, which every other box still uses.
+    """
+    axes = [np.linspace(lo, hi, samples, endpoint=not per)
+            for (lo, hi), per in zip(box, periodic)]
+    max_mode = max((max(map(abs, mode)) for mode, _, _ in terms), default=0)
+    if all(periodic) and 2 * max_mode < samples:
+        spec = np.zeros((samples,) * len(box), dtype=complex)
+        for mode, a, b in terms:
+            # Re((a - ib) e^{i phase}) = a cos(phase) + b sin(phase)
+            spec[tuple(m % samples for m in mode)] = complex(a, -b)
+        field = np.abs(np.fft.ifftn(spec).real)
+        near = np.nonzero(field >= (1.0 - 1e-9) * field.max())
+        points = np.stack([ax[idx] for ax, idx in zip(axes, near)], axis=-1)
+    else:
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return float(np.max(np.abs(raw(points))))
+
+
+def random_height_function(box, periodic, rng: np.random.Generator,
+                           amplitude: float = 0.2, max_mode: int = 1,
+                           norm_samples: int = 64):
+    """Normalized low-frequency trigonometric deviation, as a closed form.
+
+    The field of ``_trigonometric_field``, rescaled so its sup-norm over
+    ``norm_samples`` points per axis of the box (the far edge dropped on
+    periodic axes) equals ``amplitude``.  Returning a function of the
+    stacked mesh (..., n) keeps the generated immersion refinable.
+    """
+    raw, terms = _trigonometric_field(box, rng, max_mode)
+    peak = _sample_peak(raw, terms, box, periodic, norm_samples)
+    scale = amplitude / peak if peak > 0.0 else 0.0
+    return lambda mesh: scale * raw(mesh)
 
 
 # ---------------------------------------------------------------------------

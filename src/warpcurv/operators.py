@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import diff, masked_max
+from ._grid import diff, fit_order, masked_max
 from .ambient import curvature_tensor_components, profile_summary
 from .hypersurface import (DiscretizationConfig, GeometryGrid, GraphImmersion,
                            audit_window, coarsest_trim, evaluate_geometry)
@@ -582,25 +582,29 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
 
 def convergence_study(imm: GraphImmersion, cfg: DiscretizationConfig,
                       residual_fn) -> dict:
-    """Max residual of ``residual_fn(immersion, geometry)`` under dyadic
-    refinement, audited on the fixed physical window of the coarsest grid.
+    """Named residual maxima under dyadic refinement.
 
-    Returns spacings, maxima, and the log-log slope (None when every
-    level sits at rounding level).
+    ``residual_fn(immersion, geometry)`` returns a dict of named residual
+    grids; each level's geometry is built once and handed to it.  Every
+    grid is audited on the fixed physical window of the coarsest grid over
+    ``cfg.refine_levels`` levels.  Returns one study per name: spacings,
+    maxima, and the log-log slope (None when every level sits at rounding
+    level).
     """
-    from ._grid import fit_order
-
     trim = coarsest_trim(imm, cfg)
-    hs, maxima = [], []
+    hs, maxima = [], {}
     current = imm
-    for _ in range(cfg.refine_levels):
+    for level in range(cfg.refine_levels):
+        if level:
+            current = current.refined(2)
         geom = evaluate_geometry(current, cfg)
         window = audit_window(current, trim) & geom.interior
-        resid = np.abs(np.asarray(residual_fn(current, geom)))
-        while resid.ndim > window.ndim:
-            resid = np.max(resid, axis=-1)
-        maxima.append(float(np.max(resid[window])))
+        for name, grid in residual_fn(current, geom).items():
+            resid = np.abs(np.asarray(grid))
+            while resid.ndim > window.ndim:
+                resid = np.max(resid, axis=-1)
+            maxima.setdefault(name, []).append(float(np.max(resid[window])))
         hs.append(float(max(current.spacing)))
-        current = current.refined(2)
-    slope = fit_order(hs, maxima)
-    return {"spacings": hs, "maxima": maxima, "slope": slope}
+    return {name: {"spacings": list(hs), "maxima": ms,
+                   "slope": fit_order(hs, ms)}
+            for name, ms in maxima.items()}

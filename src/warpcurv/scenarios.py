@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import operators
 from .ambient import WarpedProduct, profile_summary
@@ -643,6 +642,8 @@ def parabolicity_integral(model: RadialModel, H_profile, k: int,
     parabolic.  ``H_profile`` is the sup of the order-(k-1) curvature
     over the geodesic sphere, supplied as a callable or a constant.
     """
+    from scipy.integrate import quad
+
     if k < 1:
         raise ValueError(f"curvature order k={k} must be at least 1")
     if callable(H_profile):
@@ -667,8 +668,8 @@ def parabolicity_integral(model: RadialModel, H_profile, k: int,
         return 1.0 / (profile(t) * omega * model.f(t) ** (m - 1))
 
     values = integrand(ts)
-    inc1, _ = integrate.quad(integrand, T / 4.0, T / 2.0, limit=200)
-    inc2, _ = integrate.quad(integrand, T / 2.0, T, limit=200)
+    inc1, _ = quad(integrand, T / 4.0, T / 2.0, limit=200)
+    inc2, _ = quad(integrand, T / 2.0, T, limit=200)
     divergent = inc2 >= 0.5 * inc1 - 1e-15
 
     return {

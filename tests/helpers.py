@@ -3,7 +3,7 @@
 import numpy as np
 
 import warpcurv as wc
-from warpcurv.cli import random_height_function
+from warpcurv.hypersurface import random_height_function
 
 
 def make_product(profile="cosh", chart="flat-torus", n=2, kappa=0.0,

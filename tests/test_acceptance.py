@@ -16,16 +16,10 @@ import pytest
 
 from helpers import make_product, random_immersion, slice_immersion
 from warpcurv import operators
-from warpcurv._grid import fit_order
 from warpcurv.ambient import PROFILES, ambient_curvature, warping_eval
 from warpcurv.cli import main as cli_main
 from warpcurv.comparison import builtin_growth, builtin_model, omori_yau_probe, solve_comparison
-from warpcurv.hypersurface import (
-    DiscretizationConfig,
-    audit_window,
-    evaluate_geometry,
-)
-from warpcurv.operators import coarsest_trim
+from warpcurv.hypersurface import DiscretizationConfig, evaluate_geometry
 from warpcurv.scenarios import (
     VERDICT_CONCLUSION,
     VERDICT_CONSISTENT,
@@ -172,30 +166,18 @@ def test_c3_convergence_on_random_graphs():
     warpings: six differenced identities converge at Richardson slope
     >= 1.9 over three dyadic levels from a 32^2 base, within 5 minutes."""
     t0 = time.perf_counter()
-    cfg = DiscretizationConfig(order=2)
+    cfg = DiscretizationConfig(order=2, refine_levels=3)
     slopes = {}
     for profile, chart, kappa, seed, t_center, amplitude in CONVERGENCE_GRAPHS:
         W = make_product(profile, chart, 2, kappa)
         imm = random_immersion(W, seed=seed, t_center=t_center,
                                amplitude=amplitude, res=32)
-        trim = coarsest_trim(imm, cfg)
-        spacings, maxima = [], {}
-        current = imm
-        for _ in range(3):
-            geom = evaluate_geometry(current, cfg)
-            window = audit_window(current, trim) & geom.interior
-            for ident, grid in _identity_residual_grids(current, geom).items():
-                resid = np.abs(np.asarray(grid))
-                while resid.ndim > window.ndim:
-                    resid = np.max(resid, axis=-1)
-                maxima.setdefault(ident, []).append(
-                    float(np.max(resid[window])))
-            spacings.append(float(max(current.spacing)))
-            current = current.refined(2)
-        for ident, ms in maxima.items():
-            slope = fit_order(spacings, ms)
+        studies = operators.convergence_study(imm, cfg,
+                                              _identity_residual_grids)
+        for ident, study in studies.items():
+            slope = study["slope"]
             label = f"{profile}/{chart}/seed{seed}/{ident}"
-            assert slope is not None and slope >= 1.9, (label, slope, ms)
+            assert slope is not None and slope >= 1.9, (label, study)
             slopes[label] = slope
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"runtime budget exceeded: {elapsed:.1f}s"

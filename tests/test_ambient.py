@@ -90,7 +90,8 @@ def test_profile_must_stay_positive():
             name="bad", t_min=-1.0, t_max=1.0,
             rho=lambda t: np.asarray(t, dtype=float),
             drho=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            d2rho=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+            d2rho=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+            sigma=lambda t: 0.5 * np.asarray(t, dtype=float) ** 2)
 
 
 def test_warping_eval_out_of_interval():

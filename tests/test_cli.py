@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 
 from warpcurv import operators
 from warpcurv.ambient import FiberSpec
-from warpcurv.cli import (
-    ENV_OUT,
+from warpcurv.cli import ENV_OUT, main, write_json
+from warpcurv.hypersurface import (
+    DiscretizationConfig,
     _sample_peak,
     _trigonometric_field,
-    main,
     random_height_function,
-    write_json,
 )
 
 
@@ -105,6 +104,46 @@ def test_not_applicable_is_not_a_failure(tmp_path):
     assert summary["operations"][0]["status"] == "not-applicable"
     entry = _read_json(out, "verify-00-frak-phi.json")
     assert "reason" in entry
+
+
+def test_convergence_op_reports_every_level(tmp_path):
+    # the README's verify graph at res 32 converges at the fourth-order
+    # stencil for both identities (slopes 3.98 and 3.97)
+    torus = {"profile": "cosh", "chart": "flat-torus", "n": 2}
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "ambient": torus,
+        "immersion": {"family": "random", "t_center": 0.7,
+                      "amplitude": 0.1, "resolution": 32},
+        "seed": 17,
+        "operations": [{"op": "convergence", "identity": "height", "k": 1},
+                       {"op": "convergence", "identity": "frak-phi",
+                        "k": 2}]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    levels = DiscretizationConfig().refine_levels
+    for i in range(2):
+        entry = _read_json(out, f"verify-{i:02d}-convergence.json")
+        assert entry["status"] == "pass", entry
+        assert len(entry["maxima"]) == len(entry["spacings"]) == levels
+        rows = (out / f"verify-{i:02d}-convergence.tsv").read_text() \
+            .splitlines()
+        assert rows[0] == "spacing\tmax_residual"
+        assert len(rows) == 1 + levels
+
+    # H_2 changes sign on this graph, so the frak-phi study declines
+    cfg = _write_config(tmp_path / "na.json", {
+        "ambient": torus,
+        "immersion": {"family": "random", "t_center": 0.0,
+                      "amplitude": 0.2, "resolution": 32},
+        "seed": 5,
+        "operations": [{"op": "convergence", "identity": "frak-phi",
+                        "k": 2}]})
+    out = tmp_path / "na"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    entry = _read_json(out, "verify-00-convergence.json")
+    assert entry["status"] == "not-applicable" and "reason" in entry
+    assert _read_json(out, "verify-summary.json")["not_applicable_only"]
+    assert not (out / "verify-00-convergence.tsv").exists()
 
 
 def test_config_errors_exit_two(tmp_path, capsys):
@@ -213,11 +252,36 @@ def test_config_errors_exit_two(tmp_path, capsys):
             ("parab-t", "scenario", {"operations": [{"op": "parabolicity",
                                                      "t_max": 0}]}),
             ("parab-m", "scenario", {"operations": [{"op": "parabolicity",
-                                                     "m": 1}]})):
+                                                     "m": 1}]}),
+            # a JSON boolean is not a number, although True == 1
+            ("k-true", "verify", {"ambient": torus, "immersion": slice12,
+                                  "operations": [{"op": "height-sigma",
+                                                  "k": True}]}),
+            ("res-true", "verify", {"ambient": torus,
+                                    "immersion": dict(slice12,
+                                                      resolution=True),
+                                    "operations": structure}),
+            ("levels-true", "verify", {"ambient": torus, "immersion": slice12,
+                                       "discretization": {
+                                           "refine_levels": True},
+                                       "operations": structure}),
+            ("tol-true", "verify", {"ambient": torus, "immersion": slice12,
+                                    "discretization": {"identity_tol": True},
+                                    "operations": structure}),
+            # one level fits no slope
+            ("levels1", "verify", {"ambient": torus, "immersion": slice12,
+                                   "discretization": {"refine_levels": 1},
+                                   "operations": [{"op": "convergence"}]})):
         cfg = _write_config(tmp_path / f"{name}.json", config)
         assert main([sub, "--config", cfg, "--out", out]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    cfg = _write_config(tmp_path / "refine.json", {
+        "ambient": torus, "immersion": slice12,
+        "operations": [{"op": "convergence"}]})
+    assert main(["verify", "--config", cfg, "--out", out, "--refine", "1"]) == 2
+    assert "two refinement levels" in capsys.readouterr().err
 
     # every operation is checked before any report is written
     late = tmp_path / "late"
@@ -439,6 +503,17 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "comparison-summary.json").exists()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the ODE and quadrature routines load scipy.integrate when first
+    # called, so importing the package stays cheap
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, warpcurv; "
+         "assert 'scipy.integrate' not in sys.modules"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _check_normalization(box, periodic, seed, max_mode, amplitude=0.2):

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import make_product, random_immersion, slice_immersion
 from warpcurv import symfun
+from warpcurv.operators import convergence_study
 from warpcurv.hypersurface import (
     DiscretizationConfig,
     GraphImmersion,
@@ -112,23 +113,18 @@ def test_refinement_shapes():
 
 def test_structure_identities_converge_at_stencil_order():
     W = make_product("cosh", "flat-torus", 2, 0.0)
-    cfg = DiscretizationConfig(order=2)
+    cfg = DiscretizationConfig(order=2, refine_levels=3)
     imm = random_immersion(W, seed=21, t_center=0.3, amplitude=0.12, res=32)
-    trim = coarsest_trim(imm, cfg)
+    keys = ("height-hessian", "sigma-hessian")
 
-    def level_max(im, key):
-        geom = evaluate_geometry(im, cfg)
-        win = audit_window(im, trim) & geom.interior
-        grid = structure_identities(geom)[key]["grid"]
-        flat = np.abs(grid).reshape(grid.shape[:2] + (-1,)).max(axis=-1)
-        return float(np.max(flat[win]))
+    def residuals(im, geom):
+        out = structure_identities(geom)
+        return {key: out[key]["grid"] for key in keys}
 
-    for key in ("height-hessian", "sigma-hessian"):
-        maxima = []
-        im = imm
-        for _ in range(3):
-            maxima.append(level_max(im, key))
-            im = im.refined()
+    studies = convergence_study(imm, cfg, residuals)
+    assert tuple(studies) == keys
+    for key, study in studies.items():
+        maxima = study["maxima"]
         slopes = [math.log2(maxima[i] / maxima[i + 1]) for i in range(2)]
         assert maxima[0] > 1e-9, "residual too small to measure a slope"
         assert all(s >= 1.9 for s in slopes), (key, maxima, slopes)
@@ -236,3 +232,40 @@ def test_audit_window_trims_physical_margin():
 def test_stencil_order_guard():
     with pytest.raises(ValueError, match="order"):
         DiscretizationConfig(order=3)
+
+
+def test_refinement_needs_two_levels():
+    # a slope through one point is not a convergence rate
+    with pytest.raises(ValueError, match="two refinement levels"):
+        DiscretizationConfig(refine_levels=1)
+    assert DiscretizationConfig(refine_levels=2).refine_levels == 2
+
+
+def _owner(a):
+    """The array that owns the memory behind ``a``."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_flat_fiber_fields_are_stored_once():
+    # the flat chart's identity metric and zero symbols are read-only views
+    # of one small array each, not copies at every node
+    n = 3
+    W = make_product("cosh", "flat-torus", n, 0.0)
+    geom = evaluate_geometry(random_immersion(W, seed=3, res=12))
+    for name, rank in (("ghat", 2), ("ghat_inv", 2), ("gammahat", 3)):
+        field = getattr(geom, name)
+        assert field.shape == geom.u.shape + (n,) * rank, name
+        assert _owner(field).size == n ** rank, name
+        assert not field.flags.writeable, name
+    assert np.array_equal(geom.ghat[3, 4, 5], np.eye(n))
+    assert np.array_equal(geom.ghat_inv[3, 4, 5], np.eye(n))
+    assert not np.any(geom.gammahat)
+
+    # a curved chart's fields vary, so every node keeps its own value
+    W = make_product("cosh", "round-sphere", 2, 1.0)
+    geom = evaluate_geometry(random_immersion(W, seed=5, amplitude=0.05))
+    for name in ("ghat", "ghat_inv", "gammahat"):
+        field = getattr(geom, name)
+        assert _owner(field).size == field.size, name
