@@ -121,12 +121,14 @@ def golden_max(fn, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def fit_order(hs, residuals, floor: float = 1e-13):
+def fit_order(hs, residuals):
     """Least-squares slope of log(residual) against log(h).
 
-    Returns ``None`` when every residual sits at or below ``floor``
-    (exactness case: the slope of rounding noise carries no information).
+    Returns ``None`` when every residual sits at or below the rounding
+    floor 1e-13 (exactness case: the slope of rounding noise carries no
+    information).
     """
+    floor = 1e-13
     hs = np.asarray(hs, dtype=float)
     rs = np.asarray(residuals, dtype=float)
     if np.all(rs <= floor):

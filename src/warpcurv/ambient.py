@@ -183,6 +183,8 @@ class FiberSpec:
                 self.lengths = (2.0 * math.pi,) * self.n
             if len(self.lengths) != self.n:
                 raise ValueError("need one box length per fiber dimension")
+            if not all(0.0 < L < math.inf for L in self.lengths):
+                raise ValueError("box lengths must be positive and finite")
         elif self.chart == "round-sphere":
             if self.kappa <= 0.0:
                 raise ValueError("round-sphere chart requires kappa > 0")
@@ -377,14 +379,14 @@ def warping_eval(W: WarpedProduct, t) -> WarpingData:
     )
 
 
-def _sign_verdict(values: np.ndarray, pos_threshold: float = 1e-8,
-                  tol: float = 1e-12) -> str:
+def _sign_verdict(values: np.ndarray) -> str:
+    tol = 1e-12
     scale = max(1.0, float(np.max(np.abs(values))))
     lo, hi = float(np.min(values)), float(np.max(values))
     if lo > tol * scale:
         return "positive"
     if lo >= -tol * scale:
-        frac = float(np.mean(values > pos_threshold))
+        frac = float(np.mean(values > 1e-8))
         return "positive-ae" if frac >= 0.99 else "nonnegative"
     if hi < -tol * scale:
         return "negative"
@@ -393,15 +395,14 @@ def _sign_verdict(values: np.ndarray, pos_threshold: float = 1e-8,
     return "sign-changing"
 
 
-def profile_summary(W: WarpedProduct, samples: int = 10000) -> dict:
+def profile_summary(W: WarpedProduct) -> dict:
     """Sampled sup of rho'^2 - rho''*rho, monotonicity of hcal, slab bounds.
 
-    The sup is a dense-grid maximum refined by golden section around the
-    discrete argmax; the sampling resolution is reported so callers can
-    bound the gap to the analytic sup.
+    The sup is a maximum over 10000 samples refined by golden section
+    around the discrete argmax; the sampling resolution is reported so
+    callers can bound the gap to the analytic sup.
     """
-    if samples < 2:
-        raise ValueError("need at least two samples")
+    samples = 10000
     p = W.profile
     ts = np.linspace(p.t_min, p.t_max, samples)
 
@@ -506,8 +507,8 @@ def curvature_tensor_components(kappa, rho, hcal, dhcal, gfib, U, V, Wv):
     return out
 
 
-def ambient_curvature(W: WarpedProduct, p, U, V, Wv=None, mode: str = "tensor",
-                      tol: float = 1e-8):
+def ambient_curvature(W: WarpedProduct, p, U, V, Wv=None,
+                      mode: str = "tensor"):
     """Curvature tensor R(U,V)W or sectional curvature K(U,V) at a point.
 
     ``p`` is the ambient point; only its I-coordinate matters (the fiber
@@ -533,6 +534,7 @@ def ambient_curvature(W: WarpedProduct, p, U, V, Wv=None, mode: str = "tensor",
         return curvature_tensor_components(
             W.fiber.kappa, data.rho, data.hcal, data.dhcal, gfib, U, V, Wv)
     if mode == "sectional":
+        tol = 1e-8
         if (abs(amb(U, U) - 1.0) > tol or abs(amb(V, V) - 1.0) > tol
                 or abs(amb(U, V)) > tol):
             raise ValueError("sectional mode needs an orthonormal pair")

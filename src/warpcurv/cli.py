@@ -89,11 +89,6 @@ def _config_inputs():
 
 def _jsonable(obj):
     """Plain-type view of module outputs (grids summarized, not dumped)."""
-    if isinstance(obj, operators.IdentityResidual):
-        return _jsonable({"id": obj.id, "max": obj.max, "slope": obj.slope})
-    if isinstance(obj, operators.OperatorField):
-        return _jsonable({"k": obj.k, "kind": obj.kind,
-                          "max_abs": np.max(np.abs(obj.values))})
     if isinstance(obj, scenarios.ScenarioReport):
         return _jsonable(obj.to_dict())
     if isinstance(obj, dict):
@@ -141,12 +136,16 @@ def write_table(path: str, columns: list, rows: list) -> None:
 # config loading and input builders
 # ---------------------------------------------------------------------------
 
+def _refuse_constant(token):
+    raise ConfigError(f"config holds the non-JSON constant {token}")
+
+
 def load_config(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -168,6 +167,17 @@ def _integer(section: dict, key: str, default: int) -> int:
     return converted
 
 
+def _float(value, name: str, positive: bool = False) -> float:
+    """``value`` as a finite float, and a positive one with ``positive``;
+    a string or a boolean is refused, although ``True == 1``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max
+            and (value > 0 or not positive)):
+        raise ConfigError(f"{name}={value!r} is not a "
+                          f"{'positive ' if positive else ''}finite number")
+    return float(value)
+
+
 def _registry_miss(kind: str, name, registry) -> ConfigError:
     return ConfigError(
         f"unknown {kind} {name!r}; registry: {', '.join(sorted(registry))}")
@@ -186,15 +196,16 @@ def build_ambient(section: dict) -> WarpedProduct:
         raise ConfigError("ambient.profile must be a name or an object")
     if name not in PROFILES:
         raise _registry_miss("profile", name, PROFILES)
-    profile = builtin_profile(name, **params)
+    profile = builtin_profile(name, **{key: _float(value, key)
+                                       for key, value in params.items()})
 
     chart = section.get("chart", "flat-torus")
     n = _integer(section, "n", 2)
-    kappa = float(section.get("kappa", 0.0))
+    kappa = _float(section.get("kappa", 0.0), "kappa")
     lengths = section.get("lengths")
     fiber = FiberSpec(n=n, kappa=kappa, chart=chart,
                       lengths=None if lengths is None else
-                      tuple(float(v) for v in lengths))
+                      tuple(_float(v, "lengths") for v in lengths))
     return WarpedProduct(profile=profile, fiber=fiber)
 
 
@@ -209,17 +220,17 @@ def build_immersion(W: WarpedProduct, section: dict,
     shape = tuple(section.get("shape", (res,) * n))
     box = section.get("box")
     if box is not None:
-        box = tuple((float(lo), float(hi)) for lo, hi in box)
+        box = tuple((_float(lo, "box"), _float(hi, "box")) for lo, hi in box)
 
     if family == "slice":
-        t = float(section.get("t", W.profile.t0))
+        t = _float(section.get("t", W.profile.t0), "t")
         return GraphImmersion.from_function(W, lambda mesh: t + 0.0 * mesh[..., 0],
                                             shape, box=box,
                                             orientation=orientation)
     if box is None:
         box = tuple(tuple(b) for b in W.fiber.default_box())
-    t_center = float(section.get("t_center", W.profile.t0))
-    amplitude = float(section.get("amplitude", 0.2))
+    t_center = _float(section.get("t_center", W.profile.t0), "t_center")
+    amplitude = _float(section.get("amplitude", 0.2), "amplitude")
     if family == "random":
         max_mode = _integer(section, "max_mode", 1)
         dev = random_height_function(box, W.fiber.periodic, rng,
@@ -228,11 +239,11 @@ def build_immersion(W: WarpedProduct, section: dict,
             W, lambda mesh: t_center + dev(mesh), shape, box=box,
             orientation=orientation)
     if family == "bump":
-        width = float(section.get("width", 0.15))
+        width = _float(section.get("width", 0.15), "width", positive=True)
         center = section.get("center")
         if center is None:
             center = [0.5 * (lo + hi) for lo, hi in box]
-        center = [float(c) for c in center]
+        center = [_float(c, "center") for c in center]
 
         def bump(mesh):
             r2 = sum((mesh[..., i] - center[i]) ** 2 for i in range(n))
@@ -256,13 +267,11 @@ def _audited_immersion(config, W, cfg, seed) -> GraphImmersion:
 
 def build_discretization(config: dict, args) -> DiscretizationConfig:
     section = config.get("discretization", {})
-    kwargs = {f.name: type(f.default)(section[f.name])
+    kwargs = {f.name: (_integer(section, f.name, None)
+                       if isinstance(f.default, int)
+                       else _float(section[f.name], f.name))
               for f in dataclasses.fields(DiscretizationConfig)
               if f.name in section}
-    for key, value in kwargs.items():
-        if value != section[key] or isinstance(section[key], bool):
-            raise ConfigError(f"discretization {key}={section[key]!r} is not "
-                              f"of type {type(value).__name__}")
     if args.refine is not None:
         kwargs["refine_levels"] = args.refine
     return DiscretizationConfig(**kwargs)
@@ -276,6 +285,10 @@ def _build_model(spec, **params):
         spec = params.pop("name", None)
     if not isinstance(spec, str) or spec not in MODELS:
         raise _registry_miss("radial model", spec, MODELS)
+    if "m" in params:
+        params["m"] = _integer(params, "m", None)
+    if "R" in params:
+        params["R"] = _float(params["R"], "R")
     return builtin_model(spec, **params)
 
 
@@ -402,7 +415,8 @@ def _laplacian_cross_check(run, op, stem):
 
 def _check_origin(op, n):
     origin = op.get("origin", [0.0] * n)
-    if not isinstance(origin, list) or len([float(v) for v in origin]) != n:
+    if not isinstance(origin, list) or len([_float(v, "origin")
+                                            for v in origin]) != n:
         raise ConfigError(f"gamma-probe: origin must be a list of {n} numbers")
 
 
@@ -504,8 +518,9 @@ def run_verify(config: dict, args, out_dir: str) -> int:
         W = build_ambient(config.get("ambient", {}))
         ops = _operations("verify", config, VERIFY_OPS, W.fiber.n)
         entries = [{"op": op["op"], "k": _index(op),
-                    "tol": float(op.get("tol", args.tol))} for op in ops]
-        min_slope = float(config.get("min_slope", 1.9))
+                    "tol": _float(op.get("tol", args.tol), "tol")}
+                   for op in ops]
+        min_slope = _float(config.get("min_slope", 1.9), "min_slope")
         imm = _audited_immersion(config, W, cfg, args.seed)
     run = SimpleNamespace(imm=imm, geom=evaluate_geometry(imm, cfg), cfg=cfg,
                           min_slope=min_slope)
@@ -554,14 +569,6 @@ def _elliptic_signs(run, op, stem):
         run.imm, cfg=run.cfg, tol=run.tol))
 
 
-def _positive(op, key, default):
-    value = op.get(key, default)
-    if value is not None and not 0.0 < float(value) < math.inf:
-        raise ConfigError(f"parabolicity: {key}={value!r} must be a positive "
-                          f"finite number")
-    return None if value is None else float(value)
-
-
 def _parabolicity_inputs(op):
     """The radial model and the checked ``H``, ``k`` and ``t_max`` of a
     parabolicity operation."""
@@ -570,7 +577,10 @@ def _parabolicity_inputs(op):
     k = _integer(op, "k", 2)
     if k < 1:
         raise ConfigError(f"parabolicity: k={k} must be at least 1")
-    return model, _positive(op, "H", 1.0), k, _positive(op, "t_max", None)
+    H = _float(op.get("H", 1.0), "parabolicity: H", positive=True)
+    t_max = op.get("t_max")
+    return model, H, k, (None if t_max is None else
+                         _float(t_max, "parabolicity: t_max", positive=True))
 
 
 def _parabolicity(run, op, stem):
@@ -616,12 +626,12 @@ def _height_function(section: dict):
         raise ConfigError("'height' must be an object")
     family = section.get("family", "tanh")
     if family == "tanh":
-        scale = float(section.get("scale", 1.0))
+        scale = _float(section.get("scale", 1.0), "scale")
         return lambda r: np.tanh(scale * r)
     if family == "gaussian-bump":
-        center = float(section.get("center", 0.3))
-        width = float(section.get("width", 0.15))
-        amplitude = float(section.get("amplitude", 1.0))
+        center = _float(section.get("center", 0.3), "center")
+        width = _float(section.get("width", 0.15), "width", positive=True)
+        amplitude = _float(section.get("amplitude", 1.0), "amplitude")
         return lambda r: amplitude * np.exp(-((r - center) / width) ** 2)
     if family == "negative-square":
         return lambda r: -np.asarray(r) ** 2
@@ -642,9 +652,11 @@ def run_probe(config: dict, args, out_dir: str) -> int:
         jmax = _integer(config, "jmax", 20)
         growth_spec = config.get("growth")
         G = None if growth_spec is None else _growth(growth_spec)
+        selector = config.get("selector", "laplacian")
+        if isinstance(selector, list):
+            selector = [_float(v, "selector") for v in selector]
         # the probe's ValueErrors all reject its arguments
-        probe = omori_yau_probe(model, u, jmax=jmax, G=G,
-                                L=config.get("selector", "laplacian"))
+        probe = omori_yau_probe(model, u, jmax=jmax, G=G, L=selector)
 
     entry = {"op": "omori-yau-probe", "model": model.name,
              "dimension": model.m, **dataclasses.asdict(probe)}
@@ -674,10 +686,12 @@ def run_probe(config: dict, args, out_dir: str) -> int:
 def run_comparison(config: dict, args, out_dir: str) -> int:
     with _config_inputs():
         G = _growth(config.get("growth", "one"))
-        T = float(config.get("T", 5.0))
+        T = _float(config.get("T", 5.0), "T")
         model = _build_model(config["model"]) if "model" in config else None
         cond = check_growth_conditions(G, T)
-    sol = solve_comparison(G, T)
+        # an ODE the integrator cannot follow rejects the growth function
+        sol = solve_comparison(G, T)
+        hess = None if model is None else hessian_comparison_check(model, G)
     results = []
 
     cond_entry = {"op": "growth-conditions", "report": cond,
@@ -709,7 +723,6 @@ def run_comparison(config: dict, args, out_dir: str) -> int:
         list(zip(sol.ts, sol.phi, sol.dphi, sol.psi, sol.dpsi, sol.envelope)))
 
     if model is not None:
-        hess = hessian_comparison_check(model, G)
         entry = {"op": "hessian-comparison", "report": hess}
         if not hess.get("applicable", True):
             entry["status"] = STATUS_NA
@@ -796,8 +809,8 @@ def main(argv=None) -> int:
         with _config_inputs():
             if args.seed is None:
                 args.seed = _integer(config, "seed", 0)
-            if args.tol is None:
-                args.tol = float(config.get("tolerance", 1e-8))
+            args.tol = _float(config.get("tolerance", 1e-8)
+                              if args.tol is None else args.tol, "tolerance")
         return _RUNNERS[args.subcommand](config, args, out_dir)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

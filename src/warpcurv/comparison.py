@@ -71,7 +71,7 @@ def builtin_growth(name: str) -> GrowthFunction:
                        f"registered: {sorted(GROWTH_FUNCTIONS)}")
 
 
-def check_growth_conditions(G: GrowthFunction, T: float, samples: int = 2000) -> dict:
+def check_growth_conditions(G: GrowthFunction, T: float) -> dict:
     """Sampled verdicts for the four admissibility conditions of G.
 
     (i)   G(0) > 0;
@@ -97,7 +97,7 @@ def check_growth_conditions(G: GrowthFunction, T: float, samples: int = 2000) ->
         "heuristic": True,
         "domain": (0.0, float(T)),
     }
-    ts = np.linspace(0.0, T, samples)
+    ts = np.linspace(0.0, T, 2000)
     dG = G.derivative(ts)
     out["ii_min_derivative"] = float(np.min(dG))
     out["ii_nondecreasing"] = bool(np.min(dG) >= -1e-12 * max(1.0, float(np.max(np.abs(dG)))))
@@ -168,13 +168,14 @@ class ComparisonSolution:
         return 1.0 / np.sqrt(self.G(t))
 
 
-def solve_comparison(G: GrowthFunction, T: float, n_eval: int = 2001,
-                     rtol: float = 1e-11, atol: float = 1e-13) -> ComparisonSolution:
+def solve_comparison(G: GrowthFunction, T: float) -> ComparisonSolution:
     """Integrate phi'' = G phi, phi(0) = 0, phi'(0) = 1 on [0, T].
 
-    The integration state carries the cumulative integrals of sqrt(G)
-    (for psi) and of G^{-1/2} (for the envelope).  The solution is
-    rejected if phi loses positivity on (0, T].
+    RK45 at rtol 1e-11, atol 1e-13, sampled at 2001 points.  The
+    integration state carries the cumulative integrals of sqrt(G) (for
+    psi) and of G^{-1/2} (for the envelope).  The growth function is
+    rejected with a ValueError if the integrator fails or phi loses
+    positivity on (0, T].
     """
     from scipy.integrate import solve_ivp
 
@@ -190,11 +191,11 @@ def solve_comparison(G: GrowthFunction, T: float, n_eval: int = 2001,
             raise ValueError(f"G({t}) <= 0 inside the domain")
         return [y[1], g * y[0], math.sqrt(g), 1.0 / math.sqrt(g)]
 
-    ts = np.linspace(0.0, T, n_eval)
+    ts = np.linspace(0.0, T, 2001)
     sol = solve_ivp(rhs, (0.0, T), [0.0, 1.0, 0.0, 0.0], t_eval=ts,
-                    rtol=rtol, atol=atol, dense_output=True, method="RK45")
+                    rtol=1e-11, atol=1e-13, dense_output=True, method="RK45")
     if not sol.success:
-        raise RuntimeError(f"comparison integrator failed: {sol.message}")
+        raise ValueError(f"comparison integrator failed: {sol.message}")
     phi, dphi, I_sqrtG, I_invsqrtG = sol.y
     if float(np.min(phi[1:])) <= 0.0:
         raise ValueError("phi lost positivity on (0, T]; growth function rejected")
@@ -310,8 +311,7 @@ def builtin_model(name: str, **params) -> RadialModel:
         raise KeyError(f"unknown model {name!r}; registered: {sorted(MODELS)}")
 
 
-def hessian_comparison_check(model: RadialModel, G: GrowthFunction,
-                             samples: int = 2000) -> dict:
+def hessian_comparison_check(model: RadialModel, G: GrowthFunction) -> dict:
     """Hessian comparison on a radial model against the growth bound G.
 
     Requires the curvature hypothesis -f''/f >= -G(r) on (0, R]
@@ -321,7 +321,7 @@ def hessian_comparison_check(model: RadialModel, G: GrowthFunction,
     the domain (the closed-form eigenvalues of Hess(r^2) are 2 and
     2 r f'/f).
     """
-    rs = np.linspace(model.R / samples, model.R, samples)
+    rs = np.linspace(model.R / 2000, model.R, 2000)
     curv_margin = np.asarray(G(rs)) - model.d2f(rs) / model.f(rs)
     if float(np.min(curv_margin)) < -1e-10:
         bad = int(np.argmin(curv_margin >= -1e-10))
@@ -381,27 +381,29 @@ def _normalize_selector(L):
         return 1.0, 1.0
     if isinstance(L, (tuple, list)) and len(L) == 2:
         p_rad, p_tan = float(L[0]), float(L[1])
-        if p_rad < 0.0 or p_tan < 0.0:
-            raise ValueError("operator coefficients must be nonnegative")
+        if not (0.0 <= p_rad < math.inf and 0.0 <= p_tan < math.inf):
+            raise ValueError("operator coefficients must be finite and "
+                             "nonnegative")
         return p_rad, p_tan
     raise ValueError("operator selector must be 'laplacian' or a (p_rad, p_tan) pair")
 
 
-def _derivatives(u, r, h=1e-5):
+def _derivatives(u, r):
+    h = 1e-5
     up = (u(r + h) - u(r - h)) / (2.0 * h)
     upp = (u(r + h) - 2.0 * u(r) + u(r - h)) / (h * h)
     return float(up), float(upp)
 
 
-def default_growth_for(model: RadialModel, floor: float = 1.0) -> GrowthFunction:
+def default_growth_for(model: RadialModel) -> GrowthFunction:
     """Constant growth bound dominating the model's radial curvature.
 
-    The constant max(sup f''/f, floor) trivially satisfies all four
+    The constant max(sup f''/f, 1) trivially satisfies all four
     admissibility conditions except the finite-domain limsup trend, and
     dominates -f''/f >= -G by construction.
     """
     rs = np.linspace(model.R / 512.0, model.R, 512)
-    level = max(float(np.max(model.d2f(rs) / model.f(rs))), floor)
+    level = max(float(np.max(model.d2f(rs) / model.f(rs))), 1.0)
     return GrowthFunction(
         f"const-{level:g}",
         lambda t, _lv=level: np.full_like(np.asarray(t, dtype=float), _lv),
@@ -409,46 +411,31 @@ def default_growth_for(model: RadialModel, floor: float = 1.0) -> GrowthFunction
 
 
 def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
-                    G: GrowthFunction = None, p0_radius: float = None,
-                    n_r: int = 4001) -> OmoriYauProbe:
+                    G: GrowthFunction = None) -> OmoriYauProbe:
     """Maximum-principle sequence probe on a radial model.
 
-    For each j the field (u - u(p0) + 1)/envelope(r^2)^{1/j} is
-    maximized over the radial grid (grid argmax, ties to the smallest
-    radius, then golden-section refinement).  The record for j holds
-    the maximizer radius, the gap u* - u(p_j), |grad u|(p_j) = |u'|,
-    and L u(p_j) for the selected radial operator
+    ``u`` is a callable of r.  With p0 the argmax of ``u`` on a uniform
+    grid of 4001 radii, for each j the field
+    (u - u(p0) + 1)/envelope(r^2)^{1/j} is maximized over the grid (grid
+    argmax, ties to the smallest radius, then golden-section refinement).
+    The record for j holds the maximizer radius, the gap u* - u(p_j),
+    |grad u|(p_j) = |u'|, and L u(p_j) for the selected radial operator
     L u = p_rad u'' + p_tan (m-1)(f'/f) u'.
-
-    ``u`` may be a callable of r or a grid of values on the uniform
-    radial grid (callables enable off-grid refinement).
     """
     if jmax < 1:
         raise ValueError("need jmax >= 1")
     p_rad, p_tan = _normalize_selector(L)
     if G is None:
         G = default_growth_for(model)
+    n_r = 4001
     rs = np.linspace(0.0, model.R, n_r)
-
-    if callable(u):
-        u_fn = u
-        u_grid = np.asarray(u(rs), dtype=float)
-    else:
-        u_grid = np.asarray(u, dtype=float)
-        if u_grid.shape != rs.shape:
-            raise ValueError("height grid must match the radial grid")
-        u_fn = None
+    u_grid = np.asarray(u(rs), dtype=float)
     if not np.all(np.isfinite(u_grid)):
         raise ValueError("height field must be finite")
 
     i_star = int(np.argmax(u_grid))
     u_star = float(u_grid[i_star])
-    if p0_radius is None:
-        p0_radius = float(rs[i_star])
-        u_p0 = u_star
-    else:
-        u_p0 = float(u_fn(p0_radius)) if u_fn is not None else float(
-            np.interp(p0_radius, rs, u_grid))
+    p0_radius = float(rs[i_star])
 
     sol = solve_comparison(G, model.R ** 2 if model.R > 1 else 1.0)
 
@@ -471,30 +458,23 @@ def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
     def volume_slope_safe(r):
         return float(model.volume_slope(max(r, 1e-12)))
 
+    envelope_rs = envelope_gamma(rs)
     records = []
     boundary_flag = False
     for j in range(1, jmax + 1):
-        penal = envelope_gamma(rs) ** (1.0 / j)
-        fj = (u_grid - u_p0 + 1.0) / penal
+        fj = (u_grid - u_star + 1.0) / envelope_rs ** (1.0 / j)
         i = int(np.argmax(fj))
         r_j = float(rs[i])
         if i == n_r - 1:
             boundary_flag = True
-        if u_fn is not None and 0 < i < n_r - 1:
+        elif i > 0:
             def fj_cont(r, _j=j):
-                return float((u_fn(r) - u_p0 + 1.0)
+                return float((u(r) - u_star + 1.0)
                              / envelope_gamma(r) ** (1.0 / _j))
             r_j = golden_max(fj_cont, float(rs[i - 1]), float(rs[i + 1]))
 
-        if u_fn is not None:
-            u_j = float(u_fn(r_j))
-            up, upp = _derivatives(u_fn, max(r_j, 2e-5))
-        else:
-            u_j = float(u_grid[i])
-            h = rs[1] - rs[0]
-            ii = min(max(i, 1), n_r - 2)
-            up = float((u_grid[ii + 1] - u_grid[ii - 1]) / (2.0 * h))
-            upp = float((u_grid[ii + 1] - 2.0 * u_grid[ii] + u_grid[ii - 1]) / (h * h))
+        u_j = float(u(r_j))
+        up, upp = _derivatives(u, max(r_j, 2e-5))
         Lu = p_rad * upp + p_tan * (model.m - 1) * volume_slope_safe(r_j) * up
         records.append({
             "j": j,
@@ -520,6 +500,6 @@ def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
         "final_Lu": float(lus[-1]),
     }
     return OmoriYauProbe(
-        u_star=u_star, p0_radius=float(p0_radius), records=records,
+        u_star=u_star, p0_radius=p0_radius, records=records,
         boundary_flag=boundary_flag, trends=trends,
         gamma_constants=gamma_constants, growth_name=G.name)

@@ -62,8 +62,14 @@ class DiscretizationConfig:
         return self.margin_factor * stencil_radius(self.order)
 
 
+def _check_box(box):
+    if not all(lo < hi for lo, hi in box):
+        raise ValueError("every box axis needs lo < hi")
+
+
 def _axes_from_box(box, shape, periodic):
     """Per-axis coordinates and spacing: periodic axes drop the endpoint."""
+    _check_box(box)
     axes, spacing = [], []
     for (lo, hi), n_pts, per in zip(box, shape, periodic):
         if per:
@@ -104,6 +110,8 @@ class GraphImmersion:
             raise ValueError("need one box range and periodic flag per axis")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
+        if not np.all(np.isfinite(self.u)):
+            raise ValueError("height field must be finite")
         p = self.W.profile
         if np.min(self.u) < p.t_min or np.max(self.u) > p.t_max:
             raise ValueError("height field exits the profile interval")
@@ -140,11 +148,11 @@ class GraphImmersion:
     def mesh(self) -> np.ndarray:
         return np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
 
-    def refined(self, factor: int = 2) -> "GraphImmersion":
+    def refined(self) -> "GraphImmersion":
         """Dyadic refinement; requires the generating function."""
         if self.fn is None:
             raise ValueError("refinement needs an immersion built from a function")
-        shape = tuple(s * factor if per else (s - 1) * factor + 1
+        shape = tuple(2 * s if per else 2 * (s - 1) + 1
                       for s, per in zip(self.shape, self.periodic))
         return GraphImmersion.from_function(
             self.W, self.fn, shape, box=self.box, periodic=self.periodic,
@@ -164,6 +172,7 @@ def _trigonometric_field(box, rng: np.random.Generator, max_mode: int):
     equal seeds give equal fields.  Returns the field, a function of the
     stacked mesh (..., n), and its terms as ``(mode, a, b)``.
     """
+    _check_box(box)
     n = len(box)
     terms = []
     for mode in itertools.product(range(-max_mode, max_mode + 1), repeat=n):
@@ -218,17 +227,16 @@ def _sample_peak(raw, terms, box, periodic, samples: int) -> float:
 
 
 def random_height_function(box, periodic, rng: np.random.Generator,
-                           amplitude: float = 0.2, max_mode: int = 1,
-                           norm_samples: int = 64):
+                           amplitude: float = 0.2, max_mode: int = 1):
     """Normalized low-frequency trigonometric deviation, as a closed form.
 
     The field of ``_trigonometric_field``, rescaled so its sup-norm over
-    ``norm_samples`` points per axis of the box (the far edge dropped on
-    periodic axes) equals ``amplitude``.  Returning a function of the
-    stacked mesh (..., n) keeps the generated immersion refinable.
+    64 points per axis of the box (the far edge dropped on periodic axes)
+    equals ``amplitude``.  Returning a function of the stacked mesh
+    (..., n) keeps the generated immersion refinable.
     """
     raw, terms = _trigonometric_field(box, rng, max_mode)
-    peak = _sample_peak(raw, terms, box, periodic, norm_samples)
+    peak = _sample_peak(raw, terms, box, periodic, 64)
     scale = amplitude / peak if peak > 0.0 else 0.0
     return lambda mesh: scale * raw(mesh)
 
@@ -251,13 +259,11 @@ class GeometryGrid:
     x: np.ndarray            # fiber chart mesh (..., n)
     u: np.ndarray
     du: np.ndarray           # chart partials u_i (..., n)
-    hess_u: np.ndarray       # raw second partials of u (..., n, n)
     ghat: np.ndarray
     ghat_inv: np.ndarray
     gammahat: np.ndarray     # fiber Christoffels, analytic (..., k, i, j)
     rho: np.ndarray
     drho: np.ndarray
-    d2rho: np.ndarray
     hcal: np.ndarray
     dhcal: np.ndarray
     sigma: np.ndarray
@@ -274,7 +280,6 @@ class GeometryGrid:
     II: np.ndarray           # second fundamental form, chart (..., n, n)
     shape_frame: np.ndarray  # A~ = L^-1 II L^-T (..., n, n)
     kappas: np.ndarray       # ascending principal curvatures (..., n)
-    S: np.ndarray            # S_0..S_n (..., n+1)
     H: np.ndarray            # H_0..H_n (..., n+1)
     c: np.ndarray            # c_0..c_{n-1}
     newton: np.ndarray       # frame P~ stack (..., n, n, n)
@@ -416,16 +421,16 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
     interior = interior_mask(u.shape, imm.periodic, cfg.margin_cells)
 
     return GeometryGrid(
-        imm=imm, cfg=cfg, x=x, u=u, du=du, hess_u=hess_u,
+        imm=imm, cfg=cfg, x=x, u=u, du=du,
         ghat=ghat, ghat_inv=ghat_inv, gammahat=gammahat,
-        rho=rho, drho=drho, d2rho=np.asarray(data.d2rho),
+        rho=rho, drho=drho,
         hcal=np.asarray(data.hcal), dhcal=np.asarray(data.dhcal),
         sigma=np.asarray(data.sigma),
         g=g, g_inv=g_inv, L=L, L_inv=L_inv, sqrt_det_g=sqrt_det_g,
         w_factor=w_factor, theta=theta, normal=normal,
         a=a, grad_h_chart=grad_h_chart,
         II=II, shape_frame=shape_frame, kappas=kappas,
-        S=S, H=H, c=c, newton=newton,
+        H=H, c=c, newton=newton,
         christoffel=christoffel, interior=interior,
     )
 
@@ -565,7 +570,7 @@ def extrinsic_gamma_probe(imm: GraphImmersion, origin, cfg: DiscretizationConfig
 # ---------------------------------------------------------------------------
 
 def sectional_bound_report(imm: GraphImmersion, cfg: DiscretizationConfig = None,
-                           geom: GeometryGrid = None, tol: float = 1e-10) -> dict:
+                           geom: GeometryGrid = None) -> dict:
     """Gauss-equation sectional curvatures over orthonormal frame pairs.
 
     For each frame pair (E_i, E_j):
@@ -583,6 +588,7 @@ def sectional_bound_report(imm: GraphImmersion, cfg: DiscretizationConfig = None
     n = geom.n
     kappa = imm.W.fiber.kappa
     mask = geom.interior
+    tol = 1e-10
     a2 = geom.a ** 2
     rho2 = geom.rho ** 2
     norm_A_sq = np.einsum("...ij,...ij->...", geom.shape_frame, geom.shape_frame)

@@ -51,7 +51,6 @@ class IdentityResidual:
     id: str
     grid: np.ndarray
     max: float
-    slope: float = None
 
 
 def _require_geom(imm, cfg, geom) -> GeometryGrid:
@@ -115,8 +114,8 @@ def chart_mixed_newton(geom: GeometryGrid, k: int) -> np.ndarray:
 
 
 def normalized_lhat(imm: GraphImmersion, k: int, f: np.ndarray,
-                    cfg: DiscretizationConfig = None, geom: GeometryGrid = None,
-                    trace_tol: float = 1e-10) -> OperatorField:
+                    cfg: DiscretizationConfig = None,
+                    geom: GeometryGrid = None) -> OperatorField:
     """Lhat_k f = L_k f / H_k, defined only where H_k > 0.
 
     Verifies Tr(P_k/H_k) = c_k pointwise before returning.
@@ -132,7 +131,7 @@ def normalized_lhat(imm: GraphImmersion, k: int, f: np.ndarray,
     trace = np.einsum("...ii->...", geom.newton[..., k, :, :]) / Hk
     ck = geom.c[k]
     resid = float(np.max(np.abs(trace - ck))) / max(1.0, abs(ck))
-    if resid > trace_tol:
+    if resid > 1e-10:
         raise RuntimeError(f"normalized Newton trace off c_{k} by {resid:.3e}")
     return OperatorField(values=base.values / Hk, k=k, kind="Lhat")
 
@@ -209,8 +208,8 @@ def _frame_to_ambient(geom: GeometryGrid, w: np.ndarray) -> np.ndarray:
 
 
 def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
-           geom: GeometryGrid = None, vectors=None) -> dict:
-    """div P_k along three routes, paired against test vectors.
+           geom: GeometryGrid = None) -> dict:
+    """div P_k along three routes, paired against ``default_test_vectors``.
 
     (a) direct covariant differencing of the chart-mixed tensor;
     (b) the constant-curvature closed form
@@ -227,10 +226,7 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     n = geom.n
     mask = geom.interior
     spacing = geom.spacing
-    if vectors is None:
-        names, vecs = default_test_vectors(geom)
-    else:
-        names, vecs = vectors
+    names, vecs = default_test_vectors(geom)
 
     # (a) direct: (div P)_j = d_m P^m_j + G^m_{mk} P^k_j - G^k_{mj} P^m_k
     P_chart = chart_mixed_newton(geom, k)
@@ -359,7 +355,7 @@ def _calligraphic_grid(geom: GeometryGrid, k: int) -> np.ndarray:
 
 def calligraphic_ops(imm: GraphImmersion, k: int,
                      cfg: DiscretizationConfig = None,
-                     geom: GeometryGrid = None, tol: float = 1e-10) -> dict:
+                     geom: GeometryGrid = None) -> dict:
     """The hcal/Theta-weighted Newton combination of degree k-1.
 
     Verifies Tr(Pcal_{k-1} Hess sigma(h))
@@ -391,6 +387,7 @@ def calligraphic_ops(imm: GraphImmersion, k: int,
 
     grid_alg = lhs_alg - rhs
     grid_fd = lhs_fd - rhs
+    semidefinite = min_eig >= -1e-10
     return {
         "field": Pcal,
         "sigma_identity_algebraic": IdentityResidual(
@@ -399,8 +396,8 @@ def calligraphic_ops(imm: GraphImmersion, k: int,
             "calligraphic-sigma", grid_fd, masked_max(grid_fd, mask)),
         "min_eigenvalue": min_eig,
         "sign_hypotheses_hold": hypotheses,
-        "semidefinite": min_eig >= -tol,
-        "implication_respected": (not hypotheses) or min_eig >= -tol,
+        "semidefinite": semidefinite,
+        "implication_respected": (not hypotheses) or semidefinite,
     }
 
 
@@ -482,7 +479,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
 # ---------------------------------------------------------------------------
 
 def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
-             geom: GeometryGrid = None, sign_tol: float = 1e-10) -> dict:
+             geom: GeometryGrid = None) -> dict:
     """div(P_{k-1} grad phi) against its four-term closed form.
 
     phi = H_k^{1/k} sigma(h) + rho(h) Theta; requires H_k > 0.  The
@@ -572,7 +569,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
         "variable_correction": variable_correction,
         "residual": IdentityResidual("frak-phi", grid, masked_max(grid, mask)),
         "hypotheses": hypotheses,
-        "all_terms_nonnegative": all(v >= -sign_tol for v in term_mins.values()),
+        "all_terms_nonnegative": all(v >= -1e-10 for v in term_mins.values()),
     }
 
 
@@ -596,7 +593,7 @@ def convergence_study(imm: GraphImmersion, cfg: DiscretizationConfig,
     current = imm
     for level in range(cfg.refine_levels):
         if level:
-            current = current.refined(2)
+            current = current.refined()
         geom = evaluate_geometry(current, cfg)
         window = audit_window(current, trim) & geom.interior
         for name, grid in residual_fn(current, geom).items():

@@ -110,14 +110,14 @@ def _constancy_spread(values: np.ndarray) -> float:
     return (hi - lo) / scale
 
 
-def find_elliptic_point(geom: GeometryGrid, both_orientations: bool = True,
-                        tol: float = 1e-10) -> dict:
+def find_elliptic_point(geom: GeometryGrid,
+                        both_orientations: bool = True) -> dict:
     """Search the interior for a node whose shape operator is definite.
 
     Returns the best margin over the grid: for the given normal the margin
     is the largest smallest-principal-curvature, and (optionally) for the
     flipped normal the largest value of minus the top principal curvature.
-    A point counts as found only when the margin clears ``tol``, so that a
+    A point counts as found only when the margin clears 1e-10, so that a
     principal curvature sitting at rounding level does not flip the verdict.
     """
     mask = geom.interior
@@ -133,7 +133,7 @@ def find_elliptic_point(geom: GeometryGrid, both_orientations: bool = True,
         if margin_minus > margin_plus:
             margin, orient, best = margin_minus, -1, best_minus
     return {
-        "found": margin > tol,
+        "found": margin > 1e-10,
         "margin": margin,
         "orientation": orient,
         "index": tuple(int(i) for i in idx_grid[best]),
@@ -382,8 +382,7 @@ def audit_order(theorem_id: str, n: int, k=None) -> int:
 
 def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
                   k: int = None, cfg: DiscretizationConfig = None,
-                  tol: float = 1e-8, constancy_rtol: float = 1e-6,
-                  slice_rtol: float = 1e-6) -> ScenarioReport:
+                  tol: float = 1e-8) -> ScenarioReport:
     """Hypothesis/conclusion audit of one rigidity statement.
 
     Checks every hypothesis of the named statement on the realized grid
@@ -392,7 +391,8 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
     slab containment, elliptic point where required), then evaluates the
     slice conclusion and the algebraic proof steps that the argument
     rests on.  Passing a flipped normal never changes the verdict: the
-    audit renormalizes so the mean curvature is positive.
+    audit renormalizes so the mean curvature is positive.  H_k counts as
+    constant, and the graph as a slice, within 1e-6 relative.
     """
     if theorem_id not in _AUDITS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one "
@@ -402,6 +402,7 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
                          "different warped product")
     spec = _AUDITS[theorem_id]
     cfg = cfg or DiscretizationConfig()
+    constancy_rtol = slice_rtol = 1e-6
     input_orientation = imm.orientation
     imm, geom, flipped = _positive_mean_curvature_geometry(imm, cfg)
     n = geom.n
@@ -632,7 +633,7 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
 # ---------------------------------------------------------------------------
 
 def parabolicity_integral(model: RadialModel, H_profile, k: int,
-                          t_max: float = None, samples: int = 400) -> dict:
+                          t_max: float = None) -> dict:
     """Divergence test for the weighted-volume integral criterion.
 
     Integrates 1 / (H_profile(t) * area(geodesic sphere of radius t)) and
@@ -653,7 +654,7 @@ def parabolicity_integral(model: RadialModel, H_profile, k: int,
         profile = lambda t: const + 0.0 * np.asarray(t)
 
     T = float(t_max) if t_max is not None else max(4.0, 2.0 * model.R)
-    ts = np.linspace(T / 100.0, T, samples)
+    ts = np.linspace(T / 100.0, T, 400)
     h_vals = np.asarray(profile(ts), dtype=float)
     if np.any(h_vals <= 0.0):
         bad = float(ts[int(np.argmin(h_vals))])

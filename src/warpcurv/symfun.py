@@ -36,35 +36,24 @@ def trace_coefficient(n: int, k: int) -> int:
 # eigen solver
 # ---------------------------------------------------------------------------
 
-def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60,
-                       return_vectors: bool = False):
+def jacobi_eigenvalues(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
 
     This is the claim-bearing eigensolver for the desk-scale algebra
     (n <= 8); it is cross-checked against ``numpy.linalg.eigh`` in the
-    test suite.  Eigenvalues are returned in ascending order.
-
-    Parameters
-    ----------
-    A : (n, n) array
-        Symmetric matrix.
-    tol : float
-        Convergence threshold on the off-diagonal Frobenius norm,
-        relative to the matrix scale.
-    return_vectors : bool
-        When set, also return the accumulated rotation matrix whose
-        columns are the eigenvectors (same ordering).
+    test suite.  Sweeps stop once the off-diagonal Frobenius norm is at
+    most 1e-13 relative to the matrix scale (or after 60 sweeps).
+    Eigenvalues are returned in ascending order.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds the desk-scale cap {MAX_DIM}")
     B = A.copy()
-    V = np.eye(n)
     scale = max(1.0, float(np.max(np.abs(B))))
-    for _ in range(max_sweeps):
+    for _ in range(60):
         off = math.sqrt(float(np.sum(np.tril(B, -1) ** 2)))
-        if off <= tol * scale:
+        if off <= 1e-13 * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -81,12 +70,7 @@ def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60,
                 rot[p, q] = s
                 rot[q, p] = -s
                 B = rot.T @ B @ rot
-                V = V @ rot
-    idx = np.argsort(np.diag(B), kind="stable")
-    vals = np.diag(B)[idx]
-    if return_vectors:
-        return vals, V[:, idx]
-    return vals
+    return np.sort(np.diag(B), kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +213,18 @@ class GardingReport:
     message: str = ""
 
 
-def garding_chain(pack: SymmetricPack, k: int, rel_tol: float = 1e-8) -> GardingReport:
+def garding_chain(pack: SymmetricPack, k: int) -> GardingReport:
     """Margins of the chain H_1 >= H_2^(1/2) >= ... >= H_k^(1/k) > 0.
 
-    Equality within ``rel_tol`` (relative; root-taking loses half the
-    digits) at every stage flags an umbilical point.  If some H_j with
+    Equality within 1e-8 relative (root-taking loses half the digits) at
+    every stage flags an umbilical point.  If some H_j with
     j <= k is non-positive the chain does not apply and the report says
     so instead of raising.
     """
     n = pack.n
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range 1..{n}")
+    rel_tol = 1e-8
     bad = [j for j in range(1, k + 1) if pack.H[j] <= 0.0]
     if bad:
         return GardingReport(

@@ -314,3 +314,7 @@ def test_fiber_spec_validation():
         ambient.FiberSpec(n=2, kappa=0.0, chart="cube")
     with pytest.raises(ValueError, match="kappa"):
         ambient.FiberSpec(n=2, kappa=0.5, chart="hyperbolic")
+    for lengths in ((0.0, 1.0), (1.0, -2.0), (1.0, float("inf"))):
+        with pytest.raises(ValueError, match="lengths"):
+            ambient.FiberSpec(n=2, kappa=0.0, chart="flat-torus",
+                              lengths=lengths)

@@ -1,17 +1,20 @@
 """End-to-end checks of the batch interface: exit codes, report layout,
 and byte-identical reruns."""
 
+import copy
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_acceptance import BATTERY
 from warpcurv import operators
 from warpcurv.ambient import FiberSpec
 from warpcurv.cli import ENV_OUT, main, write_json
@@ -271,7 +274,58 @@ def test_config_errors_exit_two(tmp_path, capsys):
             # one level fits no slope
             ("levels1", "verify", {"ambient": torus, "immersion": slice12,
                                    "discretization": {"refine_levels": 1},
-                                   "operations": [{"op": "convergence"}]})):
+                                   "operations": [{"op": "convergence"}]}),
+            # float fields take finite numbers only, and no booleans
+            ("tol-bool", "verify", {"ambient": torus, "immersion": slice12,
+                                    "operations": [{"op": "structure",
+                                                    "tol": True}]}),
+            ("tol-inf", "verify", {"ambient": torus, "immersion": slice12,
+                                   "operations": [{"op": "structure",
+                                                   "tol": math.inf}]}),
+            ("tolerance-bool", "verify", {"ambient": torus,
+                                          "immersion": slice12,
+                                          "tolerance": True,
+                                          "operations": structure}),
+            ("parab-H-bool", "scenario", {"operations": [
+                {"op": "parabolicity", "H": True}]}),
+            ("T-bool", "comparison", {"T": True}),
+            ("T-inf", "comparison", {"T": math.inf}),
+            ("T-huge", "comparison", {"T": 1e999}),
+            ("selector-nan", "probe", {"selector": [1.0, math.nan]}),
+            ("selector-bool", "probe", {"selector": [True, 1.0]}),
+            ("amplitude-nan", "verify", {"ambient": torus,
+                                         "immersion": {"family": "random",
+                                                       "resolution": 12,
+                                                       "amplitude": math.nan},
+                                         "operations": structure}),
+            ("width0", "verify", {"ambient": torus,
+                                  "immersion": {"family": "bump",
+                                                "resolution": 12,
+                                                "width": 0},
+                                  "operations": structure}),
+            ("lengths0", "verify", {"ambient": dict(torus,
+                                                    lengths=[0.0, 1.0]),
+                                    "immersion": slice12,
+                                    "operations": structure}),
+            ("box-nan", "verify", {"ambient": torus,
+                                   "immersion": dict(slice12, box=[
+                                       [0.0, 1.0], [math.nan, 1.0]]),
+                                   "operations": structure}),
+            ("box-flat", "verify", {"ambient": torus,
+                                    "immersion": dict(slice12, box=[
+                                        [0.0, 1.0], [1.0, 1.0]]),
+                                    "operations": structure}),
+            ("kappa-str", "verify", {"ambient": dict(torus, kappa="0"),
+                                     "immersion": slice12,
+                                     "operations": structure}),
+            ("model-m", "probe", {"model": {"name": "flat", "m": 2.5}}),
+            # an ODE the integrator cannot follow is refused, not a crash
+            ("ode-T", "comparison", {"growth": "exp-square", "T": 40}),
+            ("ode-model", "comparison", {"growth": "exp-square", "T": 3,
+                                         "model": {"name": "hyperbolic",
+                                                   "R": 40}}),
+            ("ode-probe", "probe", {"model": {"name": "hyperbolic", "R": 7},
+                                    "growth": "exp-square"})):
         cfg = _write_config(tmp_path / f"{name}.json", config)
         assert main([sub, "--config", cfg, "--out", out]) == 2, name
         err = capsys.readouterr().err
@@ -282,6 +336,8 @@ def test_config_errors_exit_two(tmp_path, capsys):
         "operations": [{"op": "convergence"}]})
     assert main(["verify", "--config", cfg, "--out", out, "--refine", "1"]) == 2
     assert "two refinement levels" in capsys.readouterr().err
+    assert main(["verify", "--config", cfg, "--out", out, "--tol", "inf"]) == 2
+    assert "tolerance=inf" in capsys.readouterr().err
 
     # every operation is checked before any report is written
     late = tmp_path / "late"
@@ -292,6 +348,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "unknown verify operation" in capsys.readouterr().err
     assert list(late.iterdir()) == []
 
+    # an integrator failure in the Hessian check leaves no report behind
+    late = tmp_path / "late-ode"
+    cfg = _write_config(tmp_path / "late-ode.json", {
+        "growth": "exp-square", "T": 3,
+        "model": {"name": "hyperbolic", "R": 40}})
+    assert main(["comparison", "--config", cfg, "--out", str(late)]) == 2
+    assert "integrator failed" in capsys.readouterr().err
+    assert list(late.iterdir()) == []
+
     late = tmp_path / "late-parabolicity"
     cfg = _write_config(tmp_path / "late-parabolicity.json", {
         "operations": [{"op": "parabolicity"},
@@ -299,6 +364,49 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["scenario", "--config", cfg, "--out", str(late)]) == 2
     assert "k=0" in capsys.readouterr().err
     assert list(late.iterdir()) == []
+
+
+def _field_paths(node, prefix=()):
+    """Key paths to every field of a config, nested ones included."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+def _small_battery():
+    """The c8 battery with every grid at 16 nodes per axis."""
+    battery = copy.deepcopy(BATTERY)
+    for sub in ("verify", "scenario"):
+        battery[sub]["immersion"]["resolution"] = 16
+    return battery
+
+
+_FUZZ_FIELDS = [(sub, path) for sub, config in _small_battery().items()
+                for path in _field_paths(config)]
+# no magnitude above 2, so no replacement can ask for a large grid
+_FUZZ_VALUES = [True, None, "x", -1, 0, 1.5, math.nan, math.inf, [], {}]
+
+
+@given(field=st.sampled_from(_FUZZ_FIELDS),
+       value=st.sampled_from(_FUZZ_VALUES))
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_config_field_never_crashes(field, value):
+    sub, path = field
+    config = _small_battery()[sub]
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write_config(os.path.join(tmp, "cfg.json"), config)
+        rc = main([sub, "--config", cfg, "--out", os.path.join(tmp, "out")])
+    assert rc in (0, 1, 2), (field, value, rc)
 
 
 def _reject_constant(token):

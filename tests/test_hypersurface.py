@@ -201,6 +201,12 @@ def test_immersion_validation():
     with pytest.raises(ValueError, match="axes"):
         GraphImmersion(W=W, u=np.zeros(16), box=((0.0, 1.0),),
                        periodic=(True,))
+    with pytest.raises(ValueError, match="finite"):
+        GraphImmersion.from_function(W, lambda m: np.nan + m[..., 0], 16)
+    for box in ([(0.0, 1.0), (1.0, 1.0)], [(0.0, 1.0), (np.nan, 1.0)]):
+        with pytest.raises(ValueError, match="lo < hi"):
+            GraphImmersion.from_function(W, lambda m: 0.0 * m[..., 0], 16,
+                                         box=box)
 
 
 def test_h_safe_beyond_dimension():

@@ -54,15 +54,6 @@ def test_jacobi_matches_numpy(n, seed):
     assert np.max(np.abs(ours - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_jacobi_vectors_diagonalize():
-    rng = np.random.default_rng(3)
-    A = random_symmetric(rng, 5)
-    vals, vecs = symfun.jacobi_eigenvalues(A, return_vectors=True)
-    for i in range(5):
-        resid = A @ vecs[:, i] - vals[i] * vecs[:, i]
-        assert np.max(np.abs(resid)) <= 1e-10
-
-
 def test_orthogonal_invariance():
     rng = np.random.default_rng(11)
     A = random_symmetric(rng, 4)
