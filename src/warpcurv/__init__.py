@@ -43,7 +43,6 @@ from .hypersurface import (
 from .operators import (
     IdentityResidual,
     NotApplicableError,
-    OperatorField,
     calligraphic_ops,
     convergence_study,
     div_pk,
@@ -85,7 +84,6 @@ __all__ = [
     "MODELS",
     "NewtonFamily",
     "NotApplicableError",
-    "OperatorField",
     "PROFILES",
     "PointGeometry",
     "RadialModel",

@@ -74,9 +74,6 @@ class WarpingProfile:
         h = self.hcal(t)
         return self.d2rho(t) / self.rho(t) - h * h
 
-    def sigma_fn(self, t):
-        return self.sigma(np.asarray(t, dtype=float))
-
 
 def _exp_profile(t_min=-3.0, t_max=3.0, t0=0.0):
     return WarpingProfile(
@@ -269,9 +266,6 @@ class FiberSpec:
         return gam
 
     # -- distance machinery (for the extrinsic probe) ------------------------
-    def distance(self, x: np.ndarray, origin) -> np.ndarray:
-        return self.gamma_hat_data(x, origin)[0] ** 0.5
-
     def gamma_hat_data(self, x: np.ndarray, origin):
         """Squared distance to ``origin`` with gradient and fiber Hessian.
 
@@ -361,21 +355,20 @@ class WarpedProduct:
 class WarpingData:
     rho: np.ndarray
     drho: np.ndarray
-    d2rho: np.ndarray
     hcal: np.ndarray
     dhcal: np.ndarray
     sigma: np.ndarray
 
 
 def warping_eval(W: WarpedProduct, t) -> WarpingData:
-    """Profile values (rho, rho', rho'', hcal, hcal', sigma) at t."""
+    """Profile values (rho, rho', hcal, hcal', sigma) at t."""
     p = W.profile
     t = np.asarray(t, dtype=float)
     if np.any(t < p.t_min) or np.any(t > p.t_max):
         raise ValueError("t outside the profile interval")
     return WarpingData(
-        rho=p.rho(t), drho=p.drho(t), d2rho=p.d2rho(t),
-        hcal=p.hcal(t), dhcal=p.dhcal(t), sigma=p.sigma_fn(t),
+        rho=p.rho(t), drho=p.drho(t),
+        hcal=p.hcal(t), dhcal=p.dhcal(t), sigma=p.sigma(t),
     )
 
 

@@ -45,13 +45,13 @@ from .comparison import (
     omori_yau_probe,
     solve_comparison,
 )
-from ._grid import interior_mask
 from .hypersurface import (
     DiscretizationConfig,
     GraphImmersion,
     evaluate_geometry,
     extrinsic_gamma_probe,
     random_height_function,
+    require_audited_node,
     sectional_bound_report,
     structure_identities,
 )
@@ -89,8 +89,8 @@ def _config_inputs():
 
 def _jsonable(obj):
     """Plain-type view of module outputs (grids summarized, not dumped)."""
-    if isinstance(obj, scenarios.ScenarioReport):
-        return _jsonable(obj.to_dict())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -217,7 +217,6 @@ def build_immersion(W: WarpedProduct, section: dict,
     res = _integer(section, "resolution", 48)
     orientation = _integer(section, "orientation", 1)
     n = W.fiber.n
-    shape = tuple(section.get("shape", (res,) * n))
     box = section.get("box")
     if box is not None:
         box = tuple((_float(lo, "box"), _float(hi, "box")) for lo, hi in box)
@@ -225,7 +224,7 @@ def build_immersion(W: WarpedProduct, section: dict,
     if family == "slice":
         t = _float(section.get("t", W.profile.t0), "t")
         return GraphImmersion.from_function(W, lambda mesh: t + 0.0 * mesh[..., 0],
-                                            shape, box=box,
+                                            res, box=box,
                                             orientation=orientation)
     if box is None:
         box = tuple(tuple(b) for b in W.fiber.default_box())
@@ -236,7 +235,7 @@ def build_immersion(W: WarpedProduct, section: dict,
         dev = random_height_function(box, W.fiber.periodic, rng,
                                      amplitude=amplitude, max_mode=max_mode)
         return GraphImmersion.from_function(
-            W, lambda mesh: t_center + dev(mesh), shape, box=box,
+            W, lambda mesh: t_center + dev(mesh), res, box=box,
             orientation=orientation)
     if family == "bump":
         width = _float(section.get("width", 0.15), "width", positive=True)
@@ -249,7 +248,7 @@ def build_immersion(W: WarpedProduct, section: dict,
             r2 = sum((mesh[..., i] - center[i]) ** 2 for i in range(n))
             return t_center + amplitude * np.exp(-r2 / (2.0 * width ** 2))
 
-        return GraphImmersion.from_function(W, bump, shape, box=box,
+        return GraphImmersion.from_function(W, bump, res, box=box,
                                             orientation=orientation)
     raise _registry_miss("immersion family", family,
                          ("slice", "random", "bump"))
@@ -259,19 +258,23 @@ def _audited_immersion(config, W, cfg, seed) -> GraphImmersion:
     """The configured immersion, refused if the audit margin covers it."""
     imm = build_immersion(W, config.get("immersion", {}),
                           np.random.default_rng(seed))
-    if not interior_mask(imm.shape, imm.periodic, cfg.margin_cells).any():
-        raise ConfigError(f"no node of the {imm.shape} grid is outside the "
-                          f"{cfg.margin_cells}-cell audit margin")
+    require_audited_node(imm, cfg)
     return imm
 
 
 def build_discretization(config: dict, args) -> DiscretizationConfig:
     section = config.get("discretization", {})
+    if not isinstance(section, dict):
+        raise ConfigError("'discretization' must be an object")
+    fields = dataclasses.fields(DiscretizationConfig)
+    unknown = sorted(set(section) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"unknown discretization key(s) {', '.join(unknown)}"
+                          f"; accepted: {', '.join(f.name for f in fields)}")
     kwargs = {f.name: (_integer(section, f.name, None)
                        if isinstance(f.default, int)
                        else _float(section[f.name], f.name))
-              for f in dataclasses.fields(DiscretizationConfig)
-              if f.name in section}
+              for f in fields if f.name in section}
     if args.refine is not None:
         kwargs["refine_levels"] = args.refine
     return DiscretizationConfig(**kwargs)
@@ -406,8 +409,7 @@ def _frak_phi(run, op, stem):
 
 def _laplacian_cross_check(run, op, stem):
     geom = run.geom
-    lk0 = operators.lk_apply(run.imm, 0, geom.sigma, run.cfg,
-                             geom=geom).values
+    lk0 = operators.lk_apply(run.imm, 0, geom.sigma, run.cfg, geom=geom)
     lb = operators.laplace_beltrami(geom, geom.sigma)
     return {"residuals": {"trace-vs-divergence":
                           float(np.max(np.abs(lk0 - lb)[geom.interior]))}}

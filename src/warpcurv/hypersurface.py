@@ -39,6 +39,11 @@ from ._grid import (diff, gradient, hessian, interior_mask, masked_max,
 from .ambient import WarpedProduct, warping_eval
 
 
+# deepest stencil nesting is 4 (divergence-of-flux identities), so audits
+# stay this many stencil radii away from non-periodic edges
+MARGIN_FACTOR = 4
+
+
 @dataclass(frozen=True)
 class DiscretizationConfig:
     """Stencil order, tolerances, and refinement depth for grid audits."""
@@ -46,9 +51,6 @@ class DiscretizationConfig:
     order: int = 4
     identity_tol: float = 1e-8
     refine_levels: int = 3
-    # deepest stencil nesting is 4 (divergence-of-flux identities), so
-    # audits stay this many stencil radii away from non-periodic edges
-    margin_factor: int = 4
 
     def __post_init__(self):
         if self.order not in (2, 4):
@@ -59,7 +61,7 @@ class DiscretizationConfig:
 
     @property
     def margin_cells(self) -> int:
-        return self.margin_factor * stencil_radius(self.order)
+        return MARGIN_FACTOR * stencil_radius(self.order)
 
 
 def _check_box(box):
@@ -157,6 +159,15 @@ class GraphImmersion:
         return GraphImmersion.from_function(
             self.W, self.fn, shape, box=self.box, periodic=self.periodic,
             orientation=self.orientation)
+
+
+def require_audited_node(imm: GraphImmersion,
+                         cfg: DiscretizationConfig) -> None:
+    """Refuse a grid whose audit margin covers every node: an audit over no
+    node would have nothing to report."""
+    if not interior_mask(imm.shape, imm.periodic, cfg.margin_cells).any():
+        raise ValueError(f"no node of the {imm.shape} grid is outside the "
+                         f"{cfg.margin_cells}-cell audit margin")
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +271,6 @@ class GeometryGrid:
     u: np.ndarray
     du: np.ndarray           # chart partials u_i (..., n)
     ghat: np.ndarray
-    ghat_inv: np.ndarray
     gammahat: np.ndarray     # fiber Christoffels, analytic (..., k, i, j)
     rho: np.ndarray
     drho: np.ndarray
@@ -272,7 +282,6 @@ class GeometryGrid:
     L: np.ndarray
     L_inv: np.ndarray
     sqrt_det_g: np.ndarray
-    w_factor: np.ndarray
     theta: np.ndarray
     normal: np.ndarray       # ambient components (..., n+1), index 0 along T
     a: np.ndarray            # frame components of grad h (..., n)
@@ -422,12 +431,12 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
 
     return GeometryGrid(
         imm=imm, cfg=cfg, x=x, u=u, du=du,
-        ghat=ghat, ghat_inv=ghat_inv, gammahat=gammahat,
+        ghat=ghat, gammahat=gammahat,
         rho=rho, drho=drho,
         hcal=np.asarray(data.hcal), dhcal=np.asarray(data.dhcal),
         sigma=np.asarray(data.sigma),
         g=g, g_inv=g_inv, L=L, L_inv=L_inv, sqrt_det_g=sqrt_det_g,
-        w_factor=w_factor, theta=theta, normal=normal,
+        theta=theta, normal=normal,
         a=a, grad_h_chart=grad_h_chart,
         II=II, shape_frame=shape_frame, kappas=kappas,
         H=H, c=c, newton=newton,

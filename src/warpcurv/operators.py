@@ -35,15 +35,6 @@ class NotApplicableError(ValueError):
         self.location = location
 
 
-@dataclass(frozen=True)
-class OperatorField:
-    """A second-order operator applied to a scalar grid."""
-
-    values: np.ndarray
-    k: int
-    kind: str  # one of {"L", "Lhat", "Lcal", "Lfrak"}
-
-
 @dataclass
 class IdentityResidual:
     """Residual grid of one curvature identity, with its audit summary."""
@@ -79,13 +70,12 @@ def _frame_quadratic(P: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def lk_apply(imm: GraphImmersion, k: int, f: np.ndarray,
-             cfg: DiscretizationConfig = None, geom: GeometryGrid = None) -> OperatorField:
+             cfg: DiscretizationConfig = None, geom: GeometryGrid = None) -> np.ndarray:
     """L_k f = Tr(P_k Hess f), covariant Hessian by differencing."""
     geom = _require_geom(imm, cfg, geom)
     _check_k(geom, k)
     Hf = geom.form_to_frame(geom.hess_covariant(np.asarray(f, dtype=float)))
-    values = _trace_with(geom.newton[..., k, :, :], Hf)
-    return OperatorField(values=values, k=k, kind="L")
+    return _trace_with(geom.newton[..., k, :, :], Hf)
 
 
 def laplace_beltrami(geom: GeometryGrid, f: np.ndarray) -> np.ndarray:
@@ -98,13 +88,13 @@ def laplace_beltrami(geom: GeometryGrid, f: np.ndarray) -> np.ndarray:
 
 
 def frak_apply(imm: GraphImmersion, k: int, f: np.ndarray,
-               cfg: DiscretizationConfig = None, geom: GeometryGrid = None) -> OperatorField:
+               cfg: DiscretizationConfig = None, geom: GeometryGrid = None) -> np.ndarray:
     """Divergence-form operator div(P_k grad f), differenced."""
     geom = _require_geom(imm, cfg, geom)
     _check_k(geom, k)
     P_chart = chart_mixed_newton(geom, k)
     Y = np.einsum("...ij,...j->...i", P_chart, geom.grad_chart(np.asarray(f, dtype=float)))
-    return OperatorField(values=geom.divergence(Y), k=k, kind="Lfrak")
+    return geom.divergence(Y)
 
 
 def chart_mixed_newton(geom: GeometryGrid, k: int) -> np.ndarray:
@@ -115,7 +105,7 @@ def chart_mixed_newton(geom: GeometryGrid, k: int) -> np.ndarray:
 
 def normalized_lhat(imm: GraphImmersion, k: int, f: np.ndarray,
                     cfg: DiscretizationConfig = None,
-                    geom: GeometryGrid = None) -> OperatorField:
+                    geom: GeometryGrid = None) -> np.ndarray:
     """Lhat_k f = L_k f / H_k, defined only where H_k > 0.
 
     Verifies Tr(P_k/H_k) = c_k pointwise before returning.
@@ -133,7 +123,7 @@ def normalized_lhat(imm: GraphImmersion, k: int, f: np.ndarray,
     resid = float(np.max(np.abs(trace - ck))) / max(1.0, abs(ck))
     if resid > 1e-10:
         raise RuntimeError(f"normalized Newton trace off c_{k} by {resid:.3e}")
-    return OperatorField(values=base.values / Hk, k=k, kind="Lhat")
+    return base / Hk
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +153,8 @@ def height_sigma_identities(imm: GraphImmersion, k: int,
     rhs_s = ck * geom.rho * (geom.hcal * geom.H[..., k]
                              + geom.theta * geom.H_safe(k + 1))
 
-    lhs_h_fd = lk_apply(imm, k, geom.u, geom=geom).values
-    lhs_s_fd = lk_apply(imm, k, geom.sigma, geom=geom).values
+    lhs_h_fd = lk_apply(imm, k, geom.u, geom=geom)
+    lhs_s_fd = lk_apply(imm, k, geom.sigma, geom=geom)
     lhs_h_alg = _trace_with(P, geom.height_hessian_frame())
     lhs_s_alg = _trace_with(P, geom.sigma_hessian_frame())
 
@@ -457,7 +447,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
     rhs_general = common - theta_hat * geom.dhcal * curvature_quad \
         - theta_hat / geom.rho ** 2 * beta
 
-    lhs_fd = lk_apply(imm, k, theta_hat, geom=geom).values
+    lhs_fd = lk_apply(imm, k, theta_hat, geom=geom)
     ogrid = lhs_fd - rhs_const
     bgrid = beta - beta_algebraic
     agrid = rhs_general - rhs_const
@@ -511,7 +501,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     theta_hat = geom.rho * geom.theta
     phi = psi * geom.sigma + theta_hat
 
-    lhs = frak_apply(imm, k - 1, phi, geom=geom).values
+    lhs = frak_apply(imm, k - 1, phi, geom=geom)
 
     cm = geom.c[k - 1]
     bin_k = math.comb(n, k)
@@ -532,7 +522,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     grad_psi = geom.grad_frame(psi)
     grad_Hk = geom.grad_frame(Hk)
     pair_Hk = np.einsum("...i,...i->...", geom.a, grad_Hk)
-    lk_psi = lk_apply(imm, k - 1, psi, geom=geom).values
+    lk_psi = lk_apply(imm, k - 1, psi, geom=geom)
     div_pairing = -(n - k + 1) * geom.theta * curv * (
         np.einsum("...i,...ij,...j->...",
                   geom.a, geom.newton[..., k - 2, :, :], grad_psi)
@@ -562,7 +552,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     term_mins = {name: float(np.min(t[mask])) for name, t in terms.items()}
     return {
         "applicable": True,
-        "field": OperatorField(values=lhs, k=k - 1, kind="Lfrak"),
+        "field": lhs,
         "phi": phi,
         "terms": terms,
         "term_minima": term_mins,

@@ -23,22 +23,13 @@ from .hypersurface import (
     GeometryGrid,
     GraphImmersion,
     evaluate_geometry,
+    require_audited_node,
     sectional_bound_report,
 )
 
 VERDICT_CONSISTENT = "consistent"
 VERDICT_HYPOTHESIS = "hypothesis-violated"
 VERDICT_CONCLUSION = "CONCLUSION-VIOLATED"
-
-THEOREM_IDS = (
-    "compact-constant-h2",
-    "complete-constant-h2",
-    "compact-constant-hk",
-    "complete-constant-hk",
-    "compact-constant-hk-fiber-curvature",
-    "complete-parabolic-constant-hk",
-)
-
 
 @dataclass
 class CheckResult:
@@ -48,14 +39,6 @@ class CheckResult:
     passed: bool
     margin: float
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "margin": float(self.margin),
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -83,16 +66,6 @@ class ScenarioReport:
         else:
             self.verdict = VERDICT_CONSISTENT
         return self
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "verdict": self.verdict,
-            "hypothesis_checks": [c.to_dict() for c in self.hypothesis_checks],
-            "conclusion_checks": [c.to_dict() for c in self.conclusion_checks],
-            "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
-            "data": self.data,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +167,7 @@ def curvature_estimate_scenario(imm: GraphImmersion, W: WarpedProduct,
         raise ValueError("ambient mismatch: the immersion was built over a "
                          "different warped product")
     cfg = cfg or DiscretizationConfig()
+    require_audited_node(imm, cfg)
     geom = evaluate_geometry(imm, cfg)
     n = geom.n
     if not 1 <= order <= n:
@@ -278,6 +252,7 @@ def elliptic_point_and_signs(imm: GraphImmersion,
     the angle function.
     """
     cfg = cfg or DiscretizationConfig()
+    require_audited_node(imm, cfg)
     imm, geom, flipped = _positive_mean_curvature_geometry(imm, cfg)
     report = ScenarioReport(scenario_id="elliptic-point-and-signs")
 
@@ -358,6 +333,8 @@ _AUDITS = {
         fiber="strict", elliptic="k>=3", speed_sign_constant=True),
 }
 
+THEOREM_IDS = tuple(_AUDITS)
+
 
 def audit_order(theorem_id: str, n: int, k=None) -> int:
     """The curvature order audited for ``theorem_id`` in dimension ``n``.
@@ -402,6 +379,7 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
                          "different warped product")
     spec = _AUDITS[theorem_id]
     cfg = cfg or DiscretizationConfig()
+    require_audited_node(imm, cfg)
     constancy_rtol = slice_rtol = 1e-6
     input_orientation = imm.orientation
     imm, geom, flipped = _positive_mean_curvature_geometry(imm, cfg)
@@ -591,7 +569,7 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
         frak = operators.frak_phi(imm, k, cfg, geom=geom)
         if frak.get("applicable"):
             report.residuals["divergence-form-residual"] = frak["residual"].max
-            field_vals = _interior(geom, frak["field"].values)
+            field_vals = _interior(geom, frak["field"])
             scale = max(1.0, float(np.max(np.abs(field_vals))))
             report.conclusion_checks.append(CheckResult(
                 "divergence-form-subharmonicity",

@@ -6,6 +6,7 @@ runtime budget.  Run with ``pytest -v tests/test_acceptance.py`` to get one
 pass/fail line per criterion.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -124,7 +125,7 @@ def test_c2_slice_exactness_per_profile():
                 assert abs(hcal) <= 1e-12
                 field = operators.frak_apply(imm, 1, geom.rho * geom.theta,
                                              geom=geom)
-                residuals.append(np.max(np.abs(field.values[geom.interior])))
+                residuals.append(np.max(np.abs(field[geom.interior])))
         peak = float(max(residuals))
         assert peak <= tol, (name, peak)
         worst = max(worst, peak)
@@ -317,7 +318,7 @@ def test_c7_curvature_estimate_battery():
         for order in (1, 2, 3):
             rep = curvature_estimate_scenario(imm, W, order)
             if rep.verdict == VERDICT_CONCLUSION:
-                violations.append((seed, order, rep.to_dict()))
+                violations.append((seed, order, dataclasses.asdict(rep)))
             elif rep.verdict == VERDICT_CONSISTENT:
                 consistent[order] += 1
                 sup = rep.residuals["sup_curvature"]

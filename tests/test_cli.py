@@ -2,26 +2,30 @@
 and byte-identical reruns."""
 
 import copy
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import make_product, random_immersion
 from test_acceptance import BATTERY
-from warpcurv import operators
+from warpcurv import cli, operators
 from warpcurv.ambient import FiberSpec
 from warpcurv.cli import ENV_OUT, main, write_json
 from warpcurv.hypersurface import (
     DiscretizationConfig,
     _sample_peak,
     _trigonometric_field,
+    evaluate_geometry,
     random_height_function,
 )
 
@@ -318,6 +322,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
             ("kappa-str", "verify", {"ambient": dict(torus, kappa="0"),
                                      "immersion": slice12,
                                      "operations": structure}),
+            # discretization takes its three fields and nothing else
+            ("disc-typo", "verify", {"ambient": torus, "immersion": slice12,
+                                     "discretization": {"ordr": 2},
+                                     "operations": structure}),
+            ("disc-margin", "verify", {"ambient": torus,
+                                       "immersion": slice12,
+                                       "discretization": {"margin_factor": 1},
+                                       "operations": structure}),
+            ("disc-list", "verify", {"ambient": torus, "immersion": slice12,
+                                     "discretization": [],
+                                     "operations": structure}),
             ("model-m", "probe", {"model": {"name": "flat", "m": 2.5}}),
             # an ODE the integrator cannot follow is refused, not a crash
             ("ode-T", "comparison", {"growth": "exp-square", "T": 40}),
@@ -364,6 +379,42 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["scenario", "--config", cfg, "--out", str(late)]) == 2
     assert "k=0" in capsys.readouterr().err
     assert list(late.iterdir()) == []
+
+
+@pytest.mark.parametrize("n,res", [(2, 12), (3, 8)])
+def test_cli_k_ranges_match_the_operators(n, res):
+    # the CLI checks k before any work, against ranges it states apart from
+    # the operators: it must refuse exactly the k the operator would raise on
+    ranges = (cli._TENSOR_K, cli._DIVERGENCE_K, cli._CURVATURE_K,
+              cli._CALLIGRAPHIC_K)
+    ops = [{"op": name} for name, (_, check) in cli.VERIFY_OPS.items()
+           if check in ranges]
+    ops += [{"op": "convergence", "identity": identity}
+            for identity, (_, check) in cli._CONVERGENCE.items()
+            if check is not None]
+    assert len(ops) == 11
+    W = make_product("cosh", "flat-torus", n, 0.0)
+    imm = random_immersion(W, seed=4, t_center=0.6, amplitude=0.1, res=res)
+    cfg = DiscretizationConfig()
+    run = SimpleNamespace(imm=imm, geom=evaluate_geometry(imm, cfg), cfg=cfg)
+    for op, k in itertools.product(ops, range(-1, n + 2)):
+        op = dict(op, k=k)
+        try:
+            cli._operations("verify", {"operations": [op]}, cli.VERIFY_OPS, n)
+            refused = False
+        except cli.ConfigError:
+            refused = True
+        try:
+            if op["op"] == "convergence":
+                cli._CONVERGENCE[op["identity"]][0](imm, run.geom, k)
+            else:
+                cli.VERIFY_OPS[op["op"]][0](run, op, None)
+            raised = False
+        except operators.NotApplicableError:
+            raised = False
+        except ValueError:
+            raised = True
+        assert refused == raised, op
 
 
 def _field_paths(node, prefix=()):
@@ -622,6 +673,27 @@ def test_import_leaves_scipy_integrate_unloaded():
          "assert 'scipy.integrate' not in sys.modules"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("sub,config", [
+    ("comparison", {"growth": "exp-square", "T": 40}),
+    ("comparison", {"growth": "exp-square", "T": 3,
+                    "model": {"name": "hyperbolic", "R": 40}}),
+    ("probe", {"model": {"name": "hyperbolic", "R": 7},
+               "growth": "exp-square"}),
+])
+def test_overflowing_growth_writes_one_stderr_line(tmp_path, sub, config):
+    # exp(t^2) overflows inside the domain: the refusal is the only line on
+    # stderr, with no numpy or scipy RuntimeWarning ahead of it (pytest
+    # captures warnings in-process, so this needs a fresh interpreter)
+    cfg = _write_config(tmp_path / "cfg.json", config)
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "warpcurv.cli", sub,
+         "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def _check_normalization(box, periodic, seed, max_mode, amplitude=0.2):

@@ -73,7 +73,6 @@ def test_tilted_plane_in_product_is_totally_geodesic():
     assert np.max(np.abs(geom.theta[m] - theta_expect)) <= 1e-12
     assert np.max(np.abs(geom.kappas[m])) <= 1e-9
     assert np.max(np.abs(geom.H[m][:, 1])) <= 1e-9
-    assert np.max(np.abs(geom.w_factor[m] - math.sqrt(1.09))) <= 1e-12
 
 
 def test_metric_factorization_consistency():
@@ -260,18 +259,17 @@ def test_flat_fiber_fields_are_stored_once():
     n = 3
     W = make_product("cosh", "flat-torus", n, 0.0)
     geom = evaluate_geometry(random_immersion(W, seed=3, res=12))
-    for name, rank in (("ghat", 2), ("ghat_inv", 2), ("gammahat", 3)):
+    for name, rank in (("ghat", 2), ("gammahat", 3)):
         field = getattr(geom, name)
         assert field.shape == geom.u.shape + (n,) * rank, name
         assert _owner(field).size == n ** rank, name
         assert not field.flags.writeable, name
     assert np.array_equal(geom.ghat[3, 4, 5], np.eye(n))
-    assert np.array_equal(geom.ghat_inv[3, 4, 5], np.eye(n))
     assert not np.any(geom.gammahat)
 
     # a curved chart's fields vary, so every node keeps its own value
     W = make_product("cosh", "round-sphere", 2, 1.0)
     geom = evaluate_geometry(random_immersion(W, seed=5, amplitude=0.05))
-    for name in ("ghat", "ghat_inv", "gammahat"):
+    for name in ("ghat", "gammahat"):
         field = getattr(geom, name)
         assert _owner(field).size == field.size, name

@@ -6,6 +6,7 @@ short-circuit to 'hypothesis-violated'; 'CONCLUSION-VIOLATED' is reserved
 for inputs that satisfy every hypothesis yet break a conclusion.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -53,7 +54,7 @@ def test_verdict_gating_rules():
                          conclusion_checks=[good, bad]).finalize()
     assert rep.verdict == VERDICT_CONCLUSION
 
-    d = rep.to_dict()
+    d = dataclasses.asdict(rep)
     assert d["verdict"] == VERDICT_CONCLUSION
     assert [c["name"] for c in d["conclusion_checks"]] == ["a", "b"]
 
@@ -106,7 +107,7 @@ def test_slice_is_consistent_two_dim(theorem_id):
     W = make_product("cosh", "flat-torus", 2, 0.0)
     imm = slice_immersion(W, 0.7)
     rep = theorem_audit(imm, W, theorem_id)
-    assert rep.verdict == VERDICT_CONSISTENT, rep.to_dict()
+    assert rep.verdict == VERDICT_CONSISTENT, dataclasses.asdict(rep)
     assert rep.data["angle_branch"] == "nonpositive"
     assert rep.residuals["order-curvature-spread"] <= 1e-12
     assert "slice-conclusion" in _names(rep.conclusion_checks, passed=True)
@@ -117,7 +118,7 @@ def test_slice_is_consistent_three_dim(theorem_id):
     W = make_product("cosh", "flat-torus", 3, 0.0)
     imm = slice_immersion(W, 0.7, res=12)
     rep = theorem_audit(imm, W, theorem_id, k=3)
-    assert rep.verdict == VERDICT_CONSISTENT, rep.to_dict()
+    assert rep.verdict == VERDICT_CONSISTENT, dataclasses.asdict(rep)
     assert rep.data["k"] == 3
     assert "elliptic-point-exists" in _names(rep.hypothesis_checks, passed=True)
 
@@ -146,6 +147,28 @@ def test_audit_is_orientation_gauge_invariant():
     a = plus.data["realized_constants"]["sup_abs_mean_curvature"]
     b = minus.data["realized_constants"]["sup_abs_mean_curvature"]
     assert abs(a - b) <= 1e-12
+
+
+@pytest.mark.parametrize("chart,n,kappa,res", [
+    ("flat-torus", 2, 0.0, 20), ("flat-torus", 3, 0.0, 12),
+    ("round-sphere", 2, 1.0, 24)])
+def test_flipped_orientation_keeps_every_verdict(chart, n, kappa, res):
+    # the audits renormalize to positive mean curvature, so handing in the
+    # opposite normal must not change a single verdict
+    W = make_product("cosh", chart, n, kappa)
+    audits = [(tid, k) for tid in THEOREM_IDS for k in range(2, n + 1)
+              if not (tid.endswith("h2") and k != 2)
+              and not (tid in THREE_DIM_IDS and k < 3)]
+    for seed in (1, 2):
+        verdicts = []
+        for orientation in (1, -1):
+            imm = random_immersion(W, seed=seed, t_center=0.6,
+                                   amplitude=0.1, res=res,
+                                   orientation=orientation)
+            verdicts.append(
+                [theorem_audit(imm, W, tid, k=k).verdict for tid, k in audits]
+                + [elliptic_point_and_signs(imm).verdict])
+        assert verdicts[0] == verdicts[1], (seed, audits)
 
 
 def test_perturbed_slice_violates_hypotheses_not_conclusions():
@@ -284,6 +307,20 @@ def test_estimate_validation():
     with pytest.raises(ValueError, match="ambient mismatch"):
         curvature_estimate_scenario(
             imm, make_product("cosh", "flat-torus", 2, 0.0), 1)
+
+
+def test_runners_refuse_a_grid_with_no_audited_node():
+    # 16 nodes along the sphere chart's non-periodic axis all sit inside
+    # the order-4 stencil's 8-cell margin: the runners refuse the grid with
+    # the CLI's wording instead of reducing over an empty audit region
+    W = make_product("cosh", "round-sphere", 2, 1.0)
+    imm = slice_immersion(W, 0.7, res=16)
+    for run in (lambda: curvature_estimate_scenario(imm, W, 1),
+                lambda: elliptic_point_and_signs(imm),
+                lambda: theorem_audit(imm, W, "compact-constant-h2")):
+        with pytest.raises(ValueError, match=r"no node of the \(16, 16\) "
+                                             r"grid is outside the 8-cell"):
+            run()
 
 
 def test_open_chart_is_flagged_not_failed_as_conclusion():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import positive_definite, random_symmetric
@@ -130,6 +130,22 @@ def test_p1_ellipticity_from_h2():
     rep = symfun.p1_ellipticity_check(A)
     assert rep.applicable and rep.positive
     assert rep.min_margin > 0
+
+
+@given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       shift=st.floats(-4.0, 4.0))
+@settings(max_examples=60, deadline=None)
+def test_p1_ellipticity_margins_match_p1_spectrum(n, seed, shift):
+    # the second route: the margins n H_1 - kappa_i must be the eigenvalues
+    # of P_1 itself, in the orientation that makes H_1 positive
+    A = random_symmetric(np.random.default_rng(seed), n) + shift * np.eye(n)
+    h = symfun.elementary_symmetric(np.linalg.eigvalsh(A)).H
+    assume(h[2] > 1e-6)    # then H_1^2 >= H_2 keeps H_1 away from zero
+    rep = symfun.p1_ellipticity_check(A)
+    scale = 1.0 + float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    assert rep.applicable
+    assert rep.consistency_residual <= 1e-10 * scale
+    assert rep.flipped == (h[1] < 0.0)
 
 
 def test_batch_matches_scalar():
