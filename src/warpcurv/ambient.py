@@ -472,31 +472,28 @@ def curvature_tensor_components(kappa, rho, hcal, dhcal, gfib, U, V, Wv):
     rho = np.asarray(rho, dtype=float)
     rho2 = rho * rho
 
-    def amb(a, b):
-        fib = np.einsum("...i,...ij,...j->...", a[..., 1:], gfib, b[..., 1:])
-        return a[..., 0] * b[..., 0] + rho2 * fib
-
-    def fib_inner(a, b):
-        return np.einsum("...i,...ij,...j->...", a[..., 1:], gfib, b[..., 1:])
-
     uT, vT, wT = U[..., 0], V[..., 0], Wv[..., 0]
+    fib_vw = np.einsum("...i,...ij,...j->...", V[..., 1:], gfib, Wv[..., 1:])
+    fib_uw = np.einsum("...i,...ij,...j->...", U[..., 1:], gfib, Wv[..., 1:])
+    vw = vT * wT + rho2 * fib_vw
+    uw = uT * wT + rho2 * fib_uw
     out = np.zeros(np.broadcast(U, V, Wv).shape)
 
     # fiber curvature term: R_P(U*, V*)W* with the fiber metric
-    coef_u = kappa * fib_inner(V, Wv)
-    coef_v = kappa * fib_inner(U, Wv)
+    coef_u = kappa * fib_vw
+    coef_v = kappa * fib_uw
     out[..., 1:] += coef_u[..., None] * U[..., 1:] - coef_v[..., None] * V[..., 1:]
 
     # -H^2 (<V,W> U - <U,W> V)
     h2 = np.asarray(hcal, dtype=float) ** 2
-    out -= h2[..., None] * (amb(V, Wv)[..., None] * U - amb(U, Wv)[..., None] * V)
+    out -= h2[..., None] * (vw[..., None] * U - uw[..., None] * V)
 
     # +H' <W,T> (<U,T> V - <V,T> U)
     dh = np.asarray(dhcal, dtype=float)
     out += (dh * wT)[..., None] * (uT[..., None] * V - vT[..., None] * U)
 
     # -H' (<V,W><U,T> - <U,W><V,T>) T
-    out[..., 0] -= dh * (amb(V, Wv) * uT - amb(U, Wv) * vT)
+    out[..., 0] -= dh * (vw * uT - uw * vT)
     return out
 
 

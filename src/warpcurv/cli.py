@@ -183,9 +183,20 @@ def _registry_miss(kind: str, name, registry) -> ConfigError:
         f"unknown {kind} {name!r}; registry: {', '.join(sorted(registry))}")
 
 
+def _refuse_unknown(kind: str, section: dict, accepted) -> None:
+    """Refuse the keys of ``section`` that are not in ``accepted``, so a
+    typo never runs with a default."""
+    unknown = sorted(set(section) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown {kind} key(s) {', '.join(unknown)}"
+                          f"; accepted: {', '.join(accepted)}")
+
+
 def build_ambient(section: dict) -> WarpedProduct:
     if not isinstance(section, dict):
         raise ConfigError("'ambient' must be an object")
+    _refuse_unknown("ambient", section,
+                    ("profile", "chart", "n", "kappa", "lengths"))
     prof_spec = section.get("profile", "exp")
     if isinstance(prof_spec, str):
         name, params = prof_spec, {}
@@ -209,11 +220,22 @@ def build_ambient(section: dict) -> WarpedProduct:
     return WarpedProduct(profile=profile, fiber=fiber)
 
 
+# family -> the keys it reads besides the shared ones
+_IMMERSION_KEYS = {"slice": ("t",),
+                   "random": ("t_center", "amplitude", "max_mode"),
+                   "bump": ("t_center", "amplitude", "width", "center")}
+
+
 def build_immersion(W: WarpedProduct, section: dict,
                     rng: np.random.Generator) -> GraphImmersion:
     if not isinstance(section, dict):
         raise ConfigError("'immersion' must be an object")
     family = section.get("family", "slice")
+    if not isinstance(family, str) or family not in _IMMERSION_KEYS:
+        raise _registry_miss("immersion family", family, _IMMERSION_KEYS)
+    _refuse_unknown("immersion", section, ("family", "resolution",
+                                           "orientation", "box")
+                    + _IMMERSION_KEYS[family])
     res = _integer(section, "resolution", 48)
     orientation = _integer(section, "orientation", 1)
     n = W.fiber.n
@@ -237,21 +259,19 @@ def build_immersion(W: WarpedProduct, section: dict,
         return GraphImmersion.from_function(
             W, lambda mesh: t_center + dev(mesh), res, box=box,
             orientation=orientation)
-    if family == "bump":
-        width = _float(section.get("width", 0.15), "width", positive=True)
-        center = section.get("center")
-        if center is None:
-            center = [0.5 * (lo + hi) for lo, hi in box]
-        center = [_float(c, "center") for c in center]
+    # family == "bump"
+    width = _float(section.get("width", 0.15), "width", positive=True)
+    center = section.get("center")
+    if center is None:
+        center = [0.5 * (lo + hi) for lo, hi in box]
+    center = [_float(c, "center") for c in center]
 
-        def bump(mesh):
-            r2 = sum((mesh[..., i] - center[i]) ** 2 for i in range(n))
-            return t_center + amplitude * np.exp(-r2 / (2.0 * width ** 2))
+    def bump(mesh):
+        r2 = sum((mesh[..., i] - center[i]) ** 2 for i in range(n))
+        return t_center + amplitude * np.exp(-r2 / (2.0 * width ** 2))
 
-        return GraphImmersion.from_function(W, bump, res, box=box,
-                                            orientation=orientation)
-    raise _registry_miss("immersion family", family,
-                         ("slice", "random", "bump"))
+    return GraphImmersion.from_function(W, bump, res, box=box,
+                                        orientation=orientation)
 
 
 def _audited_immersion(config, W, cfg, seed) -> GraphImmersion:
@@ -267,10 +287,7 @@ def build_discretization(config: dict, args) -> DiscretizationConfig:
     if not isinstance(section, dict):
         raise ConfigError("'discretization' must be an object")
     fields = dataclasses.fields(DiscretizationConfig)
-    unknown = sorted(set(section) - {f.name for f in fields})
-    if unknown:
-        raise ConfigError(f"unknown discretization key(s) {', '.join(unknown)}"
-                          f"; accepted: {', '.join(f.name for f in fields)}")
+    _refuse_unknown("discretization", section, [f.name for f in fields])
     kwargs = {f.name: (_integer(section, f.name, None)
                        if isinstance(f.default, int)
                        else _float(section[f.name], f.name))
@@ -330,6 +347,14 @@ def _gate(residuals: dict, tol: float) -> str:
                       for r in residuals.values()))
 
 
+# keys of an operation entry besides "op": every verify entry reports its k
+# and tol, and the operations below read their own
+_SHARED_OP_KEYS = {"verify": ("k", "tol"), "scenario": ()}
+_OP_KEYS = {"gamma-probe": ("origin",), "convergence": ("identity",),
+            "theorem-audit": ("id", "k"), "curvature-estimate": ("order",),
+            "parabolicity": ("model", "m", "R", "k", "H", "t_max")}
+
+
 def _operations(subcommand: str, config: dict, table: dict, n: int) -> list:
     """The configured operations, each checked against ``table`` for a fiber
     of dimension ``n``."""
@@ -341,6 +366,9 @@ def _operations(subcommand: str, config: dict, table: dict, n: int) -> list:
             raise ConfigError(f"operation {i} must be an object with 'op'")
         if op["op"] not in table:
             raise _registry_miss(f"{subcommand} operation", op["op"], table)
+        _refuse_unknown(f"{op['op']} operation", op,
+                        ("op",) + _SHARED_OP_KEYS[subcommand]
+                        + _OP_KEYS.get(op["op"], ()))
         check = table[op["op"]][1]
         if check is not None:
             check(op, n)
@@ -623,10 +651,19 @@ def run_scenario(config: dict, args, out_dir: str) -> int:
 # probe subcommand
 # ---------------------------------------------------------------------------
 
+# height family -> the keys it reads besides "family"
+_HEIGHT_KEYS = {"tanh": ("scale",),
+                "gaussian-bump": ("center", "width", "amplitude"),
+                "negative-square": ()}
+
+
 def _height_function(section: dict):
     if not isinstance(section, dict):
         raise ConfigError("'height' must be an object")
     family = section.get("family", "tanh")
+    if not isinstance(family, str) or family not in _HEIGHT_KEYS:
+        raise _registry_miss("height family", family, _HEIGHT_KEYS)
+    _refuse_unknown("height", section, ("family",) + _HEIGHT_KEYS[family])
     if family == "tanh":
         scale = _float(section.get("scale", 1.0), "scale")
         return lambda r: np.tanh(scale * r)
@@ -635,10 +672,7 @@ def _height_function(section: dict):
         width = _float(section.get("width", 0.15), "width", positive=True)
         amplitude = _float(section.get("amplitude", 1.0), "amplitude")
         return lambda r: amplitude * np.exp(-((r - center) / width) ** 2)
-    if family == "negative-square":
-        return lambda r: -np.asarray(r) ** 2
-    raise _registry_miss("height family", family,
-                         ("tanh", "gaussian-bump", "negative-square"))
+    return lambda r: -np.asarray(r) ** 2
 
 
 def _growth(spec):

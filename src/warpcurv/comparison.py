@@ -183,8 +183,8 @@ def solve_comparison(G: GrowthFunction, T: float) -> ComparisonSolution:
     if T <= 0:
         raise ValueError("need T > 0")
     g0 = float(G(0.0))
-    if g0 <= 0.0:
-        raise ValueError("G(0) must be positive")
+    if not 0.0 < g0 < math.inf:
+        raise ValueError("G(0) must be positive and finite")
 
     def rhs(t, y):
         g = float(G(t))
@@ -283,7 +283,13 @@ class RadialModel:
         if abs(float(self.f(1e-8))) > 1e-6 or abs(float(self.df(0.0)) - 1.0) > 1e-8:
             raise ValueError("radial factor must satisfy f(0) = 0, f'(0) = 1")
         rs = np.linspace(self.R / 512.0, self.R, 512)
-        if float(np.min(self.f(rs))) <= 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = [np.asarray(g(rs), dtype=float)
+                       for g in (self.f, self.df, self.d2f)]
+        if not all(np.all(np.isfinite(v)) for v in samples):
+            raise ValueError("radial factor or its derivatives overflow "
+                             "on (0, R]")
+        if float(np.min(samples[0])) <= 0.0:
             raise ValueError("radial factor must be positive on (0, R]")
 
     def volume_slope(self, r):

@@ -225,6 +225,7 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     div_form = (np.einsum("...mmj->...j", dP)
                 + np.einsum("...mmk,...kj->...j", geom.christoffel, P_chart)
                 - np.einsum("...kmj,...mk->...j", geom.christoffel, P_chart))
+    del P_chart, dP   # route (c) allocates next; keep the peak down
 
     kappa = imm.W.fiber.kappa
     coef = geom.theta * (kappa / geom.rho ** 2 + geom.dhcal)
@@ -236,6 +237,9 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     frame_amb = [
         _frame_to_ambient(geom, np.broadcast_to(eye[i], geom.a.shape))
         for i in range(n)]
+    # P_j E_i in ambient components does not depend on the test vector
+    P_amb = [[_frame_to_ambient(geom, geom.newton[..., j, :, i])
+              for i in range(n)] for j in range(k)]
 
     applied_a, applied_b, applied_c = [], [], []
     for w in vecs:
@@ -253,13 +257,11 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
             y = powers[k - 1 - j]
             Y_amb = _frame_to_ambient(geom, y)
             sign = (-1.0) ** (k - 1 - j)
-            Pj = geom.newton[..., j, :, :]
             for i in range(n):
                 R = curvature_tensor_components(
                     kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat,
                     frame_amb[i], Y_amb, N_amb)
-                Z_amb = _frame_to_ambient(geom, Pj[..., :, i])
-                total += sign * _ambient_inner(geom, R, Z_amb)
+                total += sign * _ambient_inner(geom, R, P_amb[j][i])
         applied_c.append(total)
 
     a = np.stack(applied_a, axis=-1)

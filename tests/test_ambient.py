@@ -290,6 +290,57 @@ def test_curvature_tensor_symmetries(name, chart, kappa):
         assert np.max(np.abs(cyc)) <= 1e-10 * scale
 
 
+def _grid_kernel_inputs(shape=(5, 4, 3), n=3, seed=46):
+    """Random non-orthogonal U, V, W on a grid, a per-node SPD fiber
+    metric, and node-dependent rho, hcal, dhcal."""
+    rng = np.random.default_rng(seed)
+    U, V, Wv = (rng.normal(size=shape + (n + 1,)) for _ in range(3))
+    A = rng.normal(size=shape + (n, n))
+    gfib = A @ np.swapaxes(A, -1, -2) + n * np.eye(n)
+    rho = rng.uniform(0.5, 2.0, size=shape)
+    hcal = rng.normal(size=shape)
+    dhcal = rng.normal(size=shape)
+    return -0.7, rho, hcal, dhcal, gfib, U, V, Wv
+
+
+def test_batched_curvature_tensor_matches_a_loop_over_nodes():
+    kappa, rho, hcal, dhcal, gfib, U, V, Wv = _grid_kernel_inputs()
+    got = ambient.curvature_tensor_components(kappa, rho, hcal, dhcal, gfib,
+                                              U, V, Wv)
+    T = np.zeros(U.shape[-1])
+    T[0] = 1.0
+    expected = np.zeros(U.shape)
+    for idx in np.ndindex(rho.shape):
+        G, r2 = gfib[idx], rho[idx] ** 2
+        u, v, w = U[idx], V[idx], Wv[idx]
+
+        def fib(a, b):
+            return a[1:] @ G @ b[1:]
+
+        def amb(a, b):
+            return a[0] * b[0] + r2 * fib(a, b)
+
+        uw, vw = amb(u, w), amb(v, w)
+        assert abs(uw) > 1e-3 and abs(vw) > 1e-3   # no term drops out
+        R = np.zeros_like(u)
+        R[1:] = kappa * (fib(v, w) * u[1:] - fib(u, w) * v[1:])
+        R -= hcal[idx] ** 2 * (vw * u - uw * v)
+        R += dhcal[idx] * amb(w, T) * (amb(u, T) * v - amb(v, T) * u)
+        R -= dhcal[idx] * (vw * amb(u, T) - uw * amb(v, T)) * T
+        expected[idx] = R
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_batched_curvature_tensor_is_exactly_antisymmetric():
+    # every term is an IEEE difference whose operands swap with U and V
+    kappa, rho, hcal, dhcal, gfib, U, V, Wv = _grid_kernel_inputs(seed=47)
+    uv = ambient.curvature_tensor_components(kappa, rho, hcal, dhcal, gfib,
+                                             U, V, Wv)
+    vu = ambient.curvature_tensor_components(kappa, rho, hcal, dhcal, gfib,
+                                             V, U, Wv)
+    assert np.array_equal(vu, -uv)
+
+
 # ---------------------------------------------------------------------------
 # slices
 # ---------------------------------------------------------------------------

@@ -333,6 +333,30 @@ def test_config_errors_exit_two(tmp_path, capsys):
             ("disc-list", "verify", {"ambient": torus, "immersion": slice12,
                                      "discretization": [],
                                      "operations": structure}),
+            # every other section refuses the keys it does not read
+            ("immersion-typo", "verify", {
+                "ambient": torus,
+                "immersion": {"family": "random", "resolution": 12,
+                              "amplitdue": 0.1},
+                "operations": structure}),
+            ("slice-amplitude", "verify", {
+                "ambient": torus, "immersion": dict(slice12, amplitude=0.1),
+                "operations": structure}),
+            ("ambient-typo", "verify", {"ambient": dict(torus, kapa=1.0),
+                                        "immersion": slice12,
+                                        "operations": structure}),
+            ("verify-op-typo", "verify", {"ambient": torus,
+                                          "immersion": slice12,
+                                          "operations": [{"op": "structure",
+                                                          "tl": 1e-3}]}),
+            ("scenario-op-typo", "scenario", {
+                "ambient": torus, "immersion": slice12,
+                "operations": [{"op": "curvature-estimate", "ordr": 2}]}),
+            ("parab-typo", "scenario", {"operations": [
+                {"op": "parabolicity", "t_mx": 2.0}]}),
+            ("height-typo", "probe", {"height": {"family": "tanh",
+                                                 "scal": 2.0}}),
+            ("model-typo", "probe", {"model": {"name": "flat", "Rr": 2.0}}),
             ("model-m", "probe", {"model": {"name": "flat", "m": 2.5}}),
             # an ODE the integrator cannot follow is refused, not a crash
             ("ode-T", "comparison", {"growth": "exp-square", "T": 40}),
@@ -353,6 +377,14 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "two refinement levels" in capsys.readouterr().err
     assert main(["verify", "--config", cfg, "--out", out, "--tol", "inf"]) == 2
     assert "tolerance=inf" in capsys.readouterr().err
+
+    # an unknown key is named, so a removed or misspelt key never runs
+    # with its default
+    cfg = _write_config(tmp_path / "shape.json", {
+        "ambient": torus, "immersion": dict(slice12, shape=[12, 12]),
+        "operations": structure})
+    assert main(["verify", "--config", cfg, "--out", out]) == 2
+    assert "unknown immersion key(s) shape;" in capsys.readouterr().err
 
     # every operation is checked before any report is written
     late = tmp_path / "late"
@@ -683,14 +715,31 @@ def test_import_leaves_scipy_integrate_unloaded():
                "growth": "exp-square"}),
 ])
 def test_overflowing_growth_writes_one_stderr_line(tmp_path, sub, config):
-    # exp(t^2) overflows inside the domain: the refusal is the only line on
-    # stderr, with no numpy or scipy RuntimeWarning ahead of it (pytest
-    # captures warnings in-process, so this needs a fresh interpreter)
+    # exp(t^2) overflows inside the domain
+    _assert_one_line_refusal(tmp_path, sub, config)
+
+
+@pytest.mark.parametrize("sub,config", [
+    ("probe", {"model": {"name": "stretched", "R": 400},
+               "height": {"family": "tanh"}}),
+    ("comparison", {"growth": "one", "T": 2,
+                    "model": {"name": "hyperbolic", "R": 800}}),
+])
+def test_overflowing_model_writes_one_stderr_line(tmp_path, sub, config):
+    # sinh overflows on (0, R]: the model is refused when built, before a
+    # NaN growth bound can reach the ODE (which then never finished)
+    _assert_one_line_refusal(tmp_path, sub, config)
+
+
+def _assert_one_line_refusal(tmp_path, sub, config):
+    """The refusal is the only line on stderr, with no numpy or scipy
+    RuntimeWarning ahead of it (pytest captures warnings in-process, so
+    this needs a fresh interpreter)."""
     cfg = _write_config(tmp_path / "cfg.json", config)
     proc = subprocess.run(
         [sys.executable, "-W", "default", "-m", "warpcurv.cli", sub,
          "--config", cfg, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: "), proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr

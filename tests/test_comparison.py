@@ -145,6 +145,14 @@ def test_solver_input_validation():
         lambda t: np.zeros_like(np.asarray(t, dtype=float)))
     with pytest.raises(ValueError, match="positive"):
         solve_comparison(bad, T=1.0)
+    # a NaN or infinite G(0) is refused too, not integrated forever
+    for level in (math.nan, math.inf):
+        flat = GrowthFunction(
+            "const", lambda t, lv=level: np.full_like(
+                np.asarray(t, dtype=float), lv),
+            lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_comparison(flat, T=1.0)
     # exp(t^2) outgrows what RK45 can follow long before t = 40
     with pytest.raises(ValueError, match="integrator failed"):
         solve_comparison(builtin_growth("exp-square"), T=40.0)
@@ -161,6 +169,10 @@ def test_model_validation():
         RadialModel(m=1, f=np.sinh, df=np.cosh, d2f=np.sinh, R=2.0)
     with pytest.raises(KeyError, match="registered"):
         builtin_model("euclidean")
+    # sinh overflows on (0, R]
+    for name, R in (("hyperbolic", 800.0), ("stretched", 400.0)):
+        with pytest.raises(ValueError, match="overflow"):
+            builtin_model(name, R=R)
 
 
 def test_hessian_comparison_equality_case():
