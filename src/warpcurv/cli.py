@@ -824,11 +824,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# subcommand -> (runner, the top-level keys it reads besides seed and
+# tolerance, which main reads for every subcommand)
 _RUNNERS = {
-    "verify": run_verify,
-    "scenario": run_scenario,
-    "probe": run_probe,
-    "comparison": run_comparison,
+    "verify": (run_verify, ("ambient", "immersion", "discretization",
+                            "operations", "min_slope")),
+    "scenario": (run_scenario, ("ambient", "immersion", "discretization",
+                                "operations")),
+    "probe": (run_probe, ("model", "height", "jmax", "growth", "selector")),
+    "comparison": (run_comparison, ("growth", "T", "model")),
 }
 
 
@@ -841,13 +845,15 @@ def main(argv=None) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         config = load_config(args.config)
+        runner, keys = _RUNNERS[args.subcommand]
+        _refuse_unknown("top-level", config, ("seed", "tolerance") + keys)
         # a flag overrides the config; every subcommand reads the result
         with _config_inputs():
             if args.seed is None:
                 args.seed = _integer(config, "seed", 0)
             args.tol = _float(config.get("tolerance", 1e-8)
                               if args.tol is None else args.tol, "tolerance")
-        return _RUNNERS[args.subcommand](config, args, out_dir)
+        return runner(config, args, out_dir)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -448,7 +448,13 @@ def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
     u_star = float(u_grid[i_star])
     p0_radius = float(rs[i_star])
 
-    sol = solve_comparison(G, model.R ** 2 if model.R > 1 else 1.0)
+    T = model.R ** 2 if model.R > 1 else 1.0
+    try:
+        sol = solve_comparison(G, T)
+    except ValueError as exc:
+        span = f"R^2 = {T:g}" if model.R > 1 else "1"
+        raise ValueError(f"omori-yau probe: comparison ODE to T = {span} "
+                         f"(model radius {model.R:g}) failed: {exc}") from exc
 
     def envelope_gamma(r):
         return sol.envelope_at(np.minimum(np.asarray(r, dtype=float) ** 2,

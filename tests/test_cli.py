@@ -364,7 +364,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
                                          "model": {"name": "hyperbolic",
                                                    "R": 40}}),
             ("ode-probe", "probe", {"model": {"name": "hyperbolic", "R": 7},
-                                    "growth": "exp-square"})):
+                                    "growth": "exp-square"}),
+            # a subcommand refuses a top-level key another one reads
+            ("verify-model", "verify", {"ambient": torus, "immersion": slice12,
+                                        "model": "flat",
+                                        "operations": structure}),
+            ("scenario-min-slope", "scenario", {
+                "operations": [{"op": "parabolicity"}], "min_slope": 1.0}),
+            ("probe-operations", "probe", {"operations": structure}),
+            ("comparison-height", "comparison", {"height": {"family": "tanh"}})):
         cfg = _write_config(tmp_path / f"{name}.json", config)
         assert main([sub, "--config", cfg, "--out", out]) == 2, name
         err = capsys.readouterr().err
@@ -385,6 +393,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
         "operations": structure})
     assert main(["verify", "--config", cfg, "--out", out]) == 2
     assert "unknown immersion key(s) shape;" in capsys.readouterr().err
+    for sub, key, config in (
+            ("comparison", "modle", {"growth": "one", "T": 2,
+                                     "modle": "hyperbolic"}),
+            ("verify", "tolerence", {"ambient": torus, "immersion": slice12,
+                                     "tolerence": 1e-30,
+                                     "operations": structure})):
+        cfg = _write_config(tmp_path / f"{key}.json", config)
+        assert main([sub, "--config", cfg, "--out", out]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown top-level key(s) {key};")
+        assert err.count("\n") == 1, err
 
     # every operation is checked before any report is written
     late = tmp_path / "late"
@@ -731,10 +750,19 @@ def test_overflowing_model_writes_one_stderr_line(tmp_path, sub, config):
     _assert_one_line_refusal(tmp_path, sub, config)
 
 
+def test_probe_ode_failure_names_the_probe_and_radius(tmp_path):
+    # phi = sinh(t) overflows before T = R^2 = 900
+    err = _assert_one_line_refusal(tmp_path, "probe", {
+        "model": {"name": "hyperbolic", "R": 30},
+        "height": {"family": "tanh"}})
+    assert err.startswith("config error: omori-yau probe: comparison ODE to "
+                          "T = R^2 = 900 (model radius 30) failed: "), err
+
+
 def _assert_one_line_refusal(tmp_path, sub, config):
     """The refusal is the only line on stderr, with no numpy or scipy
     RuntimeWarning ahead of it (pytest captures warnings in-process, so
-    this needs a fresh interpreter)."""
+    this needs a fresh interpreter).  Returns stderr."""
     cfg = _write_config(tmp_path / "cfg.json", config)
     proc = subprocess.run(
         [sys.executable, "-W", "default", "-m", "warpcurv.cli", sub,
@@ -743,6 +771,7 @@ def _assert_one_line_refusal(tmp_path, sub, config):
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: "), proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr
+    return proc.stderr
 
 
 def _check_normalization(box, periodic, seed, max_mode, amplitude=0.2):

@@ -44,7 +44,8 @@ def test_charpoly_cross_check():
             1.0, abs(pack.S[k]))
 
 
-@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2 ** 31 - 1))
+@given(st.integers(min_value=2, max_value=symfun.MAX_DIM),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_jacobi_matches_numpy(n, seed):
     rng = np.random.default_rng(seed)
@@ -52,6 +53,85 @@ def test_jacobi_matches_numpy(n, seed):
     ours = symfun.jacobi_eigenvalues(A)
     ref = np.linalg.eigvalsh(A)
     assert np.max(np.abs(ours - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", range(2, symfun.MAX_DIM + 1))
+def test_jacobi_degenerate_spectra(n):
+    rng = np.random.default_rng(400 + n)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    spectrum = np.ones(n)
+    spectrum[-1] = 2.0
+    repeated = symfun.jacobi_eigenvalues(Q @ np.diag(spectrum) @ Q.T)
+    assert np.max(np.abs(repeated - spectrum)) <= 1e-13
+    assert np.array_equal(symfun.jacobi_eigenvalues(np.zeros((n, n))),
+                          np.zeros(n))
+    # an already-diagonal matrix needs no rotation: its diagonal, sorted
+    d = rng.normal(size=n)
+    assert np.array_equal(symfun.jacobi_eigenvalues(np.diag(d)), np.sort(d))
+
+
+def jacobi_by_matrix_products(A):
+    """Oracle: the same cyclic Jacobi method, each rotation applied as the
+    full product rot.T @ B @ rot."""
+    B = np.array(A, dtype=float)
+    n = B.shape[0]
+    scale = max(1.0, float(np.max(np.abs(B))))
+    for _ in range(60):
+        if math.sqrt(float(np.sum(np.tril(B, -1) ** 2))) <= 1e-13 * scale:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = B[p, q]
+                if abs(apq) <= 1e-300:
+                    continue
+                theta = (B[q, q] - B[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+                c = 1.0 / math.hypot(1.0, t)
+                rot = np.eye(n)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = t * c
+                rot[q, p] = -t * c
+                B = rot.T @ B @ rot
+    return np.sort(np.diag(B), kind="stable")
+
+
+def test_jacobi_matches_matrix_product_rotations():
+    # updating rows and columns p, q alone must give the eigenvalues the
+    # full products give, up to summation order
+    rng = np.random.default_rng(41)
+    for i in range(350):
+        n = 2 + i % (symfun.MAX_DIM - 1)
+        A = random_symmetric(rng, n) * 10.0 ** rng.uniform(-3, 3)
+        if i % 5 == 0:    # a repeated eigenvalue
+            Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            A = Q @ np.diag(np.r_[np.ones(n - 1), 2.0]) @ Q.T
+        got, want = symfun.jacobi_eigenvalues(A), jacobi_by_matrix_products(A)
+        scale = max(1.0, float(np.max(np.abs(A))))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, (n, A)
+
+
+@pytest.mark.parametrize("A", [
+    [[1.0, math.inf], [math.inf, 2.0]],
+    [[1.0, math.nan], [math.nan, 2.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    [1.0, 2.0],
+], ids=["inf", "nan", "non-square", "vector"])
+def test_jacobi_refuses_non_finite_or_non_square_input(A):
+    with pytest.raises(ValueError):
+        symfun.jacobi_eigenvalues(A)
+
+
+@pytest.mark.parametrize("A", [
+    [[1.0, math.inf], [math.inf, 2.0]],
+    [[1.0, math.nan], [math.nan, 2.0]],
+    # finite, but A + A.T overflows
+    [[1.0, 1e308], [1e308, 2.0]],
+], ids=["inf", "nan", "overflow"])
+def test_symmetrized_refuses_non_finite_matrices(A):
+    with pytest.raises(ValueError):
+        symfun.trace_and_norm_identities(np.array(A))
+    with pytest.raises(ValueError):
+        symfun.p1_ellipticity_check(np.array(A))
 
 
 def test_orthogonal_invariance():
@@ -83,6 +163,16 @@ def test_trace_identities(n):
     for _ in range(10):
         report = symfun.trace_and_norm_identities(random_symmetric(rng, n))
         assert report["passed"], report
+
+
+def test_trace_identities_fail_on_an_overflowed_scale():
+    # |A|^2 and S_2 overflow: a NaN residual and an infinite scale must not
+    # read as a pass
+    A = np.array([[0.0, 1e155], [1e155, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = symfun.trace_and_norm_identities(A)
+    assert report["scale"] == math.inf
+    assert not report["passed"]
 
 
 def test_newton_recursion_terminates():
