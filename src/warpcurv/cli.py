@@ -437,7 +437,7 @@ def _frak_phi(run, op, stem):
 
 def _laplacian_cross_check(run, op, stem):
     geom = run.geom
-    lk0 = operators.lk_apply(run.imm, 0, geom.sigma, run.cfg, geom=geom)
+    lk0 = operators.lk_apply(geom, 0, geom.sigma)
     lb = operators.laplace_beltrami(geom, geom.sigma)
     return {"residuals": {"trace-vs-divergence":
                           float(np.max(np.abs(lk0 - lb)[geom.interior]))}}
@@ -454,8 +454,7 @@ def _gamma_probe(run, op, stem):
     origin = op.get("origin")
     if origin is None:
         origin = [float(ax[0]) for ax in run.imm.axes()]
-    out = extrinsic_gamma_probe(run.imm, tuple(float(v) for v in origin),
-                                run.cfg, geom=run.geom)
+    out = extrinsic_gamma_probe(run.geom, tuple(float(v) for v in origin))
     return {"gradient_bound_holds": out["gradient_bound_holds"],
             "residuals": {"hessian": out["hessian_max"]},
             "min_margin": out["min_margin"],
@@ -463,36 +462,36 @@ def _gamma_probe(run, op, stem):
 
 
 def _sectional_bound(run, op, stem):
-    out = sectional_bound_report(run.imm, run.cfg, geom=run.geom)
+    out = sectional_bound_report(run.geom)
     return {"sectional_min": out["sectional_min"],
             "ambient_min": out["ambient_min"],
             "status": _holds(out["chain_holds"] and out["fiber_bound_holds"])}
 
 
-def _frak_phi_grid(imm, geom, k):
-    out = operators.frak_phi(imm, k, geom=geom)
+def _frak_phi_grid(geom, k):
+    out = operators.frak_phi(geom.imm, k, geom=geom)
     if not out.get("applicable"):
         raise operators.NotApplicableError(
             "curvature not positive on the refined grid", out["location"])
     return out["residual"].grid
 
 
-# identity -> (residual grid of (immersion, geometry, k), check of k)
+# identity -> (residual grid of (geometry, k), check of k)
 _CONVERGENCE = {
-    "height-hessian": (lambda imm, geom, k: structure_identities(geom)
+    "height-hessian": (lambda geom, k: structure_identities(geom)
                        ["height-hessian"]["grid"], None),
-    "sigma-hessian": (lambda imm, geom, k: structure_identities(geom)
+    "sigma-hessian": (lambda geom, k: structure_identities(geom)
                       ["sigma-hessian"]["grid"], None),
-    "height": (lambda imm, geom, k: operators.height_sigma_identities(
-        imm, k, geom=geom)["height"].grid, _TENSOR_K),
-    "sigma": (lambda imm, geom, k: operators.height_sigma_identities(
-        imm, k, geom=geom)["sigma"].grid, _TENSOR_K),
-    "div-newton": (lambda imm, geom, k: operators.div_pk(
-        imm, k, geom=geom)["residual_ab"].grid, _DIVERGENCE_K),
-    "theta-hat": (lambda imm, geom, k: operators.theta_hat_identity(
-        imm, k, geom=geom)["operator"].grid, _TENSOR_K),
-    "calligraphic": (lambda imm, geom, k: operators.calligraphic_ops(
-        imm, k, geom=geom)["sigma_identity"].grid, _CALLIGRAPHIC_K),
+    "height": (lambda geom, k: operators.height_sigma_identities(
+        geom.imm, k, geom=geom)["height"].grid, _TENSOR_K),
+    "sigma": (lambda geom, k: operators.height_sigma_identities(
+        geom.imm, k, geom=geom)["sigma"].grid, _TENSOR_K),
+    "div-newton": (lambda geom, k: operators.div_pk(
+        geom.imm, k, geom=geom)["residual_ab"].grid, _DIVERGENCE_K),
+    "theta-hat": (lambda geom, k: operators.theta_hat_identity(
+        geom.imm, k, geom=geom)["operator"].grid, _TENSOR_K),
+    "calligraphic": (lambda geom, k: operators.calligraphic_ops(
+        geom.imm, k, geom=geom)["sigma_identity"].grid, _CALLIGRAPHIC_K),
     "frak-phi": (_frak_phi_grid, _CURVATURE_K),
 }
 
@@ -511,7 +510,7 @@ def _convergence(run, op, stem):
     residual = _CONVERGENCE[identity][0]
     study = operators.convergence_study(
         run.imm, run.cfg,
-        lambda imm, geom: {identity: residual(imm, geom, k)})[identity]
+        lambda geom: {identity: residual(geom, k)})[identity]
     write_table(stem + ".tsv", ["spacing", "max_residual"],
                 list(zip(study["spacings"], study["maxima"])))
     fields = dict(study, identity=identity)
@@ -615,7 +614,8 @@ def _parabolicity_inputs(op):
 
 def _parabolicity(run, op, stem):
     model, H, k, t_max = _parabolicity_inputs(op)
-    rep = scenarios.parabolicity_integral(model, H, k, t_max=t_max)
+    with _config_inputs():   # its ValueErrors all reject the op's inputs
+        rep = scenarios.parabolicity_integral(model, H, k, t_max=t_max)
     write_table(stem + ".tsv", ["t", "integrand"],
                 list(zip(rep["ts"], rep["integrand"])))
     return {"report": {key: val for key, val in rep.items()
@@ -854,7 +854,8 @@ def main(argv=None) -> int:
             args.tol = _float(config.get("tolerance", 1e-8)
                               if args.tol is None else args.tol, "tolerance")
         return runner(config, args, out_dir)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
+        # a grid too large for memory is a bad input, not a falsification
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -522,8 +522,7 @@ def structure_identities(geom: GeometryGrid) -> dict:
 # extrinsic distance probe
 # ---------------------------------------------------------------------------
 
-def extrinsic_gamma_probe(imm: GraphImmersion, origin, cfg: DiscretizationConfig = None,
-                          geom: GeometryGrid = None) -> dict:
+def extrinsic_gamma_probe(geom: GeometryGrid, origin) -> dict:
     """Squared fiber distance pulled back to the graph, with its bounds.
 
     Checks pointwise that |grad gamma| <= 2 sqrt(gamma)/rho(h), and the
@@ -535,10 +534,7 @@ def extrinsic_gamma_probe(imm: GraphImmersion, origin, cfg: DiscretizationConfig
     as a residual that converges at the stencil order (the left side
     covariantly differenced with the induced-metric symbols).
     """
-    if geom is None:
-        geom = evaluate_geometry(imm, cfg)
-    cfg = geom.cfg
-    fiber = imm.W.fiber
+    fiber = geom.imm.W.fiber
     gamma, dgamma, hessP, window = fiber.gamma_hat_data(geom.x, origin)
     mask = geom.interior & window
 
@@ -578,8 +574,7 @@ def extrinsic_gamma_probe(imm: GraphImmersion, origin, cfg: DiscretizationConfig
 # sectional curvature audit
 # ---------------------------------------------------------------------------
 
-def sectional_bound_report(imm: GraphImmersion, cfg: DiscretizationConfig = None,
-                           geom: GeometryGrid = None) -> dict:
+def sectional_bound_report(geom: GeometryGrid) -> dict:
     """Gauss-equation sectional curvatures over orthonormal frame pairs.
 
     For each frame pair (E_i, E_j):
@@ -592,10 +587,8 @@ def sectional_bound_report(imm: GraphImmersion, cfg: DiscretizationConfig = None
     (kappa/rho^2) wedge >= -|kappa|/rho^2 pointwise, and returns the
     realized global lower bounds.
     """
-    if geom is None:
-        geom = evaluate_geometry(imm, cfg)
     n = geom.n
-    kappa = imm.W.fiber.kappa
+    kappa = geom.imm.W.fiber.kappa
     mask = geom.interior
     tol = 1e-10
     a2 = geom.a ** 2

@@ -69,10 +69,8 @@ def _frame_quadratic(P: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 # the basic operators
 # ---------------------------------------------------------------------------
 
-def lk_apply(imm: GraphImmersion, k: int, f: np.ndarray,
-             cfg: DiscretizationConfig = None, geom: GeometryGrid = None) -> np.ndarray:
+def lk_apply(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
     """L_k f = Tr(P_k Hess f), covariant Hessian by differencing."""
-    geom = _require_geom(imm, cfg, geom)
     _check_k(geom, k)
     Hf = geom.form_to_frame(geom.hess_covariant(np.asarray(f, dtype=float)))
     return _trace_with(geom.newton[..., k, :, :], Hf)
@@ -87,10 +85,8 @@ def laplace_beltrami(geom: GeometryGrid, f: np.ndarray) -> np.ndarray:
     return geom.divergence(geom.grad_chart(np.asarray(f, dtype=float)))
 
 
-def frak_apply(imm: GraphImmersion, k: int, f: np.ndarray,
-               cfg: DiscretizationConfig = None, geom: GeometryGrid = None) -> np.ndarray:
+def frak_apply(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
     """Divergence-form operator div(P_k grad f), differenced."""
-    geom = _require_geom(imm, cfg, geom)
     _check_k(geom, k)
     P_chart = chart_mixed_newton(geom, k)
     Y = np.einsum("...ij,...j->...i", P_chart, geom.grad_chart(np.asarray(f, dtype=float)))
@@ -103,21 +99,18 @@ def chart_mixed_newton(geom: GeometryGrid, k: int) -> np.ndarray:
                      geom.L_inv, geom.newton[..., k, :, :], geom.L)
 
 
-def normalized_lhat(imm: GraphImmersion, k: int, f: np.ndarray,
-                    cfg: DiscretizationConfig = None,
-                    geom: GeometryGrid = None) -> np.ndarray:
+def normalized_lhat(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
     """Lhat_k f = L_k f / H_k, defined only where H_k > 0.
 
     Verifies Tr(P_k/H_k) = c_k pointwise before returning.
     """
-    geom = _require_geom(imm, cfg, geom)
     _check_k(geom, k)
     Hk = geom.H[..., k]
     if np.min(Hk) <= 0.0:
         loc = np.unravel_index(int(np.argmin(Hk)), Hk.shape)
         raise NotApplicableError(
             f"H_{k} is not positive on the grid (min at {loc})", location=loc)
-    base = lk_apply(imm, k, f, cfg=cfg, geom=geom)
+    base = lk_apply(geom, k, f)
     trace = np.einsum("...ii->...", geom.newton[..., k, :, :]) / Hk
     ck = geom.c[k]
     resid = float(np.max(np.abs(trace - ck))) / max(1.0, abs(ck))
@@ -153,8 +146,8 @@ def height_sigma_identities(imm: GraphImmersion, k: int,
     rhs_s = ck * geom.rho * (geom.hcal * geom.H[..., k]
                              + geom.theta * geom.H_safe(k + 1))
 
-    lhs_h_fd = lk_apply(imm, k, geom.u, geom=geom)
-    lhs_s_fd = lk_apply(imm, k, geom.sigma, geom=geom)
+    lhs_h_fd = lk_apply(geom, k, geom.u)
+    lhs_s_fd = lk_apply(geom, k, geom.sigma)
     lhs_h_alg = _trace_with(P, geom.height_hessian_frame())
     lhs_s_alg = _trace_with(P, geom.sigma_hessian_frame())
 
@@ -227,7 +220,7 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
                 - np.einsum("...kmj,...mk->...j", geom.christoffel, P_chart))
     del P_chart, dP   # route (c) allocates next; keep the peak down
 
-    kappa = imm.W.fiber.kappa
+    kappa = geom.imm.W.fiber.kappa
     coef = geom.theta * (kappa / geom.rho ** 2 + geom.dhcal)
     Pkm1 = geom.newton[..., k - 1, :, :]
 
@@ -281,16 +274,14 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     }
 
 
-def curvature_trace_identity(imm: GraphImmersion, j: int, w: np.ndarray,
-                             cfg: DiscretizationConfig = None,
-                             geom: GeometryGrid = None) -> IdentityResidual:
+def curvature_trace_identity(geom: GeometryGrid, j: int,
+                             w: np.ndarray) -> IdentityResidual:
     """Residual of sum_i <R(E_i, Y)N, P_j E_i>
     = Theta (kappa/rho^2 + hcal') (<P_j grad h, Y> - c_j H_j <grad h, Y>),
     with Y given in frame components (pure algebra; rounding level)."""
-    geom = _require_geom(imm, cfg, geom)
     _check_k(geom, j)
     n = geom.n
-    kappa = imm.W.fiber.kappa
+    kappa = geom.imm.W.fiber.kappa
     Y_amb = _frame_to_ambient(geom, w)
     Pj = geom.newton[..., j, :, :]
     eye = np.eye(n)
@@ -413,7 +404,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
     _check_k(geom, k)
     mask = geom.interior
     n = geom.n
-    kappa = imm.W.fiber.kappa
+    kappa = geom.imm.W.fiber.kappa
     theta_hat = geom.rho * geom.theta
 
     grad_fd = geom.grad_frame(theta_hat)
@@ -449,7 +440,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
     rhs_general = common - theta_hat * geom.dhcal * curvature_quad \
         - theta_hat / geom.rho ** 2 * beta
 
-    lhs_fd = lk_apply(imm, k, theta_hat, geom=geom)
+    lhs_fd = lk_apply(geom, k, theta_hat)
     ogrid = lhs_fd - rhs_const
     bgrid = beta - beta_algebraic
     agrid = rhs_general - rhs_const
@@ -492,7 +483,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     _check_k(geom, k, lo=1, hi=geom.n)   # curvature order, not tensor index
     n = geom.n
     mask = geom.interior
-    kappa = imm.W.fiber.kappa
+    kappa = geom.imm.W.fiber.kappa
     Hk = geom.H[..., k]
     if float(np.min(Hk)) <= 0.0:
         loc = np.unravel_index(int(np.argmin(Hk)), Hk.shape)
@@ -503,7 +494,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     theta_hat = geom.rho * geom.theta
     phi = psi * geom.sigma + theta_hat
 
-    lhs = frak_apply(imm, k - 1, phi, geom=geom)
+    lhs = frak_apply(geom, k - 1, phi)
 
     cm = geom.c[k - 1]
     bin_k = math.comb(n, k)
@@ -524,7 +515,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     grad_psi = geom.grad_frame(psi)
     grad_Hk = geom.grad_frame(Hk)
     pair_Hk = np.einsum("...i,...i->...", geom.a, grad_Hk)
-    lk_psi = lk_apply(imm, k - 1, psi, geom=geom)
+    lk_psi = lk_apply(geom, k - 1, psi)
     div_pairing = -(n - k + 1) * geom.theta * curv * (
         np.einsum("...i,...ij,...j->...",
                   geom.a, geom.newton[..., k - 2, :, :], grad_psi)
@@ -538,7 +529,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     rhs = T1 + T2 + T3 + T4 + variable_correction
     grid = lhs - rhs
 
-    alpha = float(profile_summary(imm.W)["alpha"])
+    alpha = float(profile_summary(geom.imm.W)["alpha"])
     garding_margin = float(np.min((geom.H[..., k - 1] - psi ** (k - 1))[mask]))
     newton_min = float(np.min(
         np.linalg.eigvalsh(geom.newton[..., :k, :, :])[mask]))
@@ -573,9 +564,9 @@ def convergence_study(imm: GraphImmersion, cfg: DiscretizationConfig,
                       residual_fn) -> dict:
     """Named residual maxima under dyadic refinement.
 
-    ``residual_fn(immersion, geometry)`` returns a dict of named residual
-    grids; each level's geometry is built once and handed to it.  Every
-    grid is audited on the fixed physical window of the coarsest grid over
+    ``residual_fn(geometry)`` returns a dict of named residual grids; each
+    level's geometry is built once and handed to it.  Every grid is
+    audited on the fixed physical window of the coarsest grid over
     ``cfg.refine_levels`` levels.  Returns one study per name: spacings,
     maxima, and the log-log slope (None when every level sits at rounding
     level).
@@ -588,7 +579,7 @@ def convergence_study(imm: GraphImmersion, cfg: DiscretizationConfig,
             current = current.refined()
         geom = evaluate_geometry(current, cfg)
         window = audit_window(current, trim) & geom.interior
-        for name, grid in residual_fn(current, geom).items():
+        for name, grid in residual_fn(geom).items():
             resid = np.abs(np.asarray(grid))
             while resid.ndim > window.ndim:
                 resid = np.max(resid, axis=-1)

@@ -11,7 +11,7 @@ case that simply wandered outside the theorem's assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,24 +114,28 @@ def find_elliptic_point(geom: GeometryGrid,
     }
 
 
-def _positive_mean_curvature_geometry(imm: GraphImmersion,
-                                      cfg: DiscretizationConfig):
-    """Re-evaluate with the normal flipped if that makes H_1 > 0.
+def _audited_geometry(imm: GraphImmersion, W: WarpedProduct,
+                      cfg: DiscretizationConfig, positive_mean: bool):
+    """The geometry a runner audits, and whether its normal was flipped.
 
-    The rigidity statements normalize the orientation so the mean
-    curvature is positive; auditing in that gauge makes the verdict
-    independent of which normal the caller handed in.
+    Refuses an immersion built over another warped product than ``W`` and
+    a grid whose audit margin covers every node; ``cfg=None`` means the
+    default discretization.  With ``positive_mean`` the geometry is
+    re-evaluated with the normal flipped if that makes H_1 > 0: the
+    rigidity statements normalize the orientation that way, and auditing
+    in that gauge makes the verdict independent of which normal the
+    caller handed in.
     """
+    if W is not imm.W:
+        raise ValueError("ambient mismatch: the immersion was built over a "
+                         "different warped product")
+    cfg = cfg or DiscretizationConfig()
+    require_audited_node(imm, cfg)
     geom = evaluate_geometry(imm, cfg)
-    h1 = _interior(geom, geom.H[..., 1])
-    flipped = False
-    if float(np.max(h1)) < 0.0:
-        imm = GraphImmersion(W=imm.W, u=imm.u, box=imm.box,
-                             periodic=imm.periodic,
-                             orientation=-imm.orientation, fn=imm.fn)
-        geom = evaluate_geometry(imm, cfg)
-        flipped = True
-    return imm, geom, flipped
+    if positive_mean and float(np.max(_interior(geom, geom.H[..., 1]))) < 0.0:
+        flipped = replace(imm, orientation=-imm.orientation)
+        return evaluate_geometry(flipped, cfg), True
+    return geom, False
 
 
 def _theta_branch(theta_vals: np.ndarray, tol: float) -> tuple:
@@ -163,12 +167,7 @@ def curvature_estimate_scenario(imm: GraphImmersion, W: WarpedProduct,
     in every case the bound asserted is inf over the hypersurface of the
     warping speed evaluated at the height function.
     """
-    if W is not imm.W:
-        raise ValueError("ambient mismatch: the immersion was built over a "
-                         "different warped product")
-    cfg = cfg or DiscretizationConfig()
-    require_audited_node(imm, cfg)
-    geom = evaluate_geometry(imm, cfg)
+    geom, _ = _audited_geometry(imm, W, cfg, positive_mean=False)
     n = geom.n
     if not 1 <= order <= n:
         raise ValueError(f"curvature order {order} outside [1, {n}]")
@@ -251,9 +250,7 @@ def elliptic_point_and_signs(imm: GraphImmersion,
     force the warping speed along the graph to share the sign opposite
     the angle function.
     """
-    cfg = cfg or DiscretizationConfig()
-    require_audited_node(imm, cfg)
-    imm, geom, flipped = _positive_mean_curvature_geometry(imm, cfg)
+    geom, flipped = _audited_geometry(imm, imm.W, cfg, positive_mean=True)
     report = ScenarioReport(scenario_id="elliptic-point-and-signs")
 
     elliptic = find_elliptic_point(geom)
@@ -374,15 +371,11 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
     if theorem_id not in _AUDITS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; expected one "
                          f"of {', '.join(THEOREM_IDS)}")
-    if W is not imm.W:
-        raise ValueError("ambient mismatch: the immersion was built over a "
-                         "different warped product")
     spec = _AUDITS[theorem_id]
-    cfg = cfg or DiscretizationConfig()
-    require_audited_node(imm, cfg)
     constancy_rtol = slice_rtol = 1e-6
     input_orientation = imm.orientation
-    imm, geom, flipped = _positive_mean_curvature_geometry(imm, cfg)
+    geom, flipped = _audited_geometry(imm, W, cfg, positive_mean=True)
+    imm, cfg = geom.imm, geom.cfg
     n = geom.n
     k = audit_order(theorem_id, n, k)
 
@@ -503,7 +496,7 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
     realized = {"sup_abs_mean_curvature": sup_h1,
                 "sup_shape_norm_sq": norm_a_sq}
     if spec["kind"] in ("complete", "parabolic"):
-        sect = sectional_bound_report(imm, cfg, geom=geom)
+        sect = sectional_bound_report(geom)
         realized["sectional_lower_bound"] = sect["sectional_min"]
         realized["ambient_sectional_min"] = sect["ambient_min"]
         notes.append("curvature bounds realized on the grid stand in for "
@@ -620,6 +613,8 @@ def parabolicity_integral(model: RadialModel, H_profile, k: int,
     is the criterion for the divergence-form operator of order k-1 to be
     parabolic.  ``H_profile`` is the sup of the order-(k-1) curvature
     over the geodesic sphere, supplied as a callable or a constant.
+    Raises ValueError when the first increment is not positive and
+    finite, since no trend can be read from it.
     """
     from scipy.integrate import quad
 
@@ -646,10 +641,17 @@ def parabolicity_integral(model: RadialModel, H_profile, k: int,
     def integrand(t):
         return 1.0 / (profile(t) * omega * model.f(t) ** (m - 1))
 
-    values = integrand(ts)
-    inc1, _ = quad(integrand, T / 4.0, T / 2.0, limit=200)
-    inc2, _ = quad(integrand, T / 2.0, T, limit=200)
-    divergent = inc2 >= 0.5 * inc1 - 1e-15
+    # an overflowed sphere area gives the integrand its limit, 0
+    with np.errstate(over="ignore"):
+        values = integrand(ts)
+        inc1, _ = quad(integrand, T / 4.0, T / 2.0, limit=200)
+        inc2, _ = quad(integrand, T / 2.0, T, limit=200)
+    if not (math.isfinite(inc1) and inc1 > 0.0):
+        raise ValueError(
+            f"parabolicity: the increment over [{T / 4.0:.4g}, {T / 2.0:.4g}] "
+            f"is {inc1:.3e}; the trend needs a positive finite one")
+    # the slack is relative, so scaling the profile cannot move the verdict
+    divergent = inc2 >= (0.5 - 1e-12) * inc1
 
     return {
         "model": model.name,
@@ -661,7 +663,7 @@ def parabolicity_integral(model: RadialModel, H_profile, k: int,
         "integrand": [float(v) for v in values],
         "increment_first": float(inc1),
         "increment_second": float(inc2),
-        "increment_ratio": float(inc2 / inc1) if inc1 > 0 else math.inf,
+        "increment_ratio": float(inc2 / inc1),
         "divergent_trend": bool(divergent),
         "parabolic_criterion": bool(divergent),
     }

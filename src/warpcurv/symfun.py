@@ -191,7 +191,11 @@ def trace_and_norm_identities(A: np.ndarray) -> dict:
     trace_p = [abs(np.trace(fam.P[k]) - (n - k) * S[k]) for k in range(n)]
     trace_ap = [abs(np.trace(fam.A @ fam.P[k]) - (k + 1) * S[k + 1]) for k in range(n)]
     norm_sq = float(np.trace(fam.A @ fam.A))
-    norm_res = abs(norm_sq - (n * n * H[1] ** 2 - n * (n - 1) * H[2]))
+    try:
+        h1_sq = H[1] ** 2
+    except OverflowError:   # a Python float power raises where numpy gives inf
+        h1_sq = math.inf
+    norm_res = abs(norm_sq - (n * n * h1_sq - n * (n - 1) * H[2]))
     scale = 1.0 + max(abs(s) for s in S) * n + norm_sq
     max_res = float(np.max(trace_p + trace_ap + [norm_res]))
     return {

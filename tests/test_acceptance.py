@@ -123,8 +123,7 @@ def test_c2_slice_exactness_per_profile():
                 # collapses to the divergence-form operator annihilating
                 # the constant rho * Theta
                 assert abs(hcal) <= 1e-12
-                field = operators.frak_apply(imm, 1, geom.rho * geom.theta,
-                                             geom=geom)
+                field = operators.frak_apply(geom, 1, geom.rho * geom.theta)
                 residuals.append(np.max(np.abs(field[geom.interior])))
         peak = float(max(residuals))
         assert peak <= tol, (name, peak)
@@ -146,9 +145,10 @@ CONVERGENCE_GRAPHS = (
 )
 
 
-def _identity_residual_grids(imm, geom, k=1):
+def _identity_residual_grids(geom, k=1):
     from warpcurv.hypersurface import structure_identities
 
+    imm = geom.imm
     out = {"height-hessian": structure_identities(geom)["height-hessian"]["grid"]}
     hs = operators.height_sigma_identities(imm, k, geom=geom)
     out["height"] = hs["height"].grid

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -457,7 +458,7 @@ def test_cli_k_ranges_match_the_operators(n, res):
             refused = True
         try:
             if op["op"] == "convergence":
-                cli._CONVERGENCE[op["identity"]][0](imm, run.geom, k)
+                cli._CONVERGENCE[op["identity"]][0](run.geom, k)
             else:
                 cli.VERIFY_OPS[op["op"]][0](run, op, None)
             raised = False
@@ -759,16 +760,55 @@ def test_probe_ode_failure_names_the_probe_and_radius(tmp_path):
                           "T = R^2 = 900 (model radius 30) failed: "), err
 
 
-def _assert_one_line_refusal(tmp_path, sub, config):
+def test_parabolicity_past_the_sinh_overflow(tmp_path):
+    # T = 2R = 800 runs sinh past its overflow near t = 710, where the
+    # integrand takes its limit 0 without a warning
+    cfg = _write_config(tmp_path / "cfg.json", {"operations": [
+        {"op": "parabolicity", "model": "hyperbolic", "R": 400, "k": 2}]})
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "warpcurv.cli", "scenario",
+         "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    report = _read_json(out, "scenario-00-parabolicity.json")["report"]
+    assert not report["parabolic_criterion"]
+    # with t_max = 3000 the first increment is 0 too: no trend to read
+    (tmp_path / "zero").mkdir()
+    err = _assert_one_line_refusal(tmp_path / "zero", "scenario", {
+        "operations": [{"op": "parabolicity", "model": "hyperbolic",
+                        "k": 2, "t_max": 3000}]})
+    assert "increment" in err, err
+
+
+def _limit_address_space():
+    # about 2 GB: the interpreter and numpy fit, a 7 TiB grid cannot,
+    # whatever the host's overcommit policy
+    limit = 2 * 1024 ** 3
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_grid_too_large_for_memory_exits_two(tmp_path):
+    # a bad input, not a falsification (exit 1); one line, no traceback
+    _assert_one_line_refusal(tmp_path, "verify", {
+        "ambient": {"profile": "cosh", "chart": "flat-torus", "n": 2},
+        "immersion": {"family": "slice", "t": 0.7, "resolution": 1000000},
+        "operations": [{"op": "structure"}]},
+        preexec_fn=_limit_address_space,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+
+
+def _assert_one_line_refusal(tmp_path, sub, config, **run_args):
     """The refusal is the only line on stderr, with no numpy or scipy
     RuntimeWarning ahead of it (pytest captures warnings in-process, so
-    this needs a fresh interpreter).  Returns stderr."""
+    this needs a fresh interpreter).  ``run_args`` go to the child's
+    ``subprocess.run``.  Returns stderr."""
     cfg = _write_config(tmp_path / "cfg.json", config)
     proc = subprocess.run(
         [sys.executable, "-W", "default", "-m", "warpcurv.cli", sub,
          "--config", cfg, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
+        capture_output=True, text=True, timeout=120, **run_args)
+    assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("config error: "), proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr
     return proc.stderr

@@ -44,6 +44,28 @@ def test_slice_is_umbilical(profile, chart, kappa, t):
     assert np.max(np.abs(geom.a[m])) <= 1e-13
 
 
+@pytest.mark.parametrize("profile,chart,kappa", [
+    ("exp", "flat-torus", 0.0), ("cosh", "flat-torus", 0.0),
+    ("linear", "flat-torus", 0.0), ("sin", "flat-torus", 0.0),
+    ("const", "flat-torus", 0.0), ("linear", "round-sphere", 1.0),
+    ("cosh", "hyperbolic", -1.0)])
+def test_slices_at_random_heights_are_umbilical(profile, chart, kappa):
+    # every slice {t} is umbilical with H_k = hcal(t)^k, whichever t in the
+    # inner 80% of the profile's interval is drawn
+    W = make_product(profile, chart, 2, kappa)
+    p = W.profile
+    rng = np.random.default_rng(2027)
+    for t in p.t_min + (0.1 + 0.8 * rng.uniform(size=4)) * (p.t_max - p.t_min):
+        geom = evaluate_geometry(slice_immersion(W, float(t)))
+        h = float(p.hcal(t))
+        m = geom.interior
+        assert np.all(geom.theta == -1.0), t
+        assert np.max(np.abs(geom.a)) <= 1e-13, t
+        for k in range(3):
+            err = np.max(np.abs(geom.H[m][:, k] - h ** k))
+            assert err <= 1e-12 * max(1.0, abs(h) ** k), (t, k, err)
+
+
 def test_flipped_normal_negates_curvatures():
     W = make_product("cosh", "flat-torus", 2, 0.0)
     geom = evaluate_geometry(slice_immersion(W, 0.7, orientation=-1))
@@ -116,7 +138,7 @@ def test_structure_identities_converge_at_stencil_order():
     imm = random_immersion(W, seed=21, t_center=0.3, amplitude=0.12, res=32)
     keys = ("height-hessian", "sigma-hessian")
 
-    def residuals(im, geom):
+    def residuals(geom):
         out = structure_identities(geom)
         return {key: out[key]["grid"] for key in keys}
 
@@ -136,7 +158,8 @@ def test_structure_identities_converge_at_stencil_order():
 ])
 def test_distance_probe_on_slices(profile, chart, kappa, origin):
     W = make_product(profile, chart, 2, kappa)
-    rep = extrinsic_gamma_probe(slice_immersion(W, 0.5, res=32), origin)
+    rep = extrinsic_gamma_probe(
+        evaluate_geometry(slice_immersion(W, 0.5, res=32)), origin)
     assert rep["gradient_bound_holds"]
     assert rep["min_margin"] >= -1e-10
     # on a slice the Hessian decomposition reduces to the fiber closed form;
@@ -147,7 +170,7 @@ def test_distance_probe_on_slices(profile, chart, kappa, origin):
 def test_distance_probe_on_graph():
     W = make_product("cosh", "flat-torus", 2, 0.0)
     imm = random_immersion(W, seed=3, t_center=0.2, amplitude=0.1, res=32)
-    rep = extrinsic_gamma_probe(imm, (3.0, 3.0))
+    rep = extrinsic_gamma_probe(evaluate_geometry(imm), (3.0, 3.0))
     assert rep["gradient_bound_holds"]
     assert rep["hessian_max"] <= 5e-3
 
@@ -162,7 +185,7 @@ def test_empty_audit_region_fails_instead_of_reading_zero():
     residuals = structure_identities(geom)
     assert residuals and all(math.isnan(val["max"])
                              for val in residuals.values())
-    rep = extrinsic_gamma_probe(imm, (1.5, 3.0), geom=geom)
+    rep = extrinsic_gamma_probe(geom, (1.5, 3.0))
     assert not rep["gradient_bound_holds"]
     assert math.isnan(rep["min_margin"]) and math.isnan(rep["hessian_max"])
 
@@ -170,7 +193,7 @@ def test_empty_audit_region_fails_instead_of_reading_zero():
 def test_sectional_report_on_exponential_slice():
     # slice of the exp product over a flat fiber is intrinsically flat
     W = make_product("exp", "flat-torus", 2, 0.0)
-    rep = sectional_bound_report(slice_immersion(W, 0.4))
+    rep = sectional_bound_report(evaluate_geometry(slice_immersion(W, 0.4)))
     assert abs(rep["sectional_min"]) <= 1e-12
     assert abs(rep["ambient_min"] + 1.0) <= 1e-12
     assert rep["chain_holds"] and rep["fiber_bound_holds"]
@@ -179,7 +202,7 @@ def test_sectional_report_on_exponential_slice():
 def test_sphere_slice_sectional_value():
     # slice {t} of linear x round-sphere: a round sphere of radius t
     W = make_product("linear", "round-sphere", 2, 1.0)
-    rep = sectional_bound_report(slice_immersion(W, 2.0))
+    rep = sectional_bound_report(evaluate_geometry(slice_immersion(W, 2.0)))
     assert abs(rep["sectional_min"] - 1.0 / 4.0) <= 1e-12
 
 

@@ -92,7 +92,7 @@ def test_algebraic_routes_on_random_graphs(seed):
     rng = np.random.default_rng(seed)
     w = np.broadcast_to(rng.normal(size=2), geom.a.shape)
     for j in range(2):
-        assert curvature_trace_identity(imm, j, w, geom=geom).max <= 1e-10
+        assert curvature_trace_identity(geom, j, w).max <= 1e-10
 
 
 def test_div_pk_maxima_survive_a_whole_cell_roll():
@@ -116,7 +116,7 @@ def test_curvature_trace_identity_curved_fiber():
     geom = evaluate_geometry(imm)
     w = np.broadcast_to(np.array([0.3, -1.1]), geom.a.shape)
     for j in range(2):
-        assert curvature_trace_identity(imm, j, w, geom=geom).max <= 1e-10
+        assert curvature_trace_identity(geom, j, w).max <= 1e-10
 
 
 def test_operator_flip_parity():
@@ -130,8 +130,8 @@ def test_operator_flip_parity():
     minus = evaluate_geometry(minus_imm)
     f = np.sin(plus.x[..., 0]) + np.cos(plus.x[..., 1])
     for k in range(2):
-        a = lk_apply(plus.imm, k, f, geom=plus)
-        b = lk_apply(minus_imm, k, f, geom=minus)
+        a = lk_apply(plus, k, f)
+        b = lk_apply(minus, k, f)
         m = plus.interior
         scale = max(1.0, float(np.max(np.abs(a[m]))))
         assert np.max(np.abs(b[m] - (-1.0) ** k * a[m])) <= 1e-10 * scale
@@ -144,11 +144,11 @@ def test_normalized_operator_requires_positive_curvature():
     geom = evaluate_geometry(imm)
     f = geom.u
     with pytest.raises(NotApplicableError, match="not positive"):
-        normalized_lhat(imm, 1, f, geom=geom)
+        normalized_lhat(geom, 1, f)
     # away from the neck the same construction is fine
     good = random_immersion(W, seed=5, t_center=0.8, amplitude=0.1)
     ggeom = evaluate_geometry(good)
-    field = normalized_lhat(good, 1, ggeom.u, geom=ggeom)
+    field = normalized_lhat(ggeom, 1, ggeom.u)
     assert field.shape == ggeom.u.shape
     assert np.all(np.isfinite(field))
 
@@ -175,7 +175,7 @@ def test_frak_matches_laplacian_at_order_zero():
     imm = random_immersion(W, seed=4, t_center=0.5, amplitude=0.12)
     geom = evaluate_geometry(imm)
     f = np.sin(geom.x[..., 0])
-    a = frak_apply(imm, 0, f, geom=geom)
+    a = frak_apply(geom, 0, f)
     b = laplace_beltrami(geom, f)
     assert np.max(np.abs(a - b)) <= 1e-12
 
@@ -187,9 +187,9 @@ def test_trace_vs_divergence_routes_converge():
     cfg = DiscretizationConfig(order=2)
     imm = random_immersion(W, seed=13, t_center=0.4, amplitude=0.12, res=32)
 
-    def residual(im, geom):
+    def residual(geom):
         f = np.sin(geom.x[..., 0]) + 0.5 * np.cos(geom.x[..., 1])
-        return {"trace-vs-divergence": lk_apply(im, 0, f, geom=geom)
+        return {"trace-vs-divergence": lk_apply(geom, 0, f)
                 - laplace_beltrami(geom, f)}
 
     study = convergence_study(imm, cfg, residual)["trace-vs-divergence"]
@@ -237,7 +237,7 @@ def test_operator_index_bounds():
     geom = evaluate_geometry(imm)
     f = geom.u
     with pytest.raises(ValueError):
-        lk_apply(imm, 2, f, geom=geom)      # operator index is at most n-1
+        lk_apply(geom, 2, f)      # operator index is at most n-1
     with pytest.raises(ValueError):
         div_pk(imm, 0, geom=geom)           # divergence route starts at 1
     with pytest.raises(ValueError):

@@ -171,6 +171,35 @@ def test_flipped_orientation_keeps_every_verdict(chart, n, kappa, res):
         assert verdicts[0] == verdicts[1], (seed, audits)
 
 
+def test_swapping_two_torus_axes_keeps_the_geometry_and_every_check():
+    # the same graph with chart axes 0 and 1 swapped: the principal
+    # curvatures, H and Theta are the swapped originals, and every check of
+    # every audit decides alike.  Per-vector residuals are not compared:
+    # they live in the Cholesky frame, which depends on the axis order.
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    imm = random_immersion(W, seed=11, t_center=0.7, amplitude=0.1, res=16)
+    box = (imm.box[1], imm.box[0], imm.box[2])
+    swapped = GraphImmersion.from_function(
+        W, lambda mesh: imm.fn(mesh[..., [1, 0, 2]]), 16, box=box)
+    assert np.array_equal(swapped.u, np.swapaxes(imm.u, 0, 1))
+    geom, geom_swapped = evaluate_geometry(imm), evaluate_geometry(swapped)
+    for name in ("kappas", "H", "theta"):
+        want = np.swapaxes(getattr(geom, name), 0, 1)
+        assert np.max(np.abs(getattr(geom_swapped, name) - want)) <= 1e-12, \
+            name
+
+    audits = [(tid, k) for tid in THEOREM_IDS for k in range(2, 4)
+              if not (tid.endswith("h2") and k != 2)
+              and not (tid in THREE_DIM_IDS and k < 3)]
+    for tid, k in audits:
+        a, b = (theorem_audit(im, W, tid, k=k) for im in (imm, swapped))
+        assert a.verdict == b.verdict, (tid, k)
+        assert [(c.name, c.passed) for c in
+                a.hypothesis_checks + a.conclusion_checks] == \
+            [(c.name, c.passed) for c in
+             b.hypothesis_checks + b.conclusion_checks], (tid, k)
+
+
 def test_perturbed_slice_violates_hypotheses_not_conclusions():
     W = make_product("cosh", "flat-torus", 2, 0.0)
     for seed in range(4):
@@ -357,8 +386,32 @@ def test_parabolicity_with_decaying_curvature_profile():
     assert rep["parabolic_criterion"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name,params,parabolic", [
+    ("flat", {"m": 2}, True),
+    ("flat", {"m": 3}, True),    # increment ratio 1/2, on the boundary
+    ("hyperbolic", {"R": 3.0}, False),
+    ("hyperbolic", {"R": 100.0}, False),
+    # T = 2R = 800 runs sinh past its overflow near t = 710
+    ("hyperbolic", {"R": 400.0}, False),
+])
+def test_parabolicity_verdict_does_not_move_with_the_scale_of_h(
+        name, params, parabolic):
+    # 1/H scales both increments alike, so only their trend can decide
+    model = builtin_model(name, **params)
+    for H in (1e-20, 1.0, 1e20):
+        rep = parabolicity_integral(model, H, k=2)
+        assert rep["parabolic_criterion"] is parabolic, \
+            (H, rep["increment_ratio"])
+
+
 def test_parabolicity_validation():
     with pytest.raises(ValueError, match="at least 1"):
         parabolicity_integral(builtin_model("flat"), 1.0, k=0)
     with pytest.raises(ValueError, match="positive"):
         parabolicity_integral(builtin_model("flat"), -1.0, k=1)
+    # sinh overflows all along [T/4, T/2]: the first increment is 0, and
+    # no trend can be read from it
+    with pytest.raises(ValueError, match="increment"):
+        parabolicity_integral(builtin_model("hyperbolic"), 1.0, k=2,
+                              t_max=3000.0)

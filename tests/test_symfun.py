@@ -167,12 +167,13 @@ def test_trace_identities(n):
 
 def test_trace_identities_fail_on_an_overflowed_scale():
     # |A|^2 and S_2 overflow: a NaN residual and an infinite scale must not
-    # read as a pass
-    A = np.array([[0.0, 1e155], [1e155, 0.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = symfun.trace_and_norm_identities(A)
-    assert report["scale"] == math.inf
-    assert not report["passed"]
+    # read as a pass.  In the second matrix H_1 = 1e160 is finite, but its
+    # square overflows as a Python float.
+    for A in ([[0.0, 1e155], [1e155, 0.0]], [[1e160, 0.0], [0.0, 1e160]]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = symfun.trace_and_norm_identities(np.array(A))
+        assert report["scale"] == math.inf, A
+        assert not report["passed"], A
 
 
 def test_newton_recursion_terminates():
