@@ -29,12 +29,9 @@ def diff(f: np.ndarray, axis: int, h: float, order: int = 4) -> np.ndarray:
     if order == 2:
         return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
     if order == 4:
-        return (
-            -np.roll(f, -2, axis)
-            + 8.0 * np.roll(f, -1, axis)
-            - 8.0 * np.roll(f, 1, axis)
-            + np.roll(f, 2, axis)
-        ) / (12.0 * h)
+        # paired differences first, so a constant field differences to 0
+        return (8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
+                - (np.roll(f, -2, axis) - np.roll(f, 2, axis))) / (12.0 * h)
     raise ValueError(f"unsupported stencil order {order!r}; use 2 or 4")
 
 
@@ -43,13 +40,9 @@ def diff2(f: np.ndarray, axis: int, h: float, order: int = 4) -> np.ndarray:
     if order == 2:
         return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / (h * h)
     if order == 4:
-        return (
-            -np.roll(f, -2, axis)
-            + 16.0 * np.roll(f, -1, axis)
-            - 30.0 * f
-            + 16.0 * np.roll(f, 1, axis)
-            - np.roll(f, 2, axis)
-        ) / (12.0 * h * h)
+        return (16.0 * (np.roll(f, -1, axis) + np.roll(f, 1, axis))
+                - (np.roll(f, -2, axis) + np.roll(f, 2, axis))
+                - 30.0 * f) / (12.0 * h * h)
     raise ValueError(f"unsupported stencil order {order!r}; use 2 or 4")
 
 

@@ -473,8 +473,9 @@ def curvature_tensor_components(kappa, rho, hcal, dhcal, gfib, U, V, Wv):
     rho2 = rho * rho
 
     uT, vT, wT = U[..., 0], V[..., 0], Wv[..., 0]
-    fib_vw = np.einsum("...i,...ij,...j->...", V[..., 1:], gfib, Wv[..., 1:])
-    fib_uw = np.einsum("...i,...ij,...j->...", U[..., 1:], gfib, Wv[..., 1:])
+    gW = np.einsum("...ij,...j->...i", gfib, Wv[..., 1:])
+    fib_vw = np.einsum("...i,...i->...", V[..., 1:], gW)
+    fib_uw = np.einsum("...i,...i->...", U[..., 1:], gW)
     vw = vT * wT + rho2 * fib_vw
     uw = uT * wT + rho2 * fib_uw
     out = np.zeros(np.broadcast(U, V, Wv).shape)

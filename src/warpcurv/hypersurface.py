@@ -322,7 +322,7 @@ class GeometryGrid:
 
     def form_to_frame(self, F: np.ndarray) -> np.ndarray:
         """Frame components of a (0,2) tensor: L^-1 F L^-T."""
-        return np.einsum("...ij,...jk,...lk->...il", self.L_inv, F, self.L_inv)
+        return self.L_inv @ F @ np.swapaxes(self.L_inv, -1, -2)
 
     def frame_vector_to_chart(self, w: np.ndarray) -> np.ndarray:
         """Chart components of a tangent vector given in the frame."""
@@ -390,20 +390,19 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
     g_inv = np.einsum("...ki,...kj->...ij", L_inv, L_inv)
     sqrt_det_g = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
 
-    du_hat_sq = np.einsum("...ij,...i,...j->...", ghat_inv, du, du)
+    ghat_inv_du = np.einsum("...jk,...k->...j", ghat_inv, du)
+    du_hat_sq = np.einsum("...i,...i->...", du, ghat_inv_du)
     w_factor = np.sqrt(1.0 + du_hat_sq / (rho * rho))
     sgn = float(imm.orientation)
     theta = -sgn / w_factor
 
     # N = sgn/W * (-d/dt + rho^-2 ghat^{jk} u_k d/dx^j)
-    n_fiber = (sgn / (w_factor * rho * rho))[..., None] * np.einsum(
-        "...jk,...k->...j", ghat_inv, du)
+    n_fiber = (sgn / (w_factor * rho * rho))[..., None] * ghat_inv_du
     normal = np.concatenate([theta[..., None], n_fiber], axis=-1)
 
     a = np.einsum("...ij,...j->...i", L_inv, du)
     # Sherman-Morrison: g^{-1} du = ghat^{-1} du / (rho^2 W^2)
-    grad_h_chart = np.einsum("...ij,...j->...i", ghat_inv, du) / (
-        rho * rho * w_factor * w_factor)[..., None]
+    grad_h_chart = ghat_inv_du / (rho * rho * w_factor * w_factor)[..., None]
 
     hess_u_fiber = hess_u - np.einsum("...kij,...k->...ij", gammahat, du)
     II = (sgn / w_factor)[..., None, None] * (
@@ -411,7 +410,7 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
         + (rho * drho)[..., None, None] * ghat
         + 2.0 * data.hcal[..., None, None] * du[..., :, None] * du[..., None, :])
 
-    shape_frame = np.einsum("...ij,...jk,...lk->...il", L_inv, II, L_inv)
+    shape_frame = L_inv @ II @ np.swapaxes(L_inv, -1, -2)
     shape_frame = 0.5 * (shape_frame + np.swapaxes(shape_frame, -1, -2))
     kappas = np.linalg.eigvalsh(shape_frame)
 
@@ -422,10 +421,10 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
 
     dg = np.stack([diff(g, axis_i, spacing[axis_i], cfg.order) for axis_i in range(n)],
                   axis=-3)
-    christoffel = 0.5 * (
-        np.einsum("...kl,...ilj->...kij", g_inv, dg)
-        + np.einsum("...kl,...jil->...kij", g_inv, dg)
-        - np.einsum("...kl,...lij->...kij", g_inv, dg))
+    # first kind [l, i, j] = (d_i g_lj + d_j g_il - d_l g_ij) / 2, raised once
+    first = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
+    del dg   # the product below allocates next; keep the peak down
+    christoffel = (g_inv @ first.reshape(u.shape + (n, n * n))).reshape(first.shape)
 
     interior = interior_mask(u.shape, imm.periodic, cfg.margin_cells)
 

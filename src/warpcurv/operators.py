@@ -62,7 +62,7 @@ def _trace_with(P: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _frame_quadratic(P: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...ij,...j->...", v, P, w)
+    return np.einsum("...i,...i->...", v, np.einsum("...ij,...j->...i", P, w))
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +95,8 @@ def frak_apply(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
 
 def chart_mixed_newton(geom: GeometryGrid, k: int) -> np.ndarray:
     """P_k as a chart-mixed (1,1) tensor: L^-T P~_k L^T."""
-    return np.einsum("...ji,...jk,...lk->...il",
-                     geom.L_inv, geom.newton[..., k, :, :], geom.L)
+    return (np.swapaxes(geom.L_inv, -1, -2) @ geom.newton[..., k, :, :]
+            @ np.swapaxes(geom.L, -1, -2))
 
 
 def normalized_lhat(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
@@ -106,7 +106,7 @@ def normalized_lhat(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
     """
     _check_k(geom, k)
     Hk = geom.H[..., k]
-    if np.min(Hk) <= 0.0:
+    if not np.min(Hk) > 0.0:      # NaN fails too
         loc = np.unravel_index(int(np.argmin(Hk)), Hk.shape)
         raise NotApplicableError(
             f"H_{k} is not positive on the grid (min at {loc})", location=loc)
@@ -114,7 +114,7 @@ def normalized_lhat(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
     trace = np.einsum("...ii->...", geom.newton[..., k, :, :]) / Hk
     ck = geom.c[k]
     resid = float(np.max(np.abs(trace - ck))) / max(1.0, abs(ck))
-    if resid > 1e-10:
+    if not resid <= 1e-10:
         raise RuntimeError(f"normalized Newton trace off c_{k} by {resid:.3e}")
     return base / Hk
 
@@ -182,7 +182,8 @@ def default_test_vectors(geom: GeometryGrid):
 
 
 def _ambient_inner(geom: GeometryGrid, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    fib = np.einsum("...i,...ij,...j->...", U[..., 1:], geom.ghat, V[..., 1:])
+    fib = np.einsum("...i,...i->...", U[..., 1:],
+                    np.einsum("...ij,...j->...i", geom.ghat, V[..., 1:]))
     return U[..., 0] * V[..., 0] + geom.rho ** 2 * fib
 
 
@@ -432,7 +433,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
 
     # general-fiber route: beta_k from the eigen frame of the shape operator
     evals, evecs = np.linalg.eigh(geom.shape_frame)
-    mu = np.einsum("...ji,...jl,...li->...i", evecs, P, evecs)
+    mu = np.einsum("...ji,...ji->...i", evecs, P @ evecs)
     e = np.einsum("...ji,...j->...i", evecs, geom.a)
     wedge_sq = norm_grad_sq[..., None] - e ** 2
     beta = kappa * np.einsum("...i,...i->...", mu, wedge_sq)
@@ -485,7 +486,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     mask = geom.interior
     kappa = geom.imm.W.fiber.kappa
     Hk = geom.H[..., k]
-    if float(np.min(Hk)) <= 0.0:
+    if not float(np.min(Hk)) > 0.0:      # NaN fails too
         loc = np.unravel_index(int(np.argmin(Hk)), Hk.shape)
         return {"applicable": False, "location": loc,
                 "min_Hk": float(np.min(Hk))}
@@ -517,8 +518,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     pair_Hk = np.einsum("...i,...i->...", geom.a, grad_Hk)
     lk_psi = lk_apply(geom, k - 1, psi)
     div_pairing = -(n - k + 1) * geom.theta * curv * (
-        np.einsum("...i,...ij,...j->...",
-                  geom.a, geom.newton[..., k - 2, :, :], grad_psi)
+        _frame_quadratic(geom.newton[..., k - 2, :, :], geom.a, grad_psi)
         if k >= 2 else np.zeros(geom.u.shape))
     frak_psi = div_pairing + lk_psi
     cross = 2.0 * geom.rho * _frame_quadratic(

@@ -1,0 +1,223 @@
+"""Per-node contractions against the three-operand einsums they replaced.
+
+numpy runs an einsum of three operands through its generic nested loop,
+so the library forms these contractions as matrix products or chains of
+two-operand einsums.  Each site is compared here with a test-side oracle
+written as the old single einsum, on seeded stacks with n = 2 and 3,
+contiguous and strided; the two must agree to 1e-13 of max|field|.  Each
+comparison whose operands are not all symmetric is also shown to reject
+the result with one operand transposed, so it could not pass on an index
+slip.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import warpcurv
+from helpers import make_product, random_immersion
+from warpcurv import operators
+from warpcurv._grid import diff
+from warpcurv.ambient import curvature_tensor_components
+from warpcurv.hypersurface import evaluate_geometry
+
+REL = 1e-13
+
+
+def _agree(new, old):
+    new, old = np.asarray(new), np.asarray(old)
+    return new.shape == old.shape and \
+        float(np.max(np.abs(new - old))) <= REL * float(np.max(np.abs(old)))
+
+
+def _t(M):
+    return np.swapaxes(M, -1, -2)
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["n2-sphere", "n3-torus"])
+def geom(request):
+    """A curved-fiber graph for n = 2 and a flat 3-torus graph."""
+    if request.param == 2:
+        W = make_product("cosh", "round-sphere", 2, 0.25)
+        imm = random_immersion(W, seed=4, t_center=0.7, amplitude=0.1, res=16)
+    else:
+        W = make_product("cosh", "flat-torus", 3, 0.0)
+        imm = random_immersion(W, seed=4, t_center=0.7, amplitude=0.1, res=12)
+    return evaluate_geometry(imm)
+
+
+def _stacks(geom, seed):
+    """Seeded non-symmetric matrix stack, its strided slice of a wider
+    stack, and two vector stacks, all on the geometry's grid."""
+    rng = np.random.default_rng(seed)
+    shape, n = geom.u.shape, geom.n
+    M = rng.normal(size=shape + (n, n))
+    wide = rng.normal(size=shape + (n, n, n))
+    v, w = rng.normal(size=(2,) + shape + (n,))
+    return M, wide[..., 1, :, :], v, w
+
+
+def test_form_to_frame(geom):
+    M, strided, _, _ = _stacks(geom, 1)
+    for F in (M, strided, geom.II):
+        old = np.einsum("...ij,...jk,...lk->...il", geom.L_inv, F, geom.L_inv)
+        assert _agree(geom.form_to_frame(F), old)
+    assert not _agree(geom.form_to_frame(_t(M)), np.einsum(
+        "...ij,...jk,...lk->...il", geom.L_inv, M, geom.L_inv))
+
+
+def test_shape_frame(geom):
+    def oracle(L_inv):
+        A = np.einsum("...ij,...jk,...lk->...il", L_inv, geom.II, L_inv)
+        return 0.5 * (A + _t(A))
+    assert _agree(geom.shape_frame, oracle(geom.L_inv))
+    assert not _agree(geom.shape_frame, oracle(_t(geom.L_inv)))
+
+
+def test_christoffel(geom):
+    dg = np.stack([diff(geom.g, i, geom.spacing[i], geom.cfg.order)
+                   for i in range(geom.n)], axis=-3)
+
+    def oracle(dg):
+        return 0.5 * (np.einsum("...kl,...ilj->...kij", geom.g_inv, dg)
+                      + np.einsum("...kl,...jil->...kij", geom.g_inv, dg)
+                      - np.einsum("...kl,...lij->...kij", geom.g_inv, dg))
+    assert _agree(geom.christoffel, oracle(dg))
+    assert not _agree(geom.christoffel, oracle(np.swapaxes(dg, -3, -2)))
+
+
+def test_chart_mixed_newton(geom):
+    for k in range(geom.n):
+        old = np.einsum("...ji,...jk,...lk->...il",
+                        geom.L_inv, geom.newton[..., k, :, :], geom.L)
+        assert _agree(operators.chart_mixed_newton(geom, k), old)
+    flipped = dataclasses.replace(geom, L=_t(geom.L))
+    assert not _agree(operators.chart_mixed_newton(flipped, 1), np.einsum(
+        "...ji,...jk,...lk->...il", geom.L_inv, geom.newton[..., 1, :, :],
+        geom.L))
+
+
+def test_frame_quadratic(geom):
+    M, strided, v, w = _stacks(geom, 2)
+    unit = np.broadcast_to(np.eye(geom.n)[0], v.shape)
+    for P in (M, strided, geom.newton[..., geom.n - 1, :, :]):
+        for x, y in ((v, w), (geom.a, unit), (unit, geom.a)):
+            old = np.einsum("...i,...ij,...j->...", x, P, y)
+            assert _agree(operators._frame_quadratic(P, x, y), old)
+    assert not _agree(operators._frame_quadratic(_t(M), v, w),
+                      np.einsum("...i,...ij,...j->...", v, M, w))
+
+
+def test_ambient_inner(geom):
+    M, _, _, _ = _stacks(geom, 3)
+    rng = np.random.default_rng(3)
+    U, V = rng.normal(size=(2,) + geom.u.shape + (geom.n + 1,))
+
+    def oracle(gfib):
+        fib = np.einsum("...i,...ij,...j->...", U[..., 1:], gfib, V[..., 1:])
+        return U[..., 0] * V[..., 0] + geom.rho ** 2 * fib
+    for gfib in (geom.ghat, M):
+        site = operators._ambient_inner(dataclasses.replace(geom, ghat=gfib),
+                                        U, V)
+        assert _agree(site, oracle(gfib))
+    assert not _agree(operators._ambient_inner(
+        dataclasses.replace(geom, ghat=_t(M)), U, V), oracle(M))
+
+
+def _old_curvature_tensor(kappa, rho, hcal, dhcal, gfib, U, V, Wv):
+    rho2 = rho * rho
+    uT, vT, wT = U[..., 0], V[..., 0], Wv[..., 0]
+    fib_vw = np.einsum("...i,...ij,...j->...", V[..., 1:], gfib, Wv[..., 1:])
+    fib_uw = np.einsum("...i,...ij,...j->...", U[..., 1:], gfib, Wv[..., 1:])
+    vw = vT * wT + rho2 * fib_vw
+    uw = uT * wT + rho2 * fib_uw
+    out = np.zeros(np.broadcast(U, V, Wv).shape)
+    out[..., 1:] += kappa * (fib_vw[..., None] * U[..., 1:]
+                             - fib_uw[..., None] * V[..., 1:])
+    out -= (hcal ** 2)[..., None] * (vw[..., None] * U - uw[..., None] * V)
+    out += (dhcal * wT)[..., None] * (uT[..., None] * V - vT[..., None] * U)
+    out[..., 0] -= dhcal * (vw * uT - uw * vT)
+    return out
+
+
+def test_curvature_tensor_components(geom):
+    M, _, _, _ = _stacks(geom, 4)
+    rng = np.random.default_rng(4)
+    U, V, Wv = rng.normal(size=(3,) + geom.u.shape + (geom.n + 1,))
+    args = (0.5, geom.rho, geom.hcal, geom.dhcal)
+    for gfib in (geom.ghat, M):
+        assert _agree(curvature_tensor_components(*args, gfib, U, V, Wv),
+                      _old_curvature_tensor(*args, gfib, U, V, Wv))
+    assert not _agree(curvature_tensor_components(*args, _t(M), U, V, Wv),
+                      _old_curvature_tensor(*args, M, U, V, Wv))
+
+
+def test_theta_from_du_hat_sq(geom):
+    # theta = -1/W with W^2 = 1 + |du|^2_ghat / rho^2 (orientation +1)
+    ghat_inv = geom.imm.W.fiber.inverse_metric(geom.x)
+    du_hat_sq = np.einsum("...ij,...i,...j->...", ghat_inv, geom.du, geom.du)
+    # every operand here is symmetric or a vector: no transposed variant
+    assert _agree(geom.theta, -1.0 / np.sqrt(1.0 + du_hat_sq / geom.rho ** 2))
+
+
+def test_eigen_frame_diagonal(geom):
+    # beta_k and its algebraic route are both linear in kappa and agree for
+    # any kappa, so a kappa set on the fiber after evaluation exposes the
+    # eigen-frame site on the flat 3-torus too
+    fiber = geom.imm.W.fiber
+    kappa, fiber.kappa = fiber.kappa, 0.5
+    try:
+        k = 1
+        P = geom.newton[..., k, :, :]
+        evecs = np.linalg.eigh(geom.shape_frame)[1]
+        norm_grad_sq = 1.0 - geom.theta ** 2
+
+        def oracle(Q):
+            mu = np.einsum("...ji,...jl,...li->...i", Q, P, Q)
+            e = np.einsum("...ji,...j->...i", evecs, geom.a)
+            beta = 0.5 * np.einsum("...i,...i->...", mu,
+                                   norm_grad_sq[..., None] - e ** 2)
+            quad = np.einsum("...i,...ij,...j->...", geom.a, P, geom.a)
+            return beta - 0.5 * (norm_grad_sq * geom.c[k] * geom.H[..., k]
+                                 - quad), beta
+        old, beta = oracle(evecs)
+        site = operators.theta_hat_identity(None, k, geom=geom)
+        # the routes cancel to rounding, so scale by the field they share
+        scale = float(np.max(np.abs(beta)))
+        assert float(np.max(np.abs(site["beta_routes"].grid - old))) \
+            <= REL * scale
+        if geom.n == 3:   # eigh's 2x2 frames can be symmetric reflections
+            assert float(np.max(np.abs(site["beta_routes"].grid
+                                       - oracle(_t(evecs))[0]))) > REL * scale
+    finally:
+        fiber.kappa = kappa
+
+
+def _wide_einsums(source):
+    """Lines of ``np.einsum`` calls given more than two array operands."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "einsum"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "np"):
+            operands = node.args[1:]
+            if len(operands) > 2 or any(isinstance(a, ast.Starred)
+                                        for a in operands):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_einsum_takes_more_than_two_operands():
+    assert _wide_einsums("np.einsum('i,ij,j->', v, P, w)") == [1]
+    assert _wide_einsums("np.einsum('ij,j->i', *ops)") == [1]
+    assert _wide_einsums("np.einsum('ij,j->i', P, w)") == []
+    package = Path(warpcurv.__file__).parent
+    found = {path.name: _wide_einsums(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert len(found) >= 9
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -7,6 +7,7 @@ are checked on slices (where they are exact) and under refinement
 elsewhere.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -217,6 +218,30 @@ def test_frak_phi_not_applicable_without_positive_curvature():
     assert rep["applicable"] is False
     assert rep["min_Hk"] <= 0.0
     assert "location" in rep
+
+
+def test_nan_curvature_fails_the_positivity_and_trace_gates():
+    # NaN compares False either way, so each gate asks whether its value is
+    # good: a NaN H_k or Newton trace must never pass
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    imm = random_immersion(W, seed=3, t_center=0.8, amplitude=0.1, res=12)
+    geom = evaluate_geometry(imm)
+    assert np.all(np.isfinite(normalized_lhat(geom, 1, geom.u)))
+    assert frak_phi(imm, 1, geom=geom)["applicable"]
+
+    H = geom.H.copy()
+    H[2, 3, 4, 1] = np.nan
+    nan_h = dataclasses.replace(geom, H=H)
+    with pytest.raises(NotApplicableError, match="not positive"):
+        normalized_lhat(nan_h, 1, geom.u)
+    rep = frak_phi(imm, 1, geom=nan_h)
+    assert rep["applicable"] is False
+    assert rep["location"] == (2, 3, 4)
+
+    newton = geom.newton.copy()
+    newton[2, 3, 4, 1, 0, 0] = np.nan
+    with pytest.raises(RuntimeError, match="trace off"):
+        normalized_lhat(dataclasses.replace(geom, newton=newton), 1, geom.u)
 
 
 def test_frak_phi_closed_form_on_slice():
