@@ -1,7 +1,8 @@
 """Geometry of the warped product I x_rho P^n.
 
-Warping profiles with registered closed forms, constant-curvature fiber
-charts, slice geometry, and the ambient curvature tensor.  The sign and
+Warping profiles with registered closed forms, two fiber charts (the flat
+torus and the conformally flat chart of every space form), slice geometry,
+and the ambient curvature tensor.  The sign and
 normalization conventions are pinned by the test suite:
 
 * metric ``dt^2 + rho(t)^2 <,>_P``;
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._grid import golden_max
+from .symfun import MAX_DIM
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +154,20 @@ def builtin_profile(name: str, **params) -> WarpingProfile:
 # fiber charts
 # ---------------------------------------------------------------------------
 
-_CHARTS = ("flat-torus", "round-sphere", "hyperbolic")
+_CHARTS = ("flat-torus", "space-form")
 
 
 @dataclass
 class FiberSpec:
-    """A constant-curvature fiber with a closed-form chart.
+    """A constant-curvature fiber of dimension 1 <= n <= ``MAX_DIM`` with a
+    closed-form chart.
 
-    ``flat-torus`` is a periodic box of any dimension with kappa = 0;
-    ``round-sphere`` (kappa > 0) and ``hyperbolic`` (kappa < 0) are
-    two-dimensional polar-type charts whose metric, Christoffel symbols,
-    distance functions, and distance Hessians are all closed forms.
+    ``flat-torus`` is a periodic box with kappa = 0.  ``space-form`` is the
+    conformally flat chart of the round sphere (kappa > 0, stereographic,
+    minus one point) or of hyperbolic space (kappa < 0, the Poincare ball
+    |x| sqrt(-kappa) < 1): metric ``lambda^2 delta`` with
+    ``lambda = 2 / (1 + kappa |x|^2)``.  Its boxes are in these conformal
+    coordinates, and none of its axes is periodic.
     """
 
     n: int
@@ -171,99 +176,86 @@ class FiberSpec:
     lengths: tuple = None  # flat-torus box lengths
 
     def __post_init__(self):
+        if self.chart in ("round-sphere", "hyperbolic"):
+            raise ValueError(
+                f"chart {self.chart!r} is gone: use 'space-form', whose box "
+                f"is in conformal, not polar, coordinates")
         if self.chart not in _CHARTS:
-            raise ValueError(f"unknown chart {self.chart!r}")
-        if self.chart == "flat-torus":
-            if self.kappa != 0.0:
-                raise ValueError("flat-torus chart requires kappa = 0")
-            if self.lengths is None:
-                self.lengths = (2.0 * math.pi,) * self.n
-            if len(self.lengths) != self.n:
-                raise ValueError("need one box length per fiber dimension")
-            if not all(0.0 < L < math.inf for L in self.lengths):
-                raise ValueError("box lengths must be positive and finite")
-        elif self.chart == "round-sphere":
-            if self.kappa <= 0.0:
-                raise ValueError("round-sphere chart requires kappa > 0")
-            if self.n != 2:
-                raise ValueError("round-sphere chart is two-dimensional")
-        else:
-            if self.kappa >= 0.0:
-                raise ValueError("hyperbolic chart requires kappa < 0")
-            if self.n != 2:
-                raise ValueError("hyperbolic chart is two-dimensional")
-
-    # -- chart scale -------------------------------------------------------
-    @property
-    def scale(self):
-        """Curvature scale s with kappa = +-1/s^2 (None for the flat chart)."""
-        if self.kappa == 0.0:
-            return None
-        return 1.0 / math.sqrt(abs(self.kappa))
+            raise ValueError(f"unknown chart {self.chart!r}; registry: "
+                             f"{', '.join(_CHARTS)}")
+        if not 1 <= self.n <= MAX_DIM:
+            raise ValueError(
+                f"fiber dimension n={self.n} outside [1, {MAX_DIM}]")
+        if self.chart == "space-form":
+            if self.kappa == 0.0:
+                raise ValueError("space-form chart requires kappa != 0; "
+                                 "the flat fiber is the flat-torus chart")
+            if self.lengths is not None:
+                raise ValueError("space-form chart takes no box lengths")
+            return
+        if self.kappa != 0.0:
+            raise ValueError("flat-torus chart requires kappa = 0")
+        if self.lengths is None:
+            self.lengths = (2.0 * math.pi,) * self.n
+        if len(self.lengths) != self.n:
+            raise ValueError("need one box length per fiber dimension")
+        if not all(0.0 < L < math.inf for L in self.lengths):
+            raise ValueError("box lengths must be positive and finite")
 
     @property
     def periodic(self):
-        if self.chart == "flat-torus":
-            return (True,) * self.n
-        return (False, True)
+        return (self.chart == "flat-torus",) * self.n
 
     def default_box(self):
         if self.chart == "flat-torus":
             return [(0.0, L) for L in self.lengths]
-        if self.chart == "round-sphere":
-            return [(0.6, math.pi - 0.6), (0.0, 2.0 * math.pi)]
-        return [(0.2, 2.2), (0.0, 2.0 * math.pi)]
+        # corners at |x| sqrt|kappa| = 0.6, well inside the Poincare ball
+        half = 0.6 / math.sqrt(self.n * abs(self.kappa))
+        return [(-half, half)] * self.n
+
+    def check_points(self, x, what: str) -> None:
+        """Refuse chart points on or outside the Poincare ball's boundary,
+        where the hyperbolic chart's metric blows up."""
+        if self.kappa < 0.0:
+            reach = math.sqrt(-self.kappa) * float(
+                np.max(np.linalg.norm(np.asarray(x, dtype=float), axis=-1)))
+            if not reach < 1.0:
+                raise ValueError(
+                    f"{what} reaches |x| sqrt(-kappa) = {reach:.4g} >= 1, "
+                    f"outside the Poincare ball of the space-form chart")
 
     # -- metric data -------------------------------------------------------
     # The flat chart's constant fields are read-only views of one n x n
     # identity or one n^3 zero array, not copies at every point.
+    def _conformal_factor(self, x):
+        return 2.0 / (1.0 + self.kappa * np.sum(x * x, axis=-1))
+
     def metric(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1]
+        eye = np.eye(self.n)
         if self.chart == "flat-torus":
-            return np.broadcast_to(np.eye(self.n), shape + (self.n, self.n))
-        g = np.zeros(shape + (self.n, self.n))
-        s = self.scale
-        if self.chart == "round-sphere":
-            g[..., 0, 0] = s * s
-            g[..., 1, 1] = (s * np.sin(x[..., 0])) ** 2
-        else:
-            f = s * np.sinh(x[..., 0] / s)
-            g[..., 0, 0] = 1.0
-            g[..., 1, 1] = f * f
-        return g
+            return np.broadcast_to(eye, x.shape[:-1] + eye.shape)
+        return self._conformal_factor(x)[..., None, None] ** 2 * eye
 
     def inverse_metric(self, x: np.ndarray) -> np.ndarray:
-        g = self.metric(x)
+        x = np.asarray(x, dtype=float)
         if self.chart == "flat-torus":
-            return g
-        inv = np.zeros_like(g)
-        for i in range(self.n):
-            inv[..., i, i] = 1.0 / g[..., i, i]
-        return inv
+            return self.metric(x)
+        return self._conformal_factor(x)[..., None, None] ** -2 * np.eye(self.n)
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
-        """Closed-form symbols, indexed [..., k, i, j] for Gamma^k_{ij}."""
+        """Closed-form symbols, indexed [..., k, i, j] for Gamma^k_{ij}:
+        ``delta^k_i d_j + delta^k_j d_i - delta_ij d_k`` with
+        ``d = grad log lambda = -kappa lambda x``."""
         x = np.asarray(x, dtype=float)
-        shape = x.shape[:-1] + (self.n,) * 3
         if self.chart == "flat-torus":
-            return np.broadcast_to(np.zeros((self.n,) * 3), shape)
-        gam = np.zeros(shape)
-        if self.chart == "round-sphere":
-            th = x[..., 0]
-            gam[..., 0, 1, 1] = -np.sin(th) * np.cos(th)
-            cot = np.cos(th) / np.sin(th)
-            gam[..., 1, 0, 1] = cot
-            gam[..., 1, 1, 0] = cot
-        else:
-            s = self.scale
-            r = x[..., 0]
-            f = s * np.sinh(r / s)
-            fp = np.cosh(r / s)
-            gam[..., 0, 1, 1] = -f * fp
-            gam[..., 1, 0, 1] = fp / f
-            gam[..., 1, 1, 0] = fp / f
-        return gam
+            return np.broadcast_to(np.zeros((self.n,) * 3),
+                                   x.shape[:-1] + (self.n,) * 3)
+        eye = np.eye(self.n)
+        d = -self.kappa * self._conformal_factor(x)[..., None] * x
+        return (eye[:, :, None] * d[..., None, None, :]
+                + eye[:, None, :] * d[..., None, :, None]
+                - eye * d[..., :, None, None])
 
     # -- distance machinery (for the extrinsic probe) ------------------------
     def gamma_hat_data(self, x: np.ndarray, origin):
@@ -289,53 +281,41 @@ class FiberSpec:
             window = gamma ** 0.5 <= 0.75 * (0.5 * float(np.min(L)))
             return gamma, dgamma, hess, window
 
-        s = self.scale
-        if self.chart == "round-sphere":
-            th, ph = x[..., 0], x[..., 1]
-            th0, ph0 = origin
-            C = np.cos(th) * math.cos(th0) + np.sin(th) * math.sin(th0) * np.cos(ph - ph0)
-            C = np.clip(C, -1.0, 1.0)
-            ang = np.arccos(C)          # geodesic angle; r = s * ang
-            r = s * ang
-            dC = np.stack([
-                -np.sin(th) * math.cos(th0) + np.cos(th) * math.sin(th0) * np.cos(ph - ph0),
-                -np.sin(th) * math.sin(th0) * np.sin(ph - ph0),
-            ], axis=-1)
-            # d gamma = 2 r dr, with dr = -s dC / sin(ang); the product is
-            # regular at the origin: 2 r / sin(ang) -> 2 s.
-            fac = np.where(ang > 1e-12, ang / np.where(ang > 1e-12, np.sin(ang), 1.0), 1.0)
-            dgamma = -2.0 * s * s * fac[..., None] * dC
-            cot_term = np.where(ang > 1e-12,
-                                (1.0 / s) / np.tan(np.maximum(ang, 1e-12)), 0.0)
-            window = (r >= 0.05 * s) & (ang <= 0.9 * math.pi)
+        self.check_points(origin, "gamma-probe origin")
+        # with q = 2 |x - o|^2 / ((1 + kappa |x|^2)(1 + kappa |o|^2)) the
+        # distance d has cos(sqrt(kappa) d) = 1 - kappa q, or cosh for
+        # kappa < 0; in the angle a = sqrt|kappa| d that is
+        # sn(a / 2)^2 = |kappa| q / 2 with sn = sin or sinh
+        kappa = self.kappa
+        diff = x - origin
+        D = np.sum(diff * diff, axis=-1)
+        A = 1.0 + kappa * np.sum(x * x, axis=-1)
+        B = 1.0 + kappa * float(origin @ origin)
+        q = 2.0 * D / (A * B)
+        half = np.sqrt(0.5 * abs(kappa) * q)
+        if kappa > 0.0:
+            ang = 2.0 * np.arcsin(np.minimum(half, 1.0))
+            sn, cs = np.sin(ang), np.cos(ang)
         else:
-            r1, t1 = x[..., 0], x[..., 1]
-            r0, t0 = origin
-            D = (np.cosh(r1 / s) * math.cosh(r0 / s)
-                 - np.sinh(r1 / s) * math.sinh(r0 / s) * np.cos(t1 - t0))
-            D = np.maximum(D, 1.0)
-            ang = np.arccosh(D)         # d = s * ang
-            r = s * ang
-            dD = np.stack([
-                (np.sinh(r1 / s) * math.cosh(r0 / s)
-                 - np.cosh(r1 / s) * math.sinh(r0 / s) * np.cos(t1 - t0)) / s,
-                np.sinh(r1 / s) * math.sinh(r0 / s) * np.sin(t1 - t0),
-            ], axis=-1)
-            fac = np.where(ang > 1e-12, ang / np.where(ang > 1e-12, np.sinh(ang), 1.0), 1.0)
-            dgamma = 2.0 * s * s * fac[..., None] * dD
-            cot_term = np.where(ang > 1e-12,
-                                (1.0 / s) / np.tanh(np.maximum(ang, 1e-12)), 0.0)
-            window = r >= 0.05 * s
-
-        gamma = r * r
-        ghat = self.metric(x)
-        # dr x dr reconstructed from the safe gradient of gamma
-        drdr = np.where(gamma[..., None, None] > 1e-24,
-                        dgamma[..., :, None] * dgamma[..., None, :]
-                        / np.where(gamma[..., None, None] > 1e-24,
-                                   4.0 * gamma[..., None, None], 1.0),
-                        0.0)
-        hess = 2.0 * drdr + (2.0 * r * cot_term)[..., None, None] * (ghat - drdr)
+            ang = 2.0 * np.arcsinh(half)
+            sn, cs = np.sinh(ang), np.cosh(ang)
+        gamma = ang * ang / abs(kappa)
+        # da = |kappa| dq / sn(a), so dr = da / sqrt|kappa| and
+        # d gamma = 2 r dr = 2 (a / sn a) dq, regular at the origin
+        small = ang <= 1e-12
+        sn = np.where(small, 1.0, sn)
+        ratio = np.where(small, 1.0, ang / sn)
+        dq = (4.0 / (A * B))[..., None] * (
+            diff - (kappa * D / A)[..., None] * x)
+        dgamma = 2.0 * ratio[..., None] * dq
+        dr = np.where(small[..., None], 0.0,
+                      math.sqrt(abs(kappa)) * dq / sn[..., None])
+        # Hess gamma = 2 dr dr + 2 r ct(r) (ghat - dr dr), where
+        # r ct(r) = a cs(a) / sn(a) -> 1 at the origin
+        drdr = dr[..., :, None] * dr[..., None, :]
+        hess = 2.0 * drdr + (2.0 * ratio * cs)[..., None, None] * (
+            self.metric(x) - drdr)
+        window = (ang >= 0.05) & ((kappa < 0.0) | (ang <= 0.9 * math.pi))
         return gamma, dgamma, hess, window
 
 

@@ -323,8 +323,8 @@ def _index(op: dict, key: str = "k") -> int:
 def _index_range(lo: int, below_n: int, key: str = "k"):
     """Check that ``op[key]`` lies in [lo, n - below_n], the range its
     operator enforces."""
-    def check(op, n):
-        value, hi = _index(op, key), n - below_n
+    def check(op, fiber):
+        value, hi = _index(op, key), fiber.n - below_n
         if not lo <= value <= hi:
             raise ConfigError(
                 f"{op['op']}: {key}={value} outside [{lo}, {hi}]")
@@ -355,9 +355,9 @@ _OP_KEYS = {"gamma-probe": ("origin",), "convergence": ("identity",),
             "parabolicity": ("model", "m", "R", "k", "H", "t_max")}
 
 
-def _operations(subcommand: str, config: dict, table: dict, n: int) -> list:
-    """The configured operations, each checked against ``table`` for a fiber
-    of dimension ``n``."""
+def _operations(subcommand: str, config: dict, table: dict, fiber) -> list:
+    """The configured operations, each checked against ``table`` for the
+    ambient's ``fiber``."""
     ops = config.get("operations")
     if not isinstance(ops, list) or not ops:
         raise ConfigError("'operations' must be a non-empty list")
@@ -371,7 +371,7 @@ def _operations(subcommand: str, config: dict, table: dict, n: int) -> list:
                         + _OP_KEYS.get(op["op"], ()))
         check = table[op["op"]][1]
         if check is not None:
-            check(op, n)
+            check(op, fiber)
     return ops
 
 
@@ -443,11 +443,13 @@ def _laplacian_cross_check(run, op, stem):
                           float(np.max(np.abs(lk0 - lb)[geom.interior]))}}
 
 
-def _check_origin(op, n):
-    origin = op.get("origin", [0.0] * n)
+def _check_origin(op, fiber):
+    origin = op.get("origin", [0.0] * fiber.n)
     if not isinstance(origin, list) or len([_float(v, "origin")
-                                            for v in origin]) != n:
-        raise ConfigError(f"gamma-probe: origin must be a list of {n} numbers")
+                                            for v in origin]) != fiber.n:
+        raise ConfigError(
+            f"gamma-probe: origin must be a list of {fiber.n} numbers")
+    fiber.check_points(origin, "gamma-probe origin")
 
 
 def _gamma_probe(run, op, stem):
@@ -496,13 +498,13 @@ _CONVERGENCE = {
 }
 
 
-def _check_convergence(op, n):
+def _check_convergence(op, fiber):
     identity = op.get("identity", "height")
     if identity not in _CONVERGENCE:
         raise _registry_miss("convergence identity", identity, _CONVERGENCE)
     check = _CONVERGENCE[identity][1]
     if check is not None:
-        check(op, n)
+        check(op, fiber)
 
 
 def _convergence(run, op, stem):
@@ -521,7 +523,7 @@ def _convergence(run, op, stem):
 
 
 # name -> (runner, check).  runner(run inputs, op config, report path stem)
-# returns the entry's fields; check(op, n), if any, rejects bad parameters
+# returns the entry's fields; check(op, fiber), if any, rejects bad parameters
 # before any work.  Runners look module functions up at call time, so a
 # replaced attribute (a tracer, a test stub) is the one that runs.
 VERIFY_OPS = {
@@ -545,7 +547,7 @@ def run_verify(config: dict, args, out_dir: str) -> int:
     with _config_inputs():
         cfg = build_discretization(config, args)
         W = build_ambient(config.get("ambient", {}))
-        ops = _operations("verify", config, VERIFY_OPS, W.fiber.n)
+        ops = _operations("verify", config, VERIFY_OPS, W.fiber)
         entries = [{"op": op["op"], "k": _index(op),
                     "tol": _float(op.get("tol", args.tol), "tol")}
                    for op in ops]
@@ -576,11 +578,11 @@ def _audit_k(op):
     return None if op.get("k") is None else _integer(op, "k", None)
 
 
-def _check_theorem(op, n):
+def _check_theorem(op, fiber):
     theorem_id = op.get("id")
     if theorem_id not in scenarios.THEOREM_IDS:
         raise _registry_miss("theorem id", theorem_id, scenarios.THEOREM_IDS)
-    scenarios.audit_order(theorem_id, n, _audit_k(op))
+    scenarios.audit_order(theorem_id, fiber.n, _audit_k(op))
 
 
 def _theorem_audit(run, op, stem):
@@ -629,7 +631,7 @@ SCENARIO_OPS = {
                            _index_range(1, 0, key="order")),
     "elliptic-signs": (_elliptic_signs, None),
     "parabolicity": (_parabolicity,
-                     lambda op, n: _parabolicity_inputs(op)),
+                     lambda op, fiber: _parabolicity_inputs(op)),
 }
 
 
@@ -637,7 +639,7 @@ def run_scenario(config: dict, args, out_dir: str) -> int:
     with _config_inputs():
         cfg = build_discretization(config, args)
         W = build_ambient(config.get("ambient", {}))
-        ops = _operations("scenario", config, SCENARIO_OPS, W.fiber.n)
+        ops = _operations("scenario", config, SCENARIO_OPS, W.fiber)
         imm = (_audited_immersion(config, W, cfg, args.seed)
                if any(op["op"] != "parabolicity" for op in ops) else None)
     run = SimpleNamespace(imm=imm, W=W, cfg=cfg, tol=args.tol)

@@ -112,6 +112,8 @@ class GraphImmersion:
             raise ValueError("need one box range and periodic flag per axis")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
+        # the box corner farthest from the chart origin
+        self.W.fiber.check_points(np.max(np.abs(self.box), axis=1), "box")
         if not np.all(np.isfinite(self.u)):
             raise ValueError("height field must be finite")
         p = self.W.profile

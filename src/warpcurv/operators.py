@@ -486,12 +486,15 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     mask = geom.interior
     kappa = geom.imm.W.fiber.kappa
     Hk = geom.H[..., k]
-    if not float(np.min(Hk)) > 0.0:      # NaN fails too
-        loc = np.unravel_index(int(np.argmin(Hk)), Hk.shape)
+    # decided on the audited nodes: next to a non-periodic edge the wrapped
+    # stencils leave H_k meaningless, and those nodes are never audited
+    audited = np.where(mask, Hk, np.inf)
+    if not float(np.min(audited)) > 0.0:      # NaN fails too
+        loc = np.unravel_index(int(np.argmin(audited)), Hk.shape)
         return {"applicable": False, "location": loc,
-                "min_Hk": float(np.min(Hk))}
+                "min_Hk": float(np.min(audited))}
 
-    psi = Hk ** (1.0 / k)
+    psi = np.maximum(Hk, 0.0) ** (1.0 / k)
     theta_hat = geom.rho * geom.theta
     phi = psi * geom.sigma + theta_hat
 

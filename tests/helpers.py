@@ -6,6 +6,12 @@ import warpcurv as wc
 from warpcurv.hypersurface import random_height_function
 
 
+# the chart of each fiber that parametrized tests name in their ids: the
+# round sphere and hyperbolic space share the conformally flat chart
+CHART = {"flat-torus": "flat-torus", "round-sphere": "space-form",
+         "hyperbolic": "space-form"}
+
+
 def make_product(profile="cosh", chart="flat-torus", n=2, kappa=0.0,
                  **params):
     return wc.WarpedProduct(

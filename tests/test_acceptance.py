@@ -139,8 +139,8 @@ CONVERGENCE_GRAPHS = (
     # (profile, chart, kappa, seed, t_center, amplitude)
     ("exp", "flat-torus", 0.0, 21, 0.0, 0.12),
     ("cosh", "flat-torus", 0.0, 21, 0.7, 0.12),
-    ("exp", "round-sphere", 1.0, 5, 0.0, 0.05),
-    ("cosh", "round-sphere", 1.0, 5, 0.7, 0.05),
+    ("exp", "space-form", 1.0, 5, 0.0, 0.05),
+    ("cosh", "space-form", 1.0, 5, 0.7, 0.05),
     ("exp", "flat-torus", 0.0, 34, 0.4, 0.12),
 )
 
@@ -211,7 +211,7 @@ def test_c4_ambient_curvature_suite():
     orthonormal pairs; tensor symmetries and the first Bianchi identity
     hold on random vectors.  All to 1e-10."""
     cases = [("exp", "flat-torus", 0.0, -1.0, (-2.0, 2.0)),
-             ("linear", "round-sphere", 1.0, 0.0, (0.5, 8.0))]
+             ("linear", "space-form", 1.0, 0.0, (0.5, 8.0))]
     worst = 0.0
     for name, chart, kappa, K_expected, (lo, hi) in cases:
         W = make_product(name, chart, 2, kappa)

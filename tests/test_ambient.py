@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import make_product
+from helpers import CHART, make_product
 from warpcurv import ambient
 
 
@@ -75,7 +75,7 @@ def test_profile_summary_sign_verdicts():
     exp = ambient.profile_summary(make_product("exp", "flat-torus", 2, 0.0))
     assert exp["dhcal_sign"] == "nonnegative"
     assert exp["hcal_sign"] == "positive"
-    lin = ambient.profile_summary(make_product("linear", "round-sphere", 2, 1.0))
+    lin = ambient.profile_summary(make_product("linear", "space-form", 2, 1.0))
     assert lin["dhcal_sign"] == "negative"
 
 
@@ -124,14 +124,19 @@ def _christoffel_fd(fiber, x, h=1e-6):
     return gam
 
 
-@pytest.mark.parametrize("chart,kappa,x", [
-    ("round-sphere", 1.0, [1.1, 0.7]),
-    ("round-sphere", 0.25, [1.9, 2.0]),
-    ("hyperbolic", -1.0, [0.8, 1.3]),
-    ("hyperbolic", -4.0, [0.6, 0.2]),
-])
-def test_christoffel_matches_metric_differencing(chart, kappa, x):
-    fiber = ambient.FiberSpec(n=2, kappa=kappa, chart=chart)
+def _space_forms(point):
+    """(fiber, kappa, point) for n = 2, then 3, and kappa = 1, 1/4, -1, -4:
+    the fiber is the round sphere or hyperbolic space, and ``point`` is
+    scaled by 1/sqrt|kappa| to the same place relative to the curvature."""
+    return [(("round-sphere" if kappa > 0 else "hyperbolic"), kappa,
+             [c / math.sqrt(abs(kappa)) for c in point[:n]])
+            for n in (2, 3) for kappa in (1.0, 0.25, -1.0, -4.0)]
+
+
+@pytest.mark.parametrize("fiber,kappa,x",
+                         _space_forms((0.35, -0.2, 0.25)))
+def test_christoffel_matches_metric_differencing(fiber, kappa, x):
+    fiber = ambient.FiberSpec(n=len(x), kappa=kappa, chart=CHART[fiber])
     closed = fiber.christoffel(np.asarray(x))
     oracle = _christoffel_fd(fiber, x)
     assert np.max(np.abs(closed - oracle)) <= 1e-8
@@ -154,17 +159,12 @@ def test_torus_distance_wraps():
     assert abs(float(distance) - math.hypot(0.2, 0.2)) <= 1e-12
 
 
-@pytest.mark.parametrize("chart,kappa,origin", [
-    ("flat-torus", 0.0, (0.5, 1.0)),
-    ("round-sphere", 1.0, (1.3, 0.4)),
-    ("round-sphere", 0.25, (0.9, 5.0)),
-    ("hyperbolic", -1.0, (1.2, 2.5)),
-])
-def test_gamma_hat_derivatives_match_differencing(chart, kappa, origin):
-    if chart == "flat-torus":
-        fiber = ambient.FiberSpec(n=2, kappa=kappa, chart=chart)
-    else:
-        fiber = ambient.FiberSpec(n=2, kappa=kappa, chart=chart)
+@pytest.mark.parametrize("fiber,kappa,origin",
+                         [("flat-torus", 0.0, [0.5, 1.0])]
+                         + _space_forms((0.3, -0.25, 0.2)))
+def test_gamma_hat_derivatives_match_differencing(fiber, kappa, origin):
+    n = len(origin)
+    fiber = ambient.FiberSpec(n=n, kappa=kappa, chart=CHART[fiber])
     rng = np.random.default_rng(5)
     box = fiber.default_box()
     h = 1e-5
@@ -176,8 +176,8 @@ def test_gamma_hat_derivatives_match_differencing(chart, kappa, origin):
             continue
         checked += 1
         # gradient against central differences of gamma itself
-        for i in range(2):
-            e = np.zeros(2)
+        for i in range(n):
+            e = np.zeros(n)
             e[i] = h
             gp = fiber.gamma_hat_data(x + e, origin)[0]
             gm = fiber.gamma_hat_data(x - e, origin)[0]
@@ -185,9 +185,9 @@ def test_gamma_hat_derivatives_match_differencing(chart, kappa, origin):
             assert abs(dgamma[i] - fd) <= 5e-7 * max(1.0, abs(fd))
         # covariant Hessian: d_i d_j gamma - Gamma^k_ij d_k gamma
         gam = fiber.christoffel(x)
-        for i in range(2):
-            for j in range(2):
-                ei, ej = np.zeros(2), np.zeros(2)
+        for i in range(n):
+            for j in range(n):
+                ei, ej = np.zeros(n), np.zeros(n)
                 ei[i] = h
                 ej[j] = h
                 gpp = fiber.gamma_hat_data(x + ei + ej, origin)[0]
@@ -195,7 +195,7 @@ def test_gamma_hat_derivatives_match_differencing(chart, kappa, origin):
                 gmp = fiber.gamma_hat_data(x - ei + ej, origin)[0]
                 gmm = fiber.gamma_hat_data(x - ei - ej, origin)[0]
                 dij = (gpp - gpm - gmp + gmm) / (4.0 * h * h)
-                cov = dij - sum(gam[k, i, j] * dgamma[k] for k in range(2))
+                cov = dij - sum(gam[k, i, j] * dgamma[k] for k in range(n))
                 assert abs(hess[i, j] - cov) <= 2e-4 * max(1.0, abs(cov))
     assert checked >= 10
 
@@ -234,7 +234,7 @@ def test_exponential_product_is_hyperbolic():
 
 def test_cone_over_unit_sphere_is_flat():
     # rho = t over the unit round sphere: polar coordinates on flat space
-    W = make_product("linear", "round-sphere", 2, 1.0)
+    W = make_product("linear", "space-form", 2, 1.0)
     rng = np.random.default_rng(43)
     for _ in range(100):
         t = rng.uniform(0.5, 8.0)
@@ -246,7 +246,7 @@ def test_cone_over_unit_sphere_is_flat():
 
 def test_sectional_routes_agree():
     # closed-form sectional vs contraction of the full tensor
-    W = make_product("cosh", "hyperbolic", 2, -1.0)
+    W = make_product("cosh", "space-form", 2, -1.0)
     rng = np.random.default_rng(44)
     for _ in range(50):
         t = rng.uniform(-2.0, 2.0)
@@ -264,13 +264,13 @@ def test_sectional_rejects_skew_pairs():
                                   np.array([1.0, 1.0, 0]), mode="sectional")
 
 
-@pytest.mark.parametrize("name,chart,kappa", [
+@pytest.mark.parametrize("name,fiber,kappa", [
     ("cosh", "flat-torus", 0.0),
     ("exp", "round-sphere", 1.0),
     ("sin", "hyperbolic", -1.0),
 ])
-def test_curvature_tensor_symmetries(name, chart, kappa):
-    W = make_product(name, chart, 2, kappa)
+def test_curvature_tensor_symmetries(name, fiber, kappa):
+    W = make_product(name, CHART[fiber], 2, kappa)
     rng = np.random.default_rng(45)
     lo, hi = W.profile.t_min + 0.3, W.profile.t_max - 0.3
     for _ in range(25):
@@ -360,13 +360,48 @@ def test_slice_geometry_closed_form(name, t):
 def test_fiber_spec_validation():
     with pytest.raises(ValueError, match="kappa"):
         ambient.FiberSpec(n=2, kappa=1.0, chart="flat-torus")
-    with pytest.raises(ValueError, match="two-dimensional"):
-        ambient.FiberSpec(n=3, kappa=1.0, chart="round-sphere")
+    with pytest.raises(ValueError, match="kappa"):
+        ambient.FiberSpec(n=2, kappa=0.0, chart="space-form")
+    # the polar charts are gone; their boxes would silently change meaning
+    for chart, kappa in (("round-sphere", 1.0), ("hyperbolic", -1.0)):
+        with pytest.raises(ValueError, match="'space-form'"):
+            ambient.FiberSpec(n=2, kappa=kappa, chart=chart)
     with pytest.raises(ValueError, match="unknown chart"):
         ambient.FiberSpec(n=2, kappa=0.0, chart="cube")
-    with pytest.raises(ValueError, match="kappa"):
-        ambient.FiberSpec(n=2, kappa=0.5, chart="hyperbolic")
+    for chart, kappa in (("flat-torus", 0.0), ("space-form", -1.0)):
+        for n in (0, 9):
+            with pytest.raises(ValueError, match=f"dimension n={n} outside"):
+                ambient.FiberSpec(n=n, kappa=kappa, chart=chart)
+    # box lengths belong to the torus; the curved chart refuses them
+    with pytest.raises(ValueError, match="lengths"):
+        ambient.FiberSpec(n=2, kappa=1.0, chart="space-form",
+                          lengths=(1.0, 2.0))
     for lengths in ((0.0, 1.0), (1.0, -2.0), (1.0, float("inf"))):
         with pytest.raises(ValueError, match="lengths"):
             ambient.FiberSpec(n=2, kappa=0.0, chart="flat-torus",
                               lengths=lengths)
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0])
+def test_space_form_chart_at_every_dimension(kappa):
+    # the default box's corners sit at |x| sqrt|kappa| = 0.6, and the
+    # closed-form symbols match differencing of the metric for every n
+    for n in range(1, 9):
+        fiber = ambient.FiberSpec(n=n, kappa=kappa, chart="space-form")
+        assert fiber.periodic == (False,) * n
+        corner = np.array([hi for _, hi in fiber.default_box()])
+        assert math.sqrt(abs(kappa)) * np.linalg.norm(corner) == \
+            pytest.approx(0.6, rel=1e-15)
+        x = 0.5 * corner * np.cos(np.arange(n))
+        assert np.max(np.abs(fiber.christoffel(x)
+                             - _christoffel_fd(fiber, x))) <= 1e-8
+        assert np.max(np.abs(fiber.inverse_metric(x) @ fiber.metric(x)
+                             - np.eye(n))) <= 1e-15
+
+
+def test_poincare_ball_origin_is_refused():
+    fiber = ambient.FiberSpec(n=2, kappa=-4.0, chart="space-form")
+    x = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="Poincare ball"):
+        fiber.gamma_hat_data(x, (0.3, 0.4))     # |x| sqrt(-kappa) = 1
+    assert fiber.gamma_hat_data(x, (0.3, 0.39))[0].shape == (3,)

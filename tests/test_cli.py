@@ -218,7 +218,7 @@ def test_config_errors_exit_two(tmp_path, capsys):
             ("height", "probe", {"height": "tanh"}),
             ("jmax", "probe", {"jmax": 0}),
             ("T", "comparison", {"T": 0}),
-            ("margin", "verify", {"ambient": {"chart": "round-sphere",
+            ("margin", "verify", {"ambient": {"chart": "space-form",
                                               "kappa": 1.0},
                                   "immersion": dict(slice12, resolution=16),
                                   "operations": structure}),
@@ -379,6 +379,37 @@ def test_config_errors_exit_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
 
+    # a fiber the charts cannot carry is refused by name, before any report
+    # is written: the removed polar charts (a polar box would silently mean
+    # something else), a dimension outside [1, 8], box lengths on the curved
+    # chart, and a box or probe origin reaching the Poincare ball's boundary
+    ball = {"profile": "cosh", "chart": "space-form", "kappa": -1.0}
+    for name, config, says in (
+            ("round-sphere", {"ambient": {"profile": "cosh",
+                                          "chart": "round-sphere",
+                                          "kappa": 1.0}}, "'space-form'"),
+            ("hyperbolic", {"ambient": dict(ball, chart="hyperbolic")},
+             "'space-form'"),
+            ("n0", {"ambient": dict(torus, n=0)}, "n=0 outside [1, 8]"),
+            ("n9", {"ambient": dict(torus, n=9)}, "n=9 outside [1, 8]"),
+            ("space-form-lengths", {"ambient": dict(ball, kappa=1.0,
+                                                    lengths=[1, 2])},
+             "takes no box lengths"),
+            ("ball-box", {"ambient": ball, "immersion": dict(
+                slice12, box=[[-0.5, 0.8], [-0.6, 0.2]])},
+             "box reaches |x| sqrt(-kappa) = 1 >= 1"),
+            ("ball-origin", {"ambient": ball, "operations": [
+                {"op": "gamma-probe", "origin": [0.6, -0.8]}]},
+             "gamma-probe origin reaches")):
+        config = {"immersion": slice12, "operations": structure, **config}
+        cfg = _write_config(tmp_path / f"{name}.json", config)
+        fresh = tmp_path / f"out-{name}"
+        assert main(["verify", "--config", cfg, "--out", str(fresh)]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and says in err, err
+        assert err.count("\n") == 1, err
+        assert not fresh.exists() or list(fresh.iterdir()) == [], name
+
     cfg = _write_config(tmp_path / "refine.json", {
         "ambient": torus, "immersion": slice12,
         "operations": [{"op": "convergence"}]})
@@ -452,7 +483,8 @@ def test_cli_k_ranges_match_the_operators(n, res):
     for op, k in itertools.product(ops, range(-1, n + 2)):
         op = dict(op, k=k)
         try:
-            cli._operations("verify", {"operations": [op]}, cli.VERIFY_OPS, n)
+            cli._operations("verify", {"operations": [op]}, cli.VERIFY_OPS,
+                            W.fiber)
             refused = False
         except cli.ConfigError:
             refused = True
@@ -847,11 +879,11 @@ def test_periodic_normalization_matches_dense_sampling(n, max_mode, seed, box):
     _check_normalization(box, (True,) * n, seed, max_mode)
 
 
-_SPHERE = FiberSpec(n=2, kappa=1.0, chart="round-sphere")
+_SPHERE = FiberSpec(n=2, kappa=1.0, chart="space-form")
 
 
 @pytest.mark.parametrize("box,periodic,max_mode", [
-    # a polar chart box: its first axis is not periodic
+    # a space-form chart box: no axis is periodic
     (_SPHERE.default_box(), _SPHERE.periodic, 1),
     # modes up to 32 alias on 64 samples
     ([(0.0, 2.0 * math.pi)], (True,), 32),

@@ -41,7 +41,7 @@ def _t(M):
 def geom(request):
     """A curved-fiber graph for n = 2 and a flat 3-torus graph."""
     if request.param == 2:
-        W = make_product("cosh", "round-sphere", 2, 0.25)
+        W = make_product("cosh", "space-form", 2, 0.25)
         imm = random_immersion(W, seed=4, t_center=0.7, amplitude=0.1, res=16)
     else:
         W = make_product("cosh", "flat-torus", 3, 0.0)

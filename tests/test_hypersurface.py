@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_product, random_immersion, slice_immersion
+from helpers import CHART, make_product, random_immersion, slice_immersion
 from warpcurv import symfun
+from warpcurv.ambient import PROFILES
 from warpcurv.operators import convergence_study
 from warpcurv.hypersurface import (
     DiscretizationConfig,
@@ -27,12 +28,12 @@ SLICE_CASES = [
     ("linear", "round-sphere", 1.0, 1.0),
     ("cosh", "round-sphere", 0.25, -0.4),
     ("cosh", "hyperbolic", -1.0, 0.7),
-]
+]  # (profile, fiber, kappa, t)
 
 
-@pytest.mark.parametrize("profile,chart,kappa,t", SLICE_CASES)
-def test_slice_is_umbilical(profile, chart, kappa, t):
-    W = make_product(profile, chart, 2, kappa)
+@pytest.mark.parametrize("profile,fiber,kappa,t", SLICE_CASES)
+def test_slice_is_umbilical(profile, fiber, kappa, t):
+    W = make_product(profile, CHART[fiber], 2, kappa)
     geom = evaluate_geometry(slice_immersion(W, t))
     h = float(W.profile.hcal(t))
     m = geom.interior
@@ -44,15 +45,15 @@ def test_slice_is_umbilical(profile, chart, kappa, t):
     assert np.max(np.abs(geom.a[m])) <= 1e-13
 
 
-@pytest.mark.parametrize("profile,chart,kappa", [
+@pytest.mark.parametrize("profile,fiber,kappa", [
     ("exp", "flat-torus", 0.0), ("cosh", "flat-torus", 0.0),
     ("linear", "flat-torus", 0.0), ("sin", "flat-torus", 0.0),
     ("const", "flat-torus", 0.0), ("linear", "round-sphere", 1.0),
     ("cosh", "hyperbolic", -1.0)])
-def test_slices_at_random_heights_are_umbilical(profile, chart, kappa):
+def test_slices_at_random_heights_are_umbilical(profile, fiber, kappa):
     # every slice {t} is umbilical with H_k = hcal(t)^k, whichever t in the
     # inner 80% of the profile's interval is drawn
-    W = make_product(profile, chart, 2, kappa)
+    W = make_product(profile, CHART[fiber], 2, kappa)
     p = W.profile
     rng = np.random.default_rng(2027)
     for t in p.t_min + (0.1 + 0.8 * rng.uniform(size=4)) * (p.t_max - p.t_min):
@@ -68,6 +69,63 @@ def test_slices_at_random_heights_are_umbilical(profile, chart, kappa):
             assert err <= 1e-14 * max(1.0, abs(h) ** k), (t, k, err)
 
 
+@pytest.mark.parametrize("kappa", [1.0, -1.0])
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_space_form_slices_are_umbilical_at_n3(profile, kappa):
+    # slices over the three-dimensional sphere and hyperbolic space:
+    # H_k = hcal^k for k = 0..3, as exact as over the flat fiber
+    W = make_product(profile, "space-form", 3, kappa)
+    t = W.profile.t0 + 0.3
+    geom = evaluate_geometry(slice_immersion(W, t, res=20))
+    h = float(W.profile.hcal(t))
+    m = geom.interior
+    assert m.any()
+    assert np.all(geom.theta == -1.0)
+    assert np.all(geom.du == 0.0) and np.all(geom.a == 0.0)
+    for k in range(4):
+        err = np.max(np.abs(geom.H[m][:, k] - h ** k))
+        assert err <= 1e-14 * max(1.0, abs(h) ** k), (k, err)
+
+
+def _off_centre_sphere(R, c):
+    """Height of the sphere |t S(x) - c| = R in linear x space-form with
+    kappa = 1, which is Euclidean space minus the origin (t S(x) with S the
+    inverse stereographic projection); the origin lies inside it."""
+    c = np.asarray(c, dtype=float)
+
+    def u(mesh):
+        r2 = np.sum(mesh * mesh, axis=-1)
+        S = np.concatenate([2.0 * mesh, (1.0 - r2)[..., None]], axis=-1) \
+            / (1.0 + r2)[..., None]
+        b = S @ c
+        return b + np.sqrt(b * b - c @ c + R * R)
+    return u
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_off_centre_sphere_is_umbilical_at_stencil_order(orientation):
+    # a closed-form non-slice on the curved chart: every principal curvature
+    # of a Euclidean sphere of radius R is 1/R (with the sign of the
+    # normal), so H_k = (+-1/R)^k, and order-4 stencils must converge to it
+    R = 2.0
+    W = make_product("linear", "space-form", 2, 1.0)
+    imm = GraphImmersion.from_function(
+        W, _off_centre_sphere(R, (0.36, 0.0, -0.48)), 24,
+        orientation=orientation)
+    kappa = orientation / R
+
+    def residuals(geom):
+        out = {"kappas": geom.kappas - kappa}
+        out.update({f"H{k}": geom.H[..., k] - kappa ** k for k in (1, 2)})
+        return out
+
+    studies = convergence_study(imm, DiscretizationConfig(order=4), residuals)
+    for name, study in studies.items():
+        maxima = study["maxima"]
+        orders = [math.log2(maxima[i] / maxima[i + 1]) for i in range(2)]
+        assert all(o >= 3.5 for o in orders), (name, maxima, orders)
+
+
 def test_flipped_normal_negates_curvatures():
     W = make_product("cosh", "flat-torus", 2, 0.0)
     geom = evaluate_geometry(slice_immersion(W, 0.7, orientation=-1))
@@ -79,7 +137,7 @@ def test_flipped_normal_negates_curvatures():
 
 
 def test_slice_structure_identities_exact():
-    W = make_product("cosh", "round-sphere", 2, 1.0)
+    W = make_product("cosh", "space-form", 2, 1.0)
     geom = evaluate_geometry(slice_immersion(W, 0.7))
     for name, rec in structure_identities(geom).items():
         assert rec["max"] <= 1e-12, name
@@ -100,7 +158,7 @@ def test_tilted_plane_in_product_is_totally_geodesic():
 
 
 def test_metric_factorization_consistency():
-    W = make_product("cosh", "round-sphere", 2, 1.0)
+    W = make_product("cosh", "space-form", 2, 1.0)
     imm = random_immersion(W, seed=4, t_center=0.5, amplitude=0.1)
     geom = evaluate_geometry(imm)
     reassembled = np.einsum("...ik,...jk->...ij", geom.L, geom.L)
@@ -127,8 +185,10 @@ def test_point_route_matches_batched_fields():
 
 
 def test_refinement_shapes():
-    W = make_product("cosh", "round-sphere", 2, 1.0)
-    imm = GraphImmersion.from_function(W, lambda m: 0.3 + 0.0 * m[..., 0], (17, 24))
+    # a torus chart with its first axis treated as closed
+    W = make_product("cosh", "flat-torus", 2, 0.0)
+    imm = GraphImmersion.from_function(W, lambda m: 0.3 + 0.0 * m[..., 0],
+                                       (17, 24), periodic=(False, True))
     fine = imm.refined()
     assert fine.shape == (33, 48)  # closed axis doubles cells, keeps endpoint
     assert np.allclose(fine.box, imm.box)
@@ -153,13 +213,13 @@ def test_structure_identities_converge_at_stencil_order():
         assert all(s >= 1.9 for s in slopes), (key, maxima, slopes)
 
 
-@pytest.mark.parametrize("profile,chart,kappa,origin", [
+@pytest.mark.parametrize("profile,fiber,kappa,origin", [
     ("const", "flat-torus", 0.0, (3.0, 3.0)),
-    ("cosh", "round-sphere", 1.0, (1.5, 3.0)),
-    ("cosh", "hyperbolic", -1.0, (1.0, 3.0)),
+    ("cosh", "round-sphere", 1.0, (0.1, -0.15)),
+    ("cosh", "hyperbolic", -1.0, (-0.2, 0.1)),
 ])
-def test_distance_probe_on_slices(profile, chart, kappa, origin):
-    W = make_product(profile, chart, 2, kappa)
+def test_distance_probe_on_slices(profile, fiber, kappa, origin):
+    W = make_product(profile, CHART[fiber], 2, kappa)
     rep = extrinsic_gamma_probe(
         evaluate_geometry(slice_immersion(W, 0.5, res=32)), origin)
     assert rep["gradient_bound_holds"]
@@ -179,15 +239,15 @@ def test_distance_probe_on_graph():
 
 def test_empty_audit_region_fails_instead_of_reading_zero():
     # order-4 stencils leave an 8-cell margin on each non-periodic side,
-    # which covers all 16 rows of the polar axis
-    W = make_product("exp", "round-sphere", 2, 1.0)
+    # which covers all 16 rows of every axis of the space-form chart
+    W = make_product("exp", "space-form", 2, 1.0)
     imm = slice_immersion(W, W.profile.t0, res=16)
     geom = evaluate_geometry(imm)
     assert not geom.interior.any()
     residuals = structure_identities(geom)
     assert residuals and all(math.isnan(val["max"])
                              for val in residuals.values())
-    rep = extrinsic_gamma_probe(geom, (1.5, 3.0))
+    rep = extrinsic_gamma_probe(geom, (0.1, -0.15))
     assert not rep["gradient_bound_holds"]
     assert math.isnan(rep["min_margin"]) and math.isnan(rep["hessian_max"])
 
@@ -202,8 +262,8 @@ def test_sectional_report_on_exponential_slice():
 
 
 def test_sphere_slice_sectional_value():
-    # slice {t} of linear x round-sphere: a round sphere of radius t
-    W = make_product("linear", "round-sphere", 2, 1.0)
+    # slice {t} of linear x unit sphere: a round sphere of radius t
+    W = make_product("linear", "space-form", 2, 1.0)
     rep = sectional_bound_report(evaluate_geometry(slice_immersion(W, 2.0)))
     assert abs(rep["sectional_min"] - 1.0 / 4.0) <= 1e-12
 
@@ -231,6 +291,13 @@ def test_immersion_validation():
         with pytest.raises(ValueError, match="lo < hi"):
             GraphImmersion.from_function(W, lambda m: 0.0 * m[..., 0], 16,
                                          box=box)
+    # a box whose far corner reaches the Poincare ball's boundary sphere
+    W = make_product("cosh", "space-form", 2, -4.0)
+    with pytest.raises(ValueError, match="Poincare ball"):
+        GraphImmersion.from_function(W, lambda m: 0.0 * m[..., 0], 16,
+                                     box=[(-0.1, 0.3), (-0.4, 0.2)])
+    GraphImmersion.from_function(W, lambda m: 0.0 * m[..., 0], 16,
+                                 box=[(-0.1, 0.3), (-0.39, 0.2)])
 
 
 def test_h_safe_beyond_dimension():
@@ -241,8 +308,10 @@ def test_h_safe_beyond_dimension():
 
 
 def test_audit_window_trims_physical_margin():
-    W = make_product("cosh", "round-sphere", 2, 1.0)
-    imm = slice_immersion(W, 0.5, res=24)
+    # a torus chart with its first axis treated as closed
+    W = make_product("cosh", "flat-torus", 2, 0.0)
+    imm = GraphImmersion.from_function(W, lambda m: 0.5 + 0.0 * m[..., 0],
+                                       24, periodic=(False, True))
     cfg = DiscretizationConfig()
     trim = coarsest_trim(imm, cfg)
     assert trim[1] == 0.0  # periodic axis is never trimmed
@@ -293,7 +362,7 @@ def test_flat_fiber_fields_are_stored_once():
     assert not np.any(geom.gammahat)
 
     # a curved chart's fields vary, so every node keeps its own value
-    W = make_product("cosh", "round-sphere", 2, 1.0)
+    W = make_product("cosh", "space-form", 2, 1.0)
     geom = evaluate_geometry(random_immersion(W, seed=5, amplitude=0.05))
     for name in ("ghat", "gammahat"):
         field = getattr(geom, name)

@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_product, random_immersion, random_symmetric, slice_immersion
+from helpers import (CHART, make_product, random_immersion, random_symmetric,
+                     slice_immersion)
 from warpcurv import symfun
 from warpcurv.hypersurface import (DiscretizationConfig, GraphImmersion,
                                    evaluate_geometry)
@@ -40,9 +41,9 @@ SLICE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("profile,chart,kappa,t", SLICE_CASES)
-def test_slice_operator_identities_exact(profile, chart, kappa, t):
-    W = make_product(profile, chart, 2, kappa)
+@pytest.mark.parametrize("profile,fiber,kappa,t", SLICE_CASES)
+def test_slice_operator_identities_exact(profile, fiber, kappa, t):
+    W = make_product(profile, CHART[fiber], 2, kappa)
     imm = slice_immersion(W, t)
     geom = evaluate_geometry(imm)
     for k in range(2):
@@ -111,8 +112,47 @@ def test_div_pk_maxima_survive_a_whole_cell_roll():
     assert before["residual_ab"].max > 0.0
 
 
+@pytest.mark.parametrize("kappa", [1.0, -1.0])
+def test_space_form_identities_converge_at_n3(kappa):
+    # a random graph over the three-dimensional sphere and hyperbolic space,
+    # 24^3 refined to 47^3: the differenced routes of every k = 2 identity
+    # converge at the order-4 stencil's rate
+    W = make_product("cosh", "space-form", 3, kappa)
+    imm = random_immersion(W, seed=3, t_center=0.6, amplitude=0.1, res=24)
+
+    def residuals(geom):
+        hs = height_sigma_identities(geom.imm, 2, geom=geom)
+        dp = div_pk(geom.imm, 2, geom=geom)
+        th = theta_hat_identity(geom.imm, 2, geom=geom)
+        return {"height": hs["height"].grid, "sigma": hs["sigma"].grid,
+                "div-ab": dp["residual_ab"].grid,
+                "div-ac": dp["residual_ac"].grid,
+                "theta-gradient": th["gradient"].grid,
+                "theta-operator": th["operator"].grid}
+
+    studies = convergence_study(
+        imm, DiscretizationConfig(order=4, refine_levels=2), residuals)
+    for name, study in studies.items():
+        coarse, fine = study["maxima"]
+        assert coarse > 1e-9, name
+        assert math.log2(coarse / fine) >= 3.5, (name, coarse, fine)
+
+
+def test_frak_phi_decides_positivity_on_audited_nodes():
+    # next to a non-periodic edge the wrapped stencils leave H_1 meaningless
+    # (here negative); those nodes are never audited and must not decide
+    W = make_product("exp", "space-form", 2, 1.0)
+    imm = random_immersion(W, seed=5, amplitude=0.05, res=32)
+    geom = evaluate_geometry(imm, DiscretizationConfig(order=2))
+    H1 = geom.H[..., 1]
+    assert np.min(H1) < 0.0 < np.min(H1[geom.interior])
+    out = frak_phi(imm, 1, geom=geom)
+    assert out["applicable"]
+    assert out["residual"].max <= 1e-2
+
+
 def test_curvature_trace_identity_curved_fiber():
-    W = make_product("cosh", "round-sphere", 2, 1.0)
+    W = make_product("cosh", "space-form", 2, 1.0)
     imm = random_immersion(W, seed=8, t_center=0.5, amplitude=0.1)
     geom = evaluate_geometry(imm)
     w = np.broadcast_to(np.array([0.3, -1.1]), geom.a.shape)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_product, random_immersion, slice_immersion
+from helpers import CHART, make_product, random_immersion, slice_immersion
 from warpcurv.comparison import builtin_model
 from warpcurv.hypersurface import GraphImmersion, evaluate_geometry
 from warpcurv.scenarios import (
@@ -149,13 +149,13 @@ def test_audit_is_orientation_gauge_invariant():
     assert abs(a - b) <= 1e-12
 
 
-@pytest.mark.parametrize("chart,n,kappa,res", [
+@pytest.mark.parametrize("fiber,n,kappa,res", [
     ("flat-torus", 2, 0.0, 20), ("flat-torus", 3, 0.0, 12),
     ("round-sphere", 2, 1.0, 24)])
-def test_flipped_orientation_keeps_every_verdict(chart, n, kappa, res):
+def test_flipped_orientation_keeps_every_verdict(fiber, n, kappa, res):
     # the audits renormalize to positive mean curvature, so handing in the
     # opposite normal must not change a single verdict
-    W = make_product("cosh", chart, n, kappa)
+    W = make_product("cosh", CHART[fiber], n, kappa)
     audits = [(tid, k) for tid in THEOREM_IDS for k in range(2, n + 1)
               if not (tid.endswith("h2") and k != 2)
               and not (tid in THREE_DIM_IDS and k < 3)]
@@ -236,13 +236,31 @@ def test_strict_fiber_hypothesis_rejects_equality():
 
 def test_monotonicity_hypothesis_fails_on_contracting_profile():
     # rho = t over the unit sphere: hcal' = -1/t^2 < 0
-    W = make_product("linear", "round-sphere", 2, 1.0)
+    W = make_product("linear", "space-form", 2, 1.0)
     rep = theorem_audit(slice_immersion(W, 2.0), W, "compact-constant-h2")
     failed = _names(rep.hypothesis_checks, passed=False)
     assert "warping-speed-nondecreasing" in failed
     # the chart is not closed either
     assert "compact-without-boundary" in failed
     assert rep.verdict == VERDICT_HYPOTHESIS
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0])
+@pytest.mark.parametrize("profile", ["cosh", "sin"])
+def test_order_three_audit_over_three_dimensional_space_forms(profile, kappa):
+    # compact-constant-hk at k = 3 needs n = 3, which no curved fiber had
+    # before the conformally flat chart: a random graph over the bounded
+    # chart fails compactness and constancy, and sin's contracting phases
+    # fail the monotone warping speed; the conclusion is never blamed
+    W = make_product(profile, "space-form", 3, kappa)
+    imm = random_immersion(W, seed=3, t_center=0.6, amplitude=0.1, res=20)
+    rep = theorem_audit(imm, W, "compact-constant-hk", k=3)
+    assert rep.verdict == VERDICT_HYPOTHESIS
+    expected = ["compact-without-boundary", "order-curvature-constant"]
+    if profile == "sin":
+        expected.append("warping-speed-nondecreasing")
+    assert _names(rep.hypothesis_checks, passed=False) == expected
+    assert "slice-conclusion" in _names(rep.conclusion_checks, passed=False)
 
 
 def test_audit_validation_errors():
@@ -339,10 +357,11 @@ def test_estimate_validation():
 
 
 def test_runners_refuse_a_grid_with_no_audited_node():
-    # 16 nodes along the sphere chart's non-periodic axis all sit inside
-    # the order-4 stencil's 8-cell margin: the runners refuse the grid with
-    # the CLI's wording instead of reducing over an empty audit region
-    W = make_product("cosh", "round-sphere", 2, 1.0)
+    # 16 nodes along each of the sphere chart's non-periodic axes all sit
+    # inside the order-4 stencil's 8-cell margin: the runners refuse the
+    # grid with the CLI's wording instead of reducing over an empty audit
+    # region
+    W = make_product("cosh", "space-form", 2, 1.0)
     imm = slice_immersion(W, 0.7, res=16)
     for run in (lambda: curvature_estimate_scenario(imm, W, 1),
                 lambda: elliptic_point_and_signs(imm),
@@ -353,7 +372,7 @@ def test_runners_refuse_a_grid_with_no_audited_node():
 
 
 def test_open_chart_is_flagged_not_failed_as_conclusion():
-    W = make_product("cosh", "round-sphere", 2, 1.0)
+    W = make_product("cosh", "space-form", 2, 1.0)
     rep = curvature_estimate_scenario(slice_immersion(W, 0.7), W, 1)
     assert "compact-without-boundary" in _names(rep.hypothesis_checks,
                                                 passed=False)
