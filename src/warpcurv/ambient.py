@@ -369,11 +369,13 @@ def _sign_verdict(values: np.ndarray) -> str:
 
 
 def profile_summary(W: WarpedProduct) -> dict:
-    """Sampled sup of rho'^2 - rho''*rho, monotonicity of hcal, slab bounds.
+    """The sup alpha of rho'^2 - rho''*rho and the signs of hcal and hcal'.
 
-    The sup is a maximum over 10000 samples refined by golden section
-    around the discrete argmax; the sampling resolution is reported so
-    callers can bound the gap to the analytic sup.
+    Returns ``alpha_sampled`` (the maximum over 10000 samples, refined by
+    golden section around the discrete argmax), ``alpha_closed`` (the
+    profile's closed form, None when it has none), ``alpha`` (the closed
+    form when there is one, else the sampled sup) and the sign verdicts
+    ``hcal_sign`` and ``dhcal_sign`` over the same samples.
     """
     samples = 10000
     p = W.profile
@@ -390,22 +392,12 @@ def profile_summary(W: WarpedProduct) -> dict:
     t_star = golden_max(lambda t: float(q(t)), float(lo), float(hi))
     q_star = float(q(t_star))
     alpha_sampled = max(float(np.max(qs)), q_star)
-    dh = p.dhcal(ts)
-    h = p.hcal(ts)
     return {
         "alpha_sampled": alpha_sampled,
-        "alpha_argmax_t": t_star,
         "alpha_closed": p.alpha,
         "alpha": p.alpha if p.alpha is not None else alpha_sampled,
-        "hcal_sign": _sign_verdict(h),
-        "hcal_min": float(np.min(h)),
-        "hcal_max": float(np.max(h)),
-        "dhcal_sign": _sign_verdict(dh),
-        "dhcal_min": float(np.min(dh)),
-        "dhcal_positive_fraction": float(np.mean(dh > 1e-8)),
-        "slab": (p.t_min, p.t_max),
-        "samples": samples,
-        "resolution": float(ts[1] - ts[0]),
+        "hcal_sign": _sign_verdict(p.hcal(ts)),
+        "dhcal_sign": _sign_verdict(p.dhcal(ts)),
     }
 
 

@@ -183,6 +183,14 @@ def _registry_miss(kind: str, name, registry) -> ConfigError:
         f"unknown {kind} {name!r}; registry: {', '.join(sorted(registry))}")
 
 
+def _per_axis(values, n: int, key: str) -> list:
+    """``values``, refused unless it is a list of one entry per fiber axis."""
+    if not isinstance(values, list) or len(values) != n:
+        raise ConfigError(f"{key} must be a list of {n} entries, one per "
+                          f"fiber axis")
+    return values
+
+
 def _refuse_unknown(kind: str, section: dict, accepted) -> None:
     """Refuse the keys of ``section`` that are not in ``accepted``, so a
     typo never runs with a default."""
@@ -241,7 +249,8 @@ def build_immersion(W: WarpedProduct, section: dict,
     n = W.fiber.n
     box = section.get("box")
     if box is not None:
-        box = tuple((_float(lo, "box"), _float(hi, "box")) for lo, hi in box)
+        box = tuple((_float(lo, "box"), _float(hi, "box"))
+                    for lo, hi in _per_axis(box, n, "box"))
 
     if family == "slice":
         t = _float(section.get("t", W.profile.t0), "t")
@@ -264,7 +273,7 @@ def build_immersion(W: WarpedProduct, section: dict,
     center = section.get("center")
     if center is None:
         center = [0.5 * (lo + hi) for lo, hi in box]
-    center = [_float(c, "center") for c in center]
+    center = [_float(c, "center") for c in _per_axis(center, n, "center")]
 
     def bump(mesh):
         r2 = sum((mesh[..., i] - center[i]) ** 2 for i in range(n))
@@ -288,9 +297,7 @@ def build_discretization(config: dict, args) -> DiscretizationConfig:
         raise ConfigError("'discretization' must be an object")
     fields = dataclasses.fields(DiscretizationConfig)
     _refuse_unknown("discretization", section, [f.name for f in fields])
-    kwargs = {f.name: (_integer(section, f.name, None)
-                       if isinstance(f.default, int)
-                       else _float(section[f.name], f.name))
+    kwargs = {f.name: _integer(section, f.name, None)
               for f in fields if f.name in section}
     if args.refine is not None:
         kwargs["refine_levels"] = args.refine
@@ -445,10 +452,8 @@ def _laplacian_cross_check(run, op, stem):
 
 def _check_origin(op, fiber):
     origin = op.get("origin", [0.0] * fiber.n)
-    if not isinstance(origin, list) or len([_float(v, "origin")
-                                            for v in origin]) != fiber.n:
-        raise ConfigError(
-            f"gamma-probe: origin must be a list of {fiber.n} numbers")
+    for v in _per_axis(origin, fiber.n, "gamma-probe: origin"):
+        _float(v, "origin")
     fiber.check_points(origin, "gamma-probe origin")
 
 

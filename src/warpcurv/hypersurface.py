@@ -46,10 +46,9 @@ MARGIN_FACTOR = 4
 
 @dataclass(frozen=True)
 class DiscretizationConfig:
-    """Stencil order, tolerances, and refinement depth for grid audits."""
+    """Stencil order and refinement depth for grid audits."""
 
     order: int = 4
-    identity_tol: float = 1e-8
     refine_levels: int = 3
 
     def __post_init__(self):
@@ -557,17 +556,11 @@ def extrinsic_gamma_probe(geom: GeometryGrid, origin) -> dict:
     resid = lhs - rhs
 
     return {
-        "gamma": gamma,
-        "grad_norm": grad_norm,
-        "bound": bound,
         "min_margin": float(np.min(margin[mask])) if np.any(mask) else float("nan"),
         # vacuous on an empty audit region, so it does not hold there
         "gradient_bound_holds": bool(np.any(mask)
                                      and np.all(margin[mask] >= -1e-10)),
-        "hessian_residual": resid,
         "hessian_max": masked_max(resid, mask),
-        "window": window,
-        "mask": mask,
     }
 
 
@@ -600,7 +593,6 @@ def sectional_bound_report(geom: GeometryGrid) -> dict:
     k_amb_min = np.inf
     chain_ok = True
     fiber_ok = True
-    pair_mins = {}
     for i in range(n):
         for j in range(i + 1, n):
             wedge = 1.0 - a2[..., i] - a2[..., j]
@@ -614,16 +606,12 @@ def sectional_bound_report(geom: GeometryGrid) -> dict:
             k_amb_min = min(k_amb_min, float(np.min(k_amb[m])))
             chain_ok &= bool(np.all(k_sig[m] >= (k_amb - 2.0 * norm_A_sq)[m] - tol))
             fiber_ok &= bool(np.all(fiber_term[m] >= -abs(kappa) / rho2[m] - tol))
-            pair_mins[f"K({i},{j})"] = float(np.min(k_sig[m]))
 
     return {
         "sectional_min": k_sigma_min,
         "ambient_min": k_amb_min,
-        "lower_bound_constant": k_sigma_min,
         "chain_holds": chain_ok,
         "fiber_bound_holds": fiber_ok,
-        "pair_minima": pair_mins,
-        "norm_A_sq_max": float(np.max(norm_A_sq[mask])),
     }
 
 

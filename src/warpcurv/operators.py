@@ -99,24 +99,44 @@ def chart_mixed_newton(geom: GeometryGrid, k: int) -> np.ndarray:
             @ np.swapaxes(geom.L, -1, -2))
 
 
-def normalized_lhat(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
-    """Lhat_k f = L_k f / H_k, defined only where H_k > 0.
+def _nonpositive_node(geom: GeometryGrid, Hk: np.ndarray):
+    """The audited node of least H_k when H_k is not positive on every
+    audited node (NaN is not), else None.
 
-    Verifies Tr(P_k/H_k) = c_k pointwise before returning.
+    Next to a non-periodic edge the wrapped stencils leave H_k
+    meaningless, and those nodes are never audited.
+    """
+    audited = np.where(geom.interior, Hk, np.inf)
+    if float(np.min(audited)) > 0.0:
+        return None
+    return tuple(int(i) for i in
+                 np.unravel_index(int(np.argmin(audited)), Hk.shape))
+
+
+def normalized_lhat(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
+    """Lhat_k f = L_k f / H_k on the audited nodes, NaN elsewhere.
+
+    Requires H_k > 0 on the audited nodes and verifies Tr(P_k/H_k) = c_k
+    there before returning.
     """
     _check_k(geom, k)
+    mask = geom.interior
+    if not mask.any():
+        raise NotApplicableError("no audited node on this grid")
     Hk = geom.H[..., k]
-    if not np.min(Hk) > 0.0:      # NaN fails too
-        loc = np.unravel_index(int(np.argmin(Hk)), Hk.shape)
+    loc = _nonpositive_node(geom, Hk)
+    if loc is not None:
         raise NotApplicableError(
-            f"H_{k} is not positive on the grid (min at {loc})", location=loc)
-    base = lk_apply(geom, k, f)
-    trace = np.einsum("...ii->...", geom.newton[..., k, :, :]) / Hk
+            f"H_{k} is not positive on the audited nodes (min at {loc})",
+            location=loc)
+    trace = np.einsum("...ii->...", geom.newton[..., k, :, :][mask]) / Hk[mask]
     ck = geom.c[k]
     resid = float(np.max(np.abs(trace - ck))) / max(1.0, abs(ck))
     if not resid <= 1e-10:
         raise RuntimeError(f"normalized Newton trace off c_{k} by {resid:.3e}")
-    return base / Hk
+    out = np.full(Hk.shape, np.nan)
+    out[mask] = lk_apply(geom, k, f)[mask] / Hk[mask]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +189,8 @@ def height_sigma_identities(imm: GraphImmersion, k: int,
 
 def default_test_vectors(geom: GeometryGrid):
     """Deterministic tangent test vectors in frame components."""
-    n = geom.n
-    vecs = []
-    names = []
-    eye = np.eye(n)
-    for i in range(n):
-        vecs.append(np.broadcast_to(eye[i], geom.a.shape))
-        names.append(f"frame_{i}")
-    vecs.append(geom.a)
-    names.append("grad_h")
-    return names, vecs
+    eye = np.eye(geom.n)
+    return [np.broadcast_to(row, geom.a.shape) for row in eye] + [geom.a]
 
 
 def _ambient_inner(geom: GeometryGrid, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -210,7 +222,7 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     n = geom.n
     mask = geom.interior
     spacing = geom.spacing
-    names, vecs = default_test_vectors(geom)
+    vecs = default_test_vectors(geom)
 
     # (a) direct: (div P)_j = d_m P^m_j + G^m_{mk} P^k_j - G^k_{mj} P^m_k
     P_chart = chart_mixed_newton(geom, k)
@@ -262,10 +274,6 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     b = np.stack(applied_b, axis=-1)
     c = np.stack(applied_c, axis=-1)
     return {
-        "vector_names": names,
-        "numeric": a,
-        "closed_form": b,
-        "curvature_sum": c,
         "residual_ab": IdentityResidual("div-pk-numeric-vs-closed", a - b,
                                         masked_max(a - b, mask)),
         "residual_ac": IdentityResidual("div-pk-numeric-vs-curvature", a - c,
@@ -373,7 +381,6 @@ def calligraphic_ops(imm: GraphImmersion, k: int,
     grid_fd = lhs_fd - rhs
     semidefinite = min_eig >= -1e-10
     return {
-        "field": Pcal,
         "sigma_identity_algebraic": IdentityResidual(
             "calligraphic-sigma-algebraic", grid_alg, masked_max(grid_alg, mask)),
         "sigma_identity": IdentityResidual(
@@ -453,8 +460,6 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
                                         masked_max(bgrid, mask)),
         "general_vs_constant": IdentityResidual(
             "theta-hat-general-vs-constant", agrid, masked_max(agrid, mask)),
-        "lhs": lhs_fd,
-        "rhs": rhs_const,
     }
 
 
@@ -466,8 +471,9 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
              geom: GeometryGrid = None) -> dict:
     """div(P_{k-1} grad phi) against its four-term closed form.
 
-    phi = H_k^{1/k} sigma(h) + rho(h) Theta; requires H_k > 0.  The
-    four displayed terms of the closed form are reported individually:
+    phi = H_k^{1/k} sigma(h) + rho(h) Theta; requires H_k > 0 on the
+    audited nodes.  The minimum of each of the four displayed terms of the
+    closed form is reported in ``term_minima``:
 
       T1 = c_{k-1} rho' H_k^{1/k} (H_{k-1} - H_k^{(k-1)/k})
       T2 = -C(n,k) Theta^ (n H_1 H_k - (n-k) H_{k+1} - k H_k^{(k+1)/k})
@@ -486,13 +492,9 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     mask = geom.interior
     kappa = geom.imm.W.fiber.kappa
     Hk = geom.H[..., k]
-    # decided on the audited nodes: next to a non-periodic edge the wrapped
-    # stencils leave H_k meaningless, and those nodes are never audited
-    audited = np.where(mask, Hk, np.inf)
-    if not float(np.min(audited)) > 0.0:      # NaN fails too
-        loc = np.unravel_index(int(np.argmin(audited)), Hk.shape)
-        return {"applicable": False, "location": loc,
-                "min_Hk": float(np.min(audited))}
+    loc = _nonpositive_node(geom, Hk)
+    if loc is not None:
+        return {"applicable": False, "location": loc, "min_Hk": float(Hk[loc])}
 
     psi = np.maximum(Hk, 0.0) ** (1.0 / k)
     theta_hat = geom.rho * geom.theta
@@ -549,8 +551,6 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     return {
         "applicable": True,
         "field": lhs,
-        "phi": phi,
-        "terms": terms,
         "term_minima": term_mins,
         "variable_correction": variable_correction,
         "residual": IdentityResidual("frak-phi", grid, masked_max(grid, mask)),

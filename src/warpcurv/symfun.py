@@ -111,7 +111,7 @@ class NewtonFamily:
 
     P: list
     A: np.ndarray
-    pack: SymmetricPack = field(repr=False, default=None)
+    pack: SymmetricPack = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -199,9 +199,6 @@ def trace_and_norm_identities(A: np.ndarray) -> dict:
     scale = 1.0 + max(abs(s) for s in S) * n + norm_sq
     max_res = float(np.max(trace_p + trace_ap + [norm_res]))
     return {
-        "trace_p": trace_p,
-        "trace_ap": trace_ap,
-        "norm_sq_residual": norm_res,
         "scale": scale,
         "max_residual": max_res,
         "passed": math.isfinite(scale) and max_res <= 1e-10 * scale,
@@ -261,8 +258,6 @@ def garding_chain(pack: SymmetricPack, k: int) -> GardingReport:
     scale = max(1.0, roots[0])
     holds = all(m >= -rel_tol * scale for m in margins) and roots[-1] > 0.0
     umbilical = bool(margins) and all(abs(m) <= rel_tol * scale for m in margins)
-    if not margins:
-        umbilical = False
     return GardingReport(applicable=True, margins=margins, holds=holds,
                          umbilical=umbilical)
 

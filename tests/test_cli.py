@@ -320,6 +320,23 @@ def test_config_errors_exit_two(tmp_path, capsys):
                                     "immersion": dict(slice12, box=[
                                         [0.0, 1.0], [1.0, 1.0]]),
                                     "operations": structure}),
+            # a bump center or a box takes one entry per fiber axis
+            ("center-short", "verify", {"ambient": torus,
+                                        "immersion": {"family": "bump",
+                                                      "resolution": 12,
+                                                      "center": [1.0]},
+                                        "operations": structure}),
+            ("center-long", "verify", {"ambient": torus,
+                                       "immersion": {"family": "bump",
+                                                     "resolution": 12,
+                                                     "center": [1.0, 2.0,
+                                                                3.0]},
+                                       "operations": structure}),
+            ("box-one-axis", "verify", {"ambient": torus,
+                                        "immersion": {"family": "bump",
+                                                      "resolution": 12,
+                                                      "box": [[0.0, 1.0]]},
+                                        "operations": structure}),
             ("kappa-str", "verify", {"ambient": dict(torus, kappa="0"),
                                      "immersion": slice12,
                                      "operations": structure}),

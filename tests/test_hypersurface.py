@@ -8,7 +8,8 @@ import pytest
 from helpers import CHART, make_product, random_immersion, slice_immersion
 from warpcurv import symfun
 from warpcurv.ambient import PROFILES
-from warpcurv.operators import convergence_study
+from warpcurv.operators import (NotApplicableError, convergence_study,
+                                normalized_lhat)
 from warpcurv.hypersurface import (
     DiscretizationConfig,
     GraphImmersion,
@@ -250,6 +251,8 @@ def test_empty_audit_region_fails_instead_of_reading_zero():
     rep = extrinsic_gamma_probe(geom, (0.1, -0.15))
     assert not rep["gradient_bound_holds"]
     assert math.isnan(rep["min_margin"]) and math.isnan(rep["hessian_max"])
+    with pytest.raises(NotApplicableError, match="no audited node"):
+        normalized_lhat(geom, 1, geom.u)
 
 
 def test_sectional_report_on_exponential_slice():

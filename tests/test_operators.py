@@ -194,6 +194,32 @@ def test_normalized_operator_requires_positive_curvature():
     assert np.all(np.isfinite(field))
 
 
+def test_normalized_operator_is_decided_on_the_audited_nodes():
+    # on the bounded sphere chart the wrapped stencils leave H_1 meaningless
+    # next to the edges; only the audited nodes decide positivity
+    W = make_product("exp", "space-form", 2, 1.0)
+    imm = random_immersion(W, seed=5, t_center=0.0, amplitude=0.05, res=32)
+    geom = evaluate_geometry(imm)
+    mask = geom.interior
+    assert mask.any() and not mask.all()
+    H1 = geom.H[..., 1]
+    assert np.min(H1[mask]) > 0.6 and not np.min(H1) > 0.0
+    field = normalized_lhat(geom, 1, geom.u)
+    assert np.all(np.isfinite(field[mask])) and np.all(np.isnan(field[~mask]))
+    expected = lk_apply(geom, 1, geom.u)[mask] / H1[mask]
+    assert np.array_equal(field[mask], expected)
+
+    # a non-positive audited node is reported as plain ints
+    node = tuple(int(i) for i in np.argwhere(mask)[0])
+    H = geom.H.copy()
+    H[node + (1,)] = -1.0
+    with pytest.raises(NotApplicableError,
+                       match=rf"min at \({node[0]}, {node[1]}\)") as err:
+        normalized_lhat(dataclasses.replace(geom, H=H), 1, geom.u)
+    assert err.value.location == node
+    assert all(type(i) is int for i in err.value.location)
+
+
 def test_calligraphic_recursion():
     # Pcal_m = (c_m / c_{m-1}) hcal Pcal_{m-1} + (-theta)^m ... built directly
     rng = np.random.default_rng(12)

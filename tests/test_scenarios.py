@@ -245,22 +245,54 @@ def test_monotonicity_hypothesis_fails_on_contracting_profile():
     assert rep.verdict == VERDICT_HYPOTHESIS
 
 
-@pytest.mark.parametrize("kappa", [1.0, -1.0])
-@pytest.mark.parametrize("profile", ["cosh", "sin"])
-def test_order_three_audit_over_three_dimensional_space_forms(profile, kappa):
-    # compact-constant-hk at k = 3 needs n = 3, which no curved fiber had
-    # before the conformally flat chart: a random graph over the bounded
-    # chart fails compactness and constancy, and sin's contracting phases
-    # fail the monotone warping speed; the conclusion is never blamed
+# (theorem, profile, kappa, the hypotheses that fail besides the boundary
+# and constancy ones, the conclusion reported)
+_ORDER_THREE_AUDITS = [
+    ("compact-constant-hk", "cosh", 1.0, [], "slice-conclusion"),
+    ("compact-constant-hk", "cosh", -1.0, [], "slice-conclusion"),
+    ("compact-constant-hk", "sin", 1.0, ["warping-speed-nondecreasing"],
+     "slice-conclusion"),
+    ("compact-constant-hk", "sin", -1.0, ["warping-speed-nondecreasing"],
+     "slice-conclusion"),
+    ("complete-constant-hk", "cosh", 1.0, [], "slice-conclusion"),
+    ("complete-constant-hk", "cosh", -1.0, [], "slice-conclusion"),
+    ("complete-constant-hk", "sin", 1.0, ["warping-speed-increasing-ae"],
+     "slice-conclusion"),
+    ("complete-constant-hk", "sin", -1.0, ["warping-speed-increasing-ae"],
+     "slice-conclusion"),
+    ("compact-constant-hk-fiber-curvature", "cosh", 1.0, [],
+     "slice-conclusion"),
+    # cosh has alpha = -1, so kappa = alpha: the umbilical alternative
+    ("compact-constant-hk-fiber-curvature", "cosh", -1.0, [],
+     "slice-or-umbilical-conclusion"),
+    ("compact-constant-hk-fiber-curvature", "sin", 1.0, [],
+     "slice-conclusion"),
+    ("compact-constant-hk-fiber-curvature", "sin", -1.0,
+     ["fiber-curvature-dominates"], "slice-conclusion"),
+]
+
+
+@pytest.mark.parametrize(
+    "theorem,profile,kappa,extra,conclusion", _ORDER_THREE_AUDITS,
+    # the compact-constant-hk cases keep their plain profile-kappa ids
+    ids=[f"{p}-{kap}" if th == "compact-constant-hk" else f"{th}-{p}-{kap}"
+         for th, p, kap, _, _ in _ORDER_THREE_AUDITS])
+def test_order_three_audit_over_three_dimensional_space_forms(
+        theorem, profile, kappa, extra, conclusion):
+    # the -hk audits at k = 3 need n = 3, which no curved fiber had before
+    # the conformally flat chart: a random graph over the bounded chart
+    # fails closedness and constancy, sin's contracting phases fail the
+    # monotone warping speed, and sin's alpha exceeds kappa = -1; the
+    # conclusion is never blamed
     W = make_product(profile, "space-form", 3, kappa)
     imm = random_immersion(W, seed=3, t_center=0.6, amplitude=0.1, res=20)
-    rep = theorem_audit(imm, W, "compact-constant-hk", k=3)
+    rep = theorem_audit(imm, W, theorem, k=3)
     assert rep.verdict == VERDICT_HYPOTHESIS
-    expected = ["compact-without-boundary", "order-curvature-constant"]
-    if profile == "sin":
-        expected.append("warping-speed-nondecreasing")
+    boundary = ("complete-without-boundary" if theorem.startswith("complete")
+                else "compact-without-boundary")
+    expected = [boundary, "order-curvature-constant"] + extra
     assert _names(rep.hypothesis_checks, passed=False) == expected
-    assert "slice-conclusion" in _names(rep.conclusion_checks, passed=False)
+    assert conclusion in _names(rep.conclusion_checks, passed=False)
 
 
 def test_audit_validation_errors():
