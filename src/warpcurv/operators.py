@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import symfun
 from ._grid import diff, fit_order, masked_max
 from .ambient import curvature_tensor_components, profile_summary
 from .hypersurface import (DiscretizationConfig, GeometryGrid, GraphImmersion,
@@ -99,6 +100,20 @@ def chart_mixed_newton(geom: GeometryGrid, k: int) -> np.ndarray:
             @ np.swapaxes(geom.L, -1, -2))
 
 
+def _audited(geom: GeometryGrid) -> np.ndarray:
+    """The audited-node mask, refusing a grid that has no audited node."""
+    if not geom.interior.any():
+        raise NotApplicableError("no audited node on this grid")
+    return geom.interior
+
+
+def _newton_min(geom: GeometryGrid, k: int) -> float:
+    """Least eigenvalue of P_0..P_{k-1} over the audited nodes, read in
+    closed form from the principal curvatures (NaN if any entry is)."""
+    spectrum = symfun.newton_spectrum_batch(geom.kappas[geom.interior])
+    return float(np.min(spectrum[..., :k, :]))
+
+
 def _nonpositive_node(geom: GeometryGrid, Hk: np.ndarray):
     """The audited node of least H_k when H_k is not positive on every
     audited node (NaN is not), else None.
@@ -120,9 +135,7 @@ def normalized_lhat(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
     there before returning.
     """
     _check_k(geom, k)
-    mask = geom.interior
-    if not mask.any():
-        raise NotApplicableError("no audited node on this grid")
+    mask = _audited(geom)
     Hk = geom.H[..., k]
     loc = _nonpositive_node(geom, Hk)
     if loc is not None:
@@ -317,8 +330,6 @@ def curvature_trace_identity(geom: GeometryGrid, j: int,
 def calligraphic_family(A: np.ndarray, hcal: float, theta: float) -> list:
     """The matrices sum_{j<=m} (-1)^j (c_m/c_j) hcal^{m-j} theta^j P_j
     for m = 0..n-1, from a single symmetric matrix (pure algebra)."""
-    from . import symfun
-
     fam = symfun.newton_family(A)
     n = fam.n
     c = [symfun.trace_coefficient(n, j) for j in range(n)]
@@ -353,13 +364,15 @@ def calligraphic_ops(imm: GraphImmersion, k: int,
     Verifies Tr(Pcal_{k-1} Hess sigma(h))
     = c_{k-1} rho (hcal^k + (-1)^{k-1} Theta^k H_k) along the algebraic
     route (rounding level) and the differenced route (convergent), and
-    reports eigenvalue-based semidefiniteness together with the sign
-    hypotheses that would force it.
+    reports semidefiniteness from the eigenvalues of the combination
+    together with the sign hypotheses that would force it: Theta <= 0,
+    hcal >= 0 and P_0..P_{k-1} positive definite, whose spectra are read
+    in closed form from the principal curvatures.
     """
     geom = _require_geom(imm, cfg, geom)
     if not 2 <= k <= geom.n:
         raise ValueError(f"calligraphic index k={k} outside [2, {geom.n}]")
-    mask = geom.interior
+    mask = _audited(geom)
     Pcal = _calligraphic_grid(geom, k)
     cm = geom.c[k - 1]
     rhs = cm * geom.rho * (geom.hcal ** k
@@ -373,8 +386,7 @@ def calligraphic_ops(imm: GraphImmersion, k: int,
     min_eig = float(np.min(eigs[mask]))
     theta_max = float(np.max(geom.theta[mask]))
     hcal_min = float(np.min(geom.hcal[mask]))
-    newton_min = float(np.min(
-        np.linalg.eigvalsh(geom.newton[..., :k, :, :])[mask]))
+    newton_min = _newton_min(geom, k)
     hypotheses = (theta_max <= 0.0 and hcal_min >= 0.0 and newton_min > 0.0)
 
     grid_alg = lhs_alg - rhs
@@ -489,7 +501,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     geom = _require_geom(imm, cfg, geom)
     _check_k(geom, k, lo=1, hi=geom.n)   # curvature order, not tensor index
     n = geom.n
-    mask = geom.interior
+    mask = _audited(geom)
     kappa = geom.imm.W.fiber.kappa
     Hk = geom.H[..., k]
     loc = _nonpositive_node(geom, Hk)
@@ -536,8 +548,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
 
     alpha = float(profile_summary(geom.imm.W)["alpha"])
     garding_margin = float(np.min((geom.H[..., k - 1] - psi ** (k - 1))[mask]))
-    newton_min = float(np.min(
-        np.linalg.eigvalsh(geom.newton[..., :k, :, :])[mask]))
+    newton_min = _newton_min(geom, k)
     hypotheses = {
         "kappa_exceeds_alpha": kappa > alpha,
         "sampled_alpha": alpha,

@@ -312,7 +312,9 @@ def p1_ellipticity_check(A: np.ndarray) -> EllipticityReport:
 # ---------------------------------------------------------------------------
 # The per-point API above is the claim-bearing route; the batched variants
 # below exist so that grid sweeps stay vectorized.  numpy's batched `eigvalsh`
-# is used for the spectra; the test suite pins it against the Jacobi solver.
+# is used for the spectra of the shape operators; the test suite pins it
+# against the Jacobi solver.  The Newton tensors' spectra follow from those
+# in closed form, pinned against `eigvalsh` of the batched Newton stack.
 
 def elementary_symmetric_batch(kappas: np.ndarray) -> np.ndarray:
     """S_0..S_n along the last axis; input shape (..., n)."""
@@ -347,3 +349,18 @@ def newton_family_batch(A: np.ndarray, S: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         P[..., k, :, :] = S[..., k, None, None] * eye - A @ P[..., k - 1, :, :]
     return P
+
+
+def newton_spectrum_batch(kappas: np.ndarray) -> np.ndarray:
+    """Eigenvalues of P_0..P_{n-1} from the principal curvatures.
+
+    Input shape (..., n), output (..., n, n) indexed ``[..., j, i]``: the
+    eigenvalue of P_j on the i-th principal direction, S_j of the
+    curvatures with kappa_i left out.  A NaN curvature makes every entry
+    that depends on it NaN.
+    """
+    kappas = np.asarray(kappas, dtype=float)
+    n = kappas.shape[-1]
+    others = np.array([[m for m in range(n) if m != i] for i in range(n)],
+                      dtype=int)
+    return np.swapaxes(elementary_symmetric_batch(kappas[..., others]), -1, -2)

@@ -7,7 +7,8 @@ written as the old single einsum, on seeded stacks with n = 2 and 3,
 contiguous and strided; the two must agree to 1e-13 of max|field|.  Each
 comparison whose operands are not all symmetric is also shown to reject
 the result with one operand transposed, so it could not pass on an index
-slip.
+slip.  A scan of the package also pins its eigen-solves, so that a
+spectrum the geometry stores is not solved again.
 """
 
 import ast
@@ -221,3 +222,46 @@ def test_no_einsum_takes_more_than_two_operands():
              for path in sorted(package.glob("*.py"))}
     assert len(found) >= 9
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+_EIGEN = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def _eigen_solves(source):
+    """(enclosing function, routine, first argument) of every
+    ``np.linalg`` eigen-solve, in source order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in _EIGEN
+                    and ast.unparse(child.func.value) == "np.linalg"):
+                arg = ast.unparse(child.args[0]) if child.args else ""
+                found.append((where, child.func.attr, arg))
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_no_stored_spectrum_is_solved_again():
+    # the principal curvatures are solved once, in evaluate_geometry; the
+    # Newton spectra follow from them in closed form.  Two solves remain
+    # by design: the eigen frame of one beta_k route, and the spectrum of
+    # the calligraphic combination that semidefiniteness is measured on
+    assert _eigen_solves("def f(A):\n    return np.linalg.eigvalsh(A @ A)") \
+        == [("f", "eigvalsh", "A @ A")]
+    assert _eigen_solves("w, v = np.linalg.eigh(M)") == [(None, "eigh", "M")]
+    package = Path(warpcurv.__file__).parent
+    found = [(path.name,) + site for path in sorted(package.glob("*.py"))
+             for site in _eigen_solves(path.read_text())]
+    assert found == [
+        ("hypersurface.py", "evaluate_geometry", "eigvalsh", "shape_frame"),
+        ("operators.py", "calligraphic_ops", "eigvalsh", "Pcal"),
+        ("operators.py", "theta_hat_identity", "eigh", "geom.shape_frame"),
+    ]

@@ -8,8 +8,8 @@ import pytest
 from helpers import CHART, make_product, random_immersion, slice_immersion
 from warpcurv import symfun
 from warpcurv.ambient import PROFILES
-from warpcurv.operators import (NotApplicableError, convergence_study,
-                                normalized_lhat)
+from warpcurv.operators import (NotApplicableError, calligraphic_ops,
+                                convergence_study, frak_phi, normalized_lhat)
 from warpcurv.hypersurface import (
     DiscretizationConfig,
     GraphImmersion,
@@ -253,6 +253,10 @@ def test_empty_audit_region_fails_instead_of_reading_zero():
     assert math.isnan(rep["min_margin"]) and math.isnan(rep["hessian_max"])
     with pytest.raises(NotApplicableError, match="no audited node"):
         normalized_lhat(geom, 1, geom.u)
+    with pytest.raises(NotApplicableError, match="no audited node"):
+        calligraphic_ops(imm, 2, geom=geom)
+    with pytest.raises(NotApplicableError, match="no audited node"):
+        frak_phi(imm, 1, geom=geom)
 
 
 def test_sectional_report_on_exponential_slice():

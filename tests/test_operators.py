@@ -310,6 +310,26 @@ def test_nan_curvature_fails_the_positivity_and_trace_gates():
         normalized_lhat(dataclasses.replace(geom, newton=newton), 1, geom.u)
 
 
+def test_nan_curvature_fails_the_newton_positivity_hypothesis():
+    # every hypothesis holds on this slice, so only the NaN can break it;
+    # a reduction that drops NaN, as Python's min(1.0, nan) does, passes it
+    W = make_product("cosh", "flat-torus", 2, 0.0)
+    imm = slice_immersion(W, 0.7)
+    geom = evaluate_geometry(imm)
+    assert calligraphic_ops(imm, 2, geom=geom)["sign_hypotheses_hold"]
+    assert frak_phi(imm, 2, geom=geom)["hypotheses"][
+        "newton_min_eigenvalue"] > 0.0
+
+    kappas = geom.kappas.copy()
+    kappas[5, 7, 0] = np.nan
+    assert geom.interior[5, 7]
+    nan_kappa = dataclasses.replace(geom, kappas=kappas)
+    assert not calligraphic_ops(imm, 2, geom=nan_kappa)["sign_hypotheses_hold"]
+    rep = frak_phi(imm, 2, geom=nan_kappa)
+    assert rep["applicable"]
+    assert math.isnan(rep["hypotheses"]["newton_min_eigenvalue"])
+
+
 def test_frak_phi_closed_form_on_slice():
     # constant H_k: the variable-curvature correction vanishes and the
     # four-term form is exact up to differencing of a constant field

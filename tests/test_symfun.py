@@ -262,6 +262,36 @@ def test_newton_batch_matches_scalar():
             assert np.max(np.abs(P[i, k] - fam.P[k])) <= 1e-10
 
 
+@pytest.mark.parametrize("n", range(2, symfun.MAX_DIM + 1))
+def test_newton_spectrum_matches_the_newton_stack(n):
+    # sorted per tensor, the closed form S_j(kappas without kappa_i) must
+    # equal eigvalsh of P_j to 1e-13 of max(1, max|kappa|)^j
+    rng = np.random.default_rng(500 + n)
+    Q = np.linalg.qr(rng.normal(size=(20, n, n)))[0]
+    repeated = Q @ (np.r_[np.ones(n - 1), 2.0][:, None]
+                    * np.swapaxes(Q, -1, -2))
+    base = np.concatenate([
+        np.stack([random_symmetric(rng, n) for _ in range(40)]),
+        0.5 * (repeated + np.swapaxes(repeated, -1, -2)),
+        np.zeros((1, n, n)), np.eye(n)[None]])
+    for scale in (1e-8, 1.0, 1e8):
+        A = scale * base
+        kappas = np.linalg.eigvalsh(A)
+        S = symfun.elementary_symmetric_batch(kappas)
+        expect = np.linalg.eigvalsh(symfun.newton_family_batch(A, S))
+        got = np.sort(symfun.newton_spectrum_batch(kappas), axis=-1)
+        top = np.maximum(1.0, np.max(np.abs(kappas), axis=-1))
+        tol = 1e-13 * top[:, None, None] ** np.arange(n)[:, None]
+        assert np.all(np.abs(got - expect) <= tol)
+
+
+def test_newton_spectrum_carries_nan():
+    spectrum = symfun.newton_spectrum_batch(np.array([np.nan, 1.0, 2.0]))
+    assert np.all(spectrum[0] == 1.0)
+    assert np.all(np.isnan(spectrum[1:, 1:]))
+    assert np.all(np.isfinite(spectrum[1:, 0]))
+
+
 def test_dimension_guard():
     with pytest.raises(ValueError):
         symfun.elementary_symmetric(np.zeros(symfun.MAX_DIM + 1))
