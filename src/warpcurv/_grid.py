@@ -96,6 +96,19 @@ def masked_max(resid: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.abs(resid[mask]))) if np.any(mask) else math.nan
 
 
+def min_or_nan(values) -> float:
+    """Smallest of ``values`` (inf for none), NaN when one is NaN.
+
+    Python's ``min`` drops a NaN that is not first.  ``np.min`` would keep
+    it, but breaks a tie of -0.0 and 0.0 the other way; this keeps
+    ``min``'s first-wins order, so a margin keeps its signed zero.
+    """
+    values = [float(v) for v in values]
+    if any(map(math.isnan, values)):
+        return math.nan
+    return min(values, default=math.inf)
+
+
 def golden_max(fn, a: float, b: float) -> float:
     """Deterministic golden-section maximization of ``fn`` on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

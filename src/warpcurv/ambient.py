@@ -352,30 +352,13 @@ def warping_eval(W: WarpedProduct, t) -> WarpingData:
     )
 
 
-def _sign_verdict(values: np.ndarray) -> str:
-    tol = 1e-12
-    scale = max(1.0, float(np.max(np.abs(values))))
-    lo, hi = float(np.min(values)), float(np.max(values))
-    if lo > tol * scale:
-        return "positive"
-    if lo >= -tol * scale:
-        frac = float(np.mean(values > 1e-8))
-        return "positive-ae" if frac >= 0.99 else "nonnegative"
-    if hi < -tol * scale:
-        return "negative"
-    if hi <= tol * scale:
-        return "nonpositive"
-    return "sign-changing"
-
-
 def profile_summary(W: WarpedProduct) -> dict:
-    """The sup alpha of rho'^2 - rho''*rho and the signs of hcal and hcal'.
+    """The sup alpha of rho'^2 - rho''*rho over the profile's range.
 
     Returns ``alpha_sampled`` (the maximum over 10000 samples, refined by
     golden section around the discrete argmax), ``alpha_closed`` (the
     profile's closed form, None when it has none), ``alpha`` (the closed
-    form when there is one, else the sampled sup) and the sign verdicts
-    ``hcal_sign`` and ``dhcal_sign`` over the same samples.
+    form when there is one, else the sampled sup).
     """
     samples = 10000
     p = W.profile
@@ -396,8 +379,6 @@ def profile_summary(W: WarpedProduct) -> dict:
         "alpha_sampled": alpha_sampled,
         "alpha_closed": p.alpha,
         "alpha": p.alpha if p.alpha is not None else alpha_sampled,
-        "hcal_sign": _sign_verdict(p.hcal(ts)),
-        "dhcal_sign": _sign_verdict(p.dhcal(ts)),
     }
 
 

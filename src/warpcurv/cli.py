@@ -25,7 +25,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import logging
 import math
 import os
 import sys
@@ -844,7 +843,6 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("WARPCURV_LOGLEVEL", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
 

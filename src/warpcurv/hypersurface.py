@@ -35,7 +35,7 @@ import numpy as np
 
 from . import symfun
 from ._grid import (diff, gradient, hessian, interior_mask, masked_max,
-                    stencil_radius)
+                    min_or_nan, stencil_radius)
 from .ambient import WarpedProduct, warping_eval
 
 
@@ -215,26 +215,26 @@ def _trigonometric_field(box, rng: np.random.Generator, max_mode: int):
 def _sample_peak(raw, terms, box, periodic, samples: int) -> float:
     """Largest ``|raw|`` over ``samples`` points per axis of ``box``.
 
-    On an all-periodic box the samples form a DFT grid, and while the
-    modes stay distinct modulo ``samples`` one inverse transform of the
-    coefficients gives the field at every sample up to rounding.  That only
-    locates the peak: the closed form is evaluated at the samples within
-    1e-9 relative of the transform's maximum, so the result equals the
-    dense evaluation's, which every other box still uses.
+    The field is periodic on ``box``, so the samples of a periodic axis
+    form a DFT grid of ``samples`` points, and those of a non-periodic
+    axis, which keep the far edge, form one of ``samples - 1`` points plus
+    a repeat of the first.  One inverse transform of the coefficients, with
+    aliased modes summed into their bin, gives the field at every sample up
+    to rounding.  That only locates the peak: the closed form is evaluated
+    at the samples within 1e-9 relative of the transform's maximum, so the
+    result equals the maximum over every sample.
     """
     axes = [np.linspace(lo, hi, samples, endpoint=not per)
             for (lo, hi), per in zip(box, periodic)]
-    max_mode = max((max(map(abs, mode)) for mode, _, _ in terms), default=0)
-    if all(periodic) and 2 * max_mode < samples:
-        spec = np.zeros((samples,) * len(box), dtype=complex)
-        for mode, a, b in terms:
-            # Re((a - ib) e^{i phase}) = a cos(phase) + b sin(phase)
-            spec[tuple(m % samples for m in mode)] = complex(a, -b)
-        field = np.abs(np.fft.ifftn(spec).real)
-        near = np.nonzero(field >= (1.0 - 1e-9) * field.max())
-        points = np.stack([ax[idx] for ax, idx in zip(axes, near)], axis=-1)
-    else:
-        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    grid = tuple(samples if per else samples - 1 for per in periodic)
+    spec = np.zeros(grid, dtype=complex)
+    for mode, a, b in terms:
+        # Re((a - ib) e^{i phase}) = a cos(phase) + b sin(phase)
+        spec[tuple(m % size for m, size in zip(mode, grid))] += complex(a, -b)
+    field = np.pad(np.abs(np.fft.ifftn(spec).real),
+                   [(0, 0) if per else (0, 1) for per in periodic], mode="wrap")
+    near = np.nonzero(field >= (1.0 - 1e-9) * field.max())
+    points = np.stack([ax[idx] for ax, idx in zip(axes, near)], axis=-1)
     return float(np.max(np.abs(raw(points))))
 
 
@@ -589,8 +589,7 @@ def sectional_bound_report(geom: GeometryGrid) -> dict:
     rho2 = geom.rho ** 2
     norm_A_sq = np.einsum("...ij,...ij->...", geom.shape_frame, geom.shape_frame)
 
-    k_sigma_min = np.inf
-    k_amb_min = np.inf
+    sigma_mins, amb_mins = [], []
     chain_ok = True
     fiber_ok = True
     for i in range(n):
@@ -602,14 +601,14 @@ def sectional_bound_report(geom: GeometryGrid) -> dict:
             k_sig = k_amb + geom.shape_frame[..., i, i] * geom.shape_frame[..., j, j] \
                 - geom.shape_frame[..., i, j] ** 2
             m = mask
-            k_sigma_min = min(k_sigma_min, float(np.min(k_sig[m])))
-            k_amb_min = min(k_amb_min, float(np.min(k_amb[m])))
+            sigma_mins.append(np.min(k_sig[m]))
+            amb_mins.append(np.min(k_amb[m]))
             chain_ok &= bool(np.all(k_sig[m] >= (k_amb - 2.0 * norm_A_sq)[m] - tol))
             fiber_ok &= bool(np.all(fiber_term[m] >= -abs(kappa) / rho2[m] - tol))
 
     return {
-        "sectional_min": k_sigma_min,
-        "ambient_min": k_amb_min,
+        "sectional_min": min_or_nan(sigma_mins),
+        "ambient_min": min_or_nan(amb_mins),
         "chain_holds": chain_ok,
         "fiber_bound_holds": fiber_ok,
     }

@@ -40,7 +40,6 @@ class NotApplicableError(ValueError):
 class IdentityResidual:
     """Residual grid of one curvature identity, with its audit summary."""
 
-    id: str
     grid: np.ndarray
     max: float
 
@@ -191,8 +190,7 @@ def height_sigma_identities(imm: GraphImmersion, k: int,
             ("height_algebraic", lhs_h_alg, rhs_h),
             ("sigma_algebraic", lhs_s_alg, rhs_s)):
         grid = lhs - rhs
-        out[name] = IdentityResidual(id=f"lk-{name}", grid=grid,
-                                     max=masked_max(grid, mask))
+        out[name] = IdentityResidual(grid, masked_max(grid, mask))
     return out
 
 
@@ -287,12 +285,9 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     b = np.stack(applied_b, axis=-1)
     c = np.stack(applied_c, axis=-1)
     return {
-        "residual_ab": IdentityResidual("div-pk-numeric-vs-closed", a - b,
-                                        masked_max(a - b, mask)),
-        "residual_ac": IdentityResidual("div-pk-numeric-vs-curvature", a - c,
-                                        masked_max(a - c, mask)),
-        "residual_bc": IdentityResidual("div-pk-closed-vs-curvature", b - c,
-                                        masked_max(b - c, mask)),
+        "residual_ab": IdentityResidual(a - b, masked_max(a - b, mask)),
+        "residual_ac": IdentityResidual(a - c, masked_max(a - c, mask)),
+        "residual_bc": IdentityResidual(b - c, masked_max(b - c, mask)),
     }
 
 
@@ -319,8 +314,7 @@ def curvature_trace_identity(geom: GeometryGrid, j: int,
                   - geom.c[j] * geom.H[..., j]
                   * np.einsum("...i,...i->...", geom.a, w))
     grid = total - rhs
-    return IdentityResidual("curvature-trace", grid,
-                            masked_max(grid, geom.interior))
+    return IdentityResidual(grid, masked_max(grid, geom.interior))
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +388,8 @@ def calligraphic_ops(imm: GraphImmersion, k: int,
     semidefinite = min_eig >= -1e-10
     return {
         "sigma_identity_algebraic": IdentityResidual(
-            "calligraphic-sigma-algebraic", grid_alg, masked_max(grid_alg, mask)),
-        "sigma_identity": IdentityResidual(
-            "calligraphic-sigma", grid_fd, masked_max(grid_fd, mask)),
+            grid_alg, masked_max(grid_alg, mask)),
+        "sigma_identity": IdentityResidual(grid_fd, masked_max(grid_fd, mask)),
         "min_eigenvalue": min_eig,
         "sign_hypotheses_hold": hypotheses,
         "semidefinite": semidefinite,
@@ -431,8 +424,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
     grad_closed = -geom.rho[..., None] * np.einsum(
         "...ij,...j->...i", geom.shape_frame, geom.a)
     ggrid = grad_fd - grad_closed
-    gradient_residual = IdentityResidual("theta-hat-gradient", ggrid,
-                                         masked_max(ggrid, mask))
+    gradient_residual = IdentityResidual(ggrid, masked_max(ggrid, mask))
 
     P = geom.newton[..., k, :, :]
     ck = geom.c[k]
@@ -466,12 +458,10 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
     agrid = rhs_general - rhs_const
     return {
         "gradient": gradient_residual,
-        "operator": IdentityResidual("theta-hat-operator", ogrid,
-                                     masked_max(ogrid, mask)),
-        "beta_routes": IdentityResidual("theta-hat-beta-routes", bgrid,
-                                        masked_max(bgrid, mask)),
-        "general_vs_constant": IdentityResidual(
-            "theta-hat-general-vs-constant", agrid, masked_max(agrid, mask)),
+        "operator": IdentityResidual(ogrid, masked_max(ogrid, mask)),
+        "beta_routes": IdentityResidual(bgrid, masked_max(bgrid, mask)),
+        "general_vs_constant": IdentityResidual(agrid,
+                                                masked_max(agrid, mask)),
     }
 
 
@@ -564,7 +554,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
         "field": lhs,
         "term_minima": term_mins,
         "variable_correction": variable_correction,
-        "residual": IdentityResidual("frak-phi", grid, masked_max(grid, mask)),
+        "residual": IdentityResidual(grid, masked_max(grid, mask)),
         "hypotheses": hypotheses,
         "all_terms_nonnegative": all(v >= -1e-10 for v in term_mins.values()),
     }

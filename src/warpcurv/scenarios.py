@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import operators
+from ._grid import min_or_nan
 from .ambient import WarpedProduct, profile_summary
 from .comparison import RadialModel
 from .hypersurface import (
@@ -309,25 +310,31 @@ def elliptic_point_and_signs(imm: GraphImmersion,
 # theorem audits
 # ---------------------------------------------------------------------------
 
+# One row per statement.  ``k`` is its lowest curvature order, the only one
+# when ``fixed``.  ``definite`` asks H_2 > 0 at k = 2 and an elliptic point
+# at k >= 3.  ``monotone`` is the hypothesis on the warping-speed
+# derivative, ``speed`` the one on the warping speed along the graph, and
+# ``fiber`` compares the fiber curvature with alpha: "dominates" (kappa >=
+# alpha, admitting the umbilical alternative at equality) or "strict".
 _AUDITS = {
     "compact-constant-h2": dict(
-        kind="compact", k_fixed=2, monotone="nonnegative",
-        fiber=None, elliptic=False),
+        kind="compact", k=2, fixed=True, definite=True,
+        monotone="nonnegative", speed=None, fiber=None),
     "complete-constant-h2": dict(
-        kind="complete", k_fixed=2, monotone="ae-positive",
-        fiber=None, elliptic=False),
+        kind="complete", k=2, fixed=True, definite=True,
+        monotone="ae-positive", speed=None, fiber=None),
     "compact-constant-hk": dict(
-        kind="compact", k_fixed=None, k_min=3, monotone="nonnegative",
-        fiber=None, elliptic=True),
+        kind="compact", k=3, fixed=False, definite=True,
+        monotone="nonnegative", speed=None, fiber=None),
     "complete-constant-hk": dict(
-        kind="complete", k_fixed=None, k_min=3, monotone="ae-positive",
-        fiber=None, elliptic=True),
+        kind="complete", k=3, fixed=False, definite=True,
+        monotone="ae-positive", speed=None, fiber=None),
     "compact-constant-hk-fiber-curvature": dict(
-        kind="compact", k_fixed=None, k_min=2, monotone=None,
-        fiber="dominates", elliptic=False, speed_nonvanishing=True),
+        kind="compact", k=2, fixed=False, definite=False,
+        monotone=None, speed="nonvanishing", fiber="dominates"),
     "complete-parabolic-constant-hk": dict(
-        kind="parabolic", k_fixed=None, k_min=2, monotone=None,
-        fiber="strict", elliptic="k>=3", speed_sign_constant=True),
+        kind="parabolic", k=2, fixed=False, definite=True,
+        monotone=None, speed="sign-constant", fiber="strict"),
 }
 
 THEOREM_IDS = tuple(_AUDITS)
@@ -339,16 +346,10 @@ def audit_order(theorem_id: str, n: int, k=None) -> int:
     ``k=None`` selects the statement's own order (or its lowest one);
     raises ValueError when ``k`` does not fit the statement.
     """
-    spec = _AUDITS[theorem_id]
-    if spec["k_fixed"] is not None:
-        if k not in (None, spec["k_fixed"]):
-            raise ValueError(f"this audit is specific to order "
-                             f"{spec['k_fixed']}, got k={k}")
-        k = k_min = spec["k_fixed"]
-    else:
-        k_min = spec["k_min"]
-        if k is None:
-            k = k_min
+    k_min = _AUDITS[theorem_id]["k"]
+    if _AUDITS[theorem_id]["fixed"] and k not in (None, k_min):
+        raise ValueError(f"this audit is specific to order {k_min}, got k={k}")
+    k = k_min if k is None else k
     if not k_min <= k <= n:
         raise ValueError(f"curvature order k={k} outside [{k_min}, {n}]")
     return k
@@ -405,14 +406,12 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
         constancy_rtol - spread,
         f"relative spread of H_{k} is {spread:.3e}"))
 
-    positivity_required = spec["k_fixed"] == 2 \
-        or (spec["elliptic"] == "k>=3" and k == 2)
-    if positivity_required:
+    if spec["definite"] and k == 2:
         report.hypothesis_checks.append(CheckResult(
             "order-curvature-positive", float(np.min(hk_vals)) > 0.0,
             float(np.min(hk_vals)), f"min H_{k} over the interior"))
 
-    if spec["elliptic"] is True or (spec["elliptic"] == "k>=3" and k >= 3):
+    if spec["definite"] and k >= 3:
         elliptic = find_elliptic_point(geom, both_orientations=False)
         report.hypothesis_checks.append(CheckResult(
             "elliptic-point-exists", elliptic["found"], elliptic["margin"],
@@ -459,14 +458,14 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
                            "alternative"))
 
     hcal_h = _interior(geom, geom.hcal)
-    if spec.get("speed_nonvanishing"):
+    if spec["speed"] == "nonvanishing":
         lo, hi = float(np.min(hcal_h)), float(np.max(hcal_h))
         nonvanish = lo > tol or hi < -tol
         report.hypothesis_checks.append(CheckResult(
             "height-speed-nonvanishing", nonvanish,
             lo if lo > tol else -hi,
             "warping speed along the graph is bounded away from zero"))
-    if spec.get("speed_sign_constant"):
+    elif spec["speed"] == "sign-constant":
         h_ok, h_branch, h_margin = _theta_branch(hcal_h, tol)
         report.hypothesis_checks.append(CheckResult(
             "height-speed-sign-constant", h_ok, h_margin,
@@ -507,7 +506,7 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
     height_spread = hi_u - lo_u
     slice_tol = slice_rtol * (t_max - t_min)
     is_slice = height_spread <= slice_tol
-    if theorem_id == "compact-constant-hk-fiber-curvature" and not is_slice \
+    if spec["fiber"] == "dominates" and not is_slice \
             and abs(kappa - alpha) <= tol:
         kap_range = geom.kappas[mask]
         umb = float(np.max(kap_range[:, -1] - kap_range[:, 0]))
@@ -571,7 +570,7 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
                 float(np.min(field_vals)),
                 "div-form operator applied to the conserved combination "
                 "must be nonnegative under the hypotheses"))
-            term_min = min(frak["term_minima"].values())
+            term_min = min_or_nan(frak["term_minima"].values())
             report.conclusion_checks.append(CheckResult(
                 "nonnegative-term-decomposition", term_min >= -tol,
                 term_min,

@@ -68,17 +68,6 @@ def test_sin_profile_alpha_sampled_only():
     assert abs(summ["alpha"] - float(np.max(q))) <= 1e-7
 
 
-def test_profile_summary_sign_verdicts():
-    cosh = ambient.profile_summary(make_product("cosh", "flat-torus", 2, 0.0))
-    assert cosh["dhcal_sign"] == "positive"
-    assert cosh["hcal_sign"] == "sign-changing"
-    exp = ambient.profile_summary(make_product("exp", "flat-torus", 2, 0.0))
-    assert exp["dhcal_sign"] == "nonnegative"
-    assert exp["hcal_sign"] == "positive"
-    lin = ambient.profile_summary(make_product("linear", "space-form", 2, 1.0))
-    assert lin["dhcal_sign"] == "negative"
-
-
 def test_unknown_profile_names_the_registry():
     with pytest.raises(KeyError, match="registered profiles"):
         ambient.builtin_profile("parabola")

@@ -8,7 +8,8 @@ contiguous and strided; the two must agree to 1e-13 of max|field|.  Each
 comparison whose operands are not all symmetric is also shown to reject
 the result with one operand transposed, so it could not pass on an index
 slip.  A scan of the package also pins its eigen-solves, so that a
-spectrum the geometry stores is not solved again.
+spectrum the geometry stores is not solved again, and finds no unused
+import and no private module-level name that nothing references.
 """
 
 import ast
@@ -265,3 +266,63 @@ def test_no_stored_spectrum_is_solved_again():
         ("operators.py", "calligraphic_ops", "eigvalsh", "Pcal"),
         ("operators.py", "theta_hat_identity", "eigh", "geom.shape_frame"),
     ]
+
+
+def _loaded_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads (``__future__`` aside)."""
+    loaded = _loaded_names(tree)
+    return [name for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in ((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+            if name not in loaded]
+
+
+def _private_definitions(tree):
+    """Module-level names with one leading underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(tree):
+    """Every name a module reads, reads as an attribute, or imports."""
+    return (_loaded_names(tree)
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)}
+            | {a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for a in node.names})
+
+
+def test_package_has_no_unused_import_or_orphaned_private_name():
+    # a deletion that leaves its helper or import behind shows up here
+    tree = ast.parse("import os\nimport logging\nfrom m import a, b as c\n"
+                     "_X = 1\n_Y = 2\ndef _f():\n    return os.sep, a, _X\n")
+    assert _unused_imports(tree) == ["logging", "c"]
+    assert _private_definitions(tree) == ["_X", "_Y", "_f"]
+    assert [n for n in _private_definitions(tree)
+            if n not in _references(tree)] == ["_Y", "_f"]
+    package = Path(warpcurv.__file__).parent
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert len(trees) >= 9
+    referenced = set().union(*map(_references, trees.values()))
+    found = {name: (_unused_imports(tree),
+                    [n for n in _private_definitions(tree)
+                     if n not in referenced])
+             for name, tree in trees.items() if name != "__init__.py"}
+    assert {name: f for name, f in found.items() if any(f)} == {}

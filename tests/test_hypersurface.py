@@ -1,5 +1,6 @@
 """Graph geometry: slices are exact, graphs converge at stencil order."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import CHART, make_product, random_immersion, slice_immersion
 from warpcurv import symfun
+from warpcurv._grid import min_or_nan
 from warpcurv.ambient import PROFILES
 from warpcurv.operators import (NotApplicableError, calligraphic_ops,
                                 convergence_study, frak_phi, normalized_lhat)
@@ -266,6 +268,27 @@ def test_sectional_report_on_exponential_slice():
     assert abs(rep["sectional_min"]) <= 1e-12
     assert abs(rep["ambient_min"] + 1.0) <= 1e-12
     assert rep["chain_holds"] and rep["fiber_bound_holds"]
+
+
+def test_min_or_nan_keeps_a_nan_and_the_first_signed_zero():
+    # a NaN anywhere wins; otherwise ties keep min's first-wins order
+    assert math.isnan(min_or_nan([1.0, math.nan, -1.0]))
+    assert math.copysign(1.0, min_or_nan([1.0, -0.0, 0.0])) == -1.0
+    assert math.copysign(1.0, min_or_nan([0.0, -0.0])) == 1.0
+    assert min_or_nan([]) == math.inf
+
+
+def test_sectional_report_propagates_a_nan_shape_entry():
+    # Python's min drops a NaN that is not first, so the realized bound
+    # would read finite while the chain check fails
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    geom = evaluate_geometry(random_immersion(W, seed=3, res=12))
+    frame = geom.shape_frame.copy()
+    frame[2, 3, 4, 1, 1] = np.nan
+    rep = sectional_bound_report(dataclasses.replace(geom, shape_frame=frame))
+    assert math.isnan(rep["sectional_min"])
+    assert not rep["chain_holds"]
+    assert rep["ambient_min"] == sectional_bound_report(geom)["ambient_min"]
 
 
 def test_sphere_slice_sectional_value():

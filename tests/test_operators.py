@@ -48,8 +48,8 @@ def test_slice_operator_identities_exact(profile, fiber, kappa, t):
     geom = evaluate_geometry(imm)
     for k in range(2):
         hs = height_sigma_identities(imm, k, geom=geom)
-        for rec in hs.values():
-            assert rec.max <= 1e-11, rec.id
+        for name, rec in hs.items():
+            assert rec.max <= 1e-11, (k, name)
         th = theta_hat_identity(imm, k, geom=geom)
         for key in ("gradient", "operator", "beta_routes", "general_vs_constant"):
             assert th[key].max <= 1e-11, (k, key)

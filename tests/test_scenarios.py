@@ -6,13 +6,17 @@ short-circuit to 'hypothesis-violated'; 'CONCLUSION-VIOLATED' is reserved
 for inputs that satisfy every hypothesis yet break a conclusion.
 """
 
+import ast
 import dataclasses
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
 from helpers import CHART, make_product, random_immersion, slice_immersion
+from warpcurv import scenarios
 from warpcurv.comparison import builtin_model
 from warpcurv.hypersurface import GraphImmersion, evaluate_geometry
 from warpcurv.scenarios import (
@@ -132,6 +136,27 @@ def test_parabolic_audit_records_divergence_residual():
     names = _names(rep.conclusion_checks, passed=True)
     assert "divergence-form-subharmonicity" in names
     assert "nonnegative-term-decomposition" in names
+
+
+def test_nan_term_fails_the_term_decomposition(monkeypatch):
+    # Python's min drops a NaN that is not first, so a NaN H_3 at one
+    # audited node would pass nonnegative-term-decomposition
+    real = scenarios.evaluate_geometry
+
+    def evaluate_geometry(imm, cfg=None):
+        geom = real(imm, cfg)
+        H = geom.H.copy()
+        H[3, 4, 5, 3] = np.nan
+        return dataclasses.replace(geom, H=H)
+
+    monkeypatch.setattr(scenarios, "evaluate_geometry", evaluate_geometry)
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    rep = theorem_audit(slice_immersion(W, 0.7, res=12), W,
+                        "complete-parabolic-constant-hk", k=2)
+    assert math.isnan(rep.residuals["divergence-form-residual"])
+    assert rep.verdict == VERDICT_CONCLUSION
+    assert _names(rep.conclusion_checks, passed=False) == [
+        "nonnegative-term-decomposition"]
 
 
 def test_audit_is_orientation_gauge_invariant():
@@ -293,6 +318,77 @@ def test_order_three_audit_over_three_dimensional_space_forms(
     expected = [boundary, "order-curvature-constant"] + extra
     assert _names(rep.hypothesis_checks, passed=False) == expected
     assert conclusion in _names(rep.conclusion_checks, passed=False)
+
+
+# the values each key of the theorem table may take
+_AUDIT_VALUES = {
+    "kind": {"compact", "complete", "parabolic"},
+    "k": {2, 3},
+    "fixed": {True, False},
+    "definite": {True, False},
+    "monotone": {None, "nonnegative", "ae-positive"},
+    "speed": {None, "nonvanishing", "sign-constant"},
+    "fiber": {None, "dominates", "strict"},
+}
+
+# the curvature orders each statement is about, in dimension n
+_AUDIT_ORDERS = {
+    "compact-constant-h2": lambda n: {2},
+    "complete-constant-h2": lambda n: {2},
+    "compact-constant-hk": lambda n: set(range(3, n + 1)),
+    "complete-constant-hk": lambda n: set(range(3, n + 1)),
+    "compact-constant-hk-fiber-curvature": lambda n: set(range(2, n + 1)),
+    "complete-parabolic-constant-hk": lambda n: set(range(2, n + 1)),
+}
+
+
+def _compared_literals(fn):
+    """(key, literal) for every ``spec["key"] == literal`` (or ``in`` a
+    tuple of literals) in the source of ``fn``."""
+    found = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if not (isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Subscript)
+                and isinstance(node.left.value, ast.Name)
+                and node.left.value.id == "spec"):
+            continue
+        key = node.left.slice.value
+        for right in node.comparators:
+            elts = right.elts if isinstance(right, ast.Tuple) else [right]
+            found |= {(key, e.value) for e in elts}
+    return found
+
+
+def test_theorem_table_uses_known_keys_values_and_orders():
+    # a misspelled key or value would silently drop a hypothesis
+    assert set(THEOREM_IDS) == set(_AUDIT_ORDERS)
+    for theorem_id, spec in scenarios._AUDITS.items():
+        assert set(spec) == set(_AUDIT_VALUES), theorem_id
+        for key, value in spec.items():
+            # typed, so that True cannot stand in for 1
+            allowed = {(type(v), v) for v in _AUDIT_VALUES[key]}
+            assert (type(value), value) in allowed, (theorem_id, key, value)
+    # every string the audit compares a table value with is a known value,
+    # and every known string value is compared somewhere
+    compared = _compared_literals(theorem_audit)
+    known = {(key, v) for key, values in _AUDIT_VALUES.items()
+             for v in values if isinstance(v, str)}
+    assert compared == known
+    for theorem_id, orders in _AUDIT_ORDERS.items():
+        for n in (2, 3, 4):
+            accepted = set()
+            for k in range(-1, n + 3):
+                try:
+                    assert scenarios.audit_order(theorem_id, n, k) == k
+                except ValueError:
+                    continue
+                accepted.add(k)
+            assert accepted == orders(n), (theorem_id, n)
+            if orders(n):
+                assert scenarios.audit_order(theorem_id, n) == min(orders(n))
+            else:
+                with pytest.raises(ValueError):
+                    scenarios.audit_order(theorem_id, n)
 
 
 def test_audit_validation_errors():
