@@ -421,34 +421,44 @@ def curvature_tensor_components(kappa, rho, hcal, dhcal, gfib, U, V, Wv):
     components measured against the fiber metric matrix ``gfib``
     (shape (..., n, n)).  The ambient inner product is
     ``<u, v> = u0 v0 + rho^2 * u_f . gfib . v_f``.
+
+    The work runs component-major: the vector axis is moved first and
+    made contiguous, so that every product below spans the whole grid
+    rather than n+1 components.  The result is a (..., n+1) view of it.
     """
     rho = np.asarray(rho, dtype=float)
     rho2 = rho * rho
+    U, V, Wv = (np.ascontiguousarray(np.moveaxis(X, -1, 0))
+                for X in np.broadcast_arrays(U, V, Wv))
+    G = np.moveaxis(gfib, (-2, -1), (0, 1))
+    n = G.shape[0]
 
-    uT, vT, wT = U[..., 0], V[..., 0], Wv[..., 0]
-    gW = np.einsum("...ij,...j->...i", gfib, Wv[..., 1:])
-    fib_vw = np.einsum("...i,...i->...", V[..., 1:], gW)
-    fib_uw = np.einsum("...i,...i->...", U[..., 1:], gW)
+    # fiber products sum_j (sum_i X_i G_ij) W_j, one grid per term
+    uT, vT, wT = U[0], V[0], Wv[0]
+    fib_vw = fib_uw = 0.0
+    for j in range(n):
+        vg = sum(V[1 + i] * G[i, j] for i in range(n))
+        ug = sum(U[1 + i] * G[i, j] for i in range(n))
+        fib_vw = fib_vw + vg * Wv[1 + j]
+        fib_uw = fib_uw + ug * Wv[1 + j]
     vw = vT * wT + rho2 * fib_vw
     uw = uT * wT + rho2 * fib_uw
-    out = np.zeros(np.broadcast(U, V, Wv).shape)
+    out = np.zeros(U.shape)
 
     # fiber curvature term: R_P(U*, V*)W* with the fiber metric
-    coef_u = kappa * fib_vw
-    coef_v = kappa * fib_uw
-    out[..., 1:] += coef_u[..., None] * U[..., 1:] - coef_v[..., None] * V[..., 1:]
+    out[1:] += kappa * (fib_vw * U[1:] - fib_uw * V[1:])
 
     # -H^2 (<V,W> U - <U,W> V)
     h2 = np.asarray(hcal, dtype=float) ** 2
-    out -= h2[..., None] * (vw[..., None] * U - uw[..., None] * V)
+    out -= h2 * (vw * U - uw * V)
 
     # +H' <W,T> (<U,T> V - <V,T> U)
     dh = np.asarray(dhcal, dtype=float)
-    out += (dh * wT)[..., None] * (uT[..., None] * V - vT[..., None] * U)
+    out += (dh * wT) * (uT * V - vT * U)
 
     # -H' (<V,W><U,T> - <U,W><V,T>) T
-    out[..., 0] -= dh * (vw * uT - uw * vT)
-    return out
+    out[0] -= dh * (vw * uT - uw * vT)
+    return np.moveaxis(out, 0, -1)
 
 
 def ambient_curvature(W: WarpedProduct, p, U, V, Wv=None,

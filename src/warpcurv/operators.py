@@ -214,6 +214,51 @@ def _frame_to_ambient(geom: GeometryGrid, w: np.ndarray) -> np.ndarray:
     return geom.ambient_components(geom.frame_vector_to_chart(w))
 
 
+def _curvature_covectors(geom: GeometryGrid, k: int) -> np.ndarray:
+    """C[j, a] = sum_i <R(E_i, E_a) N, P_j E_i> for j < k, component-major
+    (shape (k, n) + grid).
+
+    sum_i <R(E_i, Y) N, P_j E_i> is linear in Y, so it is
+    sum_a C[j, a] Y^a for Y in frame components: the four-term tensor is
+    evaluated once per frame pair (i, a), whatever k and Y are.
+    """
+    n = geom.n
+    kappa = geom.imm.W.fiber.kappa
+    eye = np.eye(n)
+    frame_amb = [
+        _frame_to_ambient(geom, np.broadcast_to(eye[i], geom.a.shape))
+        for i in range(n)]
+    C = np.zeros((k, n) + geom.u.shape)
+    for i in range(n):
+        # P_j E_i in ambient components
+        P_amb = [_frame_to_ambient(geom, geom.newton[..., j, :, i])
+                 for j in range(k)]
+        for a in range(n):
+            R = curvature_tensor_components(
+                kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat,
+                frame_amb[i], frame_amb[a], geom.normal)
+            for j in range(k):
+                C[j, a] += _ambient_inner(geom, R, P_amb[j])
+    return C
+
+
+def _curvature_route(geom: GeometryGrid, k: int, vecs) -> np.ndarray:
+    """Route (c) of ``div_pk``: sum_{j<k} (-1)^{k-1-j} C_j . A^{k-1-j} X
+    for each test vector X, stacked on the last axis."""
+    C = _curvature_covectors(geom, k)
+    out = []
+    for w in vecs:
+        total = np.zeros(geom.u.shape)
+        y = w   # A^{k-1-j} X, from j = k-1 down
+        for j in reversed(range(k)):
+            if j < k - 1:
+                y = np.einsum("...ij,...j->...i", geom.shape_frame, y)
+            total += (-1.0) ** (k - 1 - j) * sum(
+                C[j, i] * y[..., i] for i in range(geom.n))
+        out.append(total)
+    return np.stack(out, axis=-1)
+
+
 def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
            geom: GeometryGrid = None) -> dict:
     """div P_k along three routes, paired against ``default_test_vectors``.
@@ -223,7 +268,12 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
         -(n-k) Theta (kappa/rho^2 + hcal') P_{k-1} grad h;
     (c) the ambient-curvature sum
         <div P_k, X> = sum_{j<k} sum_i (-1)^{k-1-j}
-                          <R(E_i, A^{k-1-j} X) N, P_j E_i>.
+                          <R(E_i, A^{k-1-j} X) N, P_j E_i>,
+        paired as sum_{j<k} (-1)^{k-1-j} C_j . A^{k-1-j} X with the
+        covector C_j[a] = sum_i <R(E_i, E_a) N, P_j E_i>, since the sum
+        over i is linear in its second slot.  The four-term tensor is
+        summed over the frame once per frame pair (i, a), n^2 times per
+        call, and each test vector costs one dot product per j.
 
     (a)-(b) and (a)-(c) converge at the stencil order; (b)-(c) agree
     algebraically.
@@ -248,42 +298,15 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     coef = geom.theta * (kappa / geom.rho ** 2 + geom.dhcal)
     Pkm1 = geom.newton[..., k - 1, :, :]
 
-    # normal in ambient components, for the curvature route
-    N_amb = geom.normal
-    eye = np.eye(n)
-    frame_amb = [
-        _frame_to_ambient(geom, np.broadcast_to(eye[i], geom.a.shape))
-        for i in range(n)]
-    # P_j E_i in ambient components does not depend on the test vector
-    P_amb = [[_frame_to_ambient(geom, geom.newton[..., j, :, i])
-              for i in range(n)] for j in range(k)]
-
-    applied_a, applied_b, applied_c = [], [], []
+    applied_a, applied_b = [], []
     for w in vecs:
         v_chart = geom.frame_vector_to_chart(w)
         applied_a.append(np.einsum("...j,...j->...", div_form, v_chart))
         applied_b.append(-(n - k) * coef * _frame_quadratic(Pkm1, geom.a, w))
 
-        total = np.zeros(geom.u.shape)
-        # y = A^{k-1-j} X built by repeated application
-        powers = [w]
-        for _ in range(k - 1):
-            powers.append(np.einsum("...ij,...j->...i",
-                                    geom.shape_frame, powers[-1]))
-        for j in range(k):
-            y = powers[k - 1 - j]
-            Y_amb = _frame_to_ambient(geom, y)
-            sign = (-1.0) ** (k - 1 - j)
-            for i in range(n):
-                R = curvature_tensor_components(
-                    kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat,
-                    frame_amb[i], Y_amb, N_amb)
-                total += sign * _ambient_inner(geom, R, P_amb[j][i])
-        applied_c.append(total)
-
     a = np.stack(applied_a, axis=-1)
     b = np.stack(applied_b, axis=-1)
-    c = np.stack(applied_c, axis=-1)
+    c = _curvature_route(geom, k, vecs)
     return {
         "residual_ab": IdentityResidual(a - b, masked_max(a - b, mask)),
         "residual_ac": IdentityResidual(a - c, masked_max(a - c, mask)),
@@ -297,18 +320,10 @@ def curvature_trace_identity(geom: GeometryGrid, j: int,
     = Theta (kappa/rho^2 + hcal') (<P_j grad h, Y> - c_j H_j <grad h, Y>),
     with Y given in frame components (pure algebra; rounding level)."""
     _check_k(geom, j)
-    n = geom.n
     kappa = geom.imm.W.fiber.kappa
-    Y_amb = _frame_to_ambient(geom, w)
+    Cj = _curvature_covectors(geom, j + 1)[j]
+    total = sum(Cj[i] * w[..., i] for i in range(geom.n))
     Pj = geom.newton[..., j, :, :]
-    eye = np.eye(n)
-    total = np.zeros(geom.u.shape)
-    for i in range(n):
-        E_amb = _frame_to_ambient(geom, np.broadcast_to(eye[i], geom.a.shape))
-        R = curvature_tensor_components(
-            kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat,
-            E_amb, Y_amb, geom.normal)
-        total += _ambient_inner(geom, R, _frame_to_ambient(geom, Pj[..., :, i]))
     coef = geom.theta * (kappa / geom.rho ** 2 + geom.dhcal)
     rhs = coef * (_frame_quadratic(Pj, geom.a, w)
                   - geom.c[j] * geom.H[..., j]

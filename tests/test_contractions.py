@@ -7,7 +7,9 @@ written as the old single einsum, on seeded stacks with n = 2 and 3,
 contiguous and strided; the two must agree to 1e-13 of max|field|.  Each
 comparison whose operands are not all symmetric is also shown to reject
 the result with one operand transposed, so it could not pass on an index
-slip.  A scan of the package also pins its eigen-solves, so that a
+slip.  The curvature kernel, which runs component-major, must match its
+oracle bit for bit on the diagonal fiber metrics the charts store.  A
+scan of the package also pins its eigen-solves, so that a
 spectrum the geometry stores is not solved again, and finds no unused
 import and no private module-level name that nothing references.
 """
@@ -23,7 +25,8 @@ import warpcurv
 from helpers import make_product, random_immersion
 from warpcurv import operators
 from warpcurv._grid import diff
-from warpcurv.ambient import curvature_tensor_components
+from warpcurv.ambient import (ambient_curvature, curvature_tensor_components,
+                              warping_eval)
 from warpcurv.hypersurface import evaluate_geometry
 
 REL = 1e-13
@@ -155,6 +158,52 @@ def test_curvature_tensor_components(geom):
                       _old_curvature_tensor(*args, gfib, U, V, Wv))
     assert not _agree(curvature_tensor_components(*args, _t(M), U, V, Wv),
                       _old_curvature_tensor(*args, M, U, V, Wv))
+
+
+@pytest.mark.parametrize("chart,kappa", [("flat-torus", 0.0),
+                                         ("space-form", 1.0),
+                                         ("space-form", -1.0)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_component_major_kernel_is_bit_identical_on_fiber_metrics(chart,
+                                                                  kappa, n):
+    # the fiber metrics the charts store are diagonal, so every fiber
+    # product sums (X_i g_ii) W_i in the oracle's order: the component-major
+    # kernel must then reproduce the single-einsum oracle bit for bit, on
+    # random vectors and on the frame and normal that route (c) hands it
+    W = make_product("cosh", chart, n, kappa)
+    geom = evaluate_geometry(random_immersion(
+        W, seed=n, t_center=0.7, amplitude=0.1, res=8))
+    rng = np.random.default_rng(n)
+    U, V = rng.normal(size=(2,) + geom.u.shape + (n + 1,))
+    frame = geom.ambient_components(geom.L_inv[..., 0, :])
+    args = (kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat)
+    for vecs in ((U, V, frame), (frame, U, geom.normal),
+                 (U, frame, geom.normal)):
+        assert np.array_equal(curvature_tensor_components(*args, *vecs),
+                              _old_curvature_tensor(*args, *vecs))
+
+
+@pytest.mark.parametrize("chart,kappa", [("flat-torus", 0.0),
+                                         ("space-form", -1.0)])
+@pytest.mark.parametrize("n", [1, 3])
+def test_point_curvature_is_the_one_node_grid_kernel(chart, kappa, n):
+    # ambient_curvature hands the kernel 1-D vectors and 0-d profile values;
+    # it must get a (n+1,) tensor, equal bit for bit to the same node
+    # evaluated as a grid of one, and the oracle's tensor to rounding
+    W = make_product("cosh", chart, n, kappa)
+    rng = np.random.default_rng(60 + n)
+    eye = np.eye(n)
+    for t in rng.uniform(-2.5, 2.5, size=20):
+        u, v, w = rng.normal(size=(3, n + 1))
+        got = ambient_curvature(W, t, u, v, w, mode="tensor")
+        d = warping_eval(W, t)
+        one = curvature_tensor_components(
+            kappa, d.rho[None], d.hcal[None], d.dhcal[None], eye[None],
+            u[None], v[None], w[None])
+        assert got.shape == (n + 1,)
+        assert np.array_equal(got, one[0])
+        assert _agree(got, _old_curvature_tensor(kappa, d.rho, d.hcal,
+                                                 d.dhcal, eye, u, v, w))
 
 
 def test_theta_from_du_hat_sq(geom):

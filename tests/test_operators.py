@@ -15,7 +15,7 @@ import pytest
 
 from helpers import (CHART, make_product, random_immersion, random_symmetric,
                      slice_immersion)
-from warpcurv import symfun
+from warpcurv import ambient, operators, symfun
 from warpcurv.hypersurface import (DiscretizationConfig, GraphImmersion,
                                    evaluate_geometry)
 from warpcurv.operators import (
@@ -149,6 +149,102 @@ def test_frak_phi_decides_positivity_on_audited_nodes():
     out = frak_phi(imm, 1, geom=geom)
     assert out["applicable"]
     assert out["residual"].max <= 1e-2
+
+
+def _per_vector_curvature_route(geom, k):
+    """Route (c) of div_pk as one kernel call per (test vector, power j,
+    frame index i): the loop that the covector pairing replaced."""
+    n = geom.n
+    kappa = geom.imm.W.fiber.kappa
+    eye = np.eye(n)
+    to_amb = operators._frame_to_ambient
+    frame_amb = [to_amb(geom, np.broadcast_to(eye[i], geom.a.shape))
+                 for i in range(n)]
+    P_amb = [[to_amb(geom, geom.newton[..., j, :, i]) for i in range(n)]
+             for j in range(k)]
+    out = []
+    for w in operators.default_test_vectors(geom):
+        total = np.zeros(geom.u.shape)
+        powers = [w]
+        for _ in range(k - 1):
+            powers.append(np.einsum("...ij,...j->...i",
+                                    geom.shape_frame, powers[-1]))
+        for j in range(k):
+            Y_amb = to_amb(geom, powers[k - 1 - j])
+            sign = (-1.0) ** (k - 1 - j)
+            for i in range(n):
+                R = ambient.curvature_tensor_components(
+                    kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat,
+                    frame_amb[i], Y_amb, geom.normal)
+                total += sign * operators._ambient_inner(geom, R, P_amb[j][i])
+        out.append(total)
+    return np.stack(out, axis=-1)
+
+
+# profiles whose curvature factor kappa/rho^2 + hcal' does not vanish, so
+# that route (c) is not rounding noise (cosh over kappa = -1 is hyperbolic
+# space, where it does)
+ROUTE_C_AMBIENTS = [("cosh", "flat-torus", 0.0), ("cosh", "space-form", 1.0),
+                    ("exp", "space-form", -1.0)]
+
+
+@pytest.mark.parametrize("profile,chart,kappa", ROUTE_C_AMBIENTS)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_curvature_route_matches_the_per_vector_loop(profile, chart, kappa,
+                                                     n):
+    W = make_product(profile, chart, n, kappa)
+    imm = random_immersion(W, seed=30 + n, t_center=0.6, amplitude=0.15,
+                           res=8)
+    geom = evaluate_geometry(imm)
+    vecs = operators.default_test_vectors(geom)
+    for k in range(1, n):
+        old = _per_vector_curvature_route(geom, k)
+        new = operators._curvature_route(geom, k, vecs)
+        assert new.shape == old.shape
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old)), k
+
+
+@pytest.mark.parametrize("chart,kappa,n", [("flat-torus", 0.0, 3),
+                                           ("space-form", -1.0, 4)])
+def test_curvature_route_calls_the_kernel_once_per_frame_pair(
+        monkeypatch, chart, kappa, n):
+    # n^2 kernel calls per div_pk for every k: a return to one call per
+    # (test vector, power, frame index) would make (n+1) k n of them
+    kernel = operators.curvature_tensor_components
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(operators, "curvature_tensor_components", counted)
+    W = make_product("cosh", chart, n, kappa)
+    imm = random_immersion(W, seed=9, t_center=0.6, amplitude=0.1, res=8)
+    geom = evaluate_geometry(imm)
+    for k in range(1, n):
+        calls.clear()
+        div_pk(imm, k, geom=geom)
+        assert len(calls) == n * n, k
+    w = np.broadcast_to(np.arange(1.0, n + 1.0), geom.a.shape)
+    for j in range(n):
+        calls.clear()
+        curvature_trace_identity(geom, j, w)
+        assert len(calls) == n * n, j
+
+
+@pytest.mark.parametrize("profile,chart,kappa", ROUTE_C_AMBIENTS[1:])
+@pytest.mark.parametrize("n,res,order", [(3, 24, 4), (4, 12, 2)])
+def test_div_pk_routes_b_and_c_agree_on_curved_fibers(profile, chart, kappa,
+                                                      n, res, order):
+    # routes (b) and (c) agree algebraically at every k; both grids keep
+    # 8^3 or 4^4 audited nodes (an order-4 stencil audits none at 12^3 on
+    # this non-periodic chart, where every maximum would be NaN)
+    W = make_product(profile, chart, n, kappa)
+    imm = random_immersion(W, seed=12, t_center=0.6, amplitude=0.1, res=res)
+    geom = evaluate_geometry(imm, DiscretizationConfig(order=order))
+    assert geom.interior.any()
+    for k in range(1, n):
+        assert div_pk(imm, k, geom=geom)["residual_bc"].max <= 1e-10, k
 
 
 def test_curvature_trace_identity_curved_fiber():
