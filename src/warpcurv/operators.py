@@ -214,13 +214,13 @@ def _frame_to_ambient(geom: GeometryGrid, w: np.ndarray) -> np.ndarray:
     return geom.ambient_components(geom.frame_vector_to_chart(w))
 
 
-def _curvature_covectors(geom: GeometryGrid, k: int) -> np.ndarray:
-    """C[j, a] = sum_i <R(E_i, E_a) N, P_j E_i> for j < k, component-major
-    (shape (k, n) + grid).
+def _curvature_covectors(geom: GeometryGrid, js) -> np.ndarray:
+    """C[m, a] = sum_i <R(E_i, E_a) N, P_j E_i> for the m-th j of ``js``,
+    component-major (shape (len(js), n) + grid).
 
     sum_i <R(E_i, Y) N, P_j E_i> is linear in Y, so it is
-    sum_a C[j, a] Y^a for Y in frame components: the four-term tensor is
-    evaluated once per frame pair (i, a), whatever k and Y are.
+    sum_a C[m, a] Y^a for Y in frame components: the four-term tensor is
+    evaluated once per frame pair (i, a), whatever the j and Y are.
     """
     n = geom.n
     kappa = geom.imm.W.fiber.kappa
@@ -228,24 +228,24 @@ def _curvature_covectors(geom: GeometryGrid, k: int) -> np.ndarray:
     frame_amb = [
         _frame_to_ambient(geom, np.broadcast_to(eye[i], geom.a.shape))
         for i in range(n)]
-    C = np.zeros((k, n) + geom.u.shape)
+    C = np.zeros((len(js), n) + geom.u.shape)
     for i in range(n):
         # P_j E_i in ambient components
         P_amb = [_frame_to_ambient(geom, geom.newton[..., j, :, i])
-                 for j in range(k)]
+                 for j in js]
         for a in range(n):
             R = curvature_tensor_components(
                 kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat,
                 frame_amb[i], frame_amb[a], geom.normal)
-            for j in range(k):
-                C[j, a] += _ambient_inner(geom, R, P_amb[j])
+            for m, P in enumerate(P_amb):
+                C[m, a] += _ambient_inner(geom, R, P)
     return C
 
 
 def _curvature_route(geom: GeometryGrid, k: int, vecs) -> np.ndarray:
     """Route (c) of ``div_pk``: sum_{j<k} (-1)^{k-1-j} C_j . A^{k-1-j} X
     for each test vector X, stacked on the last axis."""
-    C = _curvature_covectors(geom, k)
+    C = _curvature_covectors(geom, range(k))
     out = []
     for w in vecs:
         total = np.zeros(geom.u.shape)
@@ -321,7 +321,7 @@ def curvature_trace_identity(geom: GeometryGrid, j: int,
     with Y given in frame components (pure algebra; rounding level)."""
     _check_k(geom, j)
     kappa = geom.imm.W.fiber.kappa
-    Cj = _curvature_covectors(geom, j + 1)[j]
+    Cj = _curvature_covectors(geom, [j])[0]
     total = sum(Cj[i] * w[..., i] for i in range(geom.n))
     Pj = geom.newton[..., j, :, :]
     coef = geom.theta * (kappa / geom.rho ** 2 + geom.dhcal)
