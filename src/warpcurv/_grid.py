@@ -47,30 +47,135 @@ def diff2(f: np.ndarray, axis: int, h: float, order: int = 4) -> np.ndarray:
 
 
 def gradient(f: np.ndarray, spacing, order: int = 4) -> np.ndarray:
-    """Stack of first partials along the grid axes, one per spacing.
+    """First partials along the grid axes, one per spacing.
 
-    Returns an array of shape ``f.shape + (len(spacing),)``.
+    Returns an array of shape ``f.shape + (len(spacing),)``, stored
+    component-major (see ``components``).
     """
-    parts = [diff(f, axis, h, order) for axis, h in enumerate(spacing)]
-    return np.stack(parts, axis=-1)
+    out = np.empty((len(spacing),) + f.shape)
+    for axis, h in enumerate(spacing):
+        out[axis] = diff(f, axis, h, order)
+    return _node_major(out, 1)
 
 
 def hessian(f: np.ndarray, spacing, order: int = 4) -> np.ndarray:
-    """Matrix of second partials; shape ``f.shape + (n, n)``.
+    """Matrix of second partials; shape ``f.shape + (n, n)``, stored
+    component-major.
 
     Diagonal entries use the direct second-derivative stencil; mixed
     entries apply the first-derivative stencil twice.
     """
     n = len(spacing)
-    out = np.empty(f.shape + (n, n))
+    out = np.empty((n, n) + f.shape)
     firsts = [diff(f, a, spacing[a], order) for a in range(n)]
     for i in range(n):
-        out[..., i, i] = diff2(f, i, spacing[i], order)
+        out[i, i] = diff2(f, i, spacing[i], order)
         for j in range(i + 1, n):
-            mixed = diff(firsts[i], j, spacing[j], order)
-            out[..., i, j] = mixed
-            out[..., j, i] = mixed
+            out[i, j] = out[j, i] = diff(firsts[i], j, spacing[j], order)
+    return _node_major(out, 2)
+
+
+# ---------------------------------------------------------------------------
+# per-node linear algebra, component-major
+# ---------------------------------------------------------------------------
+#
+# Fields keep node-major shapes: grid axes first, then component axes of
+# length n <= 8.  A contraction over those short axes, written as an
+# einsum or a stacked matrix product, runs an inner loop of length n at
+# every node.  These move the component axes first, as views, and form
+# each output component as a sum of whole-grid products.  Each output is
+# written into a component-major buffer and returned as its node-major
+# view, so a chain of them reads whole contiguous grids.
+
+def components(X: np.ndarray, k: int = 1) -> np.ndarray:
+    """View of ``X`` with its last ``k`` (component) axes moved first."""
+    grid = X.ndim - k
+    return X.transpose(tuple(range(grid, X.ndim)) + tuple(range(grid)))
+
+
+def _node_major(buf: np.ndarray, k: int) -> np.ndarray:
+    """Node-major view of a buffer whose first ``k`` axes are components."""
+    return buf.transpose(tuple(range(k, buf.ndim)) + tuple(range(k)))
+
+
+def _sum_of_products(out: np.ndarray, pairs) -> np.ndarray:
+    """``out`` = sum of x * y over ``pairs``, left to right, in place."""
+    (x, y), *rest = pairs
+    np.multiply(x, y, out=out)
+    for x, y in rest:
+        out += x * y
     return out
+
+
+def dot(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i v_i w_i at every node."""
+    vc, wc = components(v), components(w)
+    out = np.empty(np.broadcast_shapes(vc.shape[1:], wc.shape[1:]))
+    return _sum_of_products(out, zip(vc, wc))
+
+
+def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(M v)_i = sum_j M_ij v_j at every node.  Pass
+    ``np.swapaxes(M, -1, -2)`` for M^T v; the transpose is a view."""
+    Mc, vc = components(M, 2), components(v)
+    out = np.empty(Mc.shape[:1]
+                   + np.broadcast_shapes(Mc.shape[2:], vc.shape[1:]))
+    for o, row in zip(out, Mc):
+        _sum_of_products(o, zip(row, vc))
+    return _node_major(out, 1)
+
+
+def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(A B)_ik = sum_j A_ij B_jk at every node.  Transposes are views:
+    pass ``np.swapaxes(X, -1, -2)``."""
+    Ac, Bc = components(A, 2), components(B, 2)
+    out = np.empty(Ac.shape[:1] + Bc.shape[1:2]
+                   + np.broadcast_shapes(Ac.shape[2:], Bc.shape[2:]))
+    for i, row in enumerate(Ac):
+        for k in range(Bc.shape[1]):
+            _sum_of_products(out[i, k], zip(row, Bc[:, k]))
+    return _node_major(out, 2)
+
+
+def contract_first(T: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k T_kij v_k at every node, for T with three component axes
+    (such as Gamma^k_ij d_k f)."""
+    Tc, vc = components(T, 3), components(v)
+    out = np.empty(Tc.shape[1:3]
+                   + np.broadcast_shapes(Tc.shape[3:], vc.shape[1:]))
+    for i, row in enumerate(out):
+        for j, o in enumerate(row):
+            _sum_of_products(o, zip(Tc[:, i, j], vc))
+    return _node_major(out, 2)
+
+
+def trace_product(P: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Tr(P F) = sum_ij P_ij F_ji at every node."""
+    Pc, Fc = components(P, 2), components(F, 2)
+    out = np.empty(np.broadcast_shapes(Pc.shape[2:], Fc.shape[2:]))
+    n = Pc.shape[0]
+    return _sum_of_products(out, ((Pc[i, j], Fc[j, i])
+                                  for i in range(n) for j in range(n)))
+
+
+def lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular L at every node, by forward
+    substitution; its strictly upper entries are exactly 0.
+
+    Column j solves L x = e_j from the diagonal down:
+    x_j = 1/L_jj and x_i = -(sum_{j<=m<i} L_im x_m) / L_ii.
+    """
+    Lc = components(L, 2)
+    n = Lc.shape[0]
+    out = np.zeros(Lc.shape)
+    for j in range(n):
+        out[j, j] = 1.0 / Lc[j, j]
+        for i in range(j + 1, n):
+            x = _sum_of_products(out[i, j], ((Lc[i, m], out[m, j])
+                                            for m in range(j, i)))
+            x /= Lc[i, i]
+            np.negative(x, out=x)
+    return _node_major(out, 2)
 
 
 def interior_mask(shape, periodic, cells: int) -> np.ndarray:

@@ -177,6 +177,16 @@ def _float(value, name: str, positive: bool = False) -> float:
     return float(value)
 
 
+def _tolerance(value, name: str) -> float:
+    """A residual tolerance: a finite number, at least 0.  No residual
+    passes a negative one, so it is bad input, not a falsification."""
+    tol = _float(value, name)
+    if tol < 0.0:
+        raise ConfigError(f"{name}={value!r} is negative; a tolerance is "
+                          f"at least 0")
+    return tol
+
+
 def _registry_miss(kind: str, name, registry) -> ConfigError:
     return ConfigError(
         f"unknown {kind} {name!r}; registry: {', '.join(sorted(registry))}")
@@ -553,7 +563,7 @@ def run_verify(config: dict, args, out_dir: str) -> int:
         W = build_ambient(config.get("ambient", {}))
         ops = _operations("verify", config, VERIFY_OPS, W.fiber)
         entries = [{"op": op["op"], "k": _index(op),
-                    "tol": _float(op.get("tol", args.tol), "tol")}
+                    "tol": _tolerance(op.get("tol", args.tol), "tol")}
                    for op in ops]
         min_slope = _float(config.get("min_slope", 1.9), "min_slope")
         imm = _audited_immersion(config, W, cfg, args.seed)
@@ -856,8 +866,9 @@ def main(argv=None) -> int:
         with _config_inputs():
             if args.seed is None:
                 args.seed = _integer(config, "seed", 0)
-            args.tol = _float(config.get("tolerance", 1e-8)
-                              if args.tol is None else args.tol, "tolerance")
+            args.tol = _tolerance(config.get("tolerance", 1e-8)
+                                  if args.tol is None else args.tol,
+                                  "tolerance")
         return runner(config, args, out_dir)
     except (ConfigError, OSError, MemoryError) as exc:
         # a grid too large for memory is a bad input, not a falsification

@@ -34,8 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import symfun
-from ._grid import (diff, gradient, hessian, interior_mask, masked_max,
-                    min_or_nan, stencil_radius)
+from ._grid import (components, contract_first, diff, dot, gradient, hessian,
+                    interior_mask, lower_triangular_inverse, masked_max,
+                    matmul, matvec, min_or_nan, stencil_radius)
 from .ambient import WarpedProduct, warping_eval
 
 
@@ -307,32 +308,33 @@ class GeometryGrid:
 
     def grad_chart(self, f: np.ndarray) -> np.ndarray:
         """Chart components of grad f (indices up)."""
-        df = gradient(f, self.spacing, self.cfg.order)
-        return np.einsum("...ij,...j->...i", self.g_inv, df)
+        return matvec(self.g_inv, gradient(f, self.spacing, self.cfg.order))
 
     def grad_frame(self, f: np.ndarray) -> np.ndarray:
         """Orthonormal-frame components of grad f."""
-        df = gradient(f, self.spacing, self.cfg.order)
-        return np.einsum("...ij,...j->...i", self.L_inv, df)
+        return matvec(self.L_inv, gradient(f, self.spacing, self.cfg.order))
 
     def hess_covariant(self, f: np.ndarray) -> np.ndarray:
         """Covariant Hessian of f on the hypersurface (chart, differenced)."""
         df = gradient(f, self.spacing, self.cfg.order)
-        return hessian(f, self.spacing, self.cfg.order) - np.einsum(
-            "...kij,...k->...ij", self.christoffel, df)
+        return hessian(f, self.spacing, self.cfg.order) - contract_first(
+            self.christoffel, df)
 
     def form_to_frame(self, F: np.ndarray) -> np.ndarray:
         """Frame components of a (0,2) tensor: L^-1 F L^-T."""
-        return self.L_inv @ F @ np.swapaxes(self.L_inv, -1, -2)
+        return matmul(matmul(self.L_inv, F), np.swapaxes(self.L_inv, -1, -2))
 
     def frame_vector_to_chart(self, w: np.ndarray) -> np.ndarray:
-        """Chart components of a tangent vector given in the frame."""
-        return np.einsum("...ji,...j->...i", self.L_inv, w)
+        """Chart components of a tangent vector given in the frame:
+        L^-T w."""
+        return matvec(np.swapaxes(self.L_inv, -1, -2), w)
 
     def ambient_components(self, v_chart: np.ndarray) -> np.ndarray:
         """Ambient (T, fiber) components of a tangent vector in chart form."""
-        t_comp = np.einsum("...i,...i->...", v_chart, self.du)
-        return np.concatenate([t_comp[..., None], v_chart], axis=-1)
+        out = np.empty((self.n + 1,) + self.u.shape)   # component-major
+        out[0] = dot(v_chart, self.du)
+        out[1:] = components(v_chart)
+        return np.moveaxis(out, 0, -1)
 
     def divergence(self, Y_chart: np.ndarray) -> np.ndarray:
         """div Y = (det g)^{-1/2} d_i( (det g)^{1/2} Y^i ), differenced."""
@@ -386,13 +388,13 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
         L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise ValueError("singular induced metric on the grid")
-    eye = np.eye(n)
-    L_inv = np.linalg.solve(L, np.broadcast_to(eye, g.shape).copy())
-    g_inv = np.einsum("...ki,...kj->...ij", L_inv, L_inv)
+    L_inv = lower_triangular_inverse(L)
+    L_inv_t = np.swapaxes(L_inv, -1, -2)
+    g_inv = matmul(L_inv_t, L_inv)
     sqrt_det_g = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
 
-    ghat_inv_du = np.einsum("...jk,...k->...j", ghat_inv, du)
-    du_hat_sq = np.einsum("...i,...i->...", du, ghat_inv_du)
+    ghat_inv_du = matvec(ghat_inv, du)
+    du_hat_sq = dot(du, ghat_inv_du)
     w_factor = np.sqrt(1.0 + du_hat_sq / (rho * rho))
     sgn = float(imm.orientation)
     theta = -sgn / w_factor
@@ -401,18 +403,22 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
     n_fiber = (sgn / (w_factor * rho * rho))[..., None] * ghat_inv_du
     normal = np.concatenate([theta[..., None], n_fiber], axis=-1)
 
-    a = np.einsum("...ij,...j->...i", L_inv, du)
+    a = matvec(L_inv, du)
     # Sherman-Morrison: g^{-1} du = ghat^{-1} du / (rho^2 W^2)
     grad_h_chart = ghat_inv_du / (rho * rho * w_factor * w_factor)[..., None]
 
-    hess_u_fiber = hess_u - np.einsum("...kij,...k->...ij", gammahat, du)
+    hess_u_fiber = hess_u - contract_first(gammahat, du)
     II = (sgn / w_factor)[..., None, None] * (
         -hess_u_fiber
         + (rho * drho)[..., None, None] * ghat
         + 2.0 * data.hcal[..., None, None] * du[..., :, None] * du[..., None, :])
 
-    shape_frame = L_inv @ II @ np.swapaxes(L_inv, -1, -2)
-    shape_frame = 0.5 * (shape_frame + np.swapaxes(shape_frame, -1, -2))
+    A = matmul(matmul(L_inv, II), L_inv_t)
+    # stored node-major: the eigen-solves and symfun's batched products
+    # read it one node at a time
+    shape_frame = np.empty(A.shape)
+    np.add(A, np.swapaxes(A, -1, -2), out=shape_frame)
+    shape_frame *= 0.5
     kappas = np.linalg.eigvalsh(shape_frame)
 
     S = symfun.elementary_symmetric_batch(kappas)
@@ -425,7 +431,8 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
     # first kind [l, i, j] = (d_i g_lj + d_j g_il - d_l g_ij) / 2, raised once
     first = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
     del dg   # the product below allocates next; keep the peak down
-    christoffel = (g_inv @ first.reshape(u.shape + (n, n * n))).reshape(first.shape)
+    christoffel = matmul(g_inv, first.reshape(u.shape + (n, n * n))
+                         ).reshape(first.shape)
 
     interior = interior_mask(u.shape, imm.periodic, cfg.margin_cells)
 
@@ -496,7 +503,7 @@ def structure_identities(geom: GeometryGrid) -> dict:
     mask = geom.interior
     out = {}
 
-    unit = np.einsum("...i,...i->...", geom.a, geom.a) + geom.theta ** 2 - 1.0
+    unit = dot(geom.a, geom.a) + geom.theta ** 2 - 1.0
     out["unit-decomposition"] = {"grid": unit, "max": masked_max(unit, mask)}
 
     tang = -geom.theta[..., None] * geom.normal[..., 1:]

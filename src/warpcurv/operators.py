@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symfun
-from ._grid import diff, fit_order, masked_max
+from ._grid import (components, diff, dot, fit_order, masked_max, matmul,
+                    matvec, trace_product)
 from .ambient import curvature_tensor_components, profile_summary
 from .hypersurface import (DiscretizationConfig, GeometryGrid, GraphImmersion,
                            audit_window, coarsest_trim, evaluate_geometry)
@@ -56,13 +57,9 @@ def _check_k(geom: GeometryGrid, k: int, lo: int = 0, hi: int = None):
         raise ValueError(f"operator index k={k} outside [{lo}, {hi}]")
 
 
-def _trace_with(P: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Tr(P F) for symmetric frame matrices on the grid."""
-    return np.einsum("...ij,...ji->...", P, F)
-
-
 def _frame_quadratic(P: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", v, np.einsum("...ij,...j->...i", P, w))
+    """<v, P w> on the grid."""
+    return dot(v, matvec(P, w))
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +70,7 @@ def lk_apply(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
     """L_k f = Tr(P_k Hess f), covariant Hessian by differencing."""
     _check_k(geom, k)
     Hf = geom.form_to_frame(geom.hess_covariant(np.asarray(f, dtype=float)))
-    return _trace_with(geom.newton[..., k, :, :], Hf)
+    return trace_product(geom.newton[..., k, :, :], Hf)
 
 
 def laplace_beltrami(geom: GeometryGrid, f: np.ndarray) -> np.ndarray:
@@ -89,14 +86,15 @@ def frak_apply(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
     """Divergence-form operator div(P_k grad f), differenced."""
     _check_k(geom, k)
     P_chart = chart_mixed_newton(geom, k)
-    Y = np.einsum("...ij,...j->...i", P_chart, geom.grad_chart(np.asarray(f, dtype=float)))
+    Y = matvec(P_chart, geom.grad_chart(np.asarray(f, dtype=float)))
     return geom.divergence(Y)
 
 
 def chart_mixed_newton(geom: GeometryGrid, k: int) -> np.ndarray:
     """P_k as a chart-mixed (1,1) tensor: L^-T P~_k L^T."""
-    return (np.swapaxes(geom.L_inv, -1, -2) @ geom.newton[..., k, :, :]
-            @ np.swapaxes(geom.L, -1, -2))
+    return matmul(matmul(np.swapaxes(geom.L_inv, -1, -2),
+                         geom.newton[..., k, :, :]),
+                  np.swapaxes(geom.L, -1, -2))
 
 
 def _audited(geom: GeometryGrid) -> np.ndarray:
@@ -180,8 +178,8 @@ def height_sigma_identities(imm: GraphImmersion, k: int,
 
     lhs_h_fd = lk_apply(geom, k, geom.u)
     lhs_s_fd = lk_apply(geom, k, geom.sigma)
-    lhs_h_alg = _trace_with(P, geom.height_hessian_frame())
-    lhs_s_alg = _trace_with(P, geom.sigma_hessian_frame())
+    lhs_h_alg = trace_product(P, geom.height_hessian_frame())
+    lhs_s_alg = trace_product(P, geom.sigma_hessian_frame())
 
     out = {}
     for name, lhs, rhs in (
@@ -205,8 +203,12 @@ def default_test_vectors(geom: GeometryGrid):
 
 
 def _ambient_inner(geom: GeometryGrid, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    fib = np.einsum("...i,...i->...", U[..., 1:],
-                    np.einsum("...ij,...j->...i", geom.ghat, V[..., 1:]))
+    """<U, V> = U_T V_T + rho^2 U_f . ghat . V_f for ambient components.
+
+    The fiber product is summed as sum_j (sum_i U_i ghat_ij) V_j, the
+    curvature kernel's order, so that on a diagonal fiber metric it equals
+    the single-einsum form bit for bit."""
+    fib = dot(matvec(np.swapaxes(geom.ghat, -1, -2), U[..., 1:]), V[..., 1:])
     return U[..., 0] * V[..., 0] + geom.rho ** 2 * fib
 
 
@@ -246,17 +248,38 @@ def _curvature_route(geom: GeometryGrid, k: int, vecs) -> np.ndarray:
     """Route (c) of ``div_pk``: sum_{j<k} (-1)^{k-1-j} C_j . A^{k-1-j} X
     for each test vector X, stacked on the last axis."""
     C = _curvature_covectors(geom, range(k))
-    out = []
-    for w in vecs:
-        total = np.zeros(geom.u.shape)
+    out = np.zeros((len(vecs),) + geom.u.shape)
+    for total, w in zip(out, vecs):
         y = w   # A^{k-1-j} X, from j = k-1 down
         for j in reversed(range(k)):
             if j < k - 1:
-                y = np.einsum("...ij,...j->...i", geom.shape_frame, y)
+                y = matvec(geom.shape_frame, y)
+            yc = components(y)
             total += (-1.0) ** (k - 1 - j) * sum(
-                C[j, i] * y[..., i] for i in range(geom.n))
-        out.append(total)
-    return np.stack(out, axis=-1)
+                C[j, i] * yc[i] for i in range(geom.n))
+    return np.moveaxis(out, 0, -1)
+
+
+def _direct_divergence(geom: GeometryGrid, k: int) -> np.ndarray:
+    """Route (a) of ``div_pk``: chart components of div P_k by covariant
+    differencing of the chart-mixed tensor,
+    (div P)_j = d_m P^m_j + G^m_{ml} P^l_j - G^l_{mj} P^m_l.
+
+    Only the entries P^m_j differenced along axis m enter the first sum,
+    so each row of P is differenced along its own axis only.
+    """
+    n = geom.n
+    Pc = components(chart_mixed_newton(geom, k), 2)
+    G = components(geom.christoffel, 3)
+    out = np.zeros((n,) + geom.u.shape)
+    for m in range(n):
+        out += diff(Pc[m], m + 1, geom.spacing[m], geom.cfg.order)
+    for j in range(n):
+        out[j] += sum(G[m, m, l] * Pc[l, j]
+                      for m in range(n) for l in range(n))
+        out[j] -= sum(G[l, m, j] * Pc[m, l]
+                      for l in range(n) for m in range(n))
+    return np.moveaxis(out, 0, -1)
 
 
 def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
@@ -282,30 +305,18 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     _check_k(geom, k, lo=1)
     n = geom.n
     mask = geom.interior
-    spacing = geom.spacing
     vecs = default_test_vectors(geom)
 
-    # (a) direct: (div P)_j = d_m P^m_j + G^m_{mk} P^k_j - G^k_{mj} P^m_k
-    P_chart = chart_mixed_newton(geom, k)
-    dP = np.stack([diff(P_chart, ax, spacing[ax], geom.cfg.order)
-                   for ax in range(n)], axis=-3)
-    div_form = (np.einsum("...mmj->...j", dP)
-                + np.einsum("...mmk,...kj->...j", geom.christoffel, P_chart)
-                - np.einsum("...kmj,...mk->...j", geom.christoffel, P_chart))
-    del P_chart, dP   # route (c) allocates next; keep the peak down
-
+    div_form = _direct_divergence(geom, k)
     kappa = geom.imm.W.fiber.kappa
     coef = geom.theta * (kappa / geom.rho ** 2 + geom.dhcal)
     Pkm1 = geom.newton[..., k - 1, :, :]
 
-    applied_a, applied_b = [], []
-    for w in vecs:
-        v_chart = geom.frame_vector_to_chart(w)
-        applied_a.append(np.einsum("...j,...j->...", div_form, v_chart))
-        applied_b.append(-(n - k) * coef * _frame_quadratic(Pkm1, geom.a, w))
-
-    a = np.stack(applied_a, axis=-1)
-    b = np.stack(applied_b, axis=-1)
+    a, b = np.empty((2, len(vecs)) + geom.u.shape)
+    for a_w, b_w, w in zip(a, b, vecs):
+        a_w[...] = dot(div_form, geom.frame_vector_to_chart(w))
+        b_w[...] = -(n - k) * coef * _frame_quadratic(Pkm1, geom.a, w)
+    a, b = np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)
     c = _curvature_route(geom, k, vecs)
     return {
         "residual_ab": IdentityResidual(a - b, masked_max(a - b, mask)),
@@ -327,7 +338,7 @@ def curvature_trace_identity(geom: GeometryGrid, j: int,
     coef = geom.theta * (kappa / geom.rho ** 2 + geom.dhcal)
     rhs = coef * (_frame_quadratic(Pj, geom.a, w)
                   - geom.c[j] * geom.H[..., j]
-                  * np.einsum("...i,...i->...", geom.a, w))
+                  * dot(geom.a, w))
     grid = total - rhs
     return IdentityResidual(grid, masked_max(grid, geom.interior))
 
@@ -387,9 +398,9 @@ def calligraphic_ops(imm: GraphImmersion, k: int,
     rhs = cm * geom.rho * (geom.hcal ** k
                            + (-1.0) ** (k - 1) * geom.theta ** k * geom.H[..., k])
 
-    lhs_alg = _trace_with(Pcal, geom.sigma_hessian_frame())
+    lhs_alg = trace_product(Pcal, geom.sigma_hessian_frame())
     Hs = geom.form_to_frame(geom.hess_covariant(geom.sigma))
-    lhs_fd = _trace_with(Pcal, Hs)
+    lhs_fd = trace_product(Pcal, Hs)
 
     eigs = np.linalg.eigvalsh(Pcal)
     min_eig = float(np.min(eigs[mask]))
@@ -436,8 +447,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
     theta_hat = geom.rho * geom.theta
 
     grad_fd = geom.grad_frame(theta_hat)
-    grad_closed = -geom.rho[..., None] * np.einsum(
-        "...ij,...j->...i", geom.shape_frame, geom.a)
+    grad_closed = -geom.rho[..., None] * matvec(geom.shape_frame, geom.a)
     ggrid = grad_fd - grad_closed
     gradient_residual = IdentityResidual(ggrid, masked_max(ggrid, mask))
 
@@ -448,7 +458,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
     norm_grad_sq = 1.0 - geom.theta ** 2
     quad = _frame_quadratic(P, geom.a, geom.a)
     dHk1 = geom.grad_frame(geom.H_safe(k + 1))
-    grad_pairing = np.einsum("...i,...i->...", geom.a, dHk1)
+    grad_pairing = dot(geom.a, dHk1)
     curvature_quad = norm_grad_sq * ck * Hk - quad
     trace_pa2 = bin_k1 * (n * geom.H[..., 1] * Hk1 - (n - k - 1) * Hk2)
 
@@ -459,10 +469,11 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
 
     # general-fiber route: beta_k from the eigen frame of the shape operator
     evals, evecs = np.linalg.eigh(geom.shape_frame)
-    mu = np.einsum("...ji,...ji->...i", evecs, P @ evecs)
-    e = np.einsum("...ji,...j->...i", evecs, geom.a)
+    Q_t = np.swapaxes(evecs, -1, -2)
+    mu = dot(Q_t, np.swapaxes(matmul(P, evecs), -1, -2))   # diag(Q^T P Q)
+    e = matvec(Q_t, geom.a)
     wedge_sq = norm_grad_sq[..., None] - e ** 2
-    beta = kappa * np.einsum("...i,...i->...", mu, wedge_sq)
+    beta = kappa * dot(mu, wedge_sq)
     beta_algebraic = kappa * curvature_quad
     rhs_general = common - theta_hat * geom.dhcal * curvature_quad \
         - theta_hat / geom.rho ** 2 * beta
@@ -537,7 +548,7 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     # corrections that vanish when H_k is constant
     grad_psi = geom.grad_frame(psi)
     grad_Hk = geom.grad_frame(Hk)
-    pair_Hk = np.einsum("...i,...i->...", geom.a, grad_Hk)
+    pair_Hk = dot(geom.a, grad_Hk)
     lk_psi = lk_apply(geom, k - 1, psi)
     div_pairing = -(n - k + 1) * geom.theta * curv * (
         _frame_quadratic(geom.newton[..., k - 2, :, :], geom.a, grad_psi)

@@ -291,6 +291,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
                                           "immersion": slice12,
                                           "tolerance": True,
                                           "operations": structure}),
+            # no residual passes a negative tolerance: bad input, not a
+            # falsification
+            ("tolerance-neg", "verify", {"ambient": torus,
+                                         "immersion": slice12,
+                                         "tolerance": -1.0,
+                                         "operations": structure}),
+            ("tol-neg", "verify", {"ambient": torus, "immersion": slice12,
+                                   "operations": [{"op": "structure",
+                                                   "tol": -1.0}]}),
+            ("tolerance-neg-scenario", "scenario", {
+                "tolerance": -1e-8, "operations": [{"op": "parabolicity"}]}),
             ("parab-H-bool", "scenario", {"operations": [
                 {"op": "parabolicity", "H": True}]}),
             ("T-bool", "comparison", {"T": True}),
@@ -434,6 +445,15 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "two refinement levels" in capsys.readouterr().err
     assert main(["verify", "--config", cfg, "--out", out, "--tol", "inf"]) == 2
     assert "tolerance=inf" in capsys.readouterr().err
+    cfg = _write_config(tmp_path / "tol.json", {
+        "ambient": torus, "immersion": slice12, "operations": structure})
+    assert main(["verify", "--config", cfg, "--out", out, "--tol", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: tolerance=-1.0 is negative")
+    assert err.count("\n") == 1, err
+    # 0 is a tolerance: a slice's structure residuals pass it or fail it
+    assert main(["verify", "--config", cfg, "--out", out, "--tol", "0"]) in (0, 1)
+    assert "config error" not in capsys.readouterr().err
 
     # an unknown key is named, so a removed or misspelt key never runs
     # with its default

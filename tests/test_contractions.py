@@ -1,17 +1,23 @@
-"""Per-node contractions against the three-operand einsums they replaced.
+"""Per-node contractions against the einsum and matrix-product forms
+they replaced.
 
-numpy runs an einsum of three operands through its generic nested loop,
-so the library forms these contractions as matrix products or chains of
-two-operand einsums.  Each site is compared here with a test-side oracle
-written as the old single einsum, on seeded stacks with n = 2 and 3,
-contiguous and strided; the two must agree to 1e-13 of max|field|.  Each
-comparison whose operands are not all symmetric is also shown to reject
-the result with one operand transposed, so it could not pass on an index
-slip.  The curvature kernel, which runs component-major, must match its
-oracle bit for bit on the diagonal fiber metrics the charts store.  A
-scan of the package also pins its eigen-solves, so that a
-spectrum the geometry stores is not solved again, and finds no unused
-import and no private module-level name that nothing references.
+The library runs its per-node n x n algebra component-major: the
+primitives of ``warpcurv._grid`` (``dot``, ``matvec``, ``matmul``,
+``contract_first``, ``trace_product`` and ``lower_triangular_inverse``)
+move the component axes first and sum whole-grid products, as does the
+curvature kernel.
+Each site is compared here with a test-side oracle written as the old
+einsum or ``@`` form, on seeded stacks with n = 2 and 3, contiguous,
+strided and component-major; the two must agree to 1e-13 of max|field|.
+Each comparison whose operands are not all symmetric is also shown to
+reject the result with one operand transposed, so it could not pass on
+an index slip.  The inverse Cholesky factor is checked against
+``np.linalg.inv`` for n = 1..8, an ill-conditioned metric included.  The
+curvature kernel must match its oracle bit for bit on the diagonal fiber
+metrics the charts store.  A scan of the package pins every
+``np.linalg`` call, so that neither a spectrum the geometry stores nor the
+triangular factor is solved again, and finds no unused import and no
+private module-level name that nothing references.
 """
 
 import ast
@@ -24,7 +30,9 @@ import pytest
 import warpcurv
 from helpers import make_product, random_immersion
 from warpcurv import operators
-from warpcurv._grid import diff
+from warpcurv._grid import (contract_first, diff, diff2, dot, gradient,
+                            hessian, lower_triangular_inverse, matmul, matvec,
+                            trace_product)
 from warpcurv.ambient import (ambient_curvature, curvature_tensor_components,
                               warping_eval)
 from warpcurv.hypersurface import evaluate_geometry
@@ -63,6 +71,178 @@ def _stacks(geom, seed):
     wide = rng.normal(size=shape + (n, n, n))
     v, w = rng.normal(size=(2,) + shape + (n,))
     return M, wide[..., 1, :, :], v, w
+
+
+def _component_major(X, k):
+    """X with equal values, stored with its last k axes first, as the
+    component-major primitives leave their outputs."""
+    grid = X.ndim - k
+    first = tuple(range(grid, X.ndim)) + tuple(range(grid))
+    return np.ascontiguousarray(X.transpose(first)).transpose(
+        np.argsort(first))
+
+
+def _layouts(X, k):
+    return X, _component_major(X, k)
+
+
+def test_primitives(geom):
+    M, strided, v, w = _stacks(geom, 5)
+    B = _stacks(geom, 6)[0]
+    for A in (M, strided, _component_major(M, 2)):
+        for x in _layouts(v, 1):
+            assert _agree(dot(x, w), np.einsum("...i,...i->...", x, w))
+            assert _agree(matvec(A, x),
+                          np.einsum("...ij,...j->...i", A, x))
+            assert _agree(matvec(_t(A), x),
+                          np.einsum("...ji,...j->...i", A, x))
+        for F in (B, _component_major(B, 2)):
+            assert _agree(matmul(A, F), A @ F)
+            assert _agree(matmul(_t(A), F), _t(A) @ F)
+            assert _agree(trace_product(A, F),
+                          np.einsum("...ij,...ji->...", A, F))
+    T = np.random.default_rng(7).normal(size=M.shape + (geom.n, 2))
+    for G in (T[..., 0], _component_major(T[..., 1], 3)):
+        for x in _layouts(v, 1):
+            assert _agree(contract_first(G, x),
+                          np.einsum("...kij,...k->...ij", G, x))
+    # a frame row broadcast over the grid, as the test vectors of div_pk
+    unit = np.broadcast_to(np.eye(geom.n)[0], v.shape)
+    assert _agree(matvec(M, unit), M[..., :, 0])
+    assert not _agree(contract_first(np.swapaxes(T[..., 0], -3, -2), v),
+                      np.einsum("...kij,...k->...ij", T[..., 0], v))
+    assert not _agree(matvec(_t(M), v), np.einsum("...ij,...j->...i", M, v))
+    assert not _agree(matmul(_t(M), B), M @ B)
+    assert not _agree(trace_product(M, _t(B)),
+                      np.einsum("...ij,...ji->...", M, B))
+
+
+def _ill_conditioned_metric(rng, n, shape):
+    # a diagonal scaling over six decades makes cond(g) about 1e12
+    A = rng.normal(size=shape + (n, n))
+    A = A @ _t(A) + n * np.eye(n)
+    d = np.logspace(0, 6, n)
+    return d[:, None] * A * d[None, :]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lower_triangular_inverse(n):
+    rng = np.random.default_rng(30 + n)
+    shape = (5, 4)
+    A = rng.normal(size=shape + (n, n))
+    metrics = [A @ _t(A) + np.eye(n), _ill_conditioned_metric(rng, n, shape)]
+    for g in metrics:
+        L = np.linalg.cholesky(g)
+        # contiguous, a strided slice and component-major storage
+        padded = np.zeros(shape + (n, n + 1))
+        padded[..., :n] = L
+        for factor in (L, padded[..., :n], _component_major(L, 2)):
+            L_inv = lower_triangular_inverse(factor)
+            assert L_inv.shape == L.shape
+            assert np.max(np.abs(L_inv @ L - np.eye(n))) <= REL
+            assert np.all(np.triu(L_inv, 1) == 0.0)
+            assert _agree(L_inv, np.linalg.inv(L))
+        if n > 1:
+            assert not _agree(lower_triangular_inverse(L),
+                              np.linalg.inv(_t(L)))
+
+
+def test_g_inv_and_a(geom):
+    def g_inv(L_inv):
+        return np.einsum("...ki,...kj->...ij", L_inv, L_inv)
+
+    def a(L_inv):
+        return np.einsum("...ij,...j->...i", L_inv, geom.du)
+    assert _agree(geom.g_inv, g_inv(geom.L_inv))
+    assert _agree(geom.g_inv @ geom.g, np.broadcast_to(np.eye(geom.n),
+                                                       geom.g.shape))
+    assert _agree(geom.a, a(geom.L_inv))
+    assert not _agree(geom.g_inv, g_inv(_t(geom.L_inv)))
+    assert not _agree(geom.a, a(_t(geom.L_inv)))
+
+
+def test_gradients(geom):
+    rng = np.random.default_rng(7)
+    f = rng.normal(size=geom.u.shape)
+    df = np.stack([diff(f, ax, geom.spacing[ax], geom.cfg.order)
+                   for ax in range(geom.n)], axis=-1)
+    assert np.array_equal(gradient(f, geom.spacing, geom.cfg.order), df)
+    second = np.empty(f.shape + (geom.n, geom.n))
+    for i in range(geom.n):
+        for j in range(geom.n):
+            second[..., i, j] = diff(df[..., i], j, geom.spacing[j],
+                                     geom.cfg.order)
+        second[..., i, i] = diff2(f, i, geom.spacing[i], geom.cfg.order)
+    assert np.array_equal(hessian(f, geom.spacing, geom.cfg.order),
+                          np.triu(second) + _t(np.triu(second, 1)))
+    M, strided, _, _ = _stacks(geom, 8)
+    assert _agree(geom.grad_frame(f),
+                  np.einsum("...ij,...j->...i", geom.L_inv, df))
+    assert not _agree(geom.grad_frame(f),
+                      np.einsum("...ji,...j->...i", geom.L_inv, df))
+    # g_inv is symmetric: a non-symmetric stand-in exposes its indices
+    for G in (geom.g_inv, M, strided):
+        site = dataclasses.replace(geom, g_inv=G).grad_chart(f)
+        assert _agree(site, np.einsum("...ij,...j->...i", G, df))
+    assert not _agree(dataclasses.replace(geom, g_inv=_t(M)).grad_chart(f),
+                      np.einsum("...ij,...j->...i", M, df))
+
+
+def test_hess_covariant(geom):
+    rng = np.random.default_rng(9)
+    f = rng.normal(size=geom.u.shape)
+    df = np.stack([diff(f, ax, geom.spacing[ax], geom.cfg.order)
+                   for ax in range(geom.n)], axis=-1)
+    second = hessian(f, geom.spacing, geom.cfg.order)
+    n = geom.n
+    wide = rng.normal(size=geom.u.shape + (n, n, n, 2))
+
+    def oracle(G):
+        return second - np.einsum("...kij,...k->...ij", G, df)
+    # Gamma^k_ij is symmetric in ij; a random stand-in exposes k
+    for G in (geom.christoffel, wide[..., 0], _component_major(wide[..., 1], 3)):
+        site = dataclasses.replace(geom, christoffel=G).hess_covariant(f)
+        assert _agree(site, oracle(G))
+    assert not _agree(dataclasses.replace(
+        geom, christoffel=np.swapaxes(wide[..., 0], -3, -2)).hess_covariant(f),
+        oracle(wide[..., 0]))
+
+
+def test_frame_vector_to_chart_and_ambient_components(geom):
+    _, _, v, _ = _stacks(geom, 10)
+    unit = np.broadcast_to(np.eye(geom.n)[-1], v.shape)
+    for w in (v, unit, geom.a):
+        chart = geom.frame_vector_to_chart(w)
+        assert _agree(chart, np.einsum("...ji,...j->...i", geom.L_inv, w))
+        amb = geom.ambient_components(chart)
+        assert _agree(amb, np.concatenate(
+            [np.einsum("...i,...i->...", chart, geom.du)[..., None], chart],
+            axis=-1))
+    assert not _agree(geom.frame_vector_to_chart(v),
+                      np.einsum("...ij,...j->...i", geom.L_inv, v))
+
+
+def _old_direct_divergence(geom, P_chart, christoffel):
+    dP = np.stack([diff(P_chart, ax, geom.spacing[ax], geom.cfg.order)
+                   for ax in range(geom.n)], axis=-3)
+    return (np.einsum("...mmj->...j", dP)
+            + np.einsum("...mmk,...kj->...j", christoffel, P_chart)
+            - np.einsum("...kmj,...mk->...j", christoffel, P_chart))
+
+
+def test_direct_divergence(geom):
+    rng = np.random.default_rng(11)
+    n = geom.n
+    wide = rng.normal(size=geom.u.shape + (2, n, n, n))
+    for k in range(1, n):
+        P_chart = operators.chart_mixed_newton(geom, k)
+        for G in (geom.christoffel, wide[..., 0, :, :, :]):
+            site = operators._direct_divergence(
+                dataclasses.replace(geom, christoffel=G), k)
+            assert _agree(site, _old_direct_divergence(geom, P_chart, G))
+        assert not _agree(operators._direct_divergence(geom, k),
+                          _old_direct_divergence(geom, _t(P_chart),
+                                                 geom.christoffel))
 
 
 def test_form_to_frame(geom):
@@ -169,7 +349,8 @@ def test_component_major_kernel_is_bit_identical_on_fiber_metrics(chart,
     # the fiber metrics the charts store are diagonal, so every fiber
     # product sums (X_i g_ii) W_i in the oracle's order: the component-major
     # kernel must then reproduce the single-einsum oracle bit for bit, on
-    # random vectors and on the frame and normal that route (c) hands it
+    # random vectors and on the frame and normal that route (c) hands it;
+    # so must the ambient inner product that route (c) pairs it with
     W = make_product("cosh", chart, n, kappa)
     geom = evaluate_geometry(random_immersion(
         W, seed=n, t_center=0.7, amplitude=0.1, res=8))
@@ -181,6 +362,9 @@ def test_component_major_kernel_is_bit_identical_on_fiber_metrics(chart,
                  (U, frame, geom.normal)):
         assert np.array_equal(curvature_tensor_components(*args, *vecs),
                               _old_curvature_tensor(*args, *vecs))
+    fib = np.einsum("...i,...ij,...j->...", U[..., 1:], geom.ghat, V[..., 1:])
+    assert np.array_equal(operators._ambient_inner(geom, U, V),
+                          U[..., 0] * V[..., 0] + geom.rho ** 2 * fib)
 
 
 @pytest.mark.parametrize("chart,kappa", [("flat-torus", 0.0),
@@ -274,12 +458,9 @@ def test_no_einsum_takes_more_than_two_operands():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-_EIGEN = {"eig", "eigh", "eigvals", "eigvalsh"}
-
-
-def _eigen_solves(source):
+def _linalg_calls(source):
     """(enclosing function, routine, first argument) of every
-    ``np.linalg`` eigen-solve, in source order."""
+    ``np.linalg`` call, in source order."""
     found = []
 
     def visit(node, where):
@@ -289,7 +470,6 @@ def _eigen_solves(source):
                 continue
             if (isinstance(child, ast.Call)
                     and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in _EIGEN
                     and ast.unparse(child.func.value) == "np.linalg"):
                 arg = ast.unparse(child.args[0]) if child.args else ""
                 found.append((where, child.func.attr, arg))
@@ -300,21 +480,35 @@ def _eigen_solves(source):
 
 
 def test_no_stored_spectrum_is_solved_again():
-    # the principal curvatures are solved once, in evaluate_geometry; the
-    # Newton spectra follow from them in closed form.  Two solves remain
-    # by design: the eigen frame of one beta_k route, and the spectrum of
-    # the calligraphic combination that semidefiniteness is measured on
-    assert _eigen_solves("def f(A):\n    return np.linalg.eigvalsh(A @ A)") \
+    # every np.linalg call in the package is listed here.  The principal
+    # curvatures are solved once, in evaluate_geometry; the Newton spectra
+    # follow from them in closed form.  Two eigen-solves remain by design:
+    # the eigen frame of one beta_k route, and the spectrum of the
+    # calligraphic combination that semidefiniteness is measured on.  The
+    # Cholesky factor is inverted by forward substitution, so a solve or
+    # inv that comes back fails here; the norm only bounds a box corner
+    assert _linalg_calls("def f(A):\n    return np.linalg.eigvalsh(A @ A)") \
         == [("f", "eigvalsh", "A @ A")]
-    assert _eigen_solves("w, v = np.linalg.eigh(M)") == [(None, "eigh", "M")]
+    assert _linalg_calls("w, v = np.linalg.eigh(M)") == [(None, "eigh", "M")]
+    assert _linalg_calls("try:\n    X = np.linalg.solve(L, I)\n"
+                         "except np.linalg.LinAlgError:\n    pass") \
+        == [(None, "solve", "L")]
     package = Path(warpcurv.__file__).parent
-    found = [(path.name,) + site for path in sorted(package.glob("*.py"))
-             for site in _eigen_solves(path.read_text())]
+    sources = {path.name: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    found = [(name,) + site for name, source in sources.items()
+             for site in _linalg_calls(source)]
     assert found == [
+        ("ambient.py", "check_points", "norm", "np.asarray(x, dtype=float)"),
+        ("hypersurface.py", "evaluate_geometry", "cholesky", "g"),
         ("hypersurface.py", "evaluate_geometry", "eigvalsh", "shape_frame"),
         ("operators.py", "calligraphic_ops", "eigvalsh", "Pcal"),
         ("operators.py", "theta_hat_identity", "eigh", "geom.shape_frame"),
     ]
+    # and no other spelling reaches a linear-algebra package
+    assert [name for name, source in sources.items()
+            if "linalg import" in source or "import numpy.linalg" in source
+            or "scipy.linalg" in source or "linalg as" in source] == []
 
 
 def _loaded_names(tree):

@@ -17,7 +17,7 @@ from helpers import (CHART, make_product, random_immersion, random_symmetric,
                      slice_immersion)
 from warpcurv import ambient, operators, symfun
 from warpcurv.hypersurface import (DiscretizationConfig, GraphImmersion,
-                                   evaluate_geometry)
+                                   evaluate_geometry, structure_identities)
 from warpcurv.operators import (
     NotApplicableError,
     calligraphic_family,
@@ -110,6 +110,52 @@ def test_div_pk_maxima_survive_a_whole_cell_roll():
     assert [before[key].max for key in keys] == \
         [after[key].max for key in keys]
     assert before["residual_ab"].max > 0.0
+
+
+def test_swapping_two_grid_axes_swaps_every_frame_free_result():
+    # on a cubic flat torus, transposing grid axes 0 and 1 of u is an
+    # isometry of the chart, so each scalar result is transposed with it,
+    # and a chart tensor also swaps its components 0 and 1.  The Cholesky
+    # frame is not equivariant, so only rounding may differ; a slip that
+    # mixes a frame index with a chart index would not cancel this way.
+    # Residual grids are differences of O(1) route values, which set the
+    # scale
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    imm = random_immersion(W, seed=7, t_center=0.7, amplitude=0.15, res=12)
+    swapped = GraphImmersion(W=W, u=np.swapaxes(imm.u, 0, 1).copy(),
+                             box=imm.box, periodic=imm.periodic)
+    geom, geom_s = evaluate_geometry(imm), evaluate_geometry(swapped)
+    perm = [1, 0, 2]
+
+    def check(name, grid, grid_s, tensor_rank=0):
+        expected = np.swapaxes(grid, 0, 1)
+        for axis in range(-tensor_rank, 0):
+            expected = np.take(expected, perm, axis=axis)
+        scale = max(1.0, float(np.max(np.abs(grid))))
+        assert np.max(np.abs(grid_s - expected)) <= 1e-12 * scale, name
+
+    check("H", geom.H, geom_s.H)
+    check("theta", geom.theta, geom_s.theta)
+    for k in (1, 2):
+        for key, r in height_sigma_identities(None, k, geom=geom).items():
+            check(f"height-sigma {k} {key}", r.grid, height_sigma_identities(
+                None, k, geom=geom_s)[key].grid)
+        th, th_s = (theta_hat_identity(None, k, geom=g) for g in (geom, geom_s))
+        for key in ("operator", "beta_routes", "general_vs_constant"):
+            check(f"theta-hat {k} {key}", th[key].grid, th_s[key].grid)
+        # the last test vector is grad h, which no frame choice changes
+        dp, dp_s = (div_pk(None, k, geom=g) for g in (geom, geom_s))
+        for key, r in dp.items():
+            check(f"div-newton {k} {key}", r.grid[..., -1],
+                  dp_s[key].grid[..., -1])
+    for k in (2, 3):
+        cal, cal_s = (calligraphic_ops(None, k, geom=g) for g in (geom, geom_s))
+        for key in ("sigma_identity_algebraic", "sigma_identity"):
+            check(f"calligraphic {k} {key}", cal[key].grid, cal_s[key].grid)
+    st, st_s = structure_identities(geom), structure_identities(geom_s)
+    for key, rank in (("unit-decomposition", 0), ("gradient-decomposition", 1),
+                      ("height-hessian", 2), ("sigma-hessian", 2)):
+        check(key, st[key]["grid"], st_s[key]["grid"], rank)
 
 
 @pytest.mark.parametrize("kappa", [1.0, -1.0])
