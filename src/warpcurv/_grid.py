@@ -58,21 +58,23 @@ def gradient(f: np.ndarray, spacing, order: int = 4) -> np.ndarray:
     return _node_major(out, 1)
 
 
-def hessian(f: np.ndarray, spacing, order: int = 4) -> np.ndarray:
-    """Matrix of second partials; shape ``f.shape + (n, n)``, stored
-    component-major.
+def hessian(f: np.ndarray, spacing, order: int = 4) -> tuple:
+    """First partials and the matrix of second partials, of shapes
+    ``f.shape + (n,)`` (equal to ``gradient``'s) and ``f.shape + (n, n)``,
+    both stored component-major.
 
     Diagonal entries use the direct second-derivative stencil; mixed
-    entries apply the first-derivative stencil twice.
+    entries apply the first-derivative stencil to the first partials.
     """
     n = len(spacing)
+    firsts = np.empty((n,) + f.shape)
     out = np.empty((n, n) + f.shape)
-    firsts = [diff(f, a, spacing[a], order) for a in range(n)]
     for i in range(n):
+        firsts[i] = diff(f, i, spacing[i], order)
         out[i, i] = diff2(f, i, spacing[i], order)
         for j in range(i + 1, n):
             out[i, j] = out[j, i] = diff(firsts[i], j, spacing[j], order)
-    return _node_major(out, 2)
+    return _node_major(firsts, 1), _node_major(out, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -363,12 +363,9 @@ def _gate(residuals: dict, tol: float) -> str:
                       for r in residuals.values()))
 
 
-# keys of an operation entry besides "op": every verify entry reports its k
-# and tol, and the operations below read their own
+# keys of an operation entry besides "op" and those its table row names:
+# every verify entry reports its k and tol
 _SHARED_OP_KEYS = {"verify": ("k", "tol"), "scenario": ()}
-_OP_KEYS = {"gamma-probe": ("origin",), "convergence": ("identity",),
-            "theorem-audit": ("id", "k"), "curvature-estimate": ("order",),
-            "parabolicity": ("model", "m", "R", "k", "H", "t_max")}
 
 
 def _operations(subcommand: str, config: dict, table: dict, fiber) -> list:
@@ -382,10 +379,9 @@ def _operations(subcommand: str, config: dict, table: dict, fiber) -> list:
             raise ConfigError(f"operation {i} must be an object with 'op'")
         if op["op"] not in table:
             raise _registry_miss(f"{subcommand} operation", op["op"], table)
+        _, check, keys = table[op["op"]]
         _refuse_unknown(f"{op['op']} operation", op,
-                        ("op",) + _SHARED_OP_KEYS[subcommand]
-                        + _OP_KEYS.get(op["op"], ()))
-        check = table[op["op"]][1]
+                        ("op",) + _SHARED_OP_KEYS[subcommand] + keys)
         if check is not None:
             check(op, fiber)
     return ops
@@ -414,41 +410,72 @@ def _run_operations(subcommand: str, ops: list, entries: list, table: dict,
 # verify subcommand
 # ---------------------------------------------------------------------------
 
-def _structure(run, op, stem):
-    return {"residuals": {key: val["max"] for key, val in
-                          structure_identities(run.geom).items()}}
+# Each identity suite is a function of (geometry, k) that returns its
+# residuals by key, as IdentityResidual, and the entry's other fields, and
+# raises NotApplicableError where it declines.  It looks its module
+# function up at call time, so a replaced attribute (a tracer, a test stub)
+# is the one that runs.
+
+def _structure(geom, k):
+    return {key: operators.IdentityResidual(**rec)
+            for key, rec in structure_identities(geom).items()}, {}
 
 
-def _identities(name: str, keys=None):
-    """Runner of the identity suite ``operators.<name>``: the maxima of its
-    residuals named by ``keys`` (default: all of them)."""
-    def run_suite(run, op, stem):
-        out = getattr(operators, name)(run.imm, _index(op), run.cfg,
-                                       geom=run.geom)
-        return {"residuals": {key: out[key].max for key in keys or out}}
-    return run_suite
+def _residual_suite(name):
+    """The suite ``operators.<name>``, whose output is all residuals."""
+    def suite(geom, k):
+        return getattr(operators, name)(geom.imm, k, geom=geom), {}
+    return suite
 
 
-def _calligraphic(run, op, stem):
-    out = operators.calligraphic_ops(run.imm, _index(op), run.cfg,
-                                     geom=run.geom)
-    fields = {"residuals": {key: out[key].max for key in
-                            ("sigma_identity_algebraic", "sigma_identity")},
-              "min_eigenvalue": out["min_eigenvalue"],
+def _calligraphic(geom, k):
+    out = operators.calligraphic_ops(geom.imm, k, geom=geom)
+    fields = {"min_eigenvalue": out["min_eigenvalue"],
               "implication_respected": out["implication_respected"]}
     if not out["implication_respected"]:
         fields["status"] = STATUS_FAIL
-    return fields
+    return {key: out[key] for key in ("sigma_identity_algebraic",
+                                      "sigma_identity")}, fields
 
 
-def _frak_phi(run, op, stem):
-    k = _index(op)
-    out = operators.frak_phi(run.imm, k, run.cfg, geom=run.geom)
+def _frak_phi(geom, k):
+    out = operators.frak_phi(geom.imm, k, geom=geom)
     if not out.get("applicable"):
         raise operators.NotApplicableError(
             f"order-{k} curvature not positive (min {out['min_Hk']:.3e})")
-    return {"residuals": {"four-term": out["residual"].max},
-            "term_minima": out["term_minima"]}
+    return {"four-term": out["residual"]}, {"term_minima": out["term_minima"]}
+
+
+# verify op -> (suite, check of k, convergence identity -> the residual key
+# it studies under refinement)
+_SUITES = {
+    "structure": (_structure, None, {"height-hessian": "height-hessian",
+                                     "sigma-hessian": "sigma-hessian"}),
+    "height-sigma": (_residual_suite("height_sigma_identities"), _TENSOR_K,
+                     {"height": "height", "sigma": "sigma"}),
+    "div-newton": (_residual_suite("div_pk"), _DIVERGENCE_K,
+                   {"div-newton": "residual_ab"}),
+    "theta-hat": (_residual_suite("theta_hat_identity"), _TENSOR_K,
+                  {"theta-hat": "operator"}),
+    "calligraphic": (_calligraphic, _CALLIGRAPHIC_K,
+                     {"calligraphic": "sigma_identity"}),
+    "frak-phi": (_frak_phi, _CURVATURE_K, {"frak-phi": "four-term"}),
+}
+
+# convergence identity -> (suite, check of k, residual key)
+_CONVERGENCE = {identity: (suite, check, key)
+                for suite, check, identities in _SUITES.values()
+                for identity, key in identities.items()}
+
+
+def _suite_entry(suite):
+    """Verify runner of ``suite``: its other fields and the maximum of each
+    residual."""
+    def run_suite(run, op, stem):
+        residuals, fields = suite(run.geom, _index(op))
+        return dict(fields, residuals={key: r.max
+                                       for key, r in residuals.items()})
+    return run_suite
 
 
 def _laplacian_cross_check(run, op, stem):
@@ -484,34 +511,6 @@ def _sectional_bound(run, op, stem):
             "status": _holds(out["chain_holds"] and out["fiber_bound_holds"])}
 
 
-def _frak_phi_grid(geom, k):
-    out = operators.frak_phi(geom.imm, k, geom=geom)
-    if not out.get("applicable"):
-        raise operators.NotApplicableError(
-            "curvature not positive on the refined grid", out["location"])
-    return out["residual"].grid
-
-
-# identity -> (residual grid of (geometry, k), check of k)
-_CONVERGENCE = {
-    "height-hessian": (lambda geom, k: structure_identities(geom)
-                       ["height-hessian"]["grid"], None),
-    "sigma-hessian": (lambda geom, k: structure_identities(geom)
-                      ["sigma-hessian"]["grid"], None),
-    "height": (lambda geom, k: operators.height_sigma_identities(
-        geom.imm, k, geom=geom)["height"].grid, _TENSOR_K),
-    "sigma": (lambda geom, k: operators.height_sigma_identities(
-        geom.imm, k, geom=geom)["sigma"].grid, _TENSOR_K),
-    "div-newton": (lambda geom, k: operators.div_pk(
-        geom.imm, k, geom=geom)["residual_ab"].grid, _DIVERGENCE_K),
-    "theta-hat": (lambda geom, k: operators.theta_hat_identity(
-        geom.imm, k, geom=geom)["operator"].grid, _TENSOR_K),
-    "calligraphic": (lambda geom, k: operators.calligraphic_ops(
-        geom.imm, k, geom=geom)["sigma_identity"].grid, _CALLIGRAPHIC_K),
-    "frak-phi": (_frak_phi_grid, _CURVATURE_K),
-}
-
-
 def _check_convergence(op, fiber):
     identity = op.get("identity", "height")
     if identity not in _CONVERGENCE:
@@ -523,10 +522,10 @@ def _check_convergence(op, fiber):
 
 def _convergence(run, op, stem):
     identity, k = op.get("identity", "height"), _index(op)
-    residual = _CONVERGENCE[identity][0]
+    suite, _, key = _CONVERGENCE[identity]
     study = operators.convergence_study(
         run.imm, run.cfg,
-        lambda geom: {identity: residual(geom, k)})[identity]
+        lambda geom: {identity: suite(geom, k)[0][key].grid})[identity]
     write_table(stem + ".tsv", ["spacing", "max_residual"],
                 list(zip(study["spacings"], study["maxima"])))
     fields = dict(study, identity=identity)
@@ -536,24 +535,17 @@ def _convergence(run, op, stem):
     return dict(fields, status=_holds(study["slope"] >= run.min_slope))
 
 
-# name -> (runner, check).  runner(run inputs, op config, report path stem)
-# returns the entry's fields; check(op, fiber), if any, rejects bad parameters
-# before any work.  Runners look module functions up at call time, so a
-# replaced attribute (a tracer, a test stub) is the one that runs.
+# name -> (runner, check, keys).  runner(run inputs, op config, report path
+# stem) returns the entry's fields; check(op, fiber), if any, rejects bad
+# parameters before any work; keys are the entry keys the operation reads
+# besides the shared ones.
 VERIFY_OPS = {
-    "structure": (_structure, None),
-    "height-sigma": (_identities("height_sigma_identities"), _TENSOR_K),
-    "div-newton": (_identities("div_pk", ("residual_ab", "residual_ac",
-                                          "residual_bc")), _DIVERGENCE_K),
-    "theta-hat": (_identities("theta_hat_identity", (
-        "gradient", "operator", "beta_routes", "general_vs_constant")),
-        _TENSOR_K),
-    "calligraphic": (_calligraphic, _CALLIGRAPHIC_K),
-    "frak-phi": (_frak_phi, _CURVATURE_K),
-    "laplacian-cross-check": (_laplacian_cross_check, None),
-    "gamma-probe": (_gamma_probe, _check_origin),
-    "sectional-bound": (_sectional_bound, None),
-    "convergence": (_convergence, _check_convergence),
+    **{name: (_suite_entry(suite), check, ())
+       for name, (suite, check, _) in _SUITES.items()},
+    "laplacian-cross-check": (_laplacian_cross_check, None, ()),
+    "gamma-probe": (_gamma_probe, _check_origin, ("origin",)),
+    "sectional-bound": (_sectional_bound, None, ()),
+    "convergence": (_convergence, _check_convergence, ("identity",)),
 }
 
 
@@ -615,10 +607,11 @@ def _elliptic_signs(run, op, stem):
 
 
 def _parabolicity_inputs(op):
-    """The radial model and the checked ``H``, ``k`` and ``t_max`` of a
-    parabolicity operation."""
+    """The radial model, refused where its unit-sphere area overflows, and
+    the checked ``H``, ``k`` and ``t_max`` of a parabolicity operation."""
     model = _build_model(op.get("model", "flat"),
                          **{key: op[key] for key in ("m", "R") if key in op})
+    scenarios.sphere_area_constant(model.m)
     k = _integer(op, "k", 2)
     if k < 1:
         raise ConfigError(f"parabolicity: k={k} must be at least 1")
@@ -640,12 +633,13 @@ def _parabolicity(run, op, stem):
 
 
 SCENARIO_OPS = {
-    "theorem-audit": (_theorem_audit, _check_theorem),
+    "theorem-audit": (_theorem_audit, _check_theorem, ("id", "k")),
     "curvature-estimate": (_curvature_estimate,
-                           _index_range(1, 0, key="order")),
-    "elliptic-signs": (_elliptic_signs, None),
+                           _index_range(1, 0, key="order"), ("order",)),
+    "elliptic-signs": (_elliptic_signs, None, ()),
     "parabolicity": (_parabolicity,
-                     lambda op, fiber: _parabolicity_inputs(op)),
+                     lambda op, fiber: _parabolicity_inputs(op),
+                     ("model", "m", "R", "k", "H", "t_max")),
 }
 
 

@@ -246,8 +246,12 @@ def random_height_function(box, periodic, rng: np.random.Generator,
     The field of ``_trigonometric_field``, rescaled so its sup-norm over
     64 points per axis of the box (the far edge dropped on periodic axes)
     equals ``amplitude``.  Returning a function of the stacked mesh
-    (..., n) keeps the generated immersion refinable.
+    (..., n) keeps the generated immersion refinable.  Raises ValueError
+    for ``max_mode`` < 1, which leaves no mode to draw.
     """
+    if max_mode < 1:
+        raise ValueError(f"max_mode={max_mode} must be at least 1; with no "
+                         f"mode the deviation is zero")
     raw, terms = _trigonometric_field(box, rng, max_mode)
     peak = _sample_peak(raw, terms, box, periodic, 64)
     scale = amplitude / peak if peak > 0.0 else 0.0
@@ -316,9 +320,8 @@ class GeometryGrid:
 
     def hess_covariant(self, f: np.ndarray) -> np.ndarray:
         """Covariant Hessian of f on the hypersurface (chart, differenced)."""
-        df = gradient(f, self.spacing, self.cfg.order)
-        return hessian(f, self.spacing, self.cfg.order) - contract_first(
-            self.christoffel, df)
+        df, second = hessian(f, self.spacing, self.cfg.order)
+        return second - contract_first(self.christoffel, df)
 
     def form_to_frame(self, F: np.ndarray) -> np.ndarray:
         """Frame components of a (0,2) tensor: L^-1 F L^-T."""
@@ -377,8 +380,7 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
     data = warping_eval(imm.W, u)
     rho, drho = np.asarray(data.rho), np.asarray(data.drho)
 
-    du = gradient(u, spacing, cfg.order)
-    hess_u = hessian(u, spacing, cfg.order)
+    du, hess_u = hessian(u, spacing, cfg.order)
     ghat = fiber.metric(x)
     ghat_inv = fiber.inverse_metric(x)
     gammahat = fiber.christoffel(x)

@@ -602,6 +602,16 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
 # parabolicity criterion
 # ---------------------------------------------------------------------------
 
+def sphere_area_constant(m: int) -> float:
+    """Area 2 pi^(m/2) / Gamma(m/2) of the unit sphere in R^m.  Raises
+    ValueError from m = 344 up, where Gamma(m/2) overflows a float."""
+    try:
+        return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    except OverflowError:
+        raise ValueError(f"dimension m={m}: Gamma(m/2) in the unit-sphere "
+                         f"area overflows; m must be below 344") from None
+
+
 def parabolicity_integral(model: RadialModel, H_profile, k: int,
                           t_max: float = None) -> dict:
     """Divergence test for the weighted-volume integral criterion.
@@ -635,7 +645,7 @@ def parabolicity_integral(model: RadialModel, H_profile, k: int,
             f"{float(np.min(h_vals)):.3e} near t={bad:.4g}")
 
     m = model.m
-    omega = 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
+    omega = sphere_area_constant(m)
 
     def integrand(t):
         return 1.0 / (profile(t) * omega * model.f(t) ** (m - 1))

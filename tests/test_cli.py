@@ -243,6 +243,17 @@ def test_config_errors_exit_two(tmp_path, capsys):
                                                   "resolution": 12,
                                                   "max_mode": 1.5},
                                     "operations": structure}),
+            # a random deviation needs at least one mode
+            ("max_mode0", "verify", {"ambient": torus,
+                                     "immersion": {"family": "random",
+                                                   "resolution": 12,
+                                                   "max_mode": 0},
+                                     "operations": structure}),
+            ("max_mode-1", "verify", {"ambient": torus,
+                                      "immersion": {"family": "random",
+                                                    "resolution": 12,
+                                                    "max_mode": -1},
+                                      "operations": structure}),
             ("orientation", "verify", {"ambient": torus,
                                        "immersion": dict(slice12,
                                                          orientation=-0.5),
@@ -261,6 +272,11 @@ def test_config_errors_exit_two(tmp_path, capsys):
                                                      "t_max": 0}]}),
             ("parab-m", "scenario", {"operations": [{"op": "parabolicity",
                                                      "m": 1}]}),
+            # Gamma(m/2) in the unit-sphere area overflows from m = 344 up
+            ("parab-m344", "scenario", {"operations": [{"op": "parabolicity",
+                                                        "m": 344}]}),
+            ("parab-m344-hyperbolic", "scenario", {"operations": [
+                {"op": "parabolicity", "model": "hyperbolic", "m": 344}]}),
             # a JSON boolean is not a number, although True == 1
             ("k-true", "verify", {"ambient": torus, "immersion": slice12,
                                   "operations": [{"op": "height-sigma",
@@ -500,6 +516,14 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert "k=0" in capsys.readouterr().err
     assert list(late.iterdir()) == []
 
+    late = tmp_path / "late-sphere-area"
+    cfg = _write_config(tmp_path / "late-sphere-area.json", {
+        "operations": [{"op": "parabolicity"},
+                       {"op": "parabolicity", "m": 344}]})
+    assert main(["scenario", "--config", cfg, "--out", str(late)]) == 2
+    assert "m=344" in capsys.readouterr().err
+    assert list(late.iterdir()) == []
+
 
 @pytest.mark.parametrize("n,res", [(2, 12), (3, 8)])
 def test_cli_k_ranges_match_the_operators(n, res):
@@ -507,10 +531,10 @@ def test_cli_k_ranges_match_the_operators(n, res):
     # the operators: it must refuse exactly the k the operator would raise on
     ranges = (cli._TENSOR_K, cli._DIVERGENCE_K, cli._CURVATURE_K,
               cli._CALLIGRAPHIC_K)
-    ops = [{"op": name} for name, (_, check) in cli.VERIFY_OPS.items()
+    ops = [{"op": name} for name, (_, check, _) in cli.VERIFY_OPS.items()
            if check in ranges]
     ops += [{"op": "convergence", "identity": identity}
-            for identity, (_, check) in cli._CONVERGENCE.items()
+            for identity, (_, check, _) in cli._CONVERGENCE.items()
             if check is not None]
     assert len(ops) == 11
     W = make_product("cosh", "flat-torus", n, 0.0)
@@ -536,6 +560,34 @@ def test_cli_k_ranges_match_the_operators(n, res):
         except ValueError:
             raised = True
         assert refused == raised, op
+
+
+def test_convergence_identities_study_their_verify_residual(tmp_path):
+    # every axis is periodic, so the audit window is the interior: the
+    # study's first level is the verify geometry, and its maximum must be
+    # the residual the verify op gates, bit for bit
+    studies = {"height-hessian": ("structure", "height-hessian"),
+               "sigma-hessian": ("structure", "sigma-hessian"),
+               "height": ("height-sigma", "height"),
+               "sigma": ("height-sigma", "sigma"),
+               "div-newton": ("div-newton", "residual_ab"),
+               "theta-hat": ("theta-hat", "operator"),
+               "calligraphic": ("calligraphic", "sigma_identity"),
+               "frak-phi": ("frak-phi", "four-term")}
+    assert list(cli._CONVERGENCE) == list(studies)
+    # at n = 3 the div-newton keys residual_ab and residual_ac differ
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    imm = random_immersion(W, seed=4, t_center=0.6, amplitude=0.1, res=8)
+    cfg = DiscretizationConfig(refine_levels=2)
+    run = SimpleNamespace(imm=imm, geom=evaluate_geometry(imm, cfg), cfg=cfg,
+                          min_slope=1.9)
+    for identity, (name, key) in studies.items():
+        k = 2 if name == "calligraphic" else 1
+        entry = cli.VERIFY_OPS[name][0](run, {"op": name, "k": k}, None)
+        op = {"op": "convergence", "identity": identity, "k": k}
+        study = cli.VERIFY_OPS["convergence"][0](run, op,
+                                                 str(tmp_path / identity))
+        assert study["maxima"][0] == entry["residuals"][key], identity
 
 
 def _field_paths(node, prefix=()):

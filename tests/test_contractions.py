@@ -17,7 +17,8 @@ curvature kernel must match its oracle bit for bit on the diagonal fiber
 metrics the charts store.  A scan of the package pins every
 ``np.linalg`` call, so that neither a spectrum the geometry stores nor the
 triangular factor is solved again, and finds no unused import and no
-private module-level name that nothing references.
+private module-level name that nothing references.  It also pins the
+public names that no module but ``__init__`` and no benchmark file reads.
 """
 
 import ast
@@ -173,7 +174,8 @@ def test_gradients(geom):
         for j in range(i + 1, geom.n):
             second[..., i, j] = second[..., j, i] = diff(
                 df[..., i], j, geom.spacing[j], geom.cfg.order)
-    assert np.array_equal(hessian(f, geom.spacing, geom.cfg.order), second)
+    first, hess = hessian(f, geom.spacing, geom.cfg.order)
+    assert np.array_equal(first, df) and np.array_equal(hess, second)
     M, strided, _, _ = _stacks(geom, 8)
     assert _agree(geom.grad_frame(f),
                   np.einsum("...ij,...j->...i", geom.L_inv, df))
@@ -192,7 +194,7 @@ def test_hess_covariant(geom):
     f = rng.normal(size=geom.u.shape)
     df = np.stack([diff(f, ax, geom.spacing[ax], geom.cfg.order)
                    for ax in range(geom.n)], axis=-1)
-    second = hessian(f, geom.spacing, geom.cfg.order)
+    _, second = hessian(f, geom.spacing, geom.cfg.order)
     n = geom.n
     wide = rng.normal(size=geom.u.shape + (n, n, n, 2))
 
@@ -526,8 +528,8 @@ def _unused_imports(tree):
             if name not in loaded]
 
 
-def _private_definitions(tree):
-    """Module-level names with one leading underscore."""
+def _definitions(tree):
+    """Module-level names a module defines."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -538,7 +540,18 @@ def _private_definitions(tree):
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
                                                             ast.Name):
             names.append(node.target.id)
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def _private_definitions(tree):
+    """Module-level names with one leading underscore."""
+    return [n for n in _definitions(tree)
+            if n.startswith("_") and not n.startswith("__")]
+
+
+def _public_definitions(tree):
+    """Module-level names with no leading underscore."""
+    return [n for n in _definitions(tree) if not n.startswith("_")]
 
 
 def _references(tree):
@@ -553,9 +566,11 @@ def _references(tree):
 def test_package_has_no_unused_import_or_orphaned_private_name():
     # a deletion that leaves its helper or import behind shows up here
     tree = ast.parse("import os\nimport logging\nfrom m import a, b as c\n"
-                     "_X = 1\n_Y = 2\ndef _f():\n    return os.sep, a, _X\n")
+                     "_X = 1\n_Y = 2\ndef _f():\n    return os.sep, a, _X\n"
+                     "class Z:\n    pass\n")
     assert _unused_imports(tree) == ["logging", "c"]
     assert _private_definitions(tree) == ["_X", "_Y", "_f"]
+    assert _public_definitions(tree) == ["Z"]
     assert [n for n in _private_definitions(tree)
             if n not in _references(tree)] == ["_Y", "_f"]
     package = Path(warpcurv.__file__).parent
@@ -568,3 +583,17 @@ def test_package_has_no_unused_import_or_orphaned_private_name():
                      if n not in referenced])
              for name, tree in trees.items() if name != "__init__.py"}
     assert {name: f for name, f in found.items() if any(f)} == {}
+    # a public name that no module but __init__ (which re-exports it) and
+    # no benchmark file reads is reached only from its own tests; today's
+    # are pinned, so a new one fails here
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    read = set().union(*(_references(tree) for name, tree in trees.items()
+                         if name != "__init__.py"),
+                       *(_references(ast.parse(path.read_text()))
+                         for path in sorted(bench.glob("*.py"))))
+    orphans = {n for name, tree in trees.items() if name != "__init__.py"
+               for n in _public_definitions(tree) if n not in read}
+    assert orphans == {"slice_geometry", "sectional_from_tensor",
+                       "point_geometry", "normalized_lhat",
+                       "curvature_trace_identity", "calligraphic_family",
+                       "garding_chain", "p1_ellipticity_check"}
