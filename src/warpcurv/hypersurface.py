@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def _axes_from_box(box, shape, periodic):
     return axes, tuple(spacing)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphImmersion:
     """A height field over a fiber chart, with grid metadata.
 
@@ -92,6 +92,10 @@ class GraphImmersion:
     (the slice convention), -1 the opposite normal.  ``periodic`` may
     override the chart default per axis, e.g. to treat a non-periodic
     height patch on a torus chart.
+
+    Immutable, with ``u`` a read-only copy of the given heights, so the
+    geometry ``evaluate_geometry`` memoizes per config stays valid; a
+    changed immersion (``dataclasses.replace``) starts an empty memo.
     """
 
     W: WarpedProduct
@@ -100,9 +104,18 @@ class GraphImmersion:
     periodic: tuple
     orientation: int = 1
     fn: callable = field(default=None, repr=False)
+    # DiscretizationConfig -> the read-only fields of its GeometryGrid.
+    # The fields, not the grid: the grid points back at the immersion,
+    # and that cycle would keep each geometry alive until the cyclic GC
+    _geometry: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _flipped: "GraphImmersion" = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=float)
+        u = np.array(self.u, dtype=float)
+        u.flags.writeable = False
+        object.__setattr__(self, "u", u)
         n = self.W.fiber.n
         if self.u.ndim != n:
             raise ValueError(f"height grid must have {n} axes")
@@ -151,6 +164,15 @@ class GraphImmersion:
 
     def mesh(self) -> np.ndarray:
         return np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1)
+
+    def flipped(self) -> "GraphImmersion":
+        """The same graph with the opposite normal, built once, so its
+        memoized geometry serves every later caller.  Only this side holds
+        the link: a link back would make a reference cycle."""
+        if self._flipped is None:
+            object.__setattr__(self, "_flipped",
+                               replace(self, orientation=-self.orientation))
+        return self._flipped
 
     def refined(self) -> "GraphImmersion":
         """Dyadic refinement; requires the generating function."""
@@ -217,23 +239,40 @@ def _sample_peak(raw, terms, box, periodic, samples: int) -> float:
     """Largest ``|raw|`` over ``samples`` points per axis of ``box``.
 
     The field is periodic on ``box``, so the samples of a periodic axis
-    form a DFT grid of ``samples`` points, and those of a non-periodic
-    axis, which keep the far edge, form one of ``samples - 1`` points plus
-    a repeat of the first.  One inverse transform of the coefficients, with
-    aliased modes summed into their bin, gives the field at every sample up
-    to rounding.  That only locates the peak: the closed form is evaluated
-    at the samples within 1e-9 relative of the transform's maximum, so the
-    result equals the maximum over every sample.
+    sit at the phases 2 pi j / N of its modes, N = ``samples``, and those
+    of a non-periodic axis, which keep the far edge, at N = ``samples - 1``
+    phases plus a repeat of the first.  The terms span only |m| <= M per
+    axis, M their largest mode, so contracting their (2M+1)^n coefficient
+    tensor with one table of e^{2 pi i m j / N} per axis gives the field
+    at every sample up to rounding, without an N^n transform.  That only
+    locates the peak: the closed form is evaluated at the samples within
+    1e-9 relative of the located maximum, so the result equals the
+    maximum over every sample.
     """
-    axes = [np.linspace(lo, hi, samples, endpoint=not per)
-            for (lo, hi), per in zip(box, periodic)]
-    grid = tuple(samples if per else samples - 1 for per in periodic)
-    spec = np.zeros(grid, dtype=complex)
+    top = max(abs(m) for mode, _, _ in terms for m in mode)
+    modes = np.arange(-top, top + 1)
+    coeffs = np.zeros((modes.size,) * len(box), dtype=complex)
     for mode, a, b in terms:
         # Re((a - ib) e^{i phase}) = a cos(phase) + b sin(phase)
-        spec[tuple(m % size for m, size in zip(mode, grid))] += complex(a, -b)
-    field = np.pad(np.abs(np.fft.ifftn(spec).real),
+        coeffs[tuple(m + top for m in mode)] += complex(a, -b)
+    tables = []
+    for per in periodic:
+        size = samples if per else samples - 1
+        # phases reduced exactly, so aliased modes get their bin's table
+        tables.append(np.exp((2j * math.pi / size)
+                             * (np.outer(modes, np.arange(size)) % size)))
+    field = coeffs
+    for table in tables[:-1]:
+        # contracts the leading mode axis, appends the sample axis
+        field = np.tensordot(field, table, axes=([0], [0]))
+    # the last axis in real arithmetic: Re(F t) = Re F Re t - Im F Im t
+    field = np.tensordot(np.concatenate([field.real, field.imag]),
+                         np.concatenate([tables[-1].real, -tables[-1].imag]),
+                         axes=([0], [0]))
+    field = np.pad(np.abs(field),
                    [(0, 0) if per else (0, 1) for per in periodic], mode="wrap")
+    axes = [np.linspace(lo, hi, samples, endpoint=not per)
+            for (lo, hi), per in zip(box, periodic)]
     near = np.nonzero(field >= (1.0 - 1e-9) * field.max())
     points = np.stack([ax[idx] for ax, idx in zip(axes, near)], axis=-1)
     return float(np.max(np.abs(raw(points))))
@@ -369,9 +408,21 @@ class GeometryGrid:
 
 
 def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> GeometryGrid:
-    """Evaluate the induced geometry of a graph on its whole grid."""
+    """Evaluate the induced geometry of a graph on its whole grid.
+
+    Evaluated once per immersion and config: a later call with an equal
+    config returns a grid over the same read-only arrays.
+    """
     if cfg is None:
         cfg = DiscretizationConfig()
+    fields = imm._geometry.get(cfg)
+    if fields is None:
+        fields = imm._geometry[cfg] = _geometry_fields(imm, cfg)
+    return GeometryGrid(imm=imm, cfg=cfg, **fields)
+
+
+def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
+    """The per-node fields of ``GeometryGrid``, each array read-only."""
     fiber = imm.W.fiber
     n = fiber.n
     x = imm.mesh()
@@ -438,8 +489,8 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
 
     interior = interior_mask(u.shape, imm.periodic, cfg.margin_cells)
 
-    return GeometryGrid(
-        imm=imm, cfg=cfg, x=x, u=u, du=du,
+    fields = dict(
+        x=x, u=u, du=du,
         ghat=ghat, gammahat=gammahat,
         rho=rho, drho=drho,
         hcal=np.asarray(data.hcal), dhcal=np.asarray(data.dhcal),
@@ -451,6 +502,10 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
         H=H, c=c, newton=newton,
         christoffel=christoffel, interior=interior,
     )
+    # every grid of this immersion and config shares them
+    for value in fields.values():
+        value.flags.writeable = False
+    return fields
 
 
 @dataclass(frozen=True)

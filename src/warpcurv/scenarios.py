@@ -11,7 +11,7 @@ case that simply wandered outside the theorem's assumptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -134,8 +134,7 @@ def _audited_geometry(imm: GraphImmersion, W: WarpedProduct,
     require_audited_node(imm, cfg)
     geom = evaluate_geometry(imm, cfg)
     if positive_mean and float(np.max(_interior(geom, geom.H[..., 1]))) < 0.0:
-        flipped = replace(imm, orientation=-imm.orientation)
-        return evaluate_geometry(flipped, cfg), True
+        return evaluate_geometry(imm.flipped(), cfg), True
     return geom, False
 
 
@@ -622,8 +621,8 @@ def parabolicity_integral(model: RadialModel, H_profile, k: int,
     is the criterion for the divergence-form operator of order k-1 to be
     parabolic.  ``H_profile`` is the sup of the order-(k-1) curvature
     over the geodesic sphere, supplied as a callable or a constant.
-    Raises ValueError when the first increment is not positive and
-    finite, since no trend can be read from it.
+    Raises ValueError when either increment is not positive and finite,
+    since no trend can be read from it.
     """
     from scipy.integrate import quad
 
@@ -650,15 +649,18 @@ def parabolicity_integral(model: RadialModel, H_profile, k: int,
     def integrand(t):
         return 1.0 / (profile(t) * omega * model.f(t) ** (m - 1))
 
-    # an overflowed sphere area gives the integrand its limit, 0
-    with np.errstate(over="ignore"):
+    # an overflowed sphere area gives the integrand its limit, 0; an
+    # underflowed one (large m, small t) gives inf, since the integrand
+    # exceeds the float range there
+    with np.errstate(over="ignore", divide="ignore"):
         values = integrand(ts)
         inc1, _ = quad(integrand, T / 4.0, T / 2.0, limit=200)
         inc2, _ = quad(integrand, T / 2.0, T, limit=200)
-    if not (math.isfinite(inc1) and inc1 > 0.0):
-        raise ValueError(
-            f"parabolicity: the increment over [{T / 4.0:.4g}, {T / 2.0:.4g}] "
-            f"is {inc1:.3e}; the trend needs a positive finite one")
+    for (lo, hi), inc in (((T / 4.0, T / 2.0), inc1), ((T / 2.0, T), inc2)):
+        if not (math.isfinite(inc) and inc > 0.0):
+            raise ValueError(
+                f"parabolicity: the increment over [{lo:.4g}, {hi:.4g}] is "
+                f"{inc:.3e}; the trend needs a positive finite one")
     # the slack is relative, so scaling the profile cannot move the verdict
     divergent = inc2 >= (0.5 - 1e-12) * inc1
 

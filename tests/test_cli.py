@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import make_product, random_immersion
 from test_acceptance import BATTERY
-from warpcurv import cli, operators
+from warpcurv import cli, hypersurface, operators
 from warpcurv.ambient import FiberSpec
 from warpcurv.cli import ENV_OUT, main, write_json
 from warpcurv.hypersurface import (
@@ -152,6 +152,30 @@ def test_convergence_op_reports_every_level(tmp_path):
     assert entry["status"] == "not-applicable" and "reason" in entry
     assert _read_json(out, "verify-summary.json")["not_applicable_only"]
     assert not (out / "verify-00-convergence.tsv").exists()
+
+
+def test_verify_evaluates_the_convergence_base_level_once(tmp_path,
+                                                         monkeypatch):
+    # the verify ops and the convergence study's level 0 read the same
+    # memoized geometry; only the refined levels are new
+    body = hypersurface._geometry_fields
+    shapes = []
+
+    def counted(imm, cfg):
+        shapes.append(imm.shape)
+        return body(imm, cfg)
+
+    monkeypatch.setattr(hypersurface, "_geometry_fields", counted)
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "ambient": {"profile": "cosh", "chart": "flat-torus", "n": 2},
+        "immersion": {"family": "random", "t_center": 0.7,
+                      "amplitude": 0.1, "resolution": 16},
+        "seed": 17,
+        "operations": [{"op": "structure", "tol": 1e-3},
+                       {"op": "convergence", "identity": "height", "k": 1}]})
+    assert main(["verify", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 0
+    assert shapes == [(16, 16), (32, 32), (64, 64)]
 
 
 def test_config_errors_exit_two(tmp_path, capsys):
@@ -913,6 +937,21 @@ def test_parabolicity_past_the_sinh_overflow(tmp_path):
     assert "increment" in err, err
 
 
+def test_parabolicity_past_the_sphere_area_underflow(tmp_path):
+    # at m = 200, t^199 underflows to 0 near t = T/100: the sampled
+    # integrand exceeds the float range there and reads inf, without a
+    # RuntimeWarning (an error under this suite's filterwarnings)
+    cfg = _write_config(tmp_path / "cfg.json", {"operations": [
+        {"op": "parabolicity", "model": "flat", "m": 200, "H": 1.0,
+         "k": 1}]})
+    out = tmp_path / "out"
+    assert main(["scenario", "--config", cfg, "--out", str(out)]) == 0
+    report = _read_json(out, "scenario-00-parabolicity.json")["report"]
+    assert report["parabolic_criterion"] is False
+    rows = (out / "scenario-00-parabolicity.tsv").read_text().splitlines()
+    assert rows[1].endswith("\tinf")
+
+
 def _limit_address_space():
     # about 2 GB: the interpreter and numpy fit, a 7 TiB grid cannot,
     # whatever the host's overcommit policy
@@ -986,6 +1025,25 @@ def test_periodic_normalization_matches_dense_sampling(data, n, seed, box,
     max_mode = data.draw(st.integers(1, _MAX_MODE[n]), label="max_mode")
     box = [(lo, lo + length) for lo, length in box[:n]]
     _check_normalization(box, tuple(periodic[:n]), seed, max_mode)
+
+
+@pytest.mark.parametrize("max_mode", [1, 2])
+@pytest.mark.parametrize("periodic", [
+    (True,), (False,), (True, True), (False, False), (True, False),
+    (False, True), (True,) * 3, (False,) * 3, (True, False, True),
+    (False, True, False)],
+    ids=lambda flags: "".join("p" if per else "o" for per in flags))
+def test_peak_locator_matches_every_sample(periodic, max_mode):
+    # the separable transform only locates the peak; on periodic,
+    # non-periodic (the far edge kept) and mixed boxes the closed form at
+    # its candidates must equal the maximum over all 64**n samples
+    n = len(periodic)
+    rng = np.random.default_rng(10 * n + max_mode)
+    for seed in range(2 if n == 3 else 3):
+        box = [(lo, lo + length) for lo, length in
+               zip(rng.uniform(-5.0, 5.0, len(periodic)),
+                   rng.uniform(0.5, 10.0, len(periodic)))]
+        _check_normalization(box, periodic, seed, max_mode)
 
 
 _SPHERE = FiberSpec(n=2, kappa=1.0, chart="space-form")

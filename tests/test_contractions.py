@@ -482,7 +482,8 @@ def _linalg_calls(source):
 
 def test_no_stored_spectrum_is_solved_again():
     # every np.linalg call in the package is listed here.  The principal
-    # curvatures are solved once, in evaluate_geometry; the Newton spectra
+    # curvatures are solved once, in the geometry body that
+    # evaluate_geometry memoizes; the Newton spectra
     # follow from them in closed form.  Two eigen-solves remain by design:
     # the eigen frame of one beta_k route, and the spectrum of the
     # calligraphic combination that semidefiniteness is measured on.  The
@@ -501,8 +502,8 @@ def test_no_stored_spectrum_is_solved_again():
              for site in _linalg_calls(source)]
     assert found == [
         ("ambient.py", "check_points", "norm", "np.asarray(x, dtype=float)"),
-        ("hypersurface.py", "evaluate_geometry", "cholesky", "g"),
-        ("hypersurface.py", "evaluate_geometry", "eigvalsh", "shape_frame"),
+        ("hypersurface.py", "_geometry_fields", "cholesky", "g"),
+        ("hypersurface.py", "_geometry_fields", "eigvalsh", "shape_frame"),
         ("operators.py", "calligraphic_ops", "eigvalsh", "Pcal"),
         ("operators.py", "theta_hat_identity", "eigh", "geom.shape_frame"),
     ]
@@ -510,6 +511,38 @@ def test_no_stored_spectrum_is_solved_again():
     assert [name for name, source in sources.items()
             if "linalg import" in source or "import numpy.linalg" in source
             or "scipy.linalg" in source or "linalg as" in source] == []
+
+
+def _callers(source, name):
+    """Enclosing function of every call of ``name`` (bare or as an
+    attribute), in source order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_the_memo_evaluates_a_geometry():
+    # a caller of the uncached body would bypass the per-config memo and
+    # evaluate the same geometry again
+    assert _callers("def f(m):\n    return m._g(1) + _g(2)\n_g(3)", "_g") \
+        == ["f", "f", None]
+    package = Path(warpcurv.__file__).parent
+    found = {path.name: _callers(path.read_text(), "_geometry_fields")
+             for path in sorted(package.glob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites} == {
+        "hypersurface.py": ["evaluate_geometry"]}
 
 
 def _loaded_names(tree):

@@ -1,7 +1,9 @@
 """Graph geometry: slices are exact, graphs converge at stencil order."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -397,3 +399,75 @@ def test_flat_fiber_fields_are_stored_once():
     for name in ("ghat", "gammahat"):
         field = getattr(geom, name)
         assert _owner(field).size == field.size, name
+
+
+# ---------------------------------------------------------------------------
+# one geometry per immersion and config
+# ---------------------------------------------------------------------------
+
+def _array_fields(geom):
+    return {f.name: getattr(geom, f.name) for f in dataclasses.fields(geom)
+            if isinstance(getattr(geom, f.name), np.ndarray)}
+
+
+def test_geometry_memo_makes_no_reference_cycle():
+    # a memo holding the GeometryGrid, which points back at its immersion,
+    # would keep both alive until the cyclic collector ran; with it off,
+    # dropping the last references must free the immersion and its
+    # fields, the flipped immersion's included
+    W = make_product("cosh", "flat-torus", 2, 0.0)
+    gc.disable()
+    try:
+        imm = slice_immersion(W, 0.7, res=12, orientation=-1)
+        geom = evaluate_geometry(imm)
+        flipped = evaluate_geometry(imm.flipped())
+        refs = [weakref.ref(obj) for obj in (imm, imm.flipped(), geom.kappas,
+                                             flipped.kappas)]
+        del imm, geom, flipped
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_immersion_and_its_geometry_are_read_only():
+    W = make_product("cosh", "flat-torus", 2, 0.0)
+    heights = np.full((12, 12), 0.7)
+    imm = GraphImmersion(W=W, u=heights, box=W.fiber.default_box(),
+                         periodic=W.fiber.periodic)
+    # the immersion holds a copy: the caller's array stays writable
+    heights[0, 0] = 0.5
+    assert imm.u[0, 0] == 0.7
+    with pytest.raises(ValueError, match="read-only"):
+        imm.u[0, 0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        imm.orientation = -1
+    fields = _array_fields(evaluate_geometry(imm))
+    assert len(fields) == 27
+    for name, value in fields.items():
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0
+        assert not value.flags.writeable, name
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_memo_hit_equals_a_fresh_evaluation(order):
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    imm = random_immersion(W, seed=4, res=12)
+    first = evaluate_geometry(imm, DiscretizationConfig(order=order))
+    hit = evaluate_geometry(imm, DiscretizationConfig(order=order))
+    fresh = evaluate_geometry(random_immersion(W, seed=4, res=12),
+                              DiscretizationConfig(order=order))
+    assert hit.imm is imm and hit.cfg == first.cfg
+    shared, own = _array_fields(hit), _array_fields(fresh)
+    for name, value in _array_fields(first).items():
+        assert shared[name] is value, name
+        assert np.array_equal(own[name], value), name
+    # another config, even one the fields do not depend on, has its own
+    # entry
+    for cfg in (DiscretizationConfig(order=6 - order),
+                DiscretizationConfig(order=order, refine_levels=2)):
+        other = evaluate_geometry(imm, cfg)
+        assert other.cfg == cfg and other.du is not first.du
+    assert not np.array_equal(
+        evaluate_geometry(imm, DiscretizationConfig(order=6 - order)).du,
+        first.du)

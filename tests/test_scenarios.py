@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from helpers import CHART, make_product, random_immersion, slice_immersion
-from warpcurv import scenarios
+from warpcurv import hypersurface, scenarios
 from warpcurv.comparison import builtin_model
 from warpcurv.hypersurface import GraphImmersion, evaluate_geometry
 from warpcurv.scenarios import (
@@ -172,6 +172,40 @@ def test_audit_is_orientation_gauge_invariant():
     a = plus.data["realized_constants"]["sup_abs_mean_curvature"]
     b = minus.data["realized_constants"]["sup_abs_mean_curvature"]
     assert abs(a - b) <= 1e-12
+
+
+def test_runners_evaluate_one_geometry_per_immersion(monkeypatch):
+    # the c7 battery reads one geometry: three curvature estimates, the
+    # sign dichotomy and a rigidity audit; a flipped input adds the
+    # flipped immersion's, which the two gauge-normalizing runners share
+    body = hypersurface._geometry_fields
+    evaluated = []
+
+    def counted(imm, cfg):
+        evaluated.append(imm.orientation)
+        return body(imm, cfg)
+
+    monkeypatch.setattr(hypersurface, "_geometry_fields", counted)
+    W = make_product("exp", "flat-torus", 3, 0.0)
+    for orientation, expected in ((1, [1]), (-1, [-1, 1])):
+        evaluated.clear()
+        imm = random_immersion(W, seed=5, amplitude=0.05, res=12,
+                               orientation=orientation)
+        reports = [curvature_estimate_scenario(imm, W, order)
+                   for order in (1, 2, 3)]
+        reports += [elliptic_point_and_signs(imm),
+                    theorem_audit(imm, W, "compact-constant-hk", k=3)]
+        assert evaluated == expected
+        assert [rep.data["orientation_flipped"] for rep in reports[3:]] == \
+            [orientation < 0] * 2
+
+    # metamorphic: the opposite normal negates the angle function and the
+    # principal curvatures, which reverses their ascending order
+    geom, flipped = evaluate_geometry(imm), evaluate_geometry(imm.flipped())
+    assert np.array_equal(flipped.theta, -geom.theta)
+    assert np.max(np.abs(flipped.kappas + geom.kappas[..., ::-1])) <= \
+        1e-14 * np.max(np.abs(geom.kappas))
+    assert evaluated == [-1, 1]
 
 
 @pytest.mark.parametrize("fiber,n,kappa,res", [
@@ -562,3 +596,15 @@ def test_parabolicity_validation():
     with pytest.raises(ValueError, match="increment"):
         parabolicity_integral(builtin_model("hyperbolic"), 1.0, k=2,
                               t_max=3000.0)
+
+
+# quad warns that a NaN integrand spoils its error estimate
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_parabolicity_refuses_a_nan_second_increment():
+    # a NaN profile passes the sampled sign check; past T/2 it makes the
+    # second increment NaN, which must not read as "not divergent"
+    with pytest.raises(ValueError, match=r"increment over \[2, 4\] is nan"):
+        parabolicity_integral(
+            builtin_model("flat"),
+            lambda t: np.where(np.asarray(t) > 3.0, np.nan, 1.0), k=1,
+            t_max=4.0)
