@@ -1041,8 +1041,7 @@ def test_peak_locator_matches_every_sample(periodic, max_mode):
     rng = np.random.default_rng(10 * n + max_mode)
     for seed in range(2 if n == 3 else 3):
         box = [(lo, lo + length) for lo, length in
-               zip(rng.uniform(-5.0, 5.0, len(periodic)),
-                   rng.uniform(0.5, 10.0, len(periodic)))]
+               zip(rng.uniform(-5.0, 5.0, n), rng.uniform(0.5, 10.0, n))]
         _check_normalization(box, periodic, seed, max_mode)
 
 
