@@ -242,12 +242,19 @@ def _sample_peak(raw, terms, box, periodic, samples: int) -> float:
     sit at the phases 2 pi j / N of its modes, N = ``samples``, and those
     of a non-periodic axis, which keep the far edge, at N = ``samples - 1``
     phases plus a repeat of the first.  The terms span only |m| <= M per
-    axis, M their largest mode, so contracting their (2M+1)^n coefficient
-    tensor with one table of e^{2 pi i m j / N} per axis gives the field
-    at every sample up to rounding, without an N^n transform.  That only
-    locates the peak: the closed form is evaluated at the samples within
-    1e-9 relative of the located maximum, so the result equals the
-    maximum over every sample.
+    axis, M their largest mode, so one table of e^{2 pi i (m j mod N) / N}
+    per axis, over all ``samples`` columns, gives the field at every
+    sample up to rounding.  Contracting the (2M+1)^n coefficient tensor
+    with the tables of the first n-1 axes leaves one row per sample of
+    those axes, holding the 2M+1 last-axis coefficients G_m of a real
+    trigonometric polynomial, so |Re G_0| + sum_{m>0} |G_m + conj G_-m|
+    bounds the row at every one of its samples, aliased or not.  The row
+    of largest bound gives a first maximum; only the rows whose bound
+    reaches within 1e-9 relative of it are evaluated, since no other row
+    can hold a sample that close to the peak.  That only locates the
+    peak: the closed form is evaluated at the samples within 1e-9
+    relative of the located maximum, so the result equals the maximum
+    over every sample.
     """
     top = max(abs(m) for mode, _, _ in terms for m in mode)
     modes = np.arange(-top, top + 1)
@@ -259,21 +266,38 @@ def _sample_peak(raw, terms, box, periodic, samples: int) -> float:
     for per in periodic:
         size = samples if per else samples - 1
         # phases reduced exactly, so aliased modes get their bin's table
-        tables.append(np.exp((2j * math.pi / size)
-                             * (np.outer(modes, np.arange(size)) % size)))
-    field = coeffs
+        # and the far edge of a non-periodic axis repeats the first column
+        phases = np.outer(modes, np.arange(samples)) % size
+        tables.append(np.exp((2j * math.pi / size) * phases))
+    rows = coeffs
     for table in tables[:-1]:
         # contracts the leading mode axis, appends the sample axis
-        field = np.tensordot(field, table, axes=([0], [0]))
-    # the last axis in real arithmetic: Re(F t) = Re F Re t - Im F Im t
-    field = np.tensordot(np.concatenate([field.real, field.imag]),
-                         np.concatenate([tables[-1].real, -tables[-1].imag]),
-                         axes=([0], [0]))
-    field = np.pad(np.abs(field),
-                   [(0, 0) if per else (0, 1) for per in periodic], mode="wrap")
+        rows = np.tensordot(rows, table, axes=([0], [0]))
+    rows = rows.reshape(modes.size, -1)       # G_m of each row, C order
+    # sum |a| + |b| over the terms exceeds sum |Re G_m| + |Im G_m| on every
+    # row, so 1e-12 of it covers the rounding of a row's evaluation, however
+    # much G_m and conj G_-m cancel in the bound
+    bound = (np.abs(rows[top].real)
+             + np.abs(rows[top + 1:] + rows[top - 1::-1].conj()).sum(axis=0)
+             + 1e-12 * sum(abs(a) + abs(b) for _, a, b in terms))
+    # the last axis in real arithmetic: Re(G t) = Re G Re t - Im G Im t
+    last = np.concatenate([tables[-1].real, -tables[-1].imag])
+
+    def located(rows_at):
+        return np.abs(np.tensordot(
+            np.concatenate([rows.real[:, rows_at], rows.imag[:, rows_at]]),
+            last, axes=([0], [0])))
+
+    # a row whose bound falls more than 1e-9 relative (plus a rounding
+    # margin) below the first maximum holds no sample that close to the peak
+    best = located([np.argmax(bound)]).max()
+    candidates = np.flatnonzero(bound >= (1.0 - 1e-9) * best * (1.0 - 1e-12))
+    values = located(candidates)
+    row, column = np.nonzero(values >= (1.0 - 1e-9) * values.max())
+    near = np.unravel_index(candidates[row] * samples + column,
+                            (samples,) * len(box))
     axes = [np.linspace(lo, hi, samples, endpoint=not per)
             for (lo, hi), per in zip(box, periodic)]
-    near = np.nonzero(field >= (1.0 - 1e-9) * field.max())
     points = np.stack([ax[idx] for ax, idx in zip(axes, near)], axis=-1)
     return float(np.max(np.abs(raw(points))))
 

@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -1019,9 +1020,9 @@ _MAX_MODE = {1: 40, 2: 4, 3: 2}
 @settings(max_examples=25, deadline=None)
 def test_periodic_normalization_matches_dense_sampling(data, n, seed, box,
                                                        periodic):
-    # the inverse-DFT peak search must reproduce the dense scale bit for
-    # bit on periodic, non-periodic and mixed boxes, aliased modes
-    # included, so every seeded height field is unchanged
+    # the bounded row search must reproduce the dense scale bit for bit on
+    # periodic, non-periodic and mixed boxes, aliased modes included, so
+    # every seeded height field is unchanged
     max_mode = data.draw(st.integers(1, _MAX_MODE[n]), label="max_mode")
     box = [(lo, lo + length) for lo, length in box[:n]]
     _check_normalization(box, tuple(periodic[:n]), seed, max_mode)
@@ -1067,3 +1068,111 @@ def test_aliased_modes_share_their_bin(periodic):
     # dense peak for some seeds
     for seed in range(8):
         _check_normalization([(-1.0, 2.0)], periodic, seed, 70)
+
+
+def _closed_form(box, terms):
+    """The sum of ``a cos(phase) + b sin(phase)`` over hand-built ``terms``
+    ``(mode, a, b)``, phase = 2 pi m . (x - lo) / length, as a function of
+    the stacked mesh (..., n)."""
+    los = [lo for lo, _ in box]
+    lengths = [hi - lo for lo, hi in box]
+
+    def raw(mesh):
+        dev = np.zeros(mesh.shape[:-1])
+        for mode, a, b in terms:
+            phase = sum(2.0 * math.pi * m * (mesh[..., i] - los[i])
+                        / lengths[i] for i, m in enumerate(mode) if m)
+            dev = dev + a * np.cos(phase) + b * np.sin(phase)
+        return dev
+    return raw
+
+
+def _dense_samples(raw, box, periodic):
+    """The closed form at every one of the 64**n samples, on their grid."""
+    axes = [np.linspace(lo, hi, 64, endpoint=not per)
+            for (lo, hi), per in zip(box, periodic)]
+    return raw(np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1))
+
+
+def _peak_matches_dense(box, periodic, terms):
+    raw = _closed_form(box, terms)
+    values = _dense_samples(raw, box, periodic)
+    assert _sample_peak(raw, terms, box, periodic, 64) == np.max(
+        np.abs(values))
+    return values
+
+
+def test_peak_search_when_every_row_ties():
+    # only last-axis modes: every row holds the same polynomial, so no
+    # bound falls below the cut and every row is evaluated
+    values = _peak_matches_dense(
+        [(0.0, 1.0), (-2.0, 1.0), (0.5, 3.0)], (True, False, False),
+        [((0, 0, 1), 0.7, -0.2), ((0, 0, 2), 0.1, 0.3)])
+    rows = values.reshape(-1, 64)
+    assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
+
+
+def test_peak_search_finds_a_negative_peak():
+    # -cos x - cos(2x)/2 reaches -1.5 at x = 0 and only 0.75 above zero
+    values = _peak_matches_dense(
+        [(0.0, 2.0), (-1.0, 1.5), (0.0, 4.0)], (True, False, True),
+        [((1, 0, 0), -1.0, 0.0), ((2, 0, 0), -0.5, 0.0),
+         ((0, 1, 0), 0.2, 0.0), ((0, 0, 1), 0.1, 0.05)])
+    assert values.min() == -np.max(np.abs(values)) < -1.5
+
+
+@pytest.mark.parametrize("periodic", [(False, True), (True, False)],
+                         ids=["row-axis", "last-axis"])
+def test_peak_search_keeps_the_far_edge(periodic):
+    # cos(31 x - 0.02) peaks just before each multiple of 2 pi / 31; the
+    # nearest sample on the non-periodic axis is the first one and its
+    # wrapped repeat at the far edge, whose rounded phase lands closer
+    axis = periodic.index(False)
+    c, s = math.cos(-0.02), math.sin(-0.02)
+    mode = [0, 0]
+    mode[axis] = 31
+    terms = [(tuple(mode), c, s)]
+    for side in (1, -1):
+        mode[1 - axis] = side
+        # (1 + 0.3 cos y) cos(31 x - 0.02) as waves; a wave whose first
+        # mode is negative is stored as its conjugate, which negates b
+        sign = 1 if mode[0] > 0 else -1
+        terms.append((tuple(sign * m for m in mode), 0.15 * c, sign * 0.15 * s))
+    box = [(0.0, 2.0), (0.0, 2.0)]
+    box[axis] = (-3.0, -2.0)
+    values = np.abs(_peak_matches_dense(box, periodic, terms))
+    where = np.unravel_index(np.argmax(values), values.shape)
+    assert where[axis] == 63
+    first = list(where)
+    first[axis] = 0
+    assert values[tuple(first)] < values[where]
+
+
+def test_peak_search_between_two_rows_within_1e_10():
+    # row x = 0 is c_A cos(y - pi/64), row x = pi is cos y: the first has
+    # the larger bound, yet its samples straddle its crest and reach only
+    # 1 - 5e-11, so the peak of the second row decides
+    p = 1.0 - 5e-11
+    q = p * math.tan(math.pi / 64)
+    # ((1 + cos x) (p cos y + q sin y) + (1 - cos x) cos y) / 2
+    values = _peak_matches_dense(
+        [(0.0, 2.0 * math.pi)] * 2, (True, True),
+        [((0, 1), (p + 1.0) / 2.0, q / 2.0),
+         ((1, 1), (p - 1.0) / 4.0, q / 4.0),
+         ((1, -1), (p - 1.0) / 4.0, -q / 4.0)])
+    rows = np.abs(values).max(axis=1)
+    assert np.argmax(rows) == 32
+    assert rows[32] * (1.0 - 1e-10) < rows[0] < rows[32]
+
+
+def test_height_build_memory_at_n4():
+    # the row search holds 64**3 (2 max_mode + 1) complex numbers at n = 4
+    # (12 MiB), where the whole 64**4 located field took 384 MiB
+    box = [(0.0, 2.0 * math.pi)] * 4
+    tracemalloc.start()
+    try:
+        random_height_function(box, (True,) * 4, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
