@@ -1124,7 +1124,7 @@ def test_peak_search_finds_a_negative_peak():
 @pytest.mark.parametrize("periodic", [(False, True), (True, False)],
                          ids=["row-axis", "last-axis"])
 def test_peak_search_keeps_the_far_edge(periodic):
-    # cos(31 x - 0.02) peaks just before each multiple of 2 pi / 31; the
+    # cos(31 x + 0.02) peaks just before each multiple of 2 pi / 31; the
     # nearest sample on the non-periodic axis is the first one and its
     # wrapped repeat at the far edge, whose rounded phase lands closer
     axis = periodic.index(False)
@@ -1134,7 +1134,7 @@ def test_peak_search_keeps_the_far_edge(periodic):
     terms = [(tuple(mode), c, s)]
     for side in (1, -1):
         mode[1 - axis] = side
-        # (1 + 0.3 cos y) cos(31 x - 0.02) as waves; a wave whose first
+        # (1 + 0.3 cos y) cos(31 x + 0.02) as waves; a wave whose first
         # mode is negative is stored as its conjugate, which negates b
         sign = 1 if mode[0] > 0 else -1
         terms.append((tuple(sign * m for m in mode), 0.15 * c, sign * 0.15 * s))
@@ -1167,7 +1167,7 @@ def test_peak_search_between_two_rows_within_1e_10():
 
 def test_height_build_memory_at_n4():
     # the row search holds 64**3 (2 max_mode + 1) complex numbers at n = 4
-    # (12 MiB), where the whole 64**4 located field took 384 MiB
+    # (12 MiB); a whole 64**4 located field would take 384 MiB
     box = [(0.0, 2.0 * math.pi)] * 4
     tracemalloc.start()
     try:
