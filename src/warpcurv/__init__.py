@@ -14,10 +14,8 @@ from .ambient import (
     PROFILES,
     WarpedProduct,
     WarpingProfile,
-    ambient_curvature,
     builtin_profile,
     profile_summary,
-    slice_geometry,
 )
 from .comparison import (
     GROWTH_FUNCTIONS,
@@ -35,9 +33,7 @@ from .hypersurface import (
     DiscretizationConfig,
     GeometryGrid,
     GraphImmersion,
-    PointGeometry,
     evaluate_geometry,
-    point_geometry,
     structure_identities,
 )
 from .operators import (
@@ -50,7 +46,6 @@ from .operators import (
     frak_phi,
     height_sigma_identities,
     lk_apply,
-    normalized_lhat,
     theta_hat_identity,
 )
 from .scenarios import (
@@ -64,10 +59,8 @@ from .scenarios import (
 from .symfun import (
     NewtonFamily,
     elementary_symmetric,
-    garding_chain,
     jacobi_eigenvalues,
     newton_family,
-    p1_ellipticity_check,
     trace_and_norm_identities,
 )
 
@@ -85,13 +78,11 @@ __all__ = [
     "NewtonFamily",
     "NotApplicableError",
     "PROFILES",
-    "PointGeometry",
     "RadialModel",
     "ScenarioReport",
     "THEOREM_IDS",
     "WarpedProduct",
     "WarpingProfile",
-    "ambient_curvature",
     "builtin_growth",
     "builtin_model",
     "builtin_profile",
@@ -105,19 +96,14 @@ __all__ = [
     "evaluate_geometry",
     "frak_apply",
     "frak_phi",
-    "garding_chain",
     "height_sigma_identities",
     "hessian_comparison_check",
     "jacobi_eigenvalues",
     "lk_apply",
     "newton_family",
-    "normalized_lhat",
     "omori_yau_probe",
-    "p1_ellipticity_check",
     "parabolicity_integral",
-    "point_geometry",
     "profile_summary",
-    "slice_geometry",
     "solve_comparison",
     "structure_identities",
     "theorem_audit",

@@ -1,9 +1,9 @@
 """Geometry of the warped product I x_rho P^n.
 
 Warping profiles with registered closed forms, two fiber charts (the flat
-torus and the conformally flat chart of every space form), slice geometry,
-and the ambient curvature tensor.  The sign and
-normalization conventions are pinned by the test suite:
+torus and the conformally flat chart of every space form) and the ambient
+curvature tensor.  The sign and normalization conventions are pinned by
+the test suite:
 
 * metric ``dt^2 + rho(t)^2 <,>_P``;
 * slices are totally umbilical with shape operator ``H(t) I`` and angle
@@ -382,38 +382,6 @@ def profile_summary(W: WarpedProduct) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SliceGeometry:
-    t: float
-    theta: float
-    hcal: float
-    shape_operator: np.ndarray
-    H: tuple
-    grad_h: np.ndarray
-    normal: np.ndarray
-
-
-def slice_geometry(W: WarpedProduct, t: float) -> SliceGeometry:
-    """Closed-form geometry of the slice {t} x P^n with N = -d/dt.
-
-    The slice is totally umbilical: A = hcal(t) I and H_k = hcal(t)^k.
-    """
-    p = W.profile
-    if not p.t_min <= t <= p.t_max:
-        raise ValueError("t outside the profile interval")
-    n = W.fiber.n
-    h = float(p.hcal(t))
-    normal = np.zeros(n + 1)
-    normal[0] = -1.0
-    return SliceGeometry(
-        t=float(t), theta=-1.0, hcal=h,
-        shape_operator=h * np.eye(n),
-        H=tuple(h ** k for k in range(n + 1)),
-        grad_h=np.zeros(n),
-        normal=normal,
-    )
-
-
 def curvature_tensor_components(kappa, rho, hcal, dhcal, gfib, U, V, Wv):
     """Four-term warped curvature tensor, batched.
 
@@ -460,50 +428,3 @@ def curvature_tensor_components(kappa, rho, hcal, dhcal, gfib, U, V, Wv):
     out[0] -= dh * (vw * uT - uw * vT)
     return np.moveaxis(out, 0, -1)
 
-
-def ambient_curvature(W: WarpedProduct, p, U, V, Wv=None,
-                      mode: str = "tensor"):
-    """Curvature tensor R(U,V)W or sectional curvature K(U,V) at a point.
-
-    ``p`` is the ambient point; only its I-coordinate matters (the fiber
-    has constant curvature).  Vector components: index 0 along T, the
-    rest in a fiber-orthonormal basis.  In sectional mode {U, V} must be
-    orthonormal in the ambient metric.
-    """
-    t = float(np.asarray(p, dtype=float).reshape(-1)[0])
-    data = warping_eval(W, t)
-    n = W.fiber.n
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    gfib = np.eye(n)
-    rho2 = float(data.rho) ** 2
-
-    def amb(a, b):
-        return a[0] * b[0] + rho2 * np.dot(a[1:], b[1:])
-
-    if mode == "tensor":
-        if Wv is None:
-            raise ValueError("tensor mode needs the third vector")
-        Wv = np.asarray(Wv, dtype=float)
-        return curvature_tensor_components(
-            W.fiber.kappa, data.rho, data.hcal, data.dhcal, gfib, U, V, Wv)
-    if mode == "sectional":
-        tol = 1e-8
-        if (abs(amb(U, U) - 1.0) > tol or abs(amb(V, V) - 1.0) > tol
-                or abs(amb(U, V)) > tol):
-            raise ValueError("sectional mode needs an orthonormal pair")
-        a, b = U[0], V[0]
-        wedge = 1.0 - a * a - b * b
-        return float(W.fiber.kappa / rho2 * wedge
-                     - data.hcal ** 2 - data.dhcal * (a * a + b * b))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def sectional_from_tensor(W: WarpedProduct, p, U, V) -> float:
-    """<R(U,V)V, U> for cross-checking the sectional closed form."""
-    t = float(np.asarray(p, dtype=float).reshape(-1)[0])
-    data = warping_eval(W, t)
-    rho2 = float(data.rho) ** 2
-    R = ambient_curvature(W, p, U, V, V, mode="tensor")
-    U = np.asarray(U, dtype=float)
-    return float(R[0] * U[0] + rho2 * np.dot(R[1:], U[1:]))

@@ -532,40 +532,6 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
     return fields
 
 
-@dataclass(frozen=True)
-class PointGeometry:
-    """Per-node package; ``grad_h`` and ``newton`` live in the orthonormal
-    frame, the shape operator ``A`` is the chart-mixed g^{-1} II."""
-
-    h: float
-    grad_h: np.ndarray
-    Theta: float
-    N: np.ndarray
-    g: np.ndarray
-    A: np.ndarray
-    kappas: np.ndarray
-    newton: symfun.NewtonFamily
-
-
-def point_geometry(geom: GeometryGrid, idx) -> PointGeometry:
-    """Extract one node, rebuilding its algebra through the per-point
-    (Jacobi-based) route rather than the batched sweeps."""
-    idx = tuple(idx)
-    A_frame = geom.shape_frame[idx]
-    fam = symfun.newton_family(A_frame)
-    A_chart = np.einsum("ij,jk->ik", geom.g_inv[idx], geom.II[idx])
-    return PointGeometry(
-        h=float(geom.u[idx]),
-        grad_h=geom.a[idx].copy(),
-        Theta=float(geom.theta[idx]),
-        N=geom.normal[idx].copy(),
-        g=geom.g[idx].copy(),
-        A=A_chart,
-        kappas=symfun.jacobi_eigenvalues(A_frame),
-        newton=fam,
-    )
-
-
 # ---------------------------------------------------------------------------
 # structure identities
 # ---------------------------------------------------------------------------

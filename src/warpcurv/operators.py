@@ -125,30 +125,6 @@ def _nonpositive_node(geom: GeometryGrid, Hk: np.ndarray):
                  np.unravel_index(int(np.argmin(audited)), Hk.shape))
 
 
-def normalized_lhat(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
-    """Lhat_k f = L_k f / H_k on the audited nodes, NaN elsewhere.
-
-    Requires H_k > 0 on the audited nodes and verifies Tr(P_k/H_k) = c_k
-    there before returning.
-    """
-    _check_k(geom, k)
-    mask = _audited(geom)
-    Hk = geom.H[..., k]
-    loc = _nonpositive_node(geom, Hk)
-    if loc is not None:
-        raise NotApplicableError(
-            f"H_{k} is not positive on the audited nodes (min at {loc})",
-            location=loc)
-    trace = np.einsum("...ii->...", geom.newton[..., k, :, :][mask]) / Hk[mask]
-    ck = geom.c[k]
-    resid = float(np.max(np.abs(trace - ck))) / max(1.0, abs(ck))
-    if not resid <= 1e-10:
-        raise RuntimeError(f"normalized Newton trace off c_{k} by {resid:.3e}")
-    out = np.full(Hk.shape, np.nan)
-    out[mask] = lk_apply(geom, k, f)[mask] / Hk[mask]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # height / sigma identities
 # ---------------------------------------------------------------------------
@@ -216,9 +192,9 @@ def _frame_to_ambient(geom: GeometryGrid, w: np.ndarray) -> np.ndarray:
     return geom.ambient_components(geom.frame_vector_to_chart(w))
 
 
-def _curvature_covectors(geom: GeometryGrid, js) -> np.ndarray:
-    """C[m, a] = sum_i <R(E_i, E_a) N, P_j E_i> for the m-th j of ``js``,
-    component-major (shape (len(js), n) + grid).
+def _curvature_covectors(geom: GeometryGrid, k: int) -> np.ndarray:
+    """C[j, a] = sum_i <R(E_i, E_a) N, P_j E_i> for j < k, component-major
+    (shape (k, n) + grid).
 
     sum_i <R(E_i, Y) N, P_j E_i> is linear in Y, so it is
     sum_a C[m, a] Y^a for Y in frame components: the four-term tensor is
@@ -230,24 +206,24 @@ def _curvature_covectors(geom: GeometryGrid, js) -> np.ndarray:
     frame_amb = [
         _frame_to_ambient(geom, np.broadcast_to(eye[i], geom.a.shape))
         for i in range(n)]
-    C = np.zeros((len(js), n) + geom.u.shape)
+    C = np.zeros((k, n) + geom.u.shape)
     for i in range(n):
         # P_j E_i in ambient components
         P_amb = [_frame_to_ambient(geom, geom.newton[..., j, :, i])
-                 for j in js]
+                 for j in range(k)]
         for a in range(n):
             R = curvature_tensor_components(
                 kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat,
                 frame_amb[i], frame_amb[a], geom.normal)
-            for m, P in enumerate(P_amb):
-                C[m, a] += _ambient_inner(geom, R, P)
+            for j, P in enumerate(P_amb):
+                C[j, a] += _ambient_inner(geom, R, P)
     return C
 
 
 def _curvature_route(geom: GeometryGrid, k: int, vecs) -> np.ndarray:
     """Route (c) of ``div_pk``: sum_{j<k} (-1)^{k-1-j} C_j . A^{k-1-j} X
     for each test vector X, stacked on the last axis."""
-    C = _curvature_covectors(geom, range(k))
+    C = _curvature_covectors(geom, k)
     out = np.zeros((len(vecs),) + geom.u.shape)
     for total, w in zip(out, vecs):
         y = w   # A^{k-1-j} X, from j = k-1 down
@@ -325,43 +301,9 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     }
 
 
-def curvature_trace_identity(geom: GeometryGrid, j: int,
-                             w: np.ndarray) -> IdentityResidual:
-    """Residual of sum_i <R(E_i, Y)N, P_j E_i>
-    = Theta (kappa/rho^2 + hcal') (<P_j grad h, Y> - c_j H_j <grad h, Y>),
-    with Y given in frame components (pure algebra; rounding level)."""
-    _check_k(geom, j)
-    kappa = geom.imm.W.fiber.kappa
-    Cj = _curvature_covectors(geom, [j])[0]
-    total = sum(Cj[i] * w[..., i] for i in range(geom.n))
-    Pj = geom.newton[..., j, :, :]
-    coef = geom.theta * (kappa / geom.rho ** 2 + geom.dhcal)
-    rhs = coef * (_frame_quadratic(Pj, geom.a, w)
-                  - geom.c[j] * geom.H[..., j]
-                  * dot(geom.a, w))
-    grid = total - rhs
-    return IdentityResidual(grid, masked_max(grid, geom.interior))
-
-
 # ---------------------------------------------------------------------------
 # the calligraphic family
 # ---------------------------------------------------------------------------
-
-def calligraphic_family(A: np.ndarray, hcal: float, theta: float) -> list:
-    """The matrices sum_{j<=m} (-1)^j (c_m/c_j) hcal^{m-j} theta^j P_j
-    for m = 0..n-1, from a single symmetric matrix (pure algebra)."""
-    fam = symfun.newton_family(A)
-    n = fam.n
-    c = [symfun.trace_coefficient(n, j) for j in range(n)]
-    out = []
-    for m in range(n):
-        M = np.zeros((n, n))
-        for j in range(m + 1):
-            M += ((-1.0) ** j * (c[m] / c[j])
-                  * hcal ** (m - j) * theta ** j * fam.P[j])
-        out.append(M)
-    return out
-
 
 def _calligraphic_grid(geom: GeometryGrid, k: int) -> np.ndarray:
     """The degree-(k-1) calligraphic tensor on the grid (frame)."""

@@ -205,7 +205,7 @@ def curvature_estimate_scenario(imm: GraphImmersion, W: WarpedProduct,
 
     hcal_h = _interior(geom, geom.hcal)
     inf_speed = float(np.min(hcal_h))
-    sup_curv = math.nan
+    sup_curv = None
     if order == 1:
         sup_curv = float(np.max(np.abs(_interior(geom, geom.H[..., 1]))))
     else:
@@ -217,9 +217,11 @@ def curvature_estimate_scenario(imm: GraphImmersion, W: WarpedProduct,
                          "not positive, so its {}-th root is undefined"
                          .format(order, order))
 
-    if math.isfinite(sup_curv):
+    if sup_curv is not None:
+        # recorded even when sup_curv is NaN or Inf, so that it fails
         report.conclusion_checks.append(CheckResult(
-            "curvature-supremum-estimate", sup_curv >= inf_speed - tol,
+            "curvature-supremum-estimate",
+            math.isfinite(sup_curv) and sup_curv >= inf_speed - tol,
             sup_curv - inf_speed,
             "sup of the order-{} curvature vs inf of the warping speed "
             "along the graph".format(order)))

@@ -226,87 +226,6 @@ def bk_telescope(A: np.ndarray, k: int) -> float:
     return float(np.max(np.abs(B + (n - k) * fam.P[k - 1])))
 
 
-@dataclass(frozen=True)
-class GardingReport:
-    applicable: bool
-    margins: tuple
-    holds: bool
-    umbilical: bool
-    message: str = ""
-
-
-def garding_chain(pack: SymmetricPack, k: int) -> GardingReport:
-    """Margins of the chain H_1 >= H_2^(1/2) >= ... >= H_k^(1/k) > 0.
-
-    Equality within 1e-8 relative (root-taking loses half the digits) at
-    every stage flags an umbilical point.  If some H_j with
-    j <= k is non-positive the chain does not apply and the report says
-    so instead of raising.
-    """
-    n = pack.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
-    rel_tol = 1e-8
-    bad = [j for j in range(1, k + 1) if pack.H[j] <= 0.0]
-    if bad:
-        return GardingReport(
-            applicable=False, margins=(), holds=False, umbilical=False,
-            message=f"H_{bad[0]} <= 0: chain not applicable",
-        )
-    roots = [pack.H[j] ** (1.0 / j) for j in range(1, k + 1)]
-    margins = tuple(roots[j] - roots[j + 1] for j in range(k - 1))
-    scale = max(1.0, roots[0])
-    holds = all(m >= -rel_tol * scale for m in margins) and roots[-1] > 0.0
-    umbilical = bool(margins) and all(abs(m) <= rel_tol * scale for m in margins)
-    return GardingReport(applicable=True, margins=margins, holds=holds,
-                         umbilical=umbilical)
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    applicable: bool
-    margins: tuple
-    min_margin: float
-    positive: bool
-    consistency_residual: float
-    flipped: bool
-    message: str = ""
-
-
-def p1_ellipticity_check(A: np.ndarray) -> EllipticityReport:
-    """Positivity of P_1 when H_2 > 0: the margins n H_1 - kappa_i.
-
-    Orientation is normalized so that H_1 > 0 (flipping A -> -A when
-    needed); with H_2 <= 0 the check is not applicable.  The margins are
-    cross-checked against the eigenvalues of P_1 itself.
-    """
-    A = _symmetrized(A)
-    kappas = jacobi_eigenvalues(A)
-    pack = elementary_symmetric(kappas)
-    n = pack.n
-    if pack.H[2] <= 0.0:
-        return EllipticityReport(applicable=False, margins=(), min_margin=float("nan"),
-                                 positive=False, consistency_residual=float("nan"),
-                                 flipped=False, message="H_2 <= 0: not applicable")
-    flipped = pack.H[1] < 0.0
-    if flipped:
-        A = -A
-        kappas = -kappas[::-1]
-        pack = elementary_symmetric(kappas)
-    margins = tuple(n * pack.H[1] - kap for kap in kappas)
-    fam = newton_family(A)
-    p1_eigs = jacobi_eigenvalues(fam.P[1])
-    consistency = float(np.max(np.abs(np.sort(np.asarray(margins)) - p1_eigs)))
-    return EllipticityReport(
-        applicable=True,
-        margins=margins,
-        min_margin=float(min(margins)),
-        positive=min(margins) > 0.0,
-        consistency_residual=consistency,
-        flipped=flipped,
-    )
-
-
 # ---------------------------------------------------------------------------
 # batched helpers for grid sweeps
 # ---------------------------------------------------------------------------

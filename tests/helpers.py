@@ -1,8 +1,11 @@
-"""Shared builders for the test suite."""
+"""Shared builders and point-form curvature oracles for the test suite."""
+
+import math
 
 import numpy as np
 
 import warpcurv as wc
+from warpcurv.ambient import curvature_tensor_components, warping_eval
 from warpcurv.hypersurface import random_height_function
 
 
@@ -45,3 +48,38 @@ def positive_definite(rng, n, shift=0.5):
     A = random_symmetric(rng, n)
     lo = float(np.min(np.linalg.eigvalsh(A)))
     return A + (shift - min(lo, 0.0)) * np.eye(n)
+
+
+def ambient_inner(rho2, u, v):
+    """<u, v> = u0 v0 + rho^2 u_f . v_f in an orthonormal fiber basis."""
+    return u[0] * v[0] + rho2 * float(np.dot(u[1:], v[1:]))
+
+
+def orthonormal_pair(rng, rho2, n):
+    """Gram-Schmidt a random pair under ``ambient_inner``."""
+    while True:
+        u = rng.normal(size=n + 1)
+        v = rng.normal(size=n + 1)
+        u = u / math.sqrt(ambient_inner(rho2, u, u))
+        v = v - ambient_inner(rho2, u, v) * u
+        nv = ambient_inner(rho2, v, v)
+        if nv > 1e-6:
+            return u, v / math.sqrt(nv)
+
+
+def point_curvature(W, t, u, v, w):
+    """R(u, v)w at height t, components in an orthonormal fiber basis."""
+    d = warping_eval(W, t)
+    return curvature_tensor_components(W.fiber.kappa, d.rho, d.hcal, d.dhcal,
+                                       np.eye(W.fiber.n), u, v, w)
+
+
+def point_sectionals(W, t, u, v):
+    """K(u, v) of an orthonormal pair twice: the closed form
+    (kappa/rho^2)(1 - u0^2 - v0^2) - hcal^2 - hcal' (u0^2 + v0^2), and
+    <R(u, v)v, u> contracted from the tensor."""
+    d = warping_eval(W, t)
+    rho2 = float(d.rho) ** 2
+    s = u[0] ** 2 + v[0] ** 2
+    closed = W.fiber.kappa / rho2 * (1.0 - s) - d.hcal ** 2 - d.dhcal * s
+    return float(closed), ambient_inner(rho2, point_curvature(W, t, u, v, v), u)

@@ -8,16 +8,17 @@ pass/fail line per criterion.
 
 import dataclasses
 import json
-import math
 import os
 import time
 
 import numpy as np
 import pytest
 
-from helpers import make_product, random_immersion, slice_immersion
+from helpers import (ambient_inner, make_product, orthonormal_pair,
+                     point_curvature, point_sectionals, random_immersion,
+                     slice_immersion)
 from warpcurv import operators
-from warpcurv.ambient import PROFILES, ambient_curvature, warping_eval
+from warpcurv.ambient import PROFILES, warping_eval
 from warpcurv.cli import main as cli_main
 from warpcurv.comparison import builtin_growth, builtin_model, omori_yau_probe, solve_comparison
 from warpcurv.hypersurface import DiscretizationConfig, evaluate_geometry
@@ -190,26 +191,12 @@ def test_c3_convergence_on_random_graphs():
 # criterion 4: ambient curvature suite
 # ---------------------------------------------------------------------------
 
-def _ambient_inner(rho2, u, v):
-    return u[0] * v[0] + rho2 * float(np.dot(u[1:], v[1:]))
-
-
-def _orthonormal_pair(rng, rho2, n):
-    while True:
-        u = rng.normal(size=n + 1)
-        v = rng.normal(size=n + 1)
-        u = u / math.sqrt(_ambient_inner(rho2, u, u))
-        v = v - _ambient_inner(rho2, u, v) * u
-        nv = _ambient_inner(rho2, v, v)
-        if nv > 1e-6:
-            return u, v / math.sqrt(nv)
-
-
 def test_c4_ambient_curvature_suite():
     """exp warping over a flat fiber has sectional curvature -1 and the
     linear warping over the unit sphere is flat, each on 100 random
-    orthonormal pairs; tensor symmetries and the first Bianchi identity
-    hold on random vectors.  All to 1e-10."""
+    orthonormal pairs, both in closed form and contracted from the
+    tensor; tensor symmetries and the first Bianchi identity hold on
+    random vectors.  All to 1e-10."""
     cases = [("exp", "flat-torus", 0.0, -1.0, (-2.0, 2.0)),
              ("linear", "space-form", 1.0, 0.0, (0.5, 8.0))]
     worst = 0.0
@@ -219,10 +206,10 @@ def test_c4_ambient_curvature_suite():
         for _ in range(100):
             t = rng.uniform(lo, hi)
             rho2 = float(warping_eval(W, t).rho) ** 2
-            u, v = _orthonormal_pair(rng, rho2, 2)
-            K = ambient_curvature(W, t, u, v, mode="sectional")
-            assert abs(K - K_expected) <= 1e-10
-            worst = max(worst, abs(K - K_expected))
+            u, v = orthonormal_pair(rng, rho2, 2)
+            for K in point_sectionals(W, t, u, v):
+                assert abs(K - K_expected) <= 1e-10
+                worst = max(worst, abs(K - K_expected))
 
         for _ in range(50):
             t = rng.uniform(lo, hi)
@@ -230,10 +217,10 @@ def test_c4_ambient_curvature_suite():
             u, v, w, z = (rng.normal(size=3) for _ in range(4))
             scale = max(1.0, max(float(np.max(np.abs(x)))
                                  for x in (u, v, w, z)) ** 4)
-            R = lambda a, b, c: ambient_curvature(W, t, a, b, c, mode="tensor")
+            R = lambda a, b, c: point_curvature(W, t, a, b, c)
             anti = np.max(np.abs(R(u, v, w) + R(v, u, w)))
-            pair = abs(_ambient_inner(rho2, R(u, v, w), z)
-                       - _ambient_inner(rho2, R(w, z, u), v))
+            pair = abs(ambient_inner(rho2, R(u, v, w), z)
+                       - ambient_inner(rho2, R(w, z, u), v))
             bianchi = np.max(np.abs(R(u, v, w) + R(v, w, u) + R(w, u, v)))
             for res in (anti, pair, bianchi):
                 assert res <= 1e-10 * scale

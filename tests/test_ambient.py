@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import CHART, make_product
+from helpers import (CHART, ambient_inner, make_product, orthonormal_pair,
+                     point_curvature, point_sectionals)
 from warpcurv import ambient
 
 
@@ -193,22 +194,6 @@ def test_gamma_hat_derivatives_match_differencing(fiber, kappa, origin):
 # curvature of the product
 # ---------------------------------------------------------------------------
 
-def _ambient_inner(rho2, u, v):
-    return u[0] * v[0] + rho2 * np.dot(u[1:], v[1:])
-
-
-def _orthonormal_pair(rng, rho2, n):
-    """Gram-Schmidt a random pair under u0 v0 + rho^2 u_f . v_f."""
-    while True:
-        u = rng.normal(size=n + 1)
-        v = rng.normal(size=n + 1)
-        u = u / math.sqrt(_ambient_inner(rho2, u, u))
-        v = v - _ambient_inner(rho2, u, v) * u
-        nv = _ambient_inner(rho2, v, v)
-        if nv > 1e-6:
-            return u, v / math.sqrt(nv)
-
-
 def test_exponential_product_is_hyperbolic():
     # rho = e^t over a flat fiber: every sectional curvature equals -1
     W = make_product("exp", "flat-torus", 2, 0.0)
@@ -216,9 +201,9 @@ def test_exponential_product_is_hyperbolic():
     for _ in range(100):
         t = rng.uniform(-2.0, 2.0)
         rho2 = float(ambient.warping_eval(W, t).rho) ** 2
-        u, v = _orthonormal_pair(rng, rho2, 2)
-        K = ambient.ambient_curvature(W, t, u, v, mode="sectional")
-        assert abs(K - (-1.0)) <= 1e-10
+        u, v = orthonormal_pair(rng, rho2, 2)
+        for K in point_sectionals(W, t, u, v):
+            assert abs(K - (-1.0)) <= 1e-10
 
 
 def test_cone_over_unit_sphere_is_flat():
@@ -228,9 +213,9 @@ def test_cone_over_unit_sphere_is_flat():
     for _ in range(100):
         t = rng.uniform(0.5, 8.0)
         rho2 = float(ambient.warping_eval(W, t).rho) ** 2
-        u, v = _orthonormal_pair(rng, rho2, 2)
-        K = ambient.ambient_curvature(W, t, u, v, mode="sectional")
-        assert abs(K) <= 1e-10
+        u, v = orthonormal_pair(rng, rho2, 2)
+        for K in point_sectionals(W, t, u, v):
+            assert abs(K) <= 1e-10
 
 
 def test_sectional_routes_agree():
@@ -240,17 +225,9 @@ def test_sectional_routes_agree():
     for _ in range(50):
         t = rng.uniform(-2.0, 2.0)
         rho2 = float(ambient.warping_eval(W, t).rho) ** 2
-        u, v = _orthonormal_pair(rng, rho2, 2)
-        closed = ambient.ambient_curvature(W, t, u, v, mode="sectional")
-        contracted = ambient.sectional_from_tensor(W, t, u, v)
+        u, v = orthonormal_pair(rng, rho2, 2)
+        closed, contracted = point_sectionals(W, t, u, v)
         assert abs(closed - contracted) <= 1e-10 * max(1.0, abs(closed))
-
-
-def test_sectional_rejects_skew_pairs():
-    W = make_product("exp", "flat-torus", 2, 0.0)
-    with pytest.raises(ValueError, match="orthonormal"):
-        ambient.ambient_curvature(W, 0.0, np.array([1.0, 0, 0]),
-                                  np.array([1.0, 1.0, 0]), mode="sectional")
 
 
 @pytest.mark.parametrize("name,fiber,kappa", [
@@ -267,8 +244,8 @@ def test_curvature_tensor_symmetries(name, fiber, kappa):
         rho2 = float(ambient.warping_eval(W, t).rho) ** 2
         vecs = [rng.normal(size=3) for _ in range(4)]
         u, v, w, z = vecs
-        R = lambda a, b, c: ambient.ambient_curvature(W, t, a, b, c, mode="tensor")
-        inner = lambda a, b: _ambient_inner(rho2, a, b)
+        R = lambda a, b, c: point_curvature(W, t, a, b, c)
+        inner = lambda a, b: ambient_inner(rho2, a, b)
         scale = max(1.0, max(np.max(np.abs(x)) for x in vecs) ** 4)
         # antisymmetry in the first two slots
         assert np.max(np.abs(R(u, v, w) + R(v, u, w))) <= 1e-10 * scale
@@ -328,22 +305,6 @@ def test_batched_curvature_tensor_is_exactly_antisymmetric():
     vu = ambient.curvature_tensor_components(kappa, rho, hcal, dhcal, gfib,
                                              V, U, Wv)
     assert np.array_equal(vu, -uv)
-
-
-# ---------------------------------------------------------------------------
-# slices
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name,t", [("cosh", 0.7), ("exp", -1.2), ("sin", 2.0)])
-def test_slice_geometry_closed_form(name, t):
-    W = make_product(name, "flat-torus", 3, 0.0)
-    sl = ambient.slice_geometry(W, t)
-    h = float(W.profile.hcal(t))
-    assert sl.theta == -1.0
-    assert np.max(np.abs(sl.shape_operator - h * np.eye(3))) <= 1e-15
-    for k in range(4):
-        assert abs(sl.H[k] - h ** k) <= 1e-13 * max(1.0, abs(h) ** k)
-    assert np.max(np.abs(sl.grad_h)) == 0.0
 
 
 def test_fiber_spec_validation():

@@ -17,8 +17,11 @@ curvature kernel must match its oracle bit for bit on the diagonal fiber
 metrics the charts store.  A scan of the package pins every
 ``np.linalg`` call, so that neither a spectrum the geometry stores nor the
 triangular factor is solved again, and finds no unused import and no
-private module-level name that nothing references.  It also pins the
-public names that no module but ``__init__`` and no benchmark file reads.
+private module-level name that nothing references.  It also finds no
+public name that only the tests reach: none that nothing reached from the
+benchmark files, the module-level code or ``cli.main`` reads.  Every
+export must resolve, and ``__init__`` may import nothing it does not
+export.
 """
 
 import ast
@@ -29,13 +32,12 @@ import numpy as np
 import pytest
 
 import warpcurv
-from helpers import make_product, random_immersion
+from helpers import make_product, point_curvature, random_immersion
 from warpcurv import operators
 from warpcurv._grid import (contract_first, diff, diff2, dot, gradient,
                             hessian, lower_triangular_inverse, matmul, matvec,
                             trace_product)
-from warpcurv.ambient import (ambient_curvature, curvature_tensor_components,
-                              warping_eval)
+from warpcurv.ambient import curvature_tensor_components, warping_eval
 from warpcurv.hypersurface import evaluate_geometry
 
 REL = 1e-13
@@ -372,15 +374,15 @@ def test_component_major_kernel_is_bit_identical_on_fiber_metrics(chart,
                                          ("space-form", -1.0)])
 @pytest.mark.parametrize("n", [1, 3])
 def test_point_curvature_is_the_one_node_grid_kernel(chart, kappa, n):
-    # ambient_curvature hands the kernel 1-D vectors and 0-d profile values;
-    # it must get a (n+1,) tensor, equal bit for bit to the same node
-    # evaluated as a grid of one, and the oracle's tensor to rounding
+    # the point-form tests hand the kernel 1-D vectors and 0-d profile
+    # values; they must get a (n+1,) tensor, equal bit for bit to the same
+    # node evaluated as a grid of one, and the oracle's tensor to rounding
     W = make_product("cosh", chart, n, kappa)
     rng = np.random.default_rng(60 + n)
     eye = np.eye(n)
     for t in rng.uniform(-2.5, 2.5, size=20):
         u, v, w = rng.normal(size=(3, n + 1))
-        got = ambient_curvature(W, t, u, v, w, mode="tensor")
+        got = point_curvature(W, t, u, v, w)
         d = warping_eval(W, t)
         one = curvature_tensor_components(
             kappa, d.rho[None], d.hcal[None], d.dhcal[None], eye[None],
@@ -596,6 +598,30 @@ def _references(tree):
                if isinstance(node, ast.ImportFrom) for a in node.names})
 
 
+def _reached(trees, roots):
+    """The names read from ``roots`` or, transitively, from the body of a
+    module-level definition in ``trees`` whose name is reached.
+
+    Every module-level statement that is not a function or class runs on
+    import, so what it reads is reached too.
+    """
+    bodies = {}
+    reached = set(roots)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                bodies.setdefault(node.name, set()).update(_references(node))
+            else:
+                reached |= _references(node)
+    todo = set(reached)
+    while todo:
+        new = bodies.get(todo.pop(), set()) - reached
+        reached |= new
+        todo |= new
+    return reached
+
+
 def test_package_has_no_unused_import_or_orphaned_private_name():
     # a deletion that leaves its helper or import behind shows up here
     tree = ast.parse("import os\nimport logging\nfrom m import a, b as c\n"
@@ -616,17 +642,32 @@ def test_package_has_no_unused_import_or_orphaned_private_name():
                      if n not in referenced])
              for name, tree in trees.items() if name != "__init__.py"}
     assert {name: f for name, f in found.items() if any(f)} == {}
-    # a public name that no module but __init__ (which re-exports it) and
-    # no benchmark file reads is reached only from its own tests; today's
-    # are pinned, so a new one fails here
+    # a public name that nothing reached from the benchmark files, the
+    # module-level code or the CLI entry point reads is reached only from
+    # its own tests; __init__ only re-exports, so it reaches nothing
+    tree = ast.parse("def a():\n    return b\ndef b():\n    return 1\n"
+                     "def c():\n    return d\ndef d():\n    return 2\n"
+                     "def f():\n    return c\nX = c\n")
+    assert _reached([tree], {"a"}) == {"a", "b", "c", "d"}
     bench = Path(__file__).resolve().parent.parent / "bench"
-    read = set().union(*(_references(tree) for name, tree in trees.items()
-                         if name != "__init__.py"),
-                       *(_references(ast.parse(path.read_text()))
-                         for path in sorted(bench.glob("*.py"))))
-    orphans = {n for name, tree in trees.items() if name != "__init__.py"
-               for n in _public_definitions(tree) if n not in read}
-    assert orphans == {"slice_geometry", "sectional_from_tensor",
-                       "point_geometry", "normalized_lhat",
-                       "curvature_trace_identity", "calligraphic_family",
-                       "garding_chain", "p1_ellipticity_check"}
+    src = [tree for name, tree in trees.items() if name != "__init__.py"]
+    reached = _reached(src, {"main"}.union(
+        *(_references(ast.parse(path.read_text()))
+          for path in sorted(bench.glob("*.py")))))
+    assert {n for tree in src for n in _public_definitions(tree)
+            if n not in reached} == set()
+
+
+def test_every_export_resolves_and_init_imports_only_exports():
+    # an export left behind by a removal, or an import __init__ does not
+    # export, fails here
+    names = warpcurv.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(warpcurv, name) for name in names)
+    star = {}
+    exec("from warpcurv import *", star)
+    assert set(names) <= set(star)
+    init = ast.parse(Path(warpcurv.__file__).read_text())
+    assert {a.asname or a.name for node in init.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names} <= set(names)

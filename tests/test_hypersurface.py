@@ -11,9 +11,9 @@ import pytest
 from helpers import CHART, make_product, random_immersion, slice_immersion
 from warpcurv import symfun
 from warpcurv._grid import min_or_nan
-from warpcurv.ambient import PROFILES
+from warpcurv.ambient import PROFILES, curvature_tensor_components
 from warpcurv.operators import (NotApplicableError, calligraphic_ops,
-                                convergence_study, frak_phi, normalized_lhat)
+                                convergence_study, frak_phi)
 from warpcurv.hypersurface import (
     DiscretizationConfig,
     GraphImmersion,
@@ -21,7 +21,6 @@ from warpcurv.hypersurface import (
     coarsest_trim,
     evaluate_geometry,
     extrinsic_gamma_probe,
-    point_geometry,
     sectional_bound_report,
     structure_identities,
 )
@@ -74,12 +73,14 @@ def test_slices_at_random_heights_are_umbilical(profile, fiber, kappa):
             assert err <= 1e-14 * max(1.0, abs(h) ** k), (t, k, err)
 
 
-@pytest.mark.parametrize("kappa", [1.0, -1.0])
+@pytest.mark.parametrize("chart,kappa", [("flat-torus", 0.0),
+                                         ("space-form", 1.0),
+                                         ("space-form", -1.0)])
 @pytest.mark.parametrize("profile", sorted(PROFILES))
-def test_space_form_slices_are_umbilical_at_n3(profile, kappa):
-    # slices over the three-dimensional sphere and hyperbolic space:
-    # H_k = hcal^k for k = 0..3, as exact as over the flat fiber
-    W = make_product(profile, "space-form", 3, kappa)
+def test_slices_are_umbilical_at_n3(profile, chart, kappa):
+    # slices over the three-dimensional torus, sphere and hyperbolic space:
+    # A = hcal I and H_k = hcal^k for k = 0..3, as exact at n = 3 as at 2
+    W = make_product(profile, chart, 3, kappa)
     t = W.profile.t0 + 0.3
     geom = evaluate_geometry(slice_immersion(W, t, res=20))
     h = float(W.profile.hcal(t))
@@ -87,6 +88,8 @@ def test_space_form_slices_are_umbilical_at_n3(profile, kappa):
     assert m.any()
     assert np.all(geom.theta == -1.0)
     assert np.all(geom.du == 0.0) and np.all(geom.a == 0.0)
+    assert np.max(np.abs(geom.shape_frame[m] - h * np.eye(3))) \
+        <= 1e-14 * max(1.0, abs(h))
     for k in range(4):
         err = np.max(np.abs(geom.H[m][:, k] - h ** k))
         assert err <= 1e-14 * max(1.0, abs(h) ** k), (k, err)
@@ -175,18 +178,20 @@ def test_metric_factorization_consistency():
 
 
 def test_point_route_matches_batched_fields():
+    # the per-node Jacobi route against the batched sweeps
     W = make_product("cosh", "flat-torus", 2, 0.0)
     imm = random_immersion(W, seed=9, t_center=0.4, amplitude=0.15)
     geom = evaluate_geometry(imm)
     for idx in [(3, 5), (10, 17), (20, 2)]:
-        pt = point_geometry(geom, idx)
-        assert np.max(np.abs(pt.kappas - geom.kappas[idx])) <= 1e-10
-        assert abs(pt.Theta - geom.theta[idx]) <= 1e-14
+        kappas = symfun.jacobi_eigenvalues(geom.shape_frame[idx])
+        P = symfun.newton_family(geom.shape_frame[idx]).P
+        assert np.max(np.abs(kappas - geom.kappas[idx])) <= 1e-10
         for k in range(2):
-            assert np.max(np.abs(pt.newton.P[k] - geom.newton[idx][k])) <= 1e-10
+            assert np.max(np.abs(P[k] - geom.newton[idx][k])) <= 1e-10
         # chart-mixed shape operator has the same spectrum as the frame one
-        chart_eigs = np.sort(np.linalg.eigvals(pt.A).real)
-        assert np.max(np.abs(chart_eigs - pt.kappas)) <= 1e-9
+        A_chart = geom.g_inv[idx] @ geom.II[idx]
+        chart_eigs = np.sort(np.linalg.eigvals(A_chart).real)
+        assert np.max(np.abs(chart_eigs - kappas)) <= 1e-9
 
 
 def test_refinement_shapes():
@@ -256,8 +261,6 @@ def test_empty_audit_region_fails_instead_of_reading_zero():
     assert not rep["gradient_bound_holds"]
     assert math.isnan(rep["min_margin"]) and math.isnan(rep["hessian_max"])
     with pytest.raises(NotApplicableError, match="no audited node"):
-        normalized_lhat(geom, 1, geom.u)
-    with pytest.raises(NotApplicableError, match="no audited node"):
         calligraphic_ops(imm, 2, geom=geom)
     with pytest.raises(NotApplicableError, match="no audited node"):
         frak_phi(imm, 1, geom=geom)
@@ -291,6 +294,29 @@ def test_sectional_report_propagates_a_nan_shape_entry():
     assert math.isnan(rep["sectional_min"])
     assert not rep["chain_holds"]
     assert rep["ambient_min"] == sectional_bound_report(geom)["ambient_min"]
+
+
+@pytest.mark.parametrize("profile,chart,kappa", [
+    ("cosh", "flat-torus", 0.0), ("exp", "space-form", 1.0),
+    ("exp", "space-form", -1.0)])
+def test_sectional_report_ambient_term_matches_the_tensor(profile, chart,
+                                                          kappa):
+    # the report's closed-form K_amb against <R(E_i, E_j)E_j, E_i> from
+    # the curvature tensor, minimized over audited nodes and frame pairs
+    W = make_product(profile, chart, 3, kappa)
+    geom = evaluate_geometry(random_immersion(W, seed=3, t_center=0.5,
+                                              amplitude=0.1, res=24))
+    E = [geom.ambient_components(geom.L_inv[..., i, :]) for i in range(3)]
+    tensor_min = math.inf
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        R = curvature_tensor_components(kappa, geom.rho, geom.hcal,
+                                        geom.dhcal, geom.ghat, E[i], E[j], E[j])
+        fib = np.einsum("...i,...ij,...j->...", R[..., 1:], geom.ghat,
+                        E[i][..., 1:])
+        K = R[..., 0] * E[i][..., 0] + geom.rho ** 2 * fib
+        tensor_min = min(tensor_min, float(np.min(K[geom.interior])))
+    ambient_min = sectional_bound_report(geom)["ambient_min"]
+    assert abs(ambient_min - tensor_min) <= 1e-13 * max(1.0, abs(tensor_min))
 
 
 def test_sphere_slice_sectional_value():

@@ -13,24 +13,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (CHART, make_product, random_immersion, random_symmetric,
-                     slice_immersion)
+from helpers import CHART, make_product, random_immersion, slice_immersion
 from warpcurv import ambient, operators, symfun
 from warpcurv.hypersurface import (DiscretizationConfig, GraphImmersion,
                                    evaluate_geometry, structure_identities)
 from warpcurv.operators import (
-    NotApplicableError,
-    calligraphic_family,
     calligraphic_ops,
     convergence_study,
-    curvature_trace_identity,
     div_pk,
     frak_apply,
     frak_phi,
     height_sigma_identities,
     laplace_beltrami,
     lk_apply,
-    normalized_lhat,
     theta_hat_identity,
 )
 
@@ -71,6 +66,32 @@ def test_slice_calligraphic_sign_structure():
     assert cal["min_eigenvalue"] > 0.0
 
 
+def _curvature_trace_residual(geom, j, w):
+    """sum_i <R(E_i, Y)N, P_j E_i> minus its closed form
+    Theta (kappa/rho^2 + hcal') (<P_j grad h, Y> - c_j H_j <grad h, Y>),
+    for Y = w in frame components: one kernel call per frame vector E_i,
+    paired with P_j E_i in the ambient metric."""
+    kappa = geom.imm.W.fiber.kappa
+    P = geom.newton[..., j, :, :]
+
+    def amb(v):
+        return geom.ambient_components(geom.frame_vector_to_chart(v))
+
+    def inner(U, V):
+        return U[..., 0] * V[..., 0] + geom.rho ** 2 * np.einsum(
+            "...i,...ij,...j->...", U[..., 1:], geom.ghat, V[..., 1:])
+
+    Y = amb(w)
+    lhs = sum(inner(ambient.curvature_tensor_components(
+        kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat,
+        amb(np.broadcast_to(e, w.shape)), Y, geom.normal),
+        amb(P[..., :, i])) for i, e in enumerate(np.eye(geom.n)))
+    coef = geom.theta * (kappa / geom.rho ** 2 + geom.dhcal)
+    Pa = np.einsum("...ij,...j->...i", P, geom.a)
+    return lhs - coef * np.einsum(
+        "...i,...i->...", Pa - geom.c[j] * geom.H[..., j, None] * geom.a, w)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_algebraic_routes_on_random_graphs(seed):
     W = make_product("cosh", "flat-torus", 2, 0.0)
@@ -94,7 +115,8 @@ def test_algebraic_routes_on_random_graphs(seed):
     rng = np.random.default_rng(seed)
     w = np.broadcast_to(rng.normal(size=2), geom.a.shape)
     for j in range(2):
-        assert curvature_trace_identity(geom, j, w).max <= 1e-10
+        residual = _curvature_trace_residual(geom, j, w)
+        assert np.max(np.abs(residual[geom.interior])) <= 1e-10
 
 
 def test_div_pk_maxima_survive_a_whole_cell_roll():
@@ -271,11 +293,6 @@ def test_curvature_route_calls_the_kernel_once_per_frame_pair(
         calls.clear()
         div_pk(imm, k, geom=geom)
         assert len(calls) == n * n, k
-    w = np.broadcast_to(np.arange(1.0, n + 1.0), geom.a.shape)
-    for j in range(n):
-        calls.clear()
-        curvature_trace_identity(geom, j, w)
-        assert len(calls) == n * n, j
 
 
 @pytest.mark.parametrize("profile,chart,kappa", ROUTE_C_AMBIENTS[1:])
@@ -293,13 +310,21 @@ def test_div_pk_routes_b_and_c_agree_on_curved_fibers(profile, chart, kappa,
         assert div_pk(imm, k, geom=geom)["residual_bc"].max <= 1e-10, k
 
 
-def test_curvature_trace_identity_curved_fiber():
-    W = make_product("cosh", "space-form", 2, 1.0)
+@pytest.mark.parametrize("profile,chart,kappa", ROUTE_C_AMBIENTS)
+def test_curvature_trace_identity_per_j(profile, chart, kappa):
+    # the identity holds at every j to rounding; at j = 0 it is minus
+    # div_pk's residual_bc at k = 1, test vector by test vector
+    W = make_product(profile, chart, 2, kappa)
     imm = random_immersion(W, seed=8, t_center=0.5, amplitude=0.1)
     geom = evaluate_geometry(imm)
-    w = np.broadcast_to(np.array([0.3, -1.1]), geom.a.shape)
-    for j in range(2):
-        assert curvature_trace_identity(geom, j, w).max <= 1e-10
+    m = geom.interior
+    bc = div_pk(imm, 1, geom=geom)["residual_bc"].grid
+    for v, w in enumerate(operators.default_test_vectors(geom)):
+        for j in range(2):
+            residual = _curvature_trace_residual(geom, j, w)
+            assert np.max(np.abs(residual[m])) <= 1e-10, (v, j)
+        j0 = _curvature_trace_residual(geom, 0, w) + bc[..., v]
+        assert np.max(np.abs(j0[m])) <= 1e-13, v
 
 
 def test_operator_flip_parity():
@@ -320,61 +345,35 @@ def test_operator_flip_parity():
         assert np.max(np.abs(b[m] - (-1.0) ** k * a[m])) <= 1e-10 * scale
 
 
-def test_normalized_operator_requires_positive_curvature():
-    W = make_product("cosh", "flat-torus", 2, 0.0)
-    # centered at the neck: H_1 changes sign across the grid
-    imm = random_immersion(W, seed=5, t_center=0.0, amplitude=0.2)
-    geom = evaluate_geometry(imm)
-    f = geom.u
-    with pytest.raises(NotApplicableError, match="not positive"):
-        normalized_lhat(geom, 1, f)
-    # away from the neck the same construction is fine
-    good = random_immersion(W, seed=5, t_center=0.8, amplitude=0.1)
-    ggeom = evaluate_geometry(good)
-    field = normalized_lhat(ggeom, 1, ggeom.u)
-    assert field.shape == ggeom.u.shape
-    assert np.all(np.isfinite(field))
+def test_normalized_newton_trace_is_ck():
+    # Lhat_k = L_k / H_k is the operator of P_k / H_k, whose trace is c_k
+    # wherever H_k > 0
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    geom = evaluate_geometry(
+        random_immersion(W, seed=3, t_center=0.8, amplitude=0.1, res=12))
+    for k in range(3):
+        Hk = geom.H[..., k]
+        assert np.min(Hk) > 0.0, k
+        trace = np.trace(geom.newton[..., k, :, :], axis1=-2, axis2=-1)
+        assert np.max(np.abs(trace / Hk - geom.c[k])) <= 1e-12 * geom.c[k]
 
 
-def test_normalized_operator_is_decided_on_the_audited_nodes():
-    # on the bounded sphere chart the wrapped stencils leave H_1 meaningless
-    # next to the edges; only the audited nodes decide positivity
-    W = make_product("exp", "space-form", 2, 1.0)
-    imm = random_immersion(W, seed=5, t_center=0.0, amplitude=0.05, res=32)
-    geom = evaluate_geometry(imm)
-    mask = geom.interior
-    assert mask.any() and not mask.all()
-    H1 = geom.H[..., 1]
-    assert np.min(H1[mask]) > 0.6 and not np.min(H1) > 0.0
-    field = normalized_lhat(geom, 1, geom.u)
-    assert np.all(np.isfinite(field[mask])) and np.all(np.isnan(field[~mask]))
-    expected = lk_apply(geom, 1, geom.u)[mask] / H1[mask]
-    assert np.array_equal(field[mask], expected)
-
-    # a non-positive audited node is reported as plain ints
-    node = tuple(int(i) for i in np.argwhere(mask)[0])
-    H = geom.H.copy()
-    H[node + (1,)] = -1.0
-    with pytest.raises(NotApplicableError,
-                       match=rf"min at \({node[0]}, {node[1]}\)") as err:
-        normalized_lhat(dataclasses.replace(geom, H=H), 1, geom.u)
-    assert err.value.location == node
-    assert all(type(i) is int for i in err.value.location)
-
-
-def test_calligraphic_recursion():
-    # Pcal_m = (c_m / c_{m-1}) hcal Pcal_{m-1} + (-theta)^m ... built directly
-    rng = np.random.default_rng(12)
-    A = random_symmetric(rng, 4)
-    hcal, theta = 0.8, -0.6
-    fam = calligraphic_family(A, hcal, theta)
-    newt = symfun.newton_family(A)
-    c = [symfun.trace_coefficient(4, j) for j in range(4)]
-    assert np.max(np.abs(fam[0] - np.eye(4))) <= 1e-14
-    for m in range(1, 4):
-        rec = (c[m] / c[m - 1]) * hcal * fam[m - 1] \
-            + (-1.0) ** m * theta ** m * newt.P[m]
-        assert np.max(np.abs(fam[m] - rec)) <= 1e-12, m
+def test_calligraphic_grid_matches_the_per_node_recursion():
+    # Pcal_m = (c_m / c_{m-1}) hcal Pcal_{m-1} + (-Theta)^m P_m, built node
+    # by node from the per-matrix Newton family
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    geom = evaluate_geometry(
+        random_immersion(W, seed=12, t_center=0.6, amplitude=0.15, res=8))
+    c = geom.c
+    grids = [operators._calligraphic_grid(geom, m + 1) for m in range(3)]
+    for idx in np.ndindex(geom.u.shape):
+        P = symfun.newton_family(geom.shape_frame[idx]).P
+        Pcal = P[0]
+        for m in range(3):
+            if m:
+                Pcal = (c[m] / c[m - 1]) * geom.hcal[idx] * Pcal \
+                    + (-geom.theta[idx]) ** m * P[m]
+            assert np.max(np.abs(grids[m][idx] - Pcal)) <= 1e-12, (idx, m)
 
 
 def test_frak_matches_laplacian_at_order_zero():
@@ -428,28 +427,20 @@ def test_frak_phi_not_applicable_without_positive_curvature():
     assert "location" in rep
 
 
-def test_nan_curvature_fails_the_positivity_and_trace_gates():
-    # NaN compares False either way, so each gate asks whether its value is
-    # good: a NaN H_k or Newton trace must never pass
+def test_nan_curvature_fails_the_positivity_gate():
+    # NaN compares False either way, so the gate asks whether its value is
+    # good: a NaN H_k must never pass, and its node is reported as ints
     W = make_product("cosh", "flat-torus", 3, 0.0)
     imm = random_immersion(W, seed=3, t_center=0.8, amplitude=0.1, res=12)
     geom = evaluate_geometry(imm)
-    assert np.all(np.isfinite(normalized_lhat(geom, 1, geom.u)))
     assert frak_phi(imm, 1, geom=geom)["applicable"]
 
     H = geom.H.copy()
     H[2, 3, 4, 1] = np.nan
-    nan_h = dataclasses.replace(geom, H=H)
-    with pytest.raises(NotApplicableError, match="not positive"):
-        normalized_lhat(nan_h, 1, geom.u)
-    rep = frak_phi(imm, 1, geom=nan_h)
+    rep = frak_phi(imm, 1, geom=dataclasses.replace(geom, H=H))
     assert rep["applicable"] is False
     assert rep["location"] == (2, 3, 4)
-
-    newton = geom.newton.copy()
-    newton[2, 3, 4, 1, 0, 0] = np.nan
-    with pytest.raises(RuntimeError, match="trace off"):
-        normalized_lhat(dataclasses.replace(geom, newton=newton), 1, geom.u)
+    assert all(type(i) is int for i in rep["location"])
 
 
 def test_nan_curvature_fails_the_newton_positivity_hypothesis():

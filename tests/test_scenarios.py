@@ -506,6 +506,27 @@ def test_estimate_on_random_graph_constant_speed():
         assert rep.residuals["sup_curvature"] >= 1.0 - 1e-8
 
 
+def test_nan_mean_curvature_fails_the_first_order_estimate(monkeypatch):
+    # a NaN H_1 at one audited node makes sup |H_1| NaN; the estimate must
+    # record its check and fail it rather than drop it and read consistent
+    real = scenarios._audited_geometry
+
+    def audited_geometry(*args, **kwargs):
+        geom, flipped = real(*args, **kwargs)
+        H = geom.H.copy()
+        H[5, 5, 1] = np.nan
+        return dataclasses.replace(geom, H=H), flipped
+
+    monkeypatch.setattr(scenarios, "_audited_geometry", audited_geometry)
+    W = make_product("cosh", "flat-torus", 2, 0.0)
+    rep = curvature_estimate_scenario(random_immersion(W, seed=3, res=16),
+                                      W, 1)
+    assert math.isnan(rep.residuals["sup_curvature"])
+    assert rep.verdict == VERDICT_CONCLUSION
+    assert _names(rep.conclusion_checks, passed=False) == [
+        "curvature-supremum-estimate"]
+
+
 def test_estimate_validation():
     W = make_product("cosh", "flat-torus", 2, 0.0)
     imm = slice_immersion(W, 0.7, res=16)

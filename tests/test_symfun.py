@@ -130,8 +130,6 @@ def test_jacobi_refuses_non_finite_or_non_square_input(A):
 def test_symmetrized_refuses_non_finite_matrices(A):
     with pytest.raises(ValueError):
         symfun.trace_and_norm_identities(np.array(A))
-    with pytest.raises(ValueError):
-        symfun.p1_ellipticity_check(np.array(A))
 
 
 def test_orthogonal_invariance():
@@ -193,50 +191,40 @@ def test_bk_telescope_vanishes(k):
         assert abs(val) <= 1e-10
 
 
-def test_garding_chain_on_definite_matrix():
+def _garding_margins(A):
+    """H_j^(1/j) - H_{j+1}^(1/(j+1)) for j = 1..n-1."""
+    H = symfun.elementary_symmetric(symfun.jacobi_eigenvalues(A)).H
+    roots = [H[j] ** (1.0 / j) for j in range(1, len(H))]
+    return np.array(roots[:-1]) - np.array(roots[1:])
+
+
+def test_garding_chain():
+    # H_1 >= H_2^(1/2) >= ... >= H_n^(1/n) > 0 on the positive cone, with
+    # equality at every stage for an umbilical matrix only
     rng = np.random.default_rng(23)
-    A = positive_definite(rng, 5)
-    pack = symfun.elementary_symmetric(symfun.jacobi_eigenvalues(A))
-    rep = symfun.garding_chain(pack, 5)
-    assert rep.applicable and rep.holds
-    assert all(m >= -1e-12 for m in rep.margins)
-    assert not rep.umbilical
-
-
-def test_garding_equality_iff_umbilical():
-    pack = symfun.elementary_symmetric(np.full(4, 1.7))
-    rep = symfun.garding_chain(pack, 4)
-    assert rep.holds and rep.umbilical
-
-
-def test_garding_not_applicable_for_nonpositive_h1():
-    pack = symfun.elementary_symmetric(np.array([-1.0, -2.0, 0.5]))
-    rep = symfun.garding_chain(pack, 2)
-    assert not rep.applicable
-
-
-def test_p1_ellipticity_from_h2():
-    rng = np.random.default_rng(29)
-    A = positive_definite(rng, 4)
-    rep = symfun.p1_ellipticity_check(A)
-    assert rep.applicable and rep.positive
-    assert rep.min_margin > 0
+    for n in (2, 3, 5):
+        margins = _garding_margins(positive_definite(rng, n))
+        assert np.min(margins) >= -1e-12 and np.max(margins) > 1e-8, n
+    assert np.max(np.abs(_garding_margins(1.7 * np.eye(4)))) <= 1e-12
 
 
 @given(n=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
        shift=st.floats(-4.0, 4.0))
 @settings(max_examples=60, deadline=None)
-def test_p1_ellipticity_margins_match_p1_spectrum(n, seed, shift):
-    # the second route: the margins n H_1 - kappa_i must be the eigenvalues
-    # of P_1 itself, in the orientation that makes H_1 positive
+def test_p1_is_definite_with_margins_n_h1_minus_kappa(n, seed, shift):
+    # with H_2 > 0, in the orientation that makes H_1 positive, P_1 is
+    # positive definite and its eigenvalues are the margins n H_1 - kappa_i
     A = random_symmetric(np.random.default_rng(seed), n) + shift * np.eye(n)
-    h = symfun.elementary_symmetric(np.linalg.eigvalsh(A)).H
+    kappas = symfun.jacobi_eigenvalues(A)
+    h = symfun.elementary_symmetric(kappas).H
     assume(h[2] > 1e-6)    # then H_1^2 >= H_2 keeps H_1 away from zero
-    rep = symfun.p1_ellipticity_check(A)
-    scale = 1.0 + float(np.max(np.abs(np.linalg.eigvalsh(A))))
-    assert rep.applicable
-    assert rep.consistency_residual <= 1e-10 * scale
-    assert rep.flipped == (h[1] < 0.0)
+    if h[1] < 0.0:
+        A, kappas = -A, -kappas
+    margins = np.sort(n * abs(h[1]) - kappas)
+    p1 = symfun.jacobi_eigenvalues(symfun.newton_family(A).P[1])
+    scale = 1.0 + float(np.max(np.abs(kappas)))
+    assert np.max(np.abs(margins - p1)) <= 1e-10 * scale
+    assert margins[0] > 0.0
 
 
 def test_batch_matches_scalar():
