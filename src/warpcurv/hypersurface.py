@@ -70,7 +70,12 @@ def _check_box(box):
 
 
 def _axes_from_box(box, shape, periodic):
-    """Per-axis coordinates and spacing: periodic axes drop the endpoint."""
+    """Per-axis coordinates and spacing: periodic axes drop the endpoint.
+
+    A spacing whose square is below the smallest normal float is refused:
+    the second-difference stencils divide by that square, so they would
+    overflow.
+    """
     _check_box(box)
     axes, spacing = [], []
     for (lo, hi), n_pts, per in zip(box, shape, periodic):
@@ -80,6 +85,9 @@ def _axes_from_box(box, shape, periodic):
         else:
             h = (hi - lo) / (n_pts - 1)
             axes.append(lo + h * np.arange(n_pts))
+        if h * h < np.finfo(float).tiny:
+            raise ValueError(f"grid spacing {h:.3g} is too fine: its square "
+                             "underflows, so the stencils overflow")
         spacing.append(h)
     return axes, tuple(spacing)
 

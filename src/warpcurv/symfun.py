@@ -17,6 +17,7 @@ oracle, and exhaustive enumeration must stay cheap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -167,8 +168,21 @@ def newton_family(A: np.ndarray) -> NewtonFamily:
 
     In any eigenbasis of ``A`` the tensor ``P_k`` is diagonal, with the
     eigenvalue at kappa_i equal to S_k of the remaining eigenvalues.
+
+    The last matrix's family is kept, keyed on the matrix's content, so
+    the checks below solve each matrix once when its calls arrive back to
+    back.  ``A`` and every ``P_k`` are read-only; ``P`` is a fresh list on
+    every call.
     """
-    A = _symmetrized(A)
+    A = np.asarray(A, dtype=float)
+    sym, P, pack = _newton_arrays(A.shape, A.tobytes())
+    return NewtonFamily(P=list(P), A=sym, pack=pack)
+
+
+@functools.lru_cache(maxsize=1)
+def _newton_arrays(shape: tuple, data: bytes):
+    """The uncached body of ``newton_family``, its arrays read-only."""
+    A = _symmetrized(np.frombuffer(data).reshape(shape))
     n = A.shape[0]
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds cap {MAX_DIM}")
@@ -176,7 +190,9 @@ def newton_family(A: np.ndarray) -> NewtonFamily:
     P = [np.eye(n)]
     for k in range(1, n):
         P.append(pack.S[k] * np.eye(n) - A @ P[k - 1])
-    return NewtonFamily(P=P, A=A, pack=pack)
+    for arr in [A, *P]:
+        arr.flags.writeable = False
+    return A, tuple(P), pack
 
 
 def trace_and_norm_identities(A: np.ndarray) -> dict:

@@ -970,6 +970,25 @@ def test_grid_too_large_for_memory_exits_two(tmp_path):
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
 
 
+def test_a_spacing_too_fine_to_difference_exits_two(tmp_path):
+    # FiberSpec takes any positive finite length, but a spacing of 6e-162
+    # squares to below the smallest normal float: the second differences
+    # would overflow, so the grid is refused before any stencil runs,
+    # and a box given with the immersion is held to the same rule
+    torus = {"profile": "cosh", "chart": "flat-torus", "n": 2}
+    random16 = {"family": "random", "resolution": 16}
+    estimate = [{"op": "curvature-estimate", "order": 1}]
+    err = _assert_one_line_refusal(tmp_path, "scenario", {
+        "ambient": dict(torus, lengths=[1e-160, 1]), "immersion": random16,
+        "operations": estimate})
+    assert "grid spacing 6.25e-162 is too fine" in err, err
+    (tmp_path / "box").mkdir()
+    err = _assert_one_line_refusal(tmp_path / "box", "scenario", {
+        "ambient": torus, "operations": estimate,
+        "immersion": dict(random16, box=[[0.0, 1.0], [0.0, 1e-160]])})
+    assert "grid spacing 6.25e-162 is too fine" in err, err
+
+
 def _assert_one_line_refusal(tmp_path, sub, config, **run_args):
     """The refusal is the only line on stderr, with no numpy or scipy
     RuntimeWarning ahead of it (pytest captures warnings in-process, so

@@ -540,11 +540,22 @@ def test_only_the_memo_evaluates_a_geometry():
     # evaluate the same geometry again
     assert _callers("def f(m):\n    return m._g(1) + _g(2)\n_g(3)", "_g") \
         == ["f", "f", None]
-    package = Path(warpcurv.__file__).parent
-    found = {path.name: _callers(path.read_text(), "_geometry_fields")
-             for path in sorted(package.glob("*.py"))}
-    assert {name: sites for name, sites in found.items() if sites} == {
+    assert _package_callers("_geometry_fields") == {
         "hypersurface.py": ["evaluate_geometry"]}
+
+
+def test_only_the_memo_builds_a_newton_family():
+    # a caller of the uncached body would solve the matrix again
+    assert _package_callers("_newton_arrays") == {
+        "symfun.py": ["newton_family"]}
+
+
+def _package_callers(name):
+    """``_callers`` of ``name`` in each package module that calls it."""
+    package = Path(warpcurv.__file__).parent
+    found = {path.name: _callers(path.read_text(), name)
+             for path in sorted(package.glob("*.py"))}
+    return {module: sites for module, sites in found.items() if sites}
 
 
 def _loaded_names(tree):

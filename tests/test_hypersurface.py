@@ -247,6 +247,21 @@ def test_distance_probe_on_graph():
     assert rep["hessian_max"] <= 5e-3
 
 
+def test_distance_probe_fails_when_rho_is_doctored():
+    # on the true geometry |grad gamma| <= 2 sqrt(gamma)/rho holds; a rho
+    # four times too large shrinks the bound below the gradient norm,
+    # which the inverse metric still measures with the true rho
+    W = make_product("cosh", "flat-torus", 2, 0.0)
+    imm = random_immersion(W, seed=3, t_center=0.2, amplitude=0.1, res=32)
+    geom = evaluate_geometry(imm)
+    honest = extrinsic_gamma_probe(geom, (3.0, 3.0))
+    assert honest["gradient_bound_holds"] and honest["min_margin"] >= -1e-10
+    doctored = extrinsic_gamma_probe(
+        dataclasses.replace(geom, rho=4.0 * geom.rho), (3.0, 3.0))
+    assert not doctored["gradient_bound_holds"]
+    assert doctored["min_margin"] < 0.0
+
+
 def test_empty_audit_region_fails_instead_of_reading_zero():
     # order-4 stencils leave an 8-cell margin on each non-periodic side,
     # which covers all 16 rows of every axis of the space-form chart

@@ -92,9 +92,17 @@ def _curvature_trace_residual(geom, j, w):
         "...i,...i->...", Pa - geom.c[j] * geom.H[..., j, None] * geom.a, w)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_algebraic_routes_on_random_graphs(seed):
-    W = make_product("cosh", "flat-torus", 2, 0.0)
+# the curved fibers give theta_hat_identity's general-fiber route a
+# nonzero beta term, which a flat fiber multiplies by kappa = 0
+@pytest.mark.parametrize("profile,fiber,kappa,seed", [
+    ("cosh", "flat-torus", 0.0, 1),
+    ("cosh", "flat-torus", 0.0, 2),
+    ("cosh", "flat-torus", 0.0, 3),
+    ("exp", "round-sphere", 1.0, 4),
+    ("cosh", "hyperbolic", -1.0, 5),
+], ids=["1", "2", "3", "exp-round-sphere", "cosh-hyperbolic"])
+def test_algebraic_routes_on_random_graphs(profile, fiber, kappa, seed):
+    W = make_product(profile, CHART[fiber], 2, kappa)
     imm = random_immersion(W, seed=seed, t_center=0.4, amplitude=0.15)
     geom = evaluate_geometry(imm)
 
@@ -416,6 +424,26 @@ def test_frak_phi_sign_structure_on_stable_graph():
     assert hyp["rho_prime_min"] > 0.0
     assert hyp["garding_margin"] >= -1e-10
     assert rep["all_terms_nonnegative"], rep["term_minima"]
+
+
+@pytest.mark.parametrize("fiber,kappa,seed,res", [
+    ("flat-torus", 0.0, 7, 16),
+    ("round-sphere", 1.0, 5, 24),
+])
+def test_frak_phi_converges_at_k2_on_a_graph(fiber, kappa, seed, res):
+    # H_2 varies on a graph, so the k >= 2 pairing of P_{k-2} with
+    # grad H_k^{1/k} enters the closed form through curv != 0; a wrong
+    # term leaves an O(1) residual that does not shrink under refinement
+    W = make_product("cosh", CHART[fiber], 2, kappa)
+    imm = random_immersion(W, seed=seed, t_center=0.7, amplitude=0.05,
+                           res=res)
+    geom = evaluate_geometry(imm)
+    curv = kappa / geom.rho ** 2 + geom.dhcal
+    assert np.min(np.abs(curv)) > 0.5
+    cfg = DiscretizationConfig(order=2, refine_levels=3)
+    study = convergence_study(imm, cfg, lambda g: {
+        "four-term": frak_phi(g.imm, 2, geom=g)["residual"].grid})
+    assert study["four-term"]["slope"] >= 1.9, study
 
 
 def test_frak_phi_not_applicable_without_positive_curvature():

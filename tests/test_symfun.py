@@ -299,3 +299,80 @@ def test_spectrum_roundtrip(n, seed):
             others = np.delete(kappas, i)
             expect = esym_enumerated(others, k)
             assert abs(fam.P[k][i, i] - expect) <= 1e-9 * max(1.0, abs(expect))
+
+
+# -- the one-entry memo of newton_family ------------------------------------
+
+@pytest.fixture
+def jacobi_calls(monkeypatch):
+    """Empty the memo and count the Jacobi solves made from here on."""
+    symfun._newton_arrays.cache_clear()
+    calls = []
+    solve = symfun.jacobi_eigenvalues
+
+    def counted(A):
+        calls.append(np.array(A))
+        return solve(A)
+
+    monkeypatch.setattr(symfun, "jacobi_eigenvalues", counted)
+    yield calls
+    symfun._newton_arrays.cache_clear()
+
+
+def test_each_matrix_is_solved_once_across_its_checks(jacobi_calls):
+    A = random_symmetric(np.random.default_rng(2101), 6)
+    assert symfun.trace_and_norm_identities(A)["passed"]
+    fam = symfun.newton_family(A)
+    assert max(symfun.bk_telescope(A, k) for k in range(1, 6)) <= 1e-10
+    assert len(jacobi_calls) == 1
+    assert len(fam.P) == 6 and np.array_equal(fam.A, A)
+
+
+def test_the_memo_holds_one_matrix(jacobi_calls):
+    rng = np.random.default_rng(2102)
+    A, B = random_symmetric(rng, 4), random_symmetric(rng, 4)
+    fa, fb, fa2 = (symfun.newton_family(M) for M in (A, B, A))
+    assert len(jacobi_calls) == 3
+    assert fa.pack == fa2.pack != fb.pack
+    assert all(np.array_equal(p, q) for p, q in zip(fa.P, fa2.P))
+
+
+def test_an_in_place_write_is_a_new_matrix(jacobi_calls):
+    A = random_symmetric(np.random.default_rng(2103), 3)
+    before = symfun.newton_family(A)
+    A[0, 0] += 1.0
+    after = symfun.newton_family(A)
+    assert len(jacobi_calls) == 2
+    assert after.A[0, 0] == before.A[0, 0] + 1.0
+    assert after.pack.S[1] == pytest.approx(before.pack.S[1] + 1.0)
+    assert not np.array_equal(after.P[1], before.P[1])
+
+
+def test_the_family_is_read_only_in_a_fresh_list(jacobi_calls):
+    A = random_symmetric(np.random.default_rng(2104), 4)
+    fam = symfun.newton_family(A)
+    assert A.flags.writeable
+    for arr in [fam.A, *fam.P]:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    fam.P[-1] = fam.P[-1] + 1e-6
+    again = symfun.newton_family(A)
+    assert len(jacobi_calls) == 1
+    assert again.P is not fam.P
+    assert not np.array_equal(again.P[-1], fam.P[-1])
+    assert np.array_equal(again.P[-1], symfun.newton_family(A.copy()).P[-1])
+
+
+@pytest.mark.parametrize("A", [
+    [[1.0, math.nan], [math.nan, 2.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    [[1.0, 1.0], [0.0, 1.0]],
+    np.eye(symfun.MAX_DIM + 1),
+], ids=["nan", "non-square", "asymmetric", "n9"])
+def test_a_refused_matrix_is_refused_again(A, jacobi_calls):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            symfun.newton_family(A)
+    assert jacobi_calls == []
+    assert symfun._newton_arrays.cache_info().currsize == 0
