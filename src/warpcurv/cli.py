@@ -498,10 +498,12 @@ def _gamma_probe(run, op, stem):
     if origin is None:
         origin = [float(ax[0]) for ax in run.imm.axes()]
     out = extrinsic_gamma_probe(run.geom, tuple(float(v) for v in origin))
-    return {"gradient_bound_holds": out["gradient_bound_holds"],
-            "residuals": {"hessian": out["hessian_max"]},
-            "min_margin": out["min_margin"],
-            "status": _holds(out["gradient_bound_holds"])}
+    fields = {"gradient_bound_holds": out["gradient_bound_holds"],
+              "residuals": {"hessian": out["hessian_max"]},
+              "min_margin": out["min_margin"]}
+    if not out["gradient_bound_holds"]:
+        fields["status"] = STATUS_FAIL
+    return fields
 
 
 def _sectional_bound(run, op, stem):

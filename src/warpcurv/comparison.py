@@ -150,7 +150,6 @@ class ComparisonSolution:
     psi: np.ndarray
     dpsi: np.ndarray
     envelope: np.ndarray
-    G: GrowthFunction
     domain: tuple
     report: dict
     _dense: object = field(default=None, repr=False)
@@ -163,10 +162,6 @@ class ComparisonSolution:
 
     def envelope_at(self, t):
         return np.exp(self._dense(np.asarray(t, dtype=float))[3])
-
-    def envelope_log_slope(self, t):
-        """d/dt log envelope = G(t)^{-1/2}."""
-        return 1.0 / np.sqrt(self.G(t))
 
 
 def solve_comparison(G: GrowthFunction, T: float) -> ComparisonSolution:
@@ -252,7 +247,7 @@ def solve_comparison(G: GrowthFunction, T: float) -> ComparisonSolution:
         "envelope_ratio_bound": env_ratio_bound,
     }
     return ComparisonSolution(ts=ts, phi=phi, dphi=dphi, psi=psi, dpsi=dpsi,
-                              envelope=envelope, G=G, domain=(0.0, float(T)),
+                              envelope=envelope, domain=(0.0, float(T)),
                               report=report, _dense=sol.sol)
 
 

@@ -337,14 +337,12 @@ def random_height_function(box, periodic, rng: np.random.Generator,
 class GeometryGrid:
     """All per-node geometric fields of a graph immersion.
 
-    Index conventions: grid axes first, then tensor indices.  ``newton``
-    stacks the frame Newton tensors ``P~_k`` as ``newton[..., k, :, :]``
-    for k = 0..n-1; ``H`` holds H_0..H_n along the last axis.
+    Index conventions: grid axes first, then tensor indices; P~_k is read
+    through ``newton_tensor(k)`` and ``H`` holds H_0..H_n on the last axis.
     """
 
     imm: GraphImmersion
     cfg: DiscretizationConfig
-    x: np.ndarray            # fiber chart mesh (..., n)
     u: np.ndarray
     du: np.ndarray           # chart partials u_i (..., n)
     ghat: np.ndarray
@@ -354,9 +352,8 @@ class GeometryGrid:
     hcal: np.ndarray
     dhcal: np.ndarray
     sigma: np.ndarray
-    g: np.ndarray
     g_inv: np.ndarray
-    L: np.ndarray
+    L: np.ndarray            # Cholesky factor of the metric, g = L L^T
     L_inv: np.ndarray
     sqrt_det_g: np.ndarray
     theta: np.ndarray
@@ -368,7 +365,7 @@ class GeometryGrid:
     kappas: np.ndarray       # ascending principal curvatures (..., n)
     H: np.ndarray            # H_0..H_n (..., n+1)
     c: np.ndarray            # c_0..c_{n-1}
-    newton: np.ndarray       # frame P~ stack (..., n, n, n)
+    newton: np.ndarray       # frame P~_1..P~_{n-1} (..., n-1, n, n)
     christoffel: np.ndarray  # induced-metric symbols, differenced
     interior: np.ndarray     # mask excluding differencing margins
 
@@ -417,6 +414,14 @@ class GeometryGrid:
             flux = self.sqrt_det_g * Y_chart[..., i]
             out += diff(flux, i, self.spacing[i], self.cfg.order)
         return out / self.sqrt_det_g
+
+    def newton_tensor(self, k: int) -> np.ndarray:
+        """Frame P~_k, 0 <= k < n; P~_0 = I is a read-only broadcast."""
+        if not 0 <= k < self.n:
+            raise ValueError(f"Newton index k={k} outside [0, {self.n - 1}]")
+        if k == 0:
+            return np.broadcast_to(np.eye(self.n), self.shape_frame.shape)
+        return self.newton[..., k - 1, :, :]
 
     def H_safe(self, j: int) -> np.ndarray:
         """H_j, with H_j = 0 for j > n."""
@@ -522,12 +527,12 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
     interior = interior_mask(u.shape, imm.periodic, cfg.margin_cells)
 
     fields = dict(
-        x=x, u=u, du=du,
+        u=u, du=du,
         ghat=ghat, gammahat=gammahat,
         rho=rho, drho=drho,
         hcal=np.asarray(data.hcal), dhcal=np.asarray(data.dhcal),
         sigma=np.asarray(data.sigma),
-        g=g, g_inv=g_inv, L=L, L_inv=L_inv, sqrt_det_g=sqrt_det_g,
+        g_inv=g_inv, L=L, L_inv=L_inv, sqrt_det_g=sqrt_det_g,
         theta=theta, normal=normal,
         a=a, grad_h_chart=grad_h_chart,
         II=II, shape_frame=shape_frame, kappas=kappas,
@@ -567,7 +572,8 @@ def structure_identities(geom: GeometryGrid) -> dict:
 
     hess_fd = geom.hess_covariant(geom.u)
     outer = geom.du[..., :, None] * geom.du[..., None, :]
-    hess_closed = geom.hcal[..., None, None] * (geom.g - outer) \
+    g = outer + (geom.rho * geom.rho)[..., None, None] * geom.ghat
+    hess_closed = geom.hcal[..., None, None] * (g - outer) \
         + geom.theta[..., None, None] * geom.II
     hh = hess_fd - hess_closed
     out["height-hessian"] = {"grid": hh, "max": masked_max(hh, mask)}
@@ -597,7 +603,7 @@ def extrinsic_gamma_probe(geom: GeometryGrid, origin) -> dict:
     covariantly differenced with the induced-metric symbols).
     """
     fiber = geom.imm.W.fiber
-    gamma, dgamma, hessP, window = fiber.gamma_hat_data(geom.x, origin)
+    gamma, dgamma, hessP, window = fiber.gamma_hat_data(geom.imm.mesh(), origin)
     mask = geom.interior & window
 
     grad_frame = np.einsum("...ij,...j->...i", geom.L_inv, dgamma)
@@ -641,19 +647,22 @@ def sectional_bound_report(geom: GeometryGrid) -> dict:
     with a_i = <E_i, grad h>.  The report asserts the chain
     K_Sigma >= K_amb - 2|A|^2 and the fiber-term bound
     (kappa/rho^2) wedge >= -|kappa|/rho^2 pointwise, and returns the
-    realized global lower bounds.
+    realized global lower bounds: NaN minima and no bound held on a grid
+    with no audited node, where holding would be vacuous.
     """
     n = geom.n
     kappa = geom.imm.W.fiber.kappa
-    mask = geom.interior
+    m = geom.interior
+    if not m.any():
+        return {"sectional_min": math.nan, "ambient_min": math.nan,
+                "chain_holds": False, "fiber_bound_holds": False}
     tol = 1e-10
     a2 = geom.a ** 2
     rho2 = geom.rho ** 2
     norm_A_sq = np.einsum("...ij,...ij->...", geom.shape_frame, geom.shape_frame)
 
     sigma_mins, amb_mins = [], []
-    chain_ok = True
-    fiber_ok = True
+    chain_ok = fiber_ok = True
     for i in range(n):
         for j in range(i + 1, n):
             wedge = 1.0 - a2[..., i] - a2[..., j]
@@ -662,7 +671,6 @@ def sectional_bound_report(geom: GeometryGrid) -> dict:
                 - geom.dhcal * (a2[..., i] + a2[..., j])
             k_sig = k_amb + geom.shape_frame[..., i, i] * geom.shape_frame[..., j, j] \
                 - geom.shape_frame[..., i, j] ** 2
-            m = mask
             sigma_mins.append(np.min(k_sig[m]))
             amb_mins.append(np.min(k_amb[m]))
             chain_ok &= bool(np.all(k_sig[m] >= (k_amb - 2.0 * norm_A_sq)[m] - tol))

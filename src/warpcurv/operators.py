@@ -68,9 +68,8 @@ def _frame_quadratic(P: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def lk_apply(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
     """L_k f = Tr(P_k Hess f), covariant Hessian by differencing."""
-    _check_k(geom, k)
     Hf = geom.form_to_frame(geom.hess_covariant(np.asarray(f, dtype=float)))
-    return trace_product(geom.newton[..., k, :, :], Hf)
+    return trace_product(geom.newton_tensor(k), Hf)
 
 
 def laplace_beltrami(geom: GeometryGrid, f: np.ndarray) -> np.ndarray:
@@ -84,7 +83,6 @@ def laplace_beltrami(geom: GeometryGrid, f: np.ndarray) -> np.ndarray:
 
 def frak_apply(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
     """Divergence-form operator div(P_k grad f), differenced."""
-    _check_k(geom, k)
     P_chart = chart_mixed_newton(geom, k)
     Y = matvec(P_chart, geom.grad_chart(np.asarray(f, dtype=float)))
     return geom.divergence(Y)
@@ -93,7 +91,7 @@ def frak_apply(geom: GeometryGrid, k: int, f: np.ndarray) -> np.ndarray:
 def chart_mixed_newton(geom: GeometryGrid, k: int) -> np.ndarray:
     """P_k as a chart-mixed (1,1) tensor: L^-T P~_k L^T."""
     return matmul(matmul(np.swapaxes(geom.L_inv, -1, -2),
-                         geom.newton[..., k, :, :]),
+                         geom.newton_tensor(k)),
                   np.swapaxes(geom.L, -1, -2))
 
 
@@ -142,9 +140,8 @@ def height_sigma_identities(imm: GraphImmersion, k: int,
     rounding.
     """
     geom = _require_geom(imm, cfg, geom)
-    _check_k(geom, k)
     mask = geom.interior
-    P = geom.newton[..., k, :, :]
+    P = geom.newton_tensor(k)
     ck = geom.c[k]
     quad = _frame_quadratic(P, geom.a, geom.a)
     rhs_h = geom.hcal * (ck * geom.H[..., k] - quad) \
@@ -209,7 +206,7 @@ def _curvature_covectors(geom: GeometryGrid, k: int) -> np.ndarray:
     C = np.zeros((k, n) + geom.u.shape)
     for i in range(n):
         # P_j E_i in ambient components
-        P_amb = [_frame_to_ambient(geom, geom.newton[..., j, :, i])
+        P_amb = [_frame_to_ambient(geom, geom.newton_tensor(j)[..., :, i])
                  for j in range(k)]
         for a in range(n):
             R = curvature_tensor_components(
@@ -286,7 +283,7 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     div_form = _direct_divergence(geom, k)
     kappa = geom.imm.W.fiber.kappa
     coef = geom.theta * (kappa / geom.rho ** 2 + geom.dhcal)
-    Pkm1 = geom.newton[..., k - 1, :, :]
+    Pkm1 = geom.newton_tensor(k - 1)
 
     a, b = np.empty((2, len(vecs)) + geom.u.shape)
     for a_w, b_w, w in zip(a, b, vecs):
@@ -307,14 +304,13 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
 
 def _calligraphic_grid(geom: GeometryGrid, k: int) -> np.ndarray:
     """The degree-(k-1) calligraphic tensor on the grid (frame)."""
-    n = geom.n
     m = k - 1
     cm = geom.c[m]
     out = np.zeros(geom.shape_frame.shape)
     for j in range(m + 1):
         coef = ((-1.0) ** j * (cm / geom.c[j])
                 * geom.hcal ** (m - j) * geom.theta ** j)
-        out += coef[..., None, None] * geom.newton[..., j, :, :]
+        out += coef[..., None, None] * geom.newton_tensor(j)
     return out
 
 
@@ -382,7 +378,6 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
       must agree with the constant-curvature form algebraically.
     """
     geom = _require_geom(imm, cfg, geom)
-    _check_k(geom, k)
     mask = geom.interior
     n = geom.n
     kappa = geom.imm.W.fiber.kappa
@@ -393,7 +388,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
     ggrid = grad_fd - grad_closed
     gradient_residual = IdentityResidual(ggrid, masked_max(ggrid, mask))
 
-    P = geom.newton[..., k, :, :]
+    P = geom.newton_tensor(k)
     ck = geom.c[k]
     bin_k1 = math.comb(n, k + 1)
     Hk, Hk1, Hk2 = geom.H[..., k], geom.H_safe(k + 1), geom.H_safe(k + 2)
@@ -475,9 +470,9 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     cm = geom.c[k - 1]
     bin_k = math.comb(n, k)
     curv = kappa / geom.rho ** 2 + geom.dhcal
-    quad_km1 = _frame_quadratic(geom.newton[..., k - 1, :, :], geom.a, geom.a)
+    quad_km1 = _frame_quadratic(geom.newton_tensor(k - 1), geom.a, geom.a)
     if k >= 2:
-        quad_km2 = _frame_quadratic(geom.newton[..., k - 2, :, :], geom.a, geom.a)
+        quad_km2 = _frame_quadratic(geom.newton_tensor(k - 2), geom.a, geom.a)
     else:
         quad_km2 = np.zeros(geom.u.shape)
 
@@ -493,11 +488,11 @@ def frak_phi(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
     pair_Hk = dot(geom.a, grad_Hk)
     lk_psi = lk_apply(geom, k - 1, psi)
     div_pairing = -(n - k + 1) * geom.theta * curv * (
-        _frame_quadratic(geom.newton[..., k - 2, :, :], geom.a, grad_psi)
+        _frame_quadratic(geom.newton_tensor(k - 2), geom.a, grad_psi)
         if k >= 2 else np.zeros(geom.u.shape))
     frak_psi = div_pairing + lk_psi
     cross = 2.0 * geom.rho * _frame_quadratic(
-        geom.newton[..., k - 1, :, :], grad_psi, geom.a)
+        geom.newton_tensor(k - 1), grad_psi, geom.a)
     variable_correction = -bin_k * geom.rho * pair_Hk \
         + geom.sigma * frak_psi + cross
 

@@ -272,17 +272,16 @@ def h_from_s(S: np.ndarray) -> np.ndarray:
 
 
 def newton_family_batch(A: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Stack P_0..P_{n-1}; input A shape (..., n, n), output (..., n, n, n).
-
-    The stack is indexed ``P[..., k, :, :]``.
+    """Stack P_1..P_{n-1} as ``P[..., k-1, :, :]``, P_0 = I left out;
+    input A shape (..., n, n), output (..., n-1, n, n).
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
     eye = np.eye(n)
-    P = np.zeros(A.shape[:-2] + (n, n, n))
-    P[..., 0, :, :] = eye
+    P = np.empty(A.shape[:-2] + (n - 1, n, n))
     for k in range(1, n):
-        P[..., k, :, :] = S[..., k, None, None] * eye - A @ P[..., k - 1, :, :]
+        prev = P[..., k - 2, :, :] if k > 1 else eye
+        P[..., k - 1, :, :] = S[..., k, None, None] * eye - A @ prev
     return P
 
 

@@ -833,6 +833,25 @@ def test_reruns_are_byte_identical(tmp_path, argv_cfg):
         assert ta[name] == tb[name], f"{name} differs between reruns"
 
 
+def test_gamma_probe_gates_its_hessian_residual(tmp_path):
+    # a held gradient bound leaves the verdict to the residual gate
+    config = {"ambient": {"profile": "exp", "chart": "flat-torus", "n": 2},
+              "immersion": {"family": "random", "resolution": 20,
+                            "amplitude": 0.15},
+              "seed": 7}
+    for tol, rc, status in ((1e-12, 1, "fail"), (1e-2, 0, "pass")):
+        cfg = _write_config(tmp_path / f"{tol}.json", dict(
+            config, operations=[{"op": "gamma-probe", "tol": tol}]))
+        out = tmp_path / f"out-{tol}"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == rc
+        entry = _read_json(out, "verify-00-gamma-probe.json")
+        assert entry["gradient_bound_holds"], entry
+        assert entry["residuals"]["hessian"] > 1e-12 and \
+            entry["status"] == status
+        failed = _read_json(out, "verify-summary.json")["failed"]
+        assert failed == (["gamma-probe"] if rc else [])
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", {
         "ambient": {"profile": "exp", "chart": "flat-torus", "n": 2},

@@ -157,8 +157,8 @@ def test_g_inv_and_a(geom):
     def a(L_inv):
         return np.einsum("...ij,...j->...i", L_inv, geom.du)
     assert _agree(geom.g_inv, g_inv(geom.L_inv))
-    assert _agree(geom.g_inv @ geom.g, np.broadcast_to(np.eye(geom.n),
-                                                       geom.g.shape))
+    g = geom.L @ _t(geom.L)
+    assert _agree(geom.g_inv @ g, np.broadcast_to(np.eye(geom.n), g.shape))
     assert _agree(geom.a, a(geom.L_inv))
     assert not _agree(geom.g_inv, g_inv(_t(geom.L_inv)))
     assert not _agree(geom.a, a(_t(geom.L_inv)))
@@ -266,7 +266,9 @@ def test_shape_frame(geom):
 
 
 def test_christoffel(geom):
-    dg = np.stack([diff(geom.g, i, geom.spacing[i], geom.cfg.order)
+    g = geom.du[..., :, None] * geom.du[..., None, :] \
+        + (geom.rho * geom.rho)[..., None, None] * geom.ghat
+    dg = np.stack([diff(g, i, geom.spacing[i], geom.cfg.order)
                    for i in range(geom.n)], axis=-3)
 
     def oracle(dg):
@@ -280,18 +282,18 @@ def test_christoffel(geom):
 def test_chart_mixed_newton(geom):
     for k in range(geom.n):
         old = np.einsum("...ji,...jk,...lk->...il",
-                        geom.L_inv, geom.newton[..., k, :, :], geom.L)
+                        geom.L_inv, geom.newton_tensor(k), geom.L)
         assert _agree(operators.chart_mixed_newton(geom, k), old)
     flipped = dataclasses.replace(geom, L=_t(geom.L))
     assert not _agree(operators.chart_mixed_newton(flipped, 1), np.einsum(
-        "...ji,...jk,...lk->...il", geom.L_inv, geom.newton[..., 1, :, :],
+        "...ji,...jk,...lk->...il", geom.L_inv, geom.newton_tensor(1),
         geom.L))
 
 
 def test_frame_quadratic(geom):
     M, strided, v, w = _stacks(geom, 2)
     unit = np.broadcast_to(np.eye(geom.n)[0], v.shape)
-    for P in (M, strided, geom.newton[..., geom.n - 1, :, :]):
+    for P in (M, strided, geom.newton_tensor(geom.n - 1)):
         for x, y in ((v, w), (geom.a, unit), (unit, geom.a)):
             old = np.einsum("...i,...ij,...j->...", x, P, y)
             assert _agree(operators._frame_quadratic(P, x, y), old)
@@ -395,7 +397,7 @@ def test_point_curvature_is_the_one_node_grid_kernel(chart, kappa, n):
 
 def test_theta_from_du_hat_sq(geom):
     # theta = -1/W with W^2 = 1 + |du|^2_ghat / rho^2 (orientation +1)
-    ghat_inv = geom.imm.W.fiber.inverse_metric(geom.x)
+    ghat_inv = geom.imm.W.fiber.inverse_metric(geom.imm.mesh())
     du_hat_sq = np.einsum("...ij,...i,...j->...", ghat_inv, geom.du, geom.du)
     # every operand here is symmetric or a vector: no transposed variant
     assert _agree(geom.theta, -1.0 / np.sqrt(1.0 + du_hat_sq / geom.rho ** 2))
@@ -409,7 +411,7 @@ def test_eigen_frame_diagonal(geom):
     kappa, fiber.kappa = fiber.kappa, 0.5
     try:
         k = 1
-        P = geom.newton[..., k, :, :]
+        P = geom.newton_tensor(k)
         evecs = np.linalg.eigh(geom.shape_frame)[1]
         norm_grad_sq = 1.0 - geom.theta ** 2
 

@@ -169,9 +169,11 @@ def test_metric_factorization_consistency():
     W = make_product("cosh", "space-form", 2, 1.0)
     imm = random_immersion(W, seed=4, t_center=0.5, amplitude=0.1)
     geom = evaluate_geometry(imm)
+    g = geom.du[..., :, None] * geom.du[..., None, :] \
+        + (geom.rho * geom.rho)[..., None, None] * geom.ghat
     reassembled = np.einsum("...ik,...jk->...ij", geom.L, geom.L)
-    assert np.max(np.abs(reassembled - geom.g)) <= 1e-12
-    prod = np.einsum("...ij,...jk->...ik", geom.g_inv, geom.g)
+    assert np.max(np.abs(reassembled - g)) <= 1e-12
+    prod = np.einsum("...ij,...jk->...ik", geom.g_inv, g)
     assert np.max(np.abs(prod - np.eye(2))) <= 1e-10
     assert np.max(np.abs(geom.theta ** 2
                          + np.einsum("...i,...i->...", geom.a, geom.a) - 1.0)) <= 1e-12
@@ -187,11 +189,47 @@ def test_point_route_matches_batched_fields():
         P = symfun.newton_family(geom.shape_frame[idx]).P
         assert np.max(np.abs(kappas - geom.kappas[idx])) <= 1e-10
         for k in range(2):
-            assert np.max(np.abs(P[k] - geom.newton[idx][k])) <= 1e-10
+            assert np.max(np.abs(P[k] - geom.newton_tensor(k)[idx])) <= 1e-10
         # chart-mixed shape operator has the same spectrum as the frame one
         A_chart = geom.g_inv[idx] @ geom.II[idx]
         chart_eigs = np.sort(np.linalg.eigvals(A_chart).real)
         assert np.max(np.abs(chart_eigs - kappas)) <= 1e-9
+
+
+def test_newton_tensor_shares_the_identity_and_reads_the_stack():
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    geom = evaluate_geometry(random_immersion(W, seed=5, t_center=0.6,
+                                              amplitude=0.15, res=12))
+    n = geom.n
+    assert geom.newton.shape == geom.u.shape + (n - 1, n, n)
+    # P~_0 = I is one n x n identity, viewed at every node with stride 0
+    P0 = geom.newton_tensor(0)
+    assert P0.shape == geom.shape_frame.shape
+    assert P0.strides[:n] == (0,) * n and not P0.flags.writeable
+    assert np.array_equal(P0, np.broadcast_to(np.eye(n), P0.shape))
+    for idx in [(0, 0, 0), (3, 7, 11), (11, 2, 5)]:
+        P = symfun.newton_family(geom.shape_frame[idx]).P
+        for k in range(1, n):
+            assert np.max(np.abs(geom.newton_tensor(k)[idx] - P[k])) <= 1e-10
+    # a negative index would silently read P~_{n-1} off the stack
+    for k in (-1, n):
+        with pytest.raises(ValueError, match=f"k={k} outside"):
+            geom.newton_tensor(k)
+
+
+def test_geometry_holds_each_buffer_once():
+    # every distinct buffer once, views followed to their owner: 24^3 nodes
+    # at n = 3 hold no P~_0, no metric g beside L, and no copy of the mesh
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    geom = evaluate_geometry(random_immersion(W, seed=100, t_center=0.7,
+                                              res=24))
+    owners = {}
+    for value in _array_fields(geom).values():
+        while isinstance(value.base, np.ndarray):
+            value = value.base
+        owners[id(value)] = value.nbytes
+    assert sum(owners.values()) == 13_063_992
+    assert not {"g", "x"} & set(_array_fields(geom))
 
 
 def test_refinement_shapes():
@@ -275,6 +313,9 @@ def test_empty_audit_region_fails_instead_of_reading_zero():
     rep = extrinsic_gamma_probe(geom, (0.1, -0.15))
     assert not rep["gradient_bound_holds"]
     assert math.isnan(rep["min_margin"]) and math.isnan(rep["hessian_max"])
+    sec = sectional_bound_report(geom)
+    assert math.isnan(sec["sectional_min"]) and math.isnan(sec["ambient_min"])
+    assert not sec["chain_holds"] and not sec["fiber_bound_holds"]
     with pytest.raises(NotApplicableError, match="no audited node"):
         calligraphic_ops(imm, 2, geom=geom)
     with pytest.raises(NotApplicableError, match="no audited node"):
@@ -483,7 +524,7 @@ def test_immersion_and_its_geometry_are_read_only():
     with pytest.raises(dataclasses.FrozenInstanceError):
         imm.orientation = -1
     fields = _array_fields(evaluate_geometry(imm))
-    assert len(fields) == 27
+    assert len(fields) == 25
     for name, value in fields.items():
         with pytest.raises(ValueError, match="read-only"):
             value[...] = 0

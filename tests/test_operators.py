@@ -72,7 +72,7 @@ def _curvature_trace_residual(geom, j, w):
     for Y = w in frame components: one kernel call per frame vector E_i,
     paired with P_j E_i in the ambient metric."""
     kappa = geom.imm.W.fiber.kappa
-    P = geom.newton[..., j, :, :]
+    P = geom.newton_tensor(j)
 
     def amb(v):
         return geom.ambient_components(geom.frame_vector_to_chart(v))
@@ -236,7 +236,7 @@ def _per_vector_curvature_route(geom, k):
     to_amb = operators._frame_to_ambient
     frame_amb = [to_amb(geom, np.broadcast_to(eye[i], geom.a.shape))
                  for i in range(n)]
-    P_amb = [[to_amb(geom, geom.newton[..., j, :, i]) for i in range(n)]
+    P_amb = [[to_amb(geom, geom.newton_tensor(j)[..., :, i]) for i in range(n)]
              for j in range(k)]
     out = []
     for w in operators.default_test_vectors(geom):
@@ -344,7 +344,8 @@ def test_operator_flip_parity():
     minus_imm = random_immersion(W, seed=6, t_center=0.5, amplitude=0.1,
                                  orientation=-1)
     minus = evaluate_geometry(minus_imm)
-    f = np.sin(plus.x[..., 0]) + np.cos(plus.x[..., 1])
+    x = plus.imm.mesh()
+    f = np.sin(x[..., 0]) + np.cos(x[..., 1])
     for k in range(2):
         a = lk_apply(plus, k, f)
         b = lk_apply(minus, k, f)
@@ -362,7 +363,7 @@ def test_normalized_newton_trace_is_ck():
     for k in range(3):
         Hk = geom.H[..., k]
         assert np.min(Hk) > 0.0, k
-        trace = np.trace(geom.newton[..., k, :, :], axis1=-2, axis2=-1)
+        trace = np.trace(geom.newton_tensor(k), axis1=-2, axis2=-1)
         assert np.max(np.abs(trace / Hk - geom.c[k])) <= 1e-12 * geom.c[k]
 
 
@@ -390,7 +391,7 @@ def test_frak_matches_laplacian_at_order_zero():
     W = make_product("cosh", "flat-torus", 2, 0.0)
     imm = random_immersion(W, seed=4, t_center=0.5, amplitude=0.12)
     geom = evaluate_geometry(imm)
-    f = np.sin(geom.x[..., 0])
+    f = np.sin(geom.imm.mesh()[..., 0])
     a = frak_apply(geom, 0, f)
     b = laplace_beltrami(geom, f)
     assert np.max(np.abs(a - b)) <= 1e-12
@@ -404,7 +405,8 @@ def test_trace_vs_divergence_routes_converge():
     imm = random_immersion(W, seed=13, t_center=0.4, amplitude=0.12, res=32)
 
     def residual(geom):
-        f = np.sin(geom.x[..., 0]) + 0.5 * np.cos(geom.x[..., 1])
+        x = geom.imm.mesh()
+        f = np.sin(x[..., 0]) + 0.5 * np.cos(x[..., 1])
         return {"trace-vs-divergence": lk_apply(geom, 0, f)
                 - laplace_beltrami(geom, f)}
 

@@ -244,16 +244,19 @@ def test_newton_batch_matches_scalar():
     kappas = np.linalg.eigvalsh(A)
     S = symfun.elementary_symmetric_batch(kappas)
     P = symfun.newton_family_batch(A, S)
+    # P_0 = I is not stored: the stack holds P_1..P_{n-1}
+    assert P.shape == (5, 2, 3, 3)
     for i in range(5):
         fam = symfun.newton_family(A[i])
-        for k in range(3):
-            assert np.max(np.abs(P[i, k] - fam.P[k])) <= 1e-10
+        for k in range(1, 3):
+            assert np.max(np.abs(P[i, k - 1] - fam.P[k])) <= 1e-10
 
 
 @pytest.mark.parametrize("n", range(2, symfun.MAX_DIM + 1))
 def test_newton_spectrum_matches_the_newton_stack(n):
     # sorted per tensor, the closed form S_j(kappas without kappa_i) must
-    # equal eigvalsh of P_j to 1e-13 of max(1, max|kappa|)^j
+    # equal eigvalsh of P_j to 1e-13 of max(1, max|kappa|)^j; the stack
+    # starts at P_1, and P_0 = I has every eigenvalue 1
     rng = np.random.default_rng(500 + n)
     Q = np.linalg.qr(rng.normal(size=(20, n, n)))[0]
     repeated = Q @ (np.r_[np.ones(n - 1), 2.0][:, None]
@@ -268,9 +271,10 @@ def test_newton_spectrum_matches_the_newton_stack(n):
         S = symfun.elementary_symmetric_batch(kappas)
         expect = np.linalg.eigvalsh(symfun.newton_family_batch(A, S))
         got = np.sort(symfun.newton_spectrum_batch(kappas), axis=-1)
+        assert np.all(got[:, 0] == 1.0)
         top = np.maximum(1.0, np.max(np.abs(kappas), axis=-1))
-        tol = 1e-13 * top[:, None, None] ** np.arange(n)[:, None]
-        assert np.all(np.abs(got - expect) <= tol)
+        tol = 1e-13 * top[:, None, None] ** np.arange(1, n)[:, None]
+        assert np.all(np.abs(got[:, 1:] - expect) <= tol)
 
 
 def test_newton_spectrum_carries_nan():
