@@ -506,6 +506,11 @@ def _gamma_probe(run, op, stem):
     return fields
 
 
+def _check_frame_pair(op, fiber):
+    if fiber.n < 2:
+        raise ConfigError(f"{op['op']}: n={fiber.n} has no frame pair")
+
+
 def _sectional_bound(run, op, stem):
     out = sectional_bound_report(run.geom)
     return {"sectional_min": out["sectional_min"],
@@ -546,7 +551,7 @@ VERIFY_OPS = {
        for name, (suite, check, _) in _SUITES.items()},
     "laplacian-cross-check": (_laplacian_cross_check, None, ()),
     "gamma-probe": (_gamma_probe, _check_origin, ("origin",)),
-    "sectional-bound": (_sectional_bound, None, ()),
+    "sectional-bound": (_sectional_bound, _check_frame_pair, ()),
     "convergence": (_convergence, _check_convergence, ("identity",)),
 }
 

@@ -516,13 +516,21 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
     c = np.array([symfun.trace_coefficient(n, k) for k in range(n)], dtype=float)
     newton = symfun.newton_family_batch(shape_frame, S)
 
-    dg = np.stack([diff(g, axis_i, spacing[axis_i], cfg.order) for axis_i in range(n)],
-                  axis=-3)
-    # first kind [l, i, j] = (d_i g_lj + d_j g_il - d_l g_ij) / 2, raised once
-    first = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
-    del dg   # the product below allocates next; keep the peak down
-    christoffel = matmul(g_inv, first.reshape(u.shape + (n, n * n))
-                         ).reshape(first.shape)
+    # first kind [l, ij] = (d_i g_lj + d_j g_il - d_l g_ij) / 2, raised; g
+    # is symmetric bit for bit, so d_m g_ij and [l, ij] are too: only
+    # i <= j is differenced and raised, summing over l as matvec does
+    iu = np.triu_indices(n)
+    g_upper = np.ascontiguousarray(components(g, 2)[iu])
+    dg = np.empty((n, n, n) + u.shape)   # dg[i, j, m] = d_m g_ij
+    for m, h in enumerate(spacing):
+        d_m = diff(g_upper, m + 1, h, cfg.order)
+        dg[iu[0], iu[1], m] = dg[iu[1], iu[0], m] = d_m
+    christoffel = np.empty(dg.shape)
+    for i, j in zip(*iu):
+        first = 0.5 * (dg[:, j, i] + dg[i, :, j] - dg[i, j])
+        christoffel[:, i, j] = christoffel[:, j, i] = components(
+            matvec(g_inv, np.moveaxis(first, 0, -1)))
+    christoffel = np.moveaxis(christoffel, (0, 1, 2), (-3, -2, -1))
 
     interior = interior_mask(u.shape, imm.periodic, cfg.margin_cells)
 
@@ -647,13 +655,14 @@ def sectional_bound_report(geom: GeometryGrid) -> dict:
     with a_i = <E_i, grad h>.  The report asserts the chain
     K_Sigma >= K_amb - 2|A|^2 and the fiber-term bound
     (kappa/rho^2) wedge >= -|kappa|/rho^2 pointwise, and returns the
-    realized global lower bounds: NaN minima and no bound held on a grid
-    with no audited node, where holding would be vacuous.
+    realized global lower bounds: NaN minima and no bound held at n = 1,
+    which has no frame pair, or on a grid with no audited node, where
+    holding would be vacuous.
     """
     n = geom.n
     kappa = geom.imm.W.fiber.kappa
     m = geom.interior
-    if not m.any():
+    if n < 2 or not m.any():
         return {"sectional_min": math.nan, "ambient_min": math.nan,
                 "chain_holds": False, "fiber_bound_holds": False}
     tol = 1e-10

@@ -469,7 +469,11 @@ def test_config_errors_exit_two(tmp_path, capsys):
              "box reaches |x| sqrt(-kappa) = 1 >= 1"),
             ("ball-origin", {"ambient": ball, "operations": [
                 {"op": "gamma-probe", "origin": [0.6, -0.8]}]},
-             "gamma-probe origin reaches")):
+             "gamma-probe origin reaches"),
+            # a sectional bound over no frame pair would pass vacuously
+            ("sectional-n1", {"ambient": dict(torus, n=1), "operations": [
+                {"op": "sectional-bound"}]},
+             "sectional-bound: n=1 has no frame pair")):
         config = {"immersion": slice12, "operations": structure, **config}
         cfg = _write_config(tmp_path / f"{name}.json", config)
         fresh = tmp_path / f"out-{name}"

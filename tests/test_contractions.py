@@ -277,6 +277,12 @@ def test_christoffel(geom):
                       - np.einsum("...kl,...lij->...kij", geom.g_inv, dg))
     assert _agree(geom.christoffel, oracle(dg))
     assert not _agree(geom.christoffel, oracle(np.swapaxes(dg, -3, -2)))
+    # the stacked form: every (l, i, j) of the first kind differenced and
+    # combined, then raised by one matmul; differencing and raising only
+    # i <= j must reproduce it bit for bit
+    first = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
+    stacked = matmul(geom.g_inv, first.reshape(geom.u.shape + (geom.n, -1)))
+    assert np.array_equal(geom.christoffel, stacked.reshape(first.shape))
 
 
 def test_chart_mixed_newton(geom):
@@ -370,6 +376,30 @@ def test_component_major_kernel_is_bit_identical_on_fiber_metrics(chart,
     fib = np.einsum("...i,...ij,...j->...", U[..., 1:], geom.ghat, V[..., 1:])
     assert np.array_equal(operators._ambient_inner(geom, U, V),
                           U[..., 0] * V[..., 0] + geom.rho ** 2 * fib)
+
+
+@pytest.mark.parametrize("chart,kappa", [("flat-torus", 0.0),
+                                         ("space-form", 1.0),
+                                         ("space-form", -1.0)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernel_and_christoffel_symmetries_hold_bit_for_bit(chart, kappa, n):
+    # route (c) evaluates the kernel for frame pairs i < a only and
+    # subtracts its pairing for the pair (a, i), and the Christoffel
+    # symbols are formed for i <= j only: both rest on these symmetries
+    # holding exactly
+    W = make_product("cosh", chart, n, kappa)
+    geom = evaluate_geometry(random_immersion(
+        W, seed=n, t_center=0.7, amplitude=0.1, res=8))
+    U, V = np.random.default_rng(n).normal(size=(2,) + geom.u.shape + (n + 1,))
+    frame = [geom.ambient_components(geom.L_inv[..., i, :]) for i in range(2)]
+    args = (kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat)
+    for X, Y, Z in ((U, V, geom.normal), (*frame, geom.normal), (U, V, U)):
+        R = curvature_tensor_components(*args, X, Y, Z)
+        assert np.array_equal(curvature_tensor_components(*args, Y, X, Z), -R)
+        assert not np.any(curvature_tensor_components(*args, X, X, Z))
+        assert np.array_equal(operators._ambient_inner(geom, -R, V),
+                              -operators._ambient_inner(geom, R, V))
+    assert np.array_equal(geom.christoffel, _t(geom.christoffel))
 
 
 @pytest.mark.parametrize("chart,kappa", [("flat-torus", 0.0),

@@ -322,6 +322,17 @@ def test_empty_audit_region_fails_instead_of_reading_zero():
         frak_phi(imm, 1, geom=geom)
 
 
+def test_sectional_report_holds_nothing_without_a_frame_pair():
+    # n = 1 has audited nodes but no frame pair: no plane was checked, so
+    # no bound holds (the minima would read inf, and pass, over no pair)
+    W = make_product("cosh", "flat-torus", 1, 0.0)
+    geom = evaluate_geometry(random_immersion(W, seed=3, res=16))
+    assert geom.interior.any()
+    sec = sectional_bound_report(geom)
+    assert math.isnan(sec["sectional_min"]) and math.isnan(sec["ambient_min"])
+    assert not sec["chain_holds"] and not sec["fiber_bound_holds"]
+
+
 def test_sectional_report_on_exponential_slice():
     # slice of the exp product over a flat fiber is intrinsically flat
     W = make_product("exp", "flat-torus", 2, 0.0)

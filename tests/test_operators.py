@@ -9,12 +9,13 @@ elsewhere.
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from helpers import CHART, make_product, random_immersion, slice_immersion
-from warpcurv import ambient, operators, symfun
+from warpcurv import ambient, cli, operators, symfun
 from warpcurv.hypersurface import (DiscretizationConfig, GraphImmersion,
                                    evaluate_geometry, structure_identities)
 from warpcurv.operators import (
@@ -282,10 +283,12 @@ def test_curvature_route_matches_the_per_vector_loop(profile, chart, kappa,
 
 @pytest.mark.parametrize("chart,kappa,n", [("flat-torus", 0.0, 3),
                                            ("space-form", -1.0, 4)])
-def test_curvature_route_calls_the_kernel_once_per_frame_pair(
+def test_curvature_route_calls_the_kernel_once_per_pair_i_below_a(
         monkeypatch, chart, kappa, n):
-    # n^2 kernel calls per div_pk for every k: a return to one call per
-    # (test vector, power, frame index) would make (n+1) k n of them
+    # n(n-1)/2 kernel calls per div_pk for every k: R(E_a, E_i) N is read
+    # as -R(E_i, E_a) N and R(E_i, E_i) N = 0 is skipped; one call per
+    # ordered pair would make n^2, and one per (test vector, power, frame
+    # index) (n+1) k n
     kernel = operators.curvature_tensor_components
     calls = []
 
@@ -300,7 +303,31 @@ def test_curvature_route_calls_the_kernel_once_per_frame_pair(
     for k in range(1, n):
         calls.clear()
         div_pk(imm, k, geom=geom)
-        assert len(calls) == n * n, k
+        assert len(calls) == n * (n - 1) // 2, k
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_nan_hcal_reaches_route_c_and_fails_div_newton(tmp_path, k):
+    # route (c) reads hcal after the geometry is built, routes (a) and (b)
+    # do not: one NaN node must reach residual_ac and residual_bc through
+    # the frame pairs i < a, the skipped pairs i = a notwithstanding, and
+    # fail the verify entry at a tolerance the clean geometry passes
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    imm = random_immersion(W, seed=3, t_center=0.6, amplitude=0.1, res=12)
+    geom = evaluate_geometry(imm)
+    hcal = geom.hcal.copy()
+    hcal[2, 3, 4] = np.nan
+    assert geom.interior[2, 3, 4]
+    doctored = dataclasses.replace(geom, hcal=hcal)
+    out = div_pk(imm, k, geom=doctored)
+    assert math.isfinite(out["residual_ab"].max)
+    assert math.isnan(out["residual_ac"].max)
+    assert math.isnan(out["residual_bc"].max)
+    for g, status in ((geom, cli.STATUS_PASS), (doctored, cli.STATUS_FAIL)):
+        entry = {"op": "div-newton", "k": k, "tol": 1.0}
+        cli._run_operations("verify", [dict(entry)], [entry], cli.VERIFY_OPS,
+                            SimpleNamespace(imm=imm, geom=g), str(tmp_path))
+        assert entry["status"] == status
 
 
 @pytest.mark.parametrize("profile,chart,kappa", ROUTE_C_AMBIENTS[1:])
