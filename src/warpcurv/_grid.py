@@ -1,8 +1,9 @@
 """Finite-difference stencils and refinement utilities on uniform grids.
 
-All stencils are central differences that wrap periodically via
-``numpy.roll``.  On non-periodic axes the wrapped values are garbage; the
-geometry modules exclude a margin of cells from every audit (see
+All stencils are central differences that wrap periodically: each shift
+is a view of one wrap-padded copy of the field, holding what ``numpy.roll``
+would.  On non-periodic axes the wrapped values are garbage; the geometry
+modules exclude a margin of cells from every audit (see
 ``interior_mask``), sized so that nested differencing never contaminates
 the audited region.
 """
@@ -24,26 +25,32 @@ def stencil_radius(order: int) -> int:
         raise ValueError(f"unsupported stencil order {order!r}; use 2 or 4")
 
 
+def _shifts(f: np.ndarray, axis: int, order: int):
+    """``s -> np.roll(f, -s, axis)`` for |s| up to the stencil radius, as
+    views of one copy of ``f`` wrap-padded along ``axis``."""
+    r = stencil_radius(order)
+    size = f.shape[axis]
+
+    def along(lo, hi):
+        index = [slice(None)] * f.ndim
+        index[axis] = slice(lo, hi)
+        return tuple(index)
+
+    padded = np.concatenate((f[along(size - r, size)], f, f[along(0, r)]),
+                            axis=axis)
+    return lambda s: padded[along(r + s, r + s + size)]
+
+
+def _first(at, h: float, order: int) -> np.ndarray:
+    if order == 2:
+        return (at(1) - at(-1)) / (2.0 * h)
+    # paired differences first, so a constant field differences to 0
+    return (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+
+
 def diff(f: np.ndarray, axis: int, h: float, order: int = 4) -> np.ndarray:
     """First derivative of ``f`` along a grid axis (periodic wrap)."""
-    if order == 2:
-        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
-    if order == 4:
-        # paired differences first, so a constant field differences to 0
-        return (8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
-                - (np.roll(f, -2, axis) - np.roll(f, 2, axis))) / (12.0 * h)
-    raise ValueError(f"unsupported stencil order {order!r}; use 2 or 4")
-
-
-def diff2(f: np.ndarray, axis: int, h: float, order: int = 4) -> np.ndarray:
-    """Second derivative of ``f`` along a grid axis (periodic wrap)."""
-    if order == 2:
-        return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / (h * h)
-    if order == 4:
-        return (16.0 * (np.roll(f, -1, axis) + np.roll(f, 1, axis))
-                - (np.roll(f, -2, axis) + np.roll(f, 2, axis))
-                - 30.0 * f) / (12.0 * h * h)
-    raise ValueError(f"unsupported stencil order {order!r}; use 2 or 4")
+    return _first(_shifts(f, axis, order), h, order)
 
 
 def gradient(f: np.ndarray, spacing, order: int = 4) -> np.ndarray:
@@ -63,15 +70,21 @@ def hessian(f: np.ndarray, spacing, order: int = 4) -> tuple:
     ``f.shape + (n,)`` (equal to ``gradient``'s) and ``f.shape + (n, n)``,
     both stored component-major.
 
-    Diagonal entries use the direct second-derivative stencil; mixed
-    entries apply the first-derivative stencil to the first partials.
+    Diagonal entries use the direct second-derivative stencil, read from
+    the padded copy the first partial of that axis reads; mixed entries
+    apply the first-derivative stencil to the first partials.
     """
     n = len(spacing)
     firsts = np.empty((n,) + f.shape)
     out = np.empty((n, n) + f.shape)
-    for i in range(n):
-        firsts[i] = diff(f, i, spacing[i], order)
-        out[i, i] = diff2(f, i, spacing[i], order)
+    for i, h in enumerate(spacing):
+        at = _shifts(f, i, order)
+        firsts[i] = _first(at, h, order)
+        if order == 2:
+            out[i, i] = (at(1) - 2.0 * f + at(-1)) / (h * h)
+        else:
+            out[i, i] = (16.0 * (at(1) + at(-1)) - (at(2) + at(-2))
+                         - 30.0 * f) / (12.0 * h * h)
         for j in range(i + 1, n):
             out[i, j] = out[j, i] = diff(firsts[i], j, spacing[j], order)
     return _node_major(firsts, 1), _node_major(out, 2)
@@ -195,12 +208,18 @@ def interior_mask(shape, periodic, cells: int) -> np.ndarray:
 
 
 def masked_max(resid: np.ndarray, mask: np.ndarray) -> float:
-    """Largest absolute residual over the masked nodes.
+    """Largest absolute residual over the masked nodes, every component of
+    a vector- or matrix-valued residual included.
 
-    NaN when the mask is empty: a residual audited nowhere must fail every
-    gate, not pass as zero.
+    The grid mask is broadcast over the component axes and read as the
+    reduction's ``where``, so no masked copy is made.  A NaN at a masked
+    node is returned as NaN.  NaN when the mask is empty: a residual
+    audited nowhere must fail every gate, not pass as zero.
     """
-    return float(np.max(np.abs(resid[mask]))) if np.any(mask) else math.nan
+    if not mask.any():
+        return math.nan
+    where = mask.reshape(mask.shape + (1,) * (resid.ndim - mask.ndim))
+    return float(np.max(np.abs(resid), where=where, initial=0.0))
 
 
 def min_or_nan(values) -> float:

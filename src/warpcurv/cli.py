@@ -293,10 +293,13 @@ def build_immersion(W: WarpedProduct, section: dict,
 
 
 def _audited_immersion(config, W, cfg, seed) -> GraphImmersion:
-    """The configured immersion, refused if the audit margin covers it."""
+    """The configured immersion, refused if the audit margin covers it or
+    its geometry cannot be evaluated (say, its stencils overflow).  The
+    geometry is memoized on the immersion for the operations."""
     imm = build_immersion(W, config.get("immersion", {}),
                           np.random.default_rng(seed))
     require_audited_node(imm, cfg)
+    evaluate_geometry(imm, cfg)
     return imm
 
 

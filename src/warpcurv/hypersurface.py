@@ -333,12 +333,18 @@ def random_height_function(box, periodic, rng: np.random.Generator,
 # geometry evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class GeometryGrid:
     """All per-node geometric fields of a graph immersion.
 
     Index conventions: grid axes first, then tensor indices; P~_k is read
     through ``newton_tensor(k)`` and ``H`` holds H_0..H_n on the last axis.
+
+    Frozen, so the grids memoized from its fields stay valid: the chart
+    covariant Hessians of ``u`` and ``sigma``, the curvature kernel
+    vectors of ``div_pk`` and the Newton-spectrum minima.  The memo
+    belongs to the instance, so ``dataclasses.replace`` starts an empty
+    one and a doctored grid never reads what the original's fields built.
     """
 
     imm: GraphImmersion
@@ -368,6 +374,18 @@ class GeometryGrid:
     newton: np.ndarray       # frame P~_1..P~_{n-1} (..., n-1, n, n)
     christoffel: np.ndarray  # induced-metric symbols, differenced
     interior: np.ndarray     # mask excluding differencing margins
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def _memoized(self, key, build):
+        """``build()``, evaluated once per grid; its arrays are read-only."""
+        if key not in self._memo:
+            value = build()
+            for array in (value if isinstance(value, tuple) else (value,)):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+            self._memo[key] = value
+        return self._memo[key]
 
     # -- conversions -------------------------------------------------------
     @property
@@ -387,9 +405,18 @@ class GeometryGrid:
         return matvec(self.L_inv, gradient(f, self.spacing, self.cfg.order))
 
     def hess_covariant(self, f: np.ndarray) -> np.ndarray:
-        """Covariant Hessian of f on the hypersurface (chart, differenced)."""
-        df, second = hessian(f, self.spacing, self.cfg.order)
-        return second - contract_first(self.christoffel, df)
+        """Covariant Hessian of f on the hypersurface (chart, differenced).
+
+        Those of the grid's own ``u`` and ``sigma`` arrays are differenced
+        once per grid and returned read-only.
+        """
+        def build():
+            df, second = hessian(f, self.spacing, self.cfg.order)
+            return second - contract_first(self.christoffel, df)
+        for name in ("u", "sigma"):
+            if f is getattr(self, name):
+                return self._memoized(("hess", name), build)
+        return build()
 
     def form_to_frame(self, F: np.ndarray) -> np.ndarray:
         """Frame components of a (0,2) tensor: L^-1 F L^-T."""
@@ -458,6 +485,14 @@ def evaluate_geometry(imm: GraphImmersion, cfg: DiscretizationConfig = None) -> 
     return GeometryGrid(imm=imm, cfg=cfg, **fields)
 
 
+def _require_finite(name: str, *grids) -> None:
+    """Refuse differenced fields that overflowed: a spacing whose square
+    is normal can still be too fine for the heights over it."""
+    if not all(np.isfinite(grid).all() for grid in grids):
+        raise ValueError(f"the differenced {name} are not finite: the grid "
+                         "spacing is too fine for the stencils")
+
+
 def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
     """The per-node fields of ``GeometryGrid``, each array read-only."""
     fiber = imm.W.fiber
@@ -468,7 +503,9 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
     data = warping_eval(imm.W, u)
     rho, drho = np.asarray(data.rho), np.asarray(data.drho)
 
-    du, hess_u = hessian(u, spacing, cfg.order)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        du, hess_u = hessian(u, spacing, cfg.order)
+    _require_finite("height partials", du, hess_u)
     ghat = fiber.metric(x)
     ghat_inv = fiber.inverse_metric(x)
     gammahat = fiber.christoffel(x)
@@ -522,14 +559,16 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
     iu = np.triu_indices(n)
     g_upper = np.ascontiguousarray(components(g, 2)[iu])
     dg = np.empty((n, n, n) + u.shape)   # dg[i, j, m] = d_m g_ij
-    for m, h in enumerate(spacing):
-        d_m = diff(g_upper, m + 1, h, cfg.order)
-        dg[iu[0], iu[1], m] = dg[iu[1], iu[0], m] = d_m
     christoffel = np.empty(dg.shape)
-    for i, j in zip(*iu):
-        first = 0.5 * (dg[:, j, i] + dg[i, :, j] - dg[i, j])
-        christoffel[:, i, j] = christoffel[:, j, i] = components(
-            matvec(g_inv, np.moveaxis(first, 0, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        for m, h in enumerate(spacing):
+            d_m = diff(g_upper, m + 1, h, cfg.order)
+            dg[iu[0], iu[1], m] = dg[iu[1], iu[0], m] = d_m
+        for i, j in zip(*iu):
+            first = 0.5 * (dg[:, j, i] + dg[i, :, j] - dg[i, j])
+            christoffel[:, i, j] = christoffel[:, j, i] = components(
+                matvec(g_inv, np.moveaxis(first, 0, -1)))
+    _require_finite("Christoffel symbols", christoffel)
     christoffel = np.moveaxis(christoffel, (0, 1, 2), (-3, -2, -1))
 
     interior = interior_mask(u.shape, imm.periodic, cfg.margin_cells)

@@ -105,9 +105,15 @@ def _audited(geom: GeometryGrid) -> np.ndarray:
 
 def _newton_min(geom: GeometryGrid, k: int) -> float:
     """Least eigenvalue of P_0..P_{k-1} over the audited nodes, read in
-    closed form from the principal curvatures (NaN if any entry is)."""
-    spectrum = symfun.newton_spectrum_batch(geom.kappas[geom.interior])
-    return float(np.min(spectrum[..., :k, :]))
+    closed form from the principal curvatures (NaN if any entry is).
+
+    The spectrum is built once per geometry, and only its n prefix minima
+    are kept."""
+    def build():
+        spectrum = symfun.newton_spectrum_batch(geom.kappas[geom.interior])
+        return tuple(float(np.min(spectrum[..., :m, :]))
+                     for m in range(1, geom.n + 1))
+    return geom._memoized("newton_min", build)[k - 1]
 
 
 def _nonpositive_node(geom: GeometryGrid, Hk: np.ndarray):
@@ -190,30 +196,41 @@ def _frame_to_ambient(geom: GeometryGrid, w: np.ndarray) -> np.ndarray:
     return geom.ambient_components(geom.frame_vector_to_chart(w))
 
 
+def _kernel_vectors(geom: GeometryGrid) -> tuple:
+    """R(E_i, E_a) N in ambient components for the frame pairs i < a, in
+    lexicographic order: n(n-1)/2 kernel calls, once per geometry."""
+    def build():
+        eye = np.eye(geom.n)
+        frame_amb = [
+            _frame_to_ambient(geom, np.broadcast_to(eye[i], geom.a.shape))
+            for i in range(geom.n)]
+        return tuple(
+            curvature_tensor_components(
+                geom.imm.W.fiber.kappa, geom.rho, geom.hcal, geom.dhcal,
+                geom.ghat, frame_amb[i], frame_amb[a], geom.normal)
+            for i, a in itertools.combinations(range(geom.n), 2))
+    return geom._memoized("kernel", build)
+
+
 def _curvature_covectors(geom: GeometryGrid, k: int) -> np.ndarray:
     """C[j, a] = sum_i <R(E_i, E_a) N, P_j E_i> for j < k, component-major
     (shape (k, n) + grid).
 
     sum_i <R(E_i, Y) N, P_j E_i> is linear in Y, so it is
     sum_a C[m, a] Y^a for Y in frame components.  The four-term tensor is
-    evaluated once per frame pair i < a: it rounds symmetrically under
-    negation, so R(E_a, E_i) N = -R(E_i, E_a) N and R(E_i, E_i) N = 0
-    exactly, and lexicographic pairs keep each sum over i increasing.
+    read from ``_kernel_vectors``, evaluated once per frame pair i < a
+    and per geometry, so every k of one geometry shares the same vectors:
+    it rounds symmetrically under negation, so R(E_a, E_i) N =
+    -R(E_i, E_a) N and R(E_i, E_i) N = 0 exactly, and lexicographic pairs
+    keep each sum over i increasing.
     """
     n = geom.n
-    kappa = geom.imm.W.fiber.kappa
-    eye = np.eye(n)
-    frame_amb = [
-        _frame_to_ambient(geom, np.broadcast_to(eye[i], geom.a.shape))
-        for i in range(n)]
     # P_j E_i in ambient components
     P_amb = [[_frame_to_ambient(geom, geom.newton_tensor(j)[..., :, i])
               for j in range(k)] for i in range(n)]
     C = np.zeros((k, n) + geom.u.shape)
-    for i, a in itertools.combinations(range(n), 2):
-        R = curvature_tensor_components(
-            kappa, geom.rho, geom.hcal, geom.dhcal, geom.ghat,
-            frame_amb[i], frame_amb[a], geom.normal)
+    pairs = itertools.combinations(range(n), 2)
+    for (i, a), R in zip(pairs, _kernel_vectors(geom)):
         for j in range(k):
             C[j, a] += _ambient_inner(geom, R, P_amb[i][j])
             C[j, i] -= _ambient_inner(geom, R, P_amb[a][j])
@@ -271,8 +288,9 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
         paired as sum_{j<k} (-1)^{k-1-j} C_j . A^{k-1-j} X with the
         covector C_j[a] = sum_i <R(E_i, E_a) N, P_j E_i>, since the sum
         over i is linear in its second slot.  The four-term tensor is
-        evaluated once per frame pair i < a, n(n-1)/2 times per call,
-        and each test vector costs one dot product per j.
+        evaluated once per frame pair i < a and per geometry: n(n-1)/2
+        times on the first call, and not again for a later k on the same
+        geometry.  Each test vector costs one dot product per j.
 
     (a)-(b) and (a)-(c) converge at the stencil order; (b)-(c) agree
     algebraically.
@@ -550,10 +568,8 @@ def convergence_study(imm: GraphImmersion, cfg: DiscretizationConfig,
         geom = evaluate_geometry(current, cfg)
         window = audit_window(current, trim) & geom.interior
         for name, grid in residual_fn(geom).items():
-            resid = np.abs(np.asarray(grid))
-            while resid.ndim > window.ndim:
-                resid = np.max(resid, axis=-1)
-            maxima.setdefault(name, []).append(float(np.max(resid[window])))
+            maxima.setdefault(name, []).append(
+                masked_max(np.asarray(grid), window))
         hs.append(float(max(current.spacing)))
     return {name: {"spacings": list(hs), "maxima": ms,
                    "slope": fit_order(hs, ms)}

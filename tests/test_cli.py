@@ -1012,6 +1012,26 @@ def test_a_spacing_too_fine_to_difference_exits_two(tmp_path):
     assert "grid spacing 6.25e-162 is too fine" in err, err
 
 
+def test_stencils_that_overflow_exit_two_in_verify_and_scenario(tmp_path):
+    # a spacing of 6e-152 squares to a normal float, but the heights over
+    # it make the differenced metric overflow: the geometry is refused
+    # while the inputs are checked, so verify does not report a
+    # falsification (exit 1) and scenario no consistent estimate (exit 0)
+    config = {"ambient": {"profile": "cosh", "chart": "flat-torus", "n": 2,
+                          "lengths": [1e-150, 1]},
+              "immersion": {"family": "random", "resolution": 16},
+              "seed": 3}
+    for sub, ops in (("verify", [{"op": "structure"},
+                                 {"op": "height-sigma", "k": 1}]),
+                     ("scenario", [{"op": "curvature-estimate",
+                                    "order": 1}])):
+        (tmp_path / sub).mkdir()
+        err = _assert_one_line_refusal(tmp_path / sub, sub,
+                                       dict(config, operations=ops))
+        assert "Christoffel symbols are not finite" in err, err
+        assert not any((tmp_path / sub / "out").iterdir())
+
+
 def _assert_one_line_refusal(tmp_path, sub, config, **run_args):
     """The refusal is the only line on stderr, with no numpy or scipy
     RuntimeWarning ahead of it (pytest captures warnings in-process, so

@@ -13,8 +13,8 @@ Each comparison whose operands are not all symmetric is also shown to
 reject the result with one operand transposed, so it could not pass on
 an index slip.  The inverse Cholesky factor is checked against
 ``np.linalg.inv`` for n = 1..8, an ill-conditioned metric included.  The
-curvature kernel must match its oracle bit for bit on the diagonal fiber
-metrics the charts store.  A scan of the package pins every
+stencils must equal their ``np.roll`` forms, and the curvature kernel its
+oracle on the diagonal fiber metrics the charts store, bit for bit.  A scan of the package pins every
 ``np.linalg`` call, so that neither a spectrum the geometry stores nor the
 triangular factor is solved again, and finds no unused import and no
 private module-level name that nothing references.  It also finds no
@@ -34,8 +34,8 @@ import pytest
 import warpcurv
 from helpers import make_product, point_curvature, random_immersion
 from warpcurv import operators
-from warpcurv._grid import (contract_first, diff, diff2, dot, gradient,
-                            hessian, lower_triangular_inverse, matmul, matvec,
+from warpcurv._grid import (contract_first, diff, dot, gradient, hessian,
+                            lower_triangular_inverse, matmul, matvec,
                             trace_product)
 from warpcurv.ambient import curvature_tensor_components, warping_eval
 from warpcurv.hypersurface import evaluate_geometry
@@ -164,20 +164,52 @@ def test_g_inv_and_a(geom):
     assert not _agree(geom.a, a(_t(geom.L_inv)))
 
 
+def _roll_diff(f, axis, h, order):
+    """The first-derivative stencil on np.roll copies: the reference that
+    the views of one padded copy must equal bit for bit."""
+    if order == 2:
+        return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
+    return (8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
+            - (np.roll(f, -2, axis) - np.roll(f, 2, axis))) / (12.0 * h)
+
+
+def _roll_diff2(f, axis, h, order):
+    """The second-derivative stencil on np.roll copies."""
+    if order == 2:
+        return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / (h * h)
+    return (16.0 * (np.roll(f, -1, axis) + np.roll(f, 1, axis))
+            - (np.roll(f, -2, axis) + np.roll(f, 2, axis))
+            - 30.0 * f) / (12.0 * h * h)
+
+
 def test_gradients(geom):
     rng = np.random.default_rng(7)
     f = rng.normal(size=geom.u.shape)
     df = np.stack([diff(f, ax, geom.spacing[ax], geom.cfg.order)
                    for ax in range(geom.n)], axis=-1)
     assert np.array_equal(gradient(f, geom.spacing, geom.cfg.order), df)
-    second = np.empty(f.shape + (geom.n, geom.n))
-    for i in range(geom.n):
-        second[..., i, i] = diff2(f, i, geom.spacing[i], geom.cfg.order)
-        for j in range(i + 1, geom.n):
-            second[..., i, j] = second[..., j, i] = diff(
-                df[..., i], j, geom.spacing[j], geom.cfg.order)
-    first, hess = hessian(f, geom.spacing, geom.cfg.order)
-    assert np.array_equal(first, df) and np.array_equal(hess, second)
+    # the stencils equal their np.roll forms bit for bit, on contiguous,
+    # strided and component-major fields; the mixed second partials
+    # difference the first partials
+    wide = np.stack([f, rng.normal(size=f.shape)], axis=-1)
+    spacing = geom.spacing
+    for order in (2, 4):
+        for g in (f, wide[..., 1], _component_major(wide, 1)[..., 1]):
+            first, hess = hessian(g, spacing, order)
+            for i, h in enumerate(spacing):
+                assert np.array_equal(diff(g, i, h, order),
+                                      _roll_diff(g, i, h, order))
+                assert np.array_equal(first[..., i], _roll_diff(g, i, h, order))
+                assert np.array_equal(hess[..., i, i],
+                                      _roll_diff2(g, i, h, order))
+                for j in range(i + 1, geom.n):
+                    mixed = _roll_diff(_roll_diff(g, i, h, order), j,
+                                       spacing[j], order)
+                    assert np.array_equal(hess[..., i, j], mixed)
+                    assert np.array_equal(hess[..., j, i], mixed)
+    # a view one cell off would not match
+    assert not np.array_equal(diff(f, 0, spacing[0]),
+                              _roll_diff(np.roll(f, 1, 0), 0, spacing[0], 4))
     M, strided, _, _ = _stacks(geom, 8)
     assert _agree(geom.grad_frame(f),
                   np.einsum("...ij,...j->...i", geom.L_inv, df))

@@ -3,13 +3,14 @@
 import dataclasses
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from helpers import CHART, make_product, random_immersion, slice_immersion
-from warpcurv import symfun
+from warpcurv import cli, symfun
 from warpcurv._grid import min_or_nan
 from warpcurv.ambient import PROFILES, curvature_tensor_components
 from warpcurv.operators import (NotApplicableError, calligraphic_ops,
@@ -534,12 +535,40 @@ def test_immersion_and_its_geometry_are_read_only():
         imm.u[0, 0] = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
         imm.orientation = -1
-    fields = _array_fields(evaluate_geometry(imm))
+    geom = evaluate_geometry(imm)
+    fields = _array_fields(geom)
     assert len(fields) == 25
     for name, value in fields.items():
         with pytest.raises(ValueError, match="read-only"):
             value[...] = 0
         assert not value.flags.writeable, name
+    # the grid is frozen too, and what it memoizes is read-only
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        geom.u = geom.u
+    for f in (geom.u, geom.sigma):
+        with pytest.raises(ValueError, match="read-only"):
+            geom.hess_covariant(f)[...] = 0
+    frak_phi(imm, 2, geom=geom)
+    for value in geom._memo.values():
+        for array in (value if isinstance(value, tuple) else (value,)):
+            assert not isinstance(array, np.ndarray) \
+                or not array.flags.writeable
+    assert set(geom._memo) == {("hess", "u"), ("hess", "sigma"),
+                               "newton_min"}
+
+
+def test_stencils_that_overflow_are_refused_without_a_warning():
+    # the spacing squares to a normal float, so the box passes, but the
+    # differenced metric overflows: a ValueError, not non-finite symbols
+    W = cli.build_ambient({"profile": "cosh", "chart": "flat-torus", "n": 2,
+                           "lengths": [1e-150, 1]})
+    imm = cli.build_immersion(W, {"family": "random", "resolution": 16},
+                              np.random.default_rng(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="Christoffel symbols are not "
+                                             "finite"):
+            evaluate_geometry(imm)
 
 
 @pytest.mark.parametrize("order", [2, 4])

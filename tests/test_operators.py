@@ -16,6 +16,7 @@ import pytest
 
 from helpers import CHART, make_product, random_immersion, slice_immersion
 from warpcurv import ambient, cli, operators, symfun
+from warpcurv._grid import hessian
 from warpcurv.hypersurface import (DiscretizationConfig, GraphImmersion,
                                    evaluate_geometry, structure_identities)
 from warpcurv.operators import (
@@ -285,10 +286,11 @@ def test_curvature_route_matches_the_per_vector_loop(profile, chart, kappa,
                                            ("space-form", -1.0, 4)])
 def test_curvature_route_calls_the_kernel_once_per_pair_i_below_a(
         monkeypatch, chart, kappa, n):
-    # n(n-1)/2 kernel calls per div_pk for every k: R(E_a, E_i) N is read
-    # as -R(E_i, E_a) N and R(E_i, E_i) N = 0 is skipped; one call per
-    # ordered pair would make n^2, and one per (test vector, power, frame
-    # index) (n+1) k n
+    # n(n-1)/2 kernel calls per geometry: R(E_a, E_i) N is read as
+    # -R(E_i, E_a) N and R(E_i, E_i) N = 0 is skipped, and every later k
+    # on the same geometry reads the memoized vectors; a fresh geometry
+    # (a doctored one from dataclasses.replace included) evaluates them
+    # again.  One call per ordered pair would make n^2 per div_pk
     kernel = operators.curvature_tensor_components
     calls = []
 
@@ -300,10 +302,89 @@ def test_curvature_route_calls_the_kernel_once_per_pair_i_below_a(
     W = make_product("cosh", chart, n, kappa)
     imm = random_immersion(W, seed=9, t_center=0.6, amplitude=0.1, res=8)
     geom = evaluate_geometry(imm)
+    pairs = n * (n - 1) // 2
     for k in range(1, n):
         calls.clear()
         div_pk(imm, k, geom=geom)
-        assert len(calls) == n * (n - 1) // 2, k
+        assert len(calls) == (pairs if k == 1 else 0), k
+    for fresh in (evaluate_geometry(imm), dataclasses.replace(geom)):
+        calls.clear()
+        for k in reversed(range(1, n)):
+            div_pk(imm, k, geom=fresh)
+        assert len(calls) == pairs
+
+
+def _suite_runs(imm, n):
+    """(suite, k, run) for every identity-grid suite at every k, where
+    ``run(geom, k)`` returns the suite's report."""
+    runs = [("structure", 0, lambda g, k: {
+        key: val["grid"] for key, val in structure_identities(g).items()})]
+    for suite, fn, ks in (
+            ("height-sigma", height_sigma_identities, range(n)),
+            ("div-newton", div_pk, range(1, n)),
+            ("theta-hat", theta_hat_identity, range(n)),
+            ("calligraphic", calligraphic_ops, range(2, n + 1)),
+            ("frak-phi", frak_phi, range(1, n + 1))):
+        runs += [(suite, k, lambda g, k, fn=fn: fn(imm, k, geom=g))
+                 for k in ks]
+    return runs
+
+
+def _grids(report):
+    """The arrays of a report, residual grids unwrapped."""
+    out = {}
+    for key, val in report.items():
+        if isinstance(val, operators.IdentityResidual):
+            val = val.grid
+        if isinstance(val, np.ndarray):
+            out[key] = val
+    return out
+
+
+@pytest.mark.parametrize("chart,kappa,orientation", [("flat-torus", 0.0, 1),
+                                                     ("space-form", 1.0, -1)])
+def test_a_shared_geometry_gives_each_suite_its_fresh_grids(chart, kappa,
+                                                            orientation):
+    # the memo shares Hessians, kernel vectors and Newton minima between
+    # suites: every residual grid, run in one sequence on one geometry,
+    # must equal bit for bit the grid of a fresh geometry per suite
+    W = make_product("cosh", chart, 3, kappa)
+    imm = random_immersion(W, seed=12, t_center=0.6, amplitude=0.1,
+                           res=8 if chart == "flat-torus" else 18,
+                           orientation=orientation)
+    shared = evaluate_geometry(imm)
+    compared = 0
+    for suite, k, run in _suite_runs(imm, 3):
+        fresh = _grids(run(evaluate_geometry(imm), k))
+        got = _grids(run(shared, k))
+        assert got.keys() == fresh.keys(), (suite, k)
+        for key, grid in got.items():
+            assert np.array_equal(grid, fresh[key]), (suite, k, key)
+            compared += 1
+    assert compared > 40
+
+
+def test_a_replaced_geometry_reads_its_own_fields():
+    # the memo is per instance: after a suite has memoized Hessians on
+    # geom, a grid with other Christoffel symbols must difference with
+    # those, not read geom's memo
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+    imm = random_immersion(W, seed=4, t_center=0.6, amplitude=0.1, res=8)
+    geom = evaluate_geometry(imm)
+    before = structure_identities(geom)["height-hessian"]["grid"]
+    memo = geom.hess_covariant(geom.u)
+    assert geom.hess_covariant(geom.u) is memo
+    G = 2.0 * geom.christoffel
+    doctored = dataclasses.replace(geom, christoffel=G)
+    df, second = hessian(geom.u, geom.spacing, geom.cfg.order)
+    expected = second - np.einsum("...kij,...k->...ij", G, df)
+    got = doctored.hess_covariant(doctored.u)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert not np.allclose(got, memo)
+    assert not np.array_equal(
+        structure_identities(doctored)["height-hessian"]["grid"], before)
+    # the original's memo is untouched
+    assert geom.hess_covariant(geom.u) is memo
 
 
 @pytest.mark.parametrize("k", [1, 2])
