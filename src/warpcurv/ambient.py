@@ -35,7 +35,7 @@ from .symfun import MAX_DIM
 # warping profiles
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class WarpingProfile:
     """A warping function with supplied derivatives on an interval.
 
@@ -77,77 +77,48 @@ class WarpingProfile:
         return self.d2rho(t) / self.rho(t) - h * h
 
 
-def _exp_profile(t_min=-3.0, t_max=3.0, t0=0.0):
-    return WarpingProfile(
-        name="exp", t_min=t_min, t_max=t_max, t0=t0,
-        rho=np.exp, drho=np.exp, d2rho=np.exp,
-        sigma=lambda t: np.exp(t) - math.exp(t0),
-        alpha=0.0,
-    )
+def _ones(t):
+    return np.ones_like(np.asarray(t, dtype=float))
 
 
-def _cosh_profile(t_min=-3.0, t_max=3.0, t0=0.0):
-    return WarpingProfile(
-        name="cosh", t_min=t_min, t_max=t_max, t0=t0,
-        rho=np.cosh, drho=np.sinh, d2rho=np.cosh,
-        sigma=lambda t: np.sinh(t) - math.sinh(t0),
-        alpha=-1.0,
-    )
+def _zeros(t):
+    return np.zeros_like(np.asarray(t, dtype=float))
 
 
-def _linear_profile(t_min=0.05, t_max=10.0, t0=1.0):
-    if t_min <= 0.0:
-        raise ValueError("the linear profile lives on (0, +oo)")
-    return WarpingProfile(
-        name="linear", t_min=t_min, t_max=t_max, t0=t0,
-        rho=lambda t: np.asarray(t, dtype=float),
-        drho=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        d2rho=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        sigma=lambda t: 0.5 * (np.asarray(t, dtype=float) ** 2 - t0 ** 2),
-        alpha=1.0,
-    )
-
-
-def _sin_profile(eps=0.5, t_min=-2.0 * math.pi, t_max=2.0 * math.pi, t0=0.0):
-    if not 0.0 < eps < 1.0:
-        raise ValueError("need 0 < eps < 1 so the profile stays positive")
-    return WarpingProfile(
-        name="sin", t_min=t_min, t_max=t_max, t0=t0,
-        rho=lambda t: 1.0 + eps * np.sin(t),
-        drho=lambda t: eps * np.cos(t),
-        d2rho=lambda t: -eps * np.sin(t),
-        sigma=lambda t: (np.asarray(t, dtype=float) - eps * np.cos(t))
-        - (t0 - eps * math.cos(t0)),
-    )
-
-
-def _const_profile(t_min=-3.0, t_max=3.0, t0=0.0):
-    return WarpingProfile(
-        name="const", t_min=t_min, t_max=t_max, t0=t0,
-        rho=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        drho=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d2rho=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        sigma=lambda t: np.asarray(t, dtype=float) - t0,
-        alpha=0.0,
-    )
-
-
+# each registered profile on its fixed interval; sigma is based at t0
 PROFILES = {
-    "exp": _exp_profile,
-    "cosh": _cosh_profile,
-    "linear": _linear_profile,
-    "sin": _sin_profile,
-    "const": _const_profile,
+    "exp": WarpingProfile(
+        name="exp", t_min=-3.0, t_max=3.0,
+        rho=np.exp, drho=np.exp, d2rho=np.exp,
+        sigma=lambda t: np.exp(t) - 1.0, alpha=0.0),
+    "cosh": WarpingProfile(
+        name="cosh", t_min=-3.0, t_max=3.0,
+        rho=np.cosh, drho=np.sinh, d2rho=np.cosh, sigma=np.sinh, alpha=-1.0),
+    "linear": WarpingProfile(
+        name="linear", t_min=0.05, t_max=10.0, t0=1.0,
+        rho=lambda t: np.asarray(t, dtype=float), drho=_ones, d2rho=_zeros,
+        sigma=lambda t: 0.5 * (np.asarray(t, dtype=float) ** 2 - 1.0),
+        alpha=1.0),
+    "sin": WarpingProfile(
+        name="sin", t_min=-2.0 * math.pi, t_max=2.0 * math.pi,
+        rho=lambda t: 1.0 + 0.5 * np.sin(t),
+        drho=lambda t: 0.5 * np.cos(t),
+        d2rho=lambda t: -0.5 * np.sin(t),
+        sigma=lambda t: (np.asarray(t, dtype=float) - 0.5 * np.cos(t)) + 0.5),
+    "const": WarpingProfile(
+        name="const", t_min=-3.0, t_max=3.0,
+        rho=_ones, drho=_zeros, d2rho=_zeros,
+        # the product makes a new array, or a scalar for a scalar t
+        sigma=lambda t: 1.0 * np.asarray(t, dtype=float), alpha=0.0),
 }
 
 
-def builtin_profile(name: str, **params) -> WarpingProfile:
+def builtin_profile(name: str) -> WarpingProfile:
     try:
-        factory = PROFILES[name]
+        return PROFILES[name]
     except KeyError:
         raise KeyError(
             f"unknown profile {name!r}; registered profiles: {sorted(PROFILES)}")
-    return factory(**params)
 
 
 # ---------------------------------------------------------------------------

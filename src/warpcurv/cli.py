@@ -33,6 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import operators, scenarios
+from ._grid import masked_max
 from .ambient import PROFILES, FiberSpec, WarpedProduct, builtin_profile
 from .comparison import (
     GROWTH_FUNCTIONS,
@@ -214,18 +215,13 @@ def build_ambient(section: dict) -> WarpedProduct:
         raise ConfigError("'ambient' must be an object")
     _refuse_unknown("ambient", section,
                     ("profile", "chart", "n", "kappa", "lengths"))
-    prof_spec = section.get("profile", "exp")
-    if isinstance(prof_spec, str):
-        name, params = prof_spec, {}
-    elif isinstance(prof_spec, dict):
-        params = dict(prof_spec)
-        name = params.pop("name", None)
-    else:
-        raise ConfigError("ambient.profile must be a name or an object")
+    name = section.get("profile", "exp")
+    if not isinstance(name, str):
+        raise ConfigError(f"ambient.profile must be a registered name "
+                          f"({', '.join(sorted(PROFILES))}); each profile's "
+                          f"interval and base point are fixed")
     if name not in PROFILES:
         raise _registry_miss("profile", name, PROFILES)
-    profile = builtin_profile(name, **{key: _float(value, key)
-                                       for key, value in params.items()})
 
     chart = section.get("chart", "flat-torus")
     n = _integer(section, "n", 2)
@@ -234,7 +230,7 @@ def build_ambient(section: dict) -> WarpedProduct:
     fiber = FiberSpec(n=n, kappa=kappa, chart=chart,
                       lengths=None if lengths is None else
                       tuple(_float(v, "lengths") for v in lengths))
-    return WarpedProduct(profile=profile, fiber=fiber)
+    return WarpedProduct(profile=builtin_profile(name), fiber=fiber)
 
 
 # family -> the keys it reads besides the shared ones
@@ -486,7 +482,7 @@ def _laplacian_cross_check(run, op, stem):
     lk0 = operators.lk_apply(geom, 0, geom.sigma)
     lb = operators.laplace_beltrami(geom, geom.sigma)
     return {"residuals": {"trace-vs-divergence":
-                          float(np.max(np.abs(lk0 - lb)[geom.interior]))}}
+                          masked_max(lk0 - lb, geom.interior)}}
 
 
 def _check_origin(op, fiber):

@@ -412,7 +412,7 @@ def default_growth_for(model: RadialModel) -> GrowthFunction:
     level = max(float(np.max(model.d2f(rs) / model.f(rs))), 1.0)
     return GrowthFunction(
         f"const-{level:g}",
-        lambda t, _lv=level: np.full_like(np.asarray(t, dtype=float), _lv),
+        lambda t: np.full_like(np.asarray(t, dtype=float), level),
         lambda t: np.zeros_like(np.asarray(t, dtype=float)))
 
 
@@ -480,9 +480,9 @@ def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
         if i == n_r - 1:
             boundary_flag = True
         elif i > 0:
-            def fj_cont(r, _j=j):
+            def fj_cont(r):
                 return float((u(r) - u_star + 1.0)
-                             / envelope_gamma(r) ** (1.0 / _j))
+                             / envelope_gamma(r) ** (1.0 / j))
             r_j = golden_max(fj_cont, float(rs[i - 1]), float(rs[i + 1]))
 
         u_j = float(u(r_j))

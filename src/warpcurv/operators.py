@@ -33,10 +33,6 @@ from .hypersurface import (DiscretizationConfig, GeometryGrid, GraphImmersion,
 class NotApplicableError(ValueError):
     """An operation's positivity precondition fails on this geometry."""
 
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location
-
 
 @dataclass
 class IdentityResidual:

@@ -527,12 +527,16 @@ def theorem_audit(imm: GraphImmersion, W: WarpedProduct, theorem_id: str,
     cal = operators.calligraphic_ops(imm, k, cfg, geom=geom)
     report.residuals["sigma-combination-residual"] = \
         cal["sigma_identity_algebraic"].max
+    # without the sign hypotheses nothing is tested: the margin is +1, as
+    # for a compactness check that holds, and the note keeps the eigenvalue
+    holds = cal["sign_hypotheses_hold"]
     report.conclusion_checks.append(CheckResult(
         "newton-combination-semidefinite", cal["implication_respected"],
-        cal["min_eigenvalue"],
+        cal["min_eigenvalue"] if holds else 1.0,
         "semidefiniteness of the weighted Newton combination, required "
         "only when the sign hypotheses hold"
-        + ("" if cal["sign_hypotheses_hold"] else " (they do not here)")))
+        + ("" if holds else " (they do not here; least eigenvalue "
+                            f"{cal['min_eigenvalue']:.6g})")))
 
     if float(np.min(hk_vals)) > 0.0:
         with np.errstate(invalid="ignore"):

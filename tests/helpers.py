@@ -15,10 +15,9 @@ CHART = {"flat-torus": "flat-torus", "round-sphere": "space-form",
          "hyperbolic": "space-form"}
 
 
-def make_product(profile="cosh", chart="flat-torus", n=2, kappa=0.0,
-                 **params):
+def make_product(profile="cosh", chart="flat-torus", n=2, kappa=0.0):
     return wc.WarpedProduct(
-        profile=wc.builtin_profile(profile, **params),
+        profile=wc.builtin_profile(profile),
         fiber=wc.FiberSpec(n=n, kappa=kappa, chart=chart))
 
 

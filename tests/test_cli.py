@@ -217,6 +217,7 @@ def test_config_errors_exit_two(tmp_path, capsys):
     for name, sub, config in (
             ("k", "verify", {"ambient": torus, "immersion": slice12,
                              "operations": [{"op": "div-newton", "k": 5}]}),
+            # a profile is a registry name, never an object of parameters
             ("param", "verify", {"ambient": {"profile": {"name": "cosh",
                                                          "bogus": 1}},
                                  "operations": structure}),

@@ -733,6 +733,91 @@ def test_package_has_no_unused_import_or_orphaned_private_name():
             if n not in reached} == set()
 
 
+def _optional_parameters(tree):
+    """(call names, positional parameters, defaulted parameters) of every
+    ``def`` with a default, nested ones included.  A method drops its
+    first parameter, and a class call reaches its ``__init__``."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                pos = [a.arg for a in args.posonlyargs + args.args]
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                if cls is not None and not static:
+                    pos = pos[1:]
+                opt = pos[len(pos) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+                names = {child.name}
+                if child.name == "__init__" and cls is not None:
+                    names.add(cls)
+                if opt:
+                    found.append((names, pos, opt))
+                visit(child, None)
+                continue
+            visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def _passed_parameters(trees, names, pos):
+    """The parameters some call of ``names`` passes by keyword or position;
+    None when a call passes a ``*`` or ``**`` splat, which may pass any."""
+    passed = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and names & {
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)}):
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) \
+                    or any(k.arg is None for k in node.keywords):
+                return None
+            passed |= set(pos[:len(node.args)])
+            passed |= {k.arg for k in node.keywords}
+    return passed
+
+
+def _unset_parameters(defs, calls):
+    found = []
+    for tree in defs:
+        for names, pos, opt in _optional_parameters(tree):
+            passed = _passed_parameters(calls, names, pos)
+            if passed is not None:
+                found += [(min(names), p) for p in opt if p not in passed]
+    return found
+
+
+def test_every_optional_parameter_is_set_by_some_call():
+    # a default that no call overrides is a knob nothing turns: fold it
+    # into the body.  Calls in src, tests and bench count
+    defs = ast.parse("def f(a, b=1, *, c=2):\n    pass\n"
+                     "def g(x=0):\n    pass\n"
+                     "class E:\n    def __init__(self, m, where=None):\n"
+                     "        pass\n"
+                     "    def h(self, y=1):\n        pass\n")
+    calls = [ast.parse("f(0, 5)\ng(**kw)\nE('m')\ne.h(2)\n")]
+    assert _unset_parameters([defs], calls) == [("f", "c"), ("E", "where")]
+    calls.append(ast.parse("f(0, c=3)\nE('m', 'here')\n"))
+    assert _unset_parameters([defs], calls) == []
+    root = Path(__file__).resolve().parent.parent
+    package = Path(warpcurv.__file__).parent
+    defs = [ast.parse(path.read_text())
+            for path in sorted(package.glob("*.py"))]
+    calls = [ast.parse(path.read_text())
+             for folder in ("src", "tests", "bench")
+             for path in sorted((root / folder).rglob("*.py"))]
+    assert len(defs) >= 9 and len(calls) > len(defs)
+    assert _unset_parameters(defs, calls) == []
+
+
 def test_every_export_resolves_and_init_imports_only_exports():
     # an export left behind by a removal, or an import __init__ does not
     # export, fails here

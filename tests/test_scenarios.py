@@ -208,6 +208,60 @@ def test_runners_evaluate_one_geometry_per_immersion(monkeypatch):
     assert evaluated == [-1, 1]
 
 
+def _emitted_check_names():
+    """The names of every check the runners can emit, read from the
+    ``CheckResult`` calls of the scenarios module."""
+    tree = ast.parse(inspect.getsource(scenarios))
+    return {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "CheckResult"}
+
+
+def _margin_battery():
+    """(ambient, immersion) pairs at n = 2 and 3: on three ambients the
+    slices t0 +- 0.3, the lower one flipped, and a random graph; on the
+    open chart of exp x the round sphere a tilted graph, whose curvature
+    estimate fails with a positive warping speed."""
+    for n in (2, 3):
+        for profile, chart, kappa in (("exp", "flat-torus", 0.0),
+                                      ("cosh", "space-form", -1.0),
+                                      ("linear", "space-form", 1.0)):
+            W = make_product(profile, chart, n, kappa)
+            t0 = W.profile.t0
+            yield W, slice_immersion(W, t0 + 0.3, res=20)
+            yield W, slice_immersion(W, t0 - 0.3, res=20, orientation=-1)
+            yield W, random_immersion(W, seed=0, t_center=t0 + 0.2,
+                                      amplitude=0.1, res=20)
+        W = make_product("exp", "space-form", n, 1.0)
+        yield W, GraphImmersion.from_function(
+            W, lambda m: 0.2 + m[..., 0], 20)
+
+
+def test_every_reported_margin_agrees_with_its_check():
+    # a check's margin is the signed number that decided it, so at tol = 0
+    # a passed check never reports a negative margin and a failed one
+    # never a positive one
+    seen = set()
+    for W, imm in _margin_battery():
+        n = W.fiber.n
+        reports = [curvature_estimate_scenario(imm, W, order, tol=0.0)
+                   for order in range(1, n + 1)]
+        reports.append(elliptic_point_and_signs(imm, tol=0.0))
+        reports += [theorem_audit(imm, W, tid, tol=0.0) for tid in THEOREM_IDS
+                    if n >= 3 or tid not in THREE_DIM_IDS]
+        for rep in reports:
+            for check in rep.hypothesis_checks + rep.conclusion_checks:
+                seen.add(check.name)
+                where = (W.profile.name, n, rep.scenario_id, check)
+                if check.passed:
+                    assert check.margin >= -1e-8, where
+                else:
+                    assert not check.margin > 1e-8, where
+    names = _emitted_check_names()
+    assert len(names) == 26
+    assert seen == names
+
+
 @pytest.mark.parametrize("fiber,n,kappa,res", [
     ("flat-torus", 2, 0.0, 20), ("flat-torus", 3, 0.0, 12),
     ("round-sphere", 2, 1.0, 24)])
