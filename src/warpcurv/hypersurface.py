@@ -541,12 +541,12 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
         + 2.0 * data.hcal[..., None, None] * du[..., :, None] * du[..., None, :])
 
     A = matmul(matmul(L_inv, II), L_inv_t)
-    # stored node-major: the eigen-solves and symfun's batched products
-    # read it one node at a time
+    # stored node-major: symfun's batched Newton products read it one
+    # node at a time
     shape_frame = np.empty(A.shape)
     np.add(A, np.swapaxes(A, -1, -2), out=shape_frame)
     shape_frame *= 0.5
-    kappas = np.linalg.eigvalsh(shape_frame)
+    kappas = symfun.jacobi_eigh_batch(shape_frame, False)
 
     S = symfun.elementary_symmetric_batch(kappas)
     H = symfun.h_from_s(S)

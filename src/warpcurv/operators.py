@@ -357,8 +357,7 @@ def calligraphic_ops(imm: GraphImmersion, k: int,
     Hs = geom.form_to_frame(geom.hess_covariant(geom.sigma))
     lhs_fd = trace_product(Pcal, Hs)
 
-    eigs = np.linalg.eigvalsh(Pcal)
-    min_eig = float(np.min(eigs[mask]))
+    min_eig = float(np.min(symfun.jacobi_eigh_batch(Pcal[mask], False)))
     theta_max = float(np.max(geom.theta[mask]))
     hcal_min = float(np.min(geom.hcal[mask]))
     newton_min = _newton_min(geom, k)
@@ -422,7 +421,7 @@ def theta_hat_identity(imm: GraphImmersion, k: int,
         * curvature_quad
 
     # general-fiber route: beta_k from the eigen frame of the shape operator
-    evals, evecs = np.linalg.eigh(geom.shape_frame)
+    _, evecs = symfun.jacobi_eigh_batch(geom.shape_frame, True)
     Q_t = np.swapaxes(evecs, -1, -2)
     mu = dot(Q_t, np.swapaxes(matmul(P, evecs), -1, -2))   # diag(Q^T P Q)
     e = matvec(Q_t, geom.a)

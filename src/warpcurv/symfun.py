@@ -246,10 +246,132 @@ def bk_telescope(A: np.ndarray, k: int) -> float:
 # batched helpers for grid sweeps
 # ---------------------------------------------------------------------------
 # The per-point API above is the claim-bearing route; the batched variants
-# below exist so that grid sweeps stay vectorized.  numpy's batched `eigvalsh`
-# is used for the spectra of the shape operators; the test suite pins it
-# against the Jacobi solver.  The Newton tensors' spectra follow from those
-# in closed form, pinned against `eigvalsh` of the batched Newton stack.
+# below exist so that grid sweeps stay vectorized.  `jacobi_eigh_batch` runs
+# the cyclic Jacobi method of `jacobi_eigenvalues` on whole grids at once,
+# for the spectra and frames of the shape operators and of the calligraphic
+# combinations; the test suite pins it against `numpy.linalg.eigh`.  The
+# Newton tensors' spectra follow from the principal curvatures in closed
+# form, pinned against `eigvalsh` of the batched Newton stack.
+
+def jacobi_eigh_batch(A: np.ndarray, vectors: bool):
+    """Eigenvalues of a stack of symmetric matrices, shape (..., n, n), in
+    ascending order along the last axis, by cyclic Jacobi rotations; with
+    ``vectors``, also the matrix of eigenvector columns, shape (..., n, n),
+    returned as ``(values, vectors)``.
+
+    Only the lower triangle enters the arithmetic, as in
+    ``numpy.linalg.eigvalsh``.  The matrices are copied into
+    component-major working grids, and each rotation (p, q) is applied to
+    whole grids in place with the symmetric update: B_pp and B_qq move by
+    -/+ t B_pq, B_pq becomes 0, and only the entries (r, p) and (r, q) of
+    the other rows r turn.
+
+    * A node stops rotating once each of its off-diagonal entries is at
+      most eps times its own Frobenius norm (or after 60 sweeps).  From
+      then on it gets t = 0, an identity rotation, so no node's result
+      depends on the other nodes of the stack.
+    * A node with a non-finite entry, in either triangle, takes no part
+      and returns NaN eigenvalues and vectors.
+
+    The results are node-major views of component-major buffers.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[-1]
+    stack = A.shape[:-2]
+    B = A.reshape((-1, n * n)).T.copy()   # B[i*n + j] = A_ij
+    count = B.shape[1]
+    bad = ~np.isfinite(B).all(axis=0)
+    np.copyto(B, 0.0, where=bad)
+    # eps * ||A||_F per node from its lower triangle, scaled by the peak so
+    # that no square overflows, and summed row by row, in one order for
+    # every stack
+    lower = [(i * n + j, 1.0 if i == j else 2.0)
+             for i in range(n) for j in range(i + 1)]
+    peak = np.max(np.abs(B[[row for row, _ in lower]]), axis=0)
+    unit = np.where(peak > 0.0, peak, 1.0)
+    squares = np.zeros(count)
+    for row, weight in lower:
+        squares += weight * (B[row] / unit) ** 2
+    tol = np.sqrt(squares) * unit * np.finfo(float).eps
+
+    # entries (i, j) and (j, i) both name the row of the lower triangle
+    entry = [[B[max(i, j) * n + min(i, j)] for j in range(n)]
+             for i in range(n)]
+    off_rows = [i * n + j for i in range(n) for j in range(i)]
+    if vectors:
+        # column j of the eigenvector matrix is Q[j], so a rotation or a
+        # swap of two columns acts on two whole rows of Q
+        Q = np.zeros((n, n, count))
+        for i in range(n):
+            Q[i, i] = 1.0
+        q_tmp, q_turned = np.empty((n, count)), np.empty((n, count))
+    theta, t, c, s, tmp, turned = (np.empty(count) for _ in range(6))
+
+    def rotate(x, y, tmp, turned):
+        """(x, y) <- (c x - s y, s x + c y) in place."""
+        np.multiply(c, x, out=turned)
+        np.multiply(s, y, out=tmp)
+        turned -= tmp
+        y *= c
+        np.multiply(s, x, out=tmp)
+        y += tmp
+        x[...] = turned
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(60):
+            off = np.max(np.abs(B[off_rows]), axis=0, initial=0.0)
+            active = off > tol
+            if not active.any():
+                break
+            gate = 2.0 * active   # 0 at a stopped node, so its t is 0
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    bpp, bqq, bpq = entry[p][p], entry[q][q], entry[p][q]
+                    # 2 theta = (B_qq - B_pp) / B_pq; |2 theta| is inf for
+                    # B_pq = 0 (NaN when B_qq = B_pp too, read as inf)
+                    np.subtract(bqq, bpp, out=theta)
+                    theta /= bpq
+                    np.abs(theta, out=t)
+                    np.fmin(t, np.inf, out=t)
+                    np.multiply(t, t, out=c)
+                    c += 4.0
+                    np.sqrt(c, out=c)
+                    t += c
+                    # t = sign(theta) / (|theta| + sqrt(theta^2 + 1))
+                    np.divide(gate, t, out=t)
+                    np.copysign(t, theta, out=t)
+                    np.multiply(t, t, out=c)
+                    c += 1.0
+                    np.sqrt(c, out=c)
+                    np.divide(1.0, c, out=c)
+                    np.multiply(t, c, out=s)
+                    np.multiply(t, bpq, out=tmp)
+                    bpp -= tmp
+                    bqq += tmp
+                    bpq[...] = 0.0   # a stopped node's entry is below tol
+                    for r in range(n):
+                        if r != p and r != q:
+                            rotate(entry[r][p], entry[r][q], tmp, turned)
+                    if vectors:
+                        rotate(Q[p], Q[q], q_tmp, q_turned)
+
+    values = B[::n + 1].copy()
+    # odd-even transposition sort: swaps only strictly out-of-order
+    # neighbours, each with its eigenvector column
+    for sweep in range(n):
+        for i in range(sweep % 2, n - 1, 2):
+            swap = values[i] > values[i + 1]
+            for rows in (values, Q) if vectors else (values,):
+                held = rows[i].copy()
+                np.copyto(rows[i], rows[i + 1], where=swap)
+                np.copyto(rows[i + 1], held, where=swap)
+    np.copyto(values, np.nan, where=bad)
+    values = np.moveaxis(values.reshape((n,) + stack), 0, -1)
+    if not vectors:
+        return values
+    np.copyto(Q, np.nan, where=bad)
+    return values, np.moveaxis(Q.reshape((n, n) + stack), (1, 0), (-2, -1))
+
 
 def elementary_symmetric_batch(kappas: np.ndarray) -> np.ndarray:
     """S_0..S_n along the last axis; input shape (..., n)."""

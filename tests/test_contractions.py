@@ -15,8 +15,9 @@ an index slip.  The inverse Cholesky factor is checked against
 ``np.linalg.inv`` for n = 1..8, an ill-conditioned metric included.  The
 stencils must equal their ``np.roll`` forms, and the curvature kernel its
 oracle on the diagonal fiber metrics the charts store, bit for bit.  A scan of the package pins every
-``np.linalg`` call, so that neither a spectrum the geometry stores nor the
-triangular factor is solved again, and finds no unused import and no
+``np.linalg`` call and every call of the batched Jacobi solver, so that
+neither a spectrum the geometry stores nor the triangular factor is solved
+again, and finds no unused import and no
 private module-level name that nothing references.  It also finds no
 public name that only the tests reach: none that nothing reached from the
 benchmark files, the module-level code or ``cli.main`` reads.  Every
@@ -525,9 +526,9 @@ def test_no_einsum_takes_more_than_two_operands():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-def _linalg_calls(source):
-    """(enclosing function, routine, first argument) of every
-    ``np.linalg`` call, in source order."""
+def _attribute_calls(source, owner):
+    """(enclosing function, routine, arguments) of every call spelled
+    ``owner.routine(...)``, in source order."""
     found = []
 
     def visit(node, where):
@@ -537,9 +538,10 @@ def _linalg_calls(source):
                 continue
             if (isinstance(child, ast.Call)
                     and isinstance(child.func, ast.Attribute)
-                    and ast.unparse(child.func.value) == "np.linalg"):
-                arg = ast.unparse(child.args[0]) if child.args else ""
-                found.append((where, child.func.attr, arg))
+                    and ast.unparse(child.func.value) == owner):
+                args = ", ".join(ast.unparse(arg) for arg in
+                                 child.args + child.keywords)
+                found.append((where, child.func.attr, args))
             visit(child, where)
 
     visit(ast.parse(source), None)
@@ -547,33 +549,50 @@ def _linalg_calls(source):
 
 
 def test_no_stored_spectrum_is_solved_again():
-    # every np.linalg call in the package is listed here.  The principal
-    # curvatures are solved once, in the geometry body that
-    # evaluate_geometry memoizes; the Newton spectra
-    # follow from them in closed form.  Two eigen-solves remain by design:
-    # the eigen frame of one beta_k route, and the spectrum of the
-    # calligraphic combination that semidefiniteness is measured on.  The
-    # Cholesky factor is inverted by forward substitution, so a solve or
-    # inv that comes back fails here; the norm only bounds a box corner
-    assert _linalg_calls("def f(A):\n    return np.linalg.eigvalsh(A @ A)") \
-        == [("f", "eigvalsh", "A @ A")]
-    assert _linalg_calls("w, v = np.linalg.eigh(M)") == [(None, "eigh", "M")]
-    assert _linalg_calls("try:\n    X = np.linalg.solve(L, I)\n"
-                         "except np.linalg.LinAlgError:\n    pass") \
-        == [(None, "solve", "L")]
+    # every eigen-solve and every np.linalg call in the package is listed
+    # here.  The principal curvatures are solved once, in the geometry body
+    # that evaluate_geometry memoizes; the Newton spectra follow from them
+    # in closed form.  Two more solves of symfun's batched Jacobi solver
+    # remain by design: the eigen frame of one beta_k route, and the
+    # spectrum of the calligraphic combination that semidefiniteness is
+    # measured on, over the audited nodes only.  No np.linalg eigen-call
+    # is left.  The Cholesky factor is inverted by forward substitution, so
+    # a solve or inv that comes back fails here; the norm only bounds a box
+    # corner
+    assert _attribute_calls("def f(A):\n    return np.linalg.eigvalsh(A @ A)",
+                            "np.linalg") == [("f", "eigvalsh", "A @ A")]
+    assert _attribute_calls("w, v = np.linalg.eigh(M, UPLO='U')",
+                            "np.linalg") == [(None, "eigh", "M, UPLO='U'")]
+    assert _attribute_calls("try:\n    X = np.linalg.solve(L, I)\n"
+                            "except np.linalg.LinAlgError:\n    pass",
+                            "np.linalg") == [(None, "solve", "L, I")]
     package = Path(warpcurv.__file__).parent
     sources = {path.name: path.read_text()
                for path in sorted(package.glob("*.py"))}
     found = [(name,) + site for name, source in sources.items()
-             for site in _linalg_calls(source)]
+             for site in _attribute_calls(source, "np.linalg")]
     assert found == [
-        ("ambient.py", "check_points", "norm", "np.asarray(x, dtype=float)"),
+        ("ambient.py", "check_points", "norm",
+         "np.asarray(x, dtype=float), axis=-1"),
         ("hypersurface.py", "_geometry_fields", "cholesky", "g"),
-        ("hypersurface.py", "_geometry_fields", "eigvalsh", "shape_frame"),
-        ("operators.py", "calligraphic_ops", "eigvalsh", "Pcal"),
-        ("operators.py", "theta_hat_identity", "eigh", "geom.shape_frame"),
     ]
-    # and no other spelling reaches a linear-algebra package
+    solves = [(name,) + site for name, source in sources.items()
+              for site in _attribute_calls(source, "symfun")
+              if site[1] == "jacobi_eigh_batch"]
+    assert solves == [
+        ("hypersurface.py", "_geometry_fields", "jacobi_eigh_batch",
+         "shape_frame, False"),
+        ("operators.py", "calligraphic_ops", "jacobi_eigh_batch",
+         "Pcal[mask], False"),
+        ("operators.py", "theta_hat_identity", "jacobi_eigh_batch",
+         "geom.shape_frame, True"),
+    ]
+    # and neither the solver nor a linear-algebra package is reached under
+    # another spelling
+    assert {name: source.count("jacobi_eigh_batch")
+            for name, source in sources.items()
+            if name != "symfun.py" and "jacobi_eigh_batch" in source} \
+        == {"hypersurface.py": 1, "operators.py": 2}
     assert [name for name, source in sources.items()
             if "linalg import" in source or "import numpy.linalg" in source
             or "scipy.linalg" in source or "linalg as" in source] == []

@@ -601,6 +601,38 @@ def test_nan_curvature_fails_the_newton_positivity_hypothesis():
     assert math.isnan(rep["hypotheses"]["newton_min_eigenvalue"])
 
 
+def _nan_at_an_audited_node(geom, name):
+    """``geom`` with its central node of field ``name`` set to NaN."""
+    node = tuple(size // 2 for size in geom.interior.shape)
+    assert geom.interior[node]
+    field = getattr(geom, name).copy()
+    field[node] = np.nan
+    return dataclasses.replace(geom, **{name: field})
+
+
+def test_a_nan_shape_operator_gives_nan_beta_routes():
+    # the eigen frame of a NaN node is NaN, so both route residuals read
+    # NaN; no eigen-solve raises and no warning escapes
+    W = make_product("cosh", "space-form", 3, 1.0)
+    imm = random_immersion(W, seed=2, t_center=0.6, amplitude=0.1, res=12)
+    geom = _nan_at_an_audited_node(
+        evaluate_geometry(imm, DiscretizationConfig(order=2)), "shape_frame")
+    rep = theta_hat_identity(imm, 1, geom=geom)
+    assert math.isnan(rep["beta_routes"].max)
+    assert math.isnan(rep["general_vs_constant"].max)
+
+
+def test_a_nan_newton_tensor_gives_a_nan_spectrum():
+    W = make_product("cosh", "space-form", 3, 1.0)
+    imm = random_immersion(W, seed=2, t_center=0.6, amplitude=0.1, res=12)
+    geom = _nan_at_an_audited_node(
+        evaluate_geometry(imm, DiscretizationConfig(order=2)), "newton")
+    rep = calligraphic_ops(imm, 2, geom=geom)
+    assert math.isnan(rep["sigma_identity"].max)
+    assert math.isnan(rep["min_eigenvalue"])
+    assert rep["semidefinite"] is False
+
+
 def test_frak_phi_closed_form_on_slice():
     # constant H_k: the variable-curvature correction vanishes and the
     # four-term form is exact up to differencing of a constant field

@@ -284,6 +284,107 @@ def test_newton_spectrum_carries_nan():
     assert np.all(np.isfinite(spectrum[1:, 0]))
 
 
+def _oracle_stack(rng, n):
+    """Random symmetric matrices, a repeated eigenvalue, rank one,
+    diagonal and graded matrices, the zero matrix and the identity."""
+    def sym(X):
+        return 0.5 * (X + np.swapaxes(X, -1, -2))
+    Q = np.linalg.qr(rng.normal(size=(10, n, n)))[0]
+    spectrum = np.r_[np.ones(n - 1), 2.0]
+    v = rng.normal(size=(10, n))
+    graded = 10.0 ** rng.uniform(-12, 0, size=(10, n))
+    return np.concatenate([
+        sym(rng.normal(size=(40, n, n))),
+        sym(Q @ (spectrum[:, None] * np.swapaxes(Q, -1, -2))),
+        v[:, :, None] * v[:, None, :],
+        np.stack([np.diag(d) for d in rng.normal(size=(10, n))]),
+        sym(Q @ (graded[:, :, None] * np.swapaxes(Q, -1, -2))),
+        np.zeros((1, n, n)), np.eye(n)[None]])
+
+
+@pytest.mark.parametrize("n", range(1, symfun.MAX_DIM + 1))
+def test_jacobi_batch_matches_eigh(n):
+    # |dlambda| and |Q Lambda Q^T - A| within 4 n eps |A|_F per node, and
+    # |Q^T Q - I| within 4 n eps, at scales where a square of an entry
+    # would overflow or underflow
+    eps = np.finfo(float).eps
+    base = _oracle_stack(np.random.default_rng(600 + n), n)
+    for scale in (1e-150, 1.0, 1e150):
+        A = scale * base
+        values, Q = symfun.jacobi_eigh_batch(A, True)
+        assert np.array_equal(symfun.jacobi_eigh_batch(A, False), values)
+        assert np.all(np.diff(values, axis=-1) >= 0.0)
+        frobenius = scale * np.sqrt(np.sum(base ** 2, axis=(-1, -2)))
+        bound = 4 * n * eps * frobenius
+        ref = np.linalg.eigh(A)[0]
+        assert np.all(np.max(np.abs(values - ref), axis=-1) <= bound)
+        rebuilt = (Q * values[:, None, :]) @ np.swapaxes(Q, -1, -2)
+        assert np.all(np.max(np.abs(rebuilt - A), axis=(-1, -2)) <= bound)
+        gram = np.swapaxes(Q, -1, -2) @ Q
+        assert np.max(np.abs(gram - np.eye(n))) <= 4 * n * eps
+    # diagonal matrices need no rotation: the sorted diagonal, identity
+    # columns permuted with it, tied entries kept in their order
+    d = np.round(np.random.default_rng(700 + n).normal(size=(5, n)))
+    values, Q = symfun.jacobi_eigh_batch(d[:, :, None] * np.eye(n), True)
+    order = np.argsort(d, axis=-1, kind="stable")
+    assert np.array_equal(values, np.take_along_axis(d, order, axis=-1))
+    assert np.array_equal(Q, np.eye(n)[:, order].transpose(1, 0, 2))
+
+
+def test_jacobi_batch_reads_the_lower_triangle():
+    rng = np.random.default_rng(41)
+    A = _oracle_stack(rng, 4)
+    skewed = A + np.triu(rng.normal(size=A.shape), 1)
+    assert np.array_equal(symfun.jacobi_eigh_batch(skewed, False),
+                          symfun.jacobi_eigh_batch(A, False))
+    for got, expect in zip(symfun.jacobi_eigh_batch(skewed, True),
+                           symfun.jacobi_eigh_batch(A, True)):
+        assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_jacobi_batch_nodes_are_independent(n):
+    # a node's bits do not depend on the stack around it: one node, a
+    # sub-stack, a rolled stack and a grid-shaped stack give the same, and
+    # no input is written to
+    A = _oracle_stack(np.random.default_rng(800 + n), n)
+    kept = A.copy()
+    values, Q = symfun.jacobi_eigh_batch(A, True)
+    for i in (0, 17, len(A) - 1):
+        one_value, one_Q = symfun.jacobi_eigh_batch(A[i], True)
+        assert np.array_equal(one_value, values[i])
+        assert np.array_equal(one_Q, Q[i])
+    assert np.array_equal(A, kept)
+    sub_values, sub_Q = symfun.jacobi_eigh_batch(A[45:63], True)
+    assert np.array_equal(sub_values, values[45:63])
+    assert np.array_equal(sub_Q, Q[45:63])
+    rolled_values, rolled_Q = symfun.jacobi_eigh_batch(np.roll(A, 7, axis=0),
+                                                       True)
+    assert np.array_equal(rolled_values, np.roll(values, 7, axis=0))
+    assert np.array_equal(rolled_Q, np.roll(Q, 7, axis=0))
+    grid = A[:80].reshape(4, 20, n, n)
+    assert np.array_equal(symfun.jacobi_eigh_batch(grid, False),
+                          values[:80].reshape(4, 20, n))
+
+
+def test_jacobi_batch_gives_nan_at_a_non_finite_node():
+    # the node returns NaN values and vectors, its neighbours their own
+    # bits, and no warning escapes (the suite turns one into an error)
+    A = _oracle_stack(np.random.default_rng(43), 3)
+    values, Q = symfun.jacobi_eigh_batch(A, True)
+    doctored = A.copy()
+    doctored[3, 0, 0] = np.nan
+    doctored[8, 2, 1] = np.inf
+    doctored[9, 0, 2] = -np.inf   # an upper entry is read for this check
+    got_values, got_Q = symfun.jacobi_eigh_batch(doctored, True)
+    bad = np.isin(np.arange(len(A)), [3, 8, 9])
+    assert np.all(np.isnan(got_values[bad])) and np.all(np.isnan(got_Q[bad]))
+    assert np.array_equal(got_values[~bad], values[~bad])
+    assert np.array_equal(got_Q[~bad], Q[~bad])
+    assert np.array_equal(symfun.jacobi_eigh_batch(doctored, False),
+                          got_values, equal_nan=True)
+
+
 def test_dimension_guard():
     with pytest.raises(ValueError):
         symfun.elementary_symmetric(np.zeros(symfun.MAX_DIM + 1))
