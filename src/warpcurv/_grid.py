@@ -62,7 +62,7 @@ def gradient(f: np.ndarray, spacing, order: int = 4) -> np.ndarray:
     out = np.empty((len(spacing),) + f.shape)
     for axis, h in enumerate(spacing):
         out[axis] = diff(f, axis, h, order)
-    return _node_major(out, 1)
+    return node_major(out, 1)
 
 
 def hessian(f: np.ndarray, spacing, order: int = 4) -> tuple:
@@ -87,7 +87,7 @@ def hessian(f: np.ndarray, spacing, order: int = 4) -> tuple:
                          - 30.0 * f) / (12.0 * h * h)
         for j in range(i + 1, n):
             out[i, j] = out[j, i] = diff(firsts[i], j, spacing[j], order)
-    return _node_major(firsts, 1), _node_major(out, 2)
+    return node_major(firsts, 1), node_major(out, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,9 @@ def hessian(f: np.ndarray, spacing, order: int = 4) -> tuple:
 # every node.  These move the component axes first, as views, and form
 # each output component as a sum of whole-grid products.  Each output is
 # written into a component-major buffer and returned as its node-major
-# view, so a chain of them reads whole contiguous grids.
+# view, so a chain of them reads whole contiguous grids.  Every tensor
+# field of a ``GeometryGrid`` is stored that way, so each component the
+# primitives read is one contiguous grid.
 
 def components(X: np.ndarray, k: int = 1) -> np.ndarray:
     """View of ``X`` with its last ``k`` (component) axes moved first."""
@@ -108,7 +110,7 @@ def components(X: np.ndarray, k: int = 1) -> np.ndarray:
     return X.transpose(tuple(range(grid, X.ndim)) + tuple(range(grid)))
 
 
-def _node_major(buf: np.ndarray, k: int) -> np.ndarray:
+def node_major(buf: np.ndarray, k: int) -> np.ndarray:
     """Node-major view of a buffer whose first ``k`` axes are components."""
     return buf.transpose(tuple(range(k, buf.ndim)) + tuple(range(k)))
 
@@ -137,7 +139,7 @@ def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
                    + np.broadcast_shapes(Mc.shape[2:], vc.shape[1:]))
     for o, row in zip(out, Mc):
         _sum_of_products(o, zip(row, vc))
-    return _node_major(out, 1)
+    return node_major(out, 1)
 
 
 def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -149,7 +151,7 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for i, row in enumerate(Ac):
         for k in range(Bc.shape[1]):
             _sum_of_products(out[i, k], zip(row, Bc[:, k]))
-    return _node_major(out, 2)
+    return node_major(out, 2)
 
 
 def contract_first(T: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -161,7 +163,7 @@ def contract_first(T: np.ndarray, v: np.ndarray) -> np.ndarray:
     for i, row in enumerate(out):
         for j, o in enumerate(row):
             _sum_of_products(o, zip(Tc[:, i, j], vc))
-    return _node_major(out, 2)
+    return node_major(out, 2)
 
 
 def trace_product(P: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -190,7 +192,38 @@ def lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
                                             for m in range(j, i)))
             x /= Lc[i, i]
             np.negative(x, out=x)
-    return _node_major(out, 2)
+    return node_major(out, 2)
+
+
+def cholesky(g: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with g = L L^T at every node, column by column;
+    its strictly upper entries are exactly 0.  Only the lower triangle of
+    g is read.
+
+    Column j takes the pivot d = g_jj - sum_{m<j} L_jm^2, then
+    L_jj = sqrt(d) and L_ij = (g_ij - sum_{m<j} L_im L_jm) / L_jj below
+    it.  Raises ValueError unless every pivot of every node is > 0, so a
+    NaN pivot fails too.
+    """
+    gc = components(g, 2)
+    n = gc.shape[0]
+    out = np.zeros(gc.shape)
+    for j in range(n):
+        for i in range(j, n):
+            # an Ellipsis keeps a one-node entry a writable 0-d view
+            x = out[i, j, ...]
+            if j:
+                _sum_of_products(x, ((out[i, m], out[j, m])
+                                     for m in range(j)))
+            np.subtract(gc[i, j], x, out=x)
+            if i == j:
+                if not (x > 0.0).all():
+                    raise ValueError("matrix is not positive definite at "
+                                     "every node")
+                np.sqrt(x, out=x)
+            else:
+                x /= out[j, j]
+    return node_major(out, 2)
 
 
 def interior_mask(shape, periodic, cells: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grid import golden_max
+from ._grid import components, golden_max, node_major
 from .symfun import MAX_DIM
 
 
@@ -197,7 +197,9 @@ class FiberSpec:
 
     # -- metric data -------------------------------------------------------
     # The flat chart's constant fields are read-only views of one n x n
-    # identity or one n^3 zero array, not copies at every point.
+    # identity or one n^3 zero array, not copies at every point.  The
+    # space-form fields are node-major views of component-major buffers,
+    # as the geometry's tensor fields are.
     def _conformal_factor(self, x):
         return 2.0 / (1.0 + self.kappa * np.sum(x * x, axis=-1))
 
@@ -206,13 +208,15 @@ class FiberSpec:
         eye = np.eye(self.n)
         if self.chart == "flat-torus":
             return np.broadcast_to(eye, x.shape[:-1] + eye.shape)
-        return self._conformal_factor(x)[..., None, None] ** 2 * eye
+        lam_sq = self._conformal_factor(x) ** 2
+        return node_major(np.multiply.outer(eye, lam_sq), 2)
 
     def inverse_metric(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.chart == "flat-torus":
             return self.metric(x)
-        return self._conformal_factor(x)[..., None, None] ** -2 * np.eye(self.n)
+        lam_inv_sq = self._conformal_factor(x) ** -2
+        return node_major(np.multiply.outer(np.eye(self.n), lam_inv_sq), 2)
 
     def christoffel(self, x: np.ndarray) -> np.ndarray:
         """Closed-form symbols, indexed [..., k, i, j] for Gamma^k_{ij}:
@@ -222,11 +226,11 @@ class FiberSpec:
         if self.chart == "flat-torus":
             return np.broadcast_to(np.zeros((self.n,) * 3),
                                    x.shape[:-1] + (self.n,) * 3)
-        eye = np.eye(self.n)
-        d = -self.kappa * self._conformal_factor(x)[..., None] * x
-        return (eye[:, :, None] * d[..., None, None, :]
-                + eye[:, None, :] * d[..., None, :, None]
-                - eye * d[..., :, None, None])
+        eye = np.eye(self.n).reshape((self.n, self.n) + (1,) * (x.ndim - 1))
+        d = components(-self.kappa * self._conformal_factor(x)[..., None] * x)
+        return node_major(eye[:, :, None] * d[None, None]
+                          + eye[:, None, :] * d[None, :, None]
+                          - eye * d[:, None, None], 3)
 
     # -- distance machinery (for the extrinsic probe) ------------------------
     def gamma_hat_data(self, x: np.ndarray, origin):

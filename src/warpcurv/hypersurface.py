@@ -34,9 +34,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import symfun
-from ._grid import (components, contract_first, diff, dot, gradient, hessian,
-                    interior_mask, lower_triangular_inverse, masked_max,
-                    matmul, matvec, min_or_nan, stencil_radius)
+from ._grid import (cholesky, components, contract_first, diff, dot,
+                    gradient, hessian, interior_mask, lower_triangular_inverse,
+                    masked_max, matmul, matvec, min_or_nan, node_major,
+                    stencil_radius)
 from .ambient import WarpedProduct, warping_eval
 
 
@@ -339,6 +340,10 @@ class GeometryGrid:
 
     Index conventions: grid axes first, then tensor indices; P~_k is read
     through ``newton_tensor(k)`` and ``H`` holds H_0..H_n on the last axis.
+    Storage is component-major: each tensor field is the node-major view
+    of a C-contiguous buffer with its component axes first, so each
+    component (``_grid.components(field, k)[i, j]``) is one contiguous
+    grid.  The flat chart's constant fiber fields are broadcast views.
 
     Frozen, so the grids memoized from its fields stay valid: the chart
     covariant Hessians of ``u`` and ``sigma``, the curvature kernel
@@ -510,15 +515,21 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
     ghat_inv = fiber.inverse_metric(x)
     gammahat = fiber.christoffel(x)
 
-    g = du[..., :, None] * du[..., None, :] + (rho * rho)[..., None, None] * ghat
+    # every tensor field is built component-major, as the node-major view
+    # of a contiguous buffer, so each component is one contiguous grid
+    duc = components(du)
+    g = np.multiply(duc[:, None], duc[None, :])
+    g += (rho * rho) * components(ghat, 2)
+    g = node_major(g, 2)
     try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
+        L = cholesky(g)
+    except ValueError:
         raise ValueError("singular induced metric on the grid")
+    Lc = components(L, 2)
     L_inv = lower_triangular_inverse(L)
     L_inv_t = np.swapaxes(L_inv, -1, -2)
     g_inv = matmul(L_inv_t, L_inv)
-    sqrt_det_g = np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
+    sqrt_det_g = math.prod(Lc[i, i] for i in range(n))
 
     ghat_inv_du = matvec(ghat_inv, du)
     du_hat_sq = dot(du, ghat_inv_du)
@@ -527,25 +538,28 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
     theta = -sgn / w_factor
 
     # N = sgn/W * (-d/dt + rho^-2 ghat^{jk} u_k d/dx^j)
-    n_fiber = (sgn / (w_factor * rho * rho))[..., None] * ghat_inv_du
-    normal = np.concatenate([theta[..., None], n_fiber], axis=-1)
+    normal = np.empty((n + 1,) + u.shape)
+    normal[0] = theta
+    np.multiply(sgn / (w_factor * rho * rho), components(ghat_inv_du),
+                out=normal[1:])
+    normal = node_major(normal, 1)
 
     a = matvec(L_inv, du)
     # Sherman-Morrison: g^{-1} du = ghat^{-1} du / (rho^2 W^2)
-    grad_h_chart = ghat_inv_du / (rho * rho * w_factor * w_factor)[..., None]
+    grad_h_chart = node_major(components(ghat_inv_du)
+                              / (rho * rho * w_factor * w_factor), 1)
 
-    hess_u_fiber = hess_u - contract_first(gammahat, du)
-    II = (sgn / w_factor)[..., None, None] * (
-        -hess_u_fiber
-        + (rho * drho)[..., None, None] * ghat
-        + 2.0 * data.hcal[..., None, None] * du[..., :, None] * du[..., None, :])
+    II = np.negative(components(hess_u - contract_first(gammahat, du), 2))
+    II += (rho * drho) * components(ghat, 2)
+    II += 2.0 * data.hcal * duc[:, None] * duc[None, :]
+    II *= sgn / w_factor
+    II = node_major(II, 2)
 
-    A = matmul(matmul(L_inv, II), L_inv_t)
-    # stored node-major: symfun's batched Newton products read it one
-    # node at a time
-    shape_frame = np.empty(A.shape)
-    np.add(A, np.swapaxes(A, -1, -2), out=shape_frame)
+    Ac = components(matmul(matmul(L_inv, II), L_inv_t), 2)
+    shape_frame = np.empty(Ac.shape)
+    np.add(Ac, np.swapaxes(Ac, 0, 1), out=shape_frame)
     shape_frame *= 0.5
+    shape_frame = node_major(shape_frame, 2)
     kappas = symfun.jacobi_eigh_batch(shape_frame, False)
 
     S = symfun.elementary_symmetric_batch(kappas)
@@ -557,7 +571,7 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
     # is symmetric bit for bit, so d_m g_ij and [l, ij] are too: only
     # i <= j is differenced and raised, summing over l as matvec does
     iu = np.triu_indices(n)
-    g_upper = np.ascontiguousarray(components(g, 2)[iu])
+    g_upper = components(g, 2)[iu]
     dg = np.empty((n, n, n) + u.shape)   # dg[i, j, m] = d_m g_ij
     christoffel = np.empty(dg.shape)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._grid import components, matmul, node_major
+
 MAX_DIM = 8
 
 _SYM_TOL = 1e-10
@@ -278,7 +280,8 @@ def jacobi_eigh_batch(A: np.ndarray, vectors: bool):
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
     stack = A.shape[:-2]
-    B = A.reshape((-1, n * n)).T.copy()   # B[i*n + j] = A_ij
+    # B[i*n + j] = A_ij, one copy whatever the layout of A
+    B = np.array(components(A, 2), order="C").reshape((n * n, -1))
     count = B.shape[1]
     bad = ~np.isfinite(B).all(axis=0)
     np.copyto(B, 0.0, where=bad)
@@ -374,16 +377,18 @@ def jacobi_eigh_batch(A: np.ndarray, vectors: bool):
 
 
 def elementary_symmetric_batch(kappas: np.ndarray) -> np.ndarray:
-    """S_0..S_n along the last axis; input shape (..., n)."""
+    """S_0..S_n along the last axis; input shape (..., n).  The result is
+    the node-major view of a component-major buffer, accumulated one whole
+    grid S_j at a time."""
     kappas = np.asarray(kappas, dtype=float)
     n = kappas.shape[-1]
-    S = np.zeros(kappas.shape[:-1] + (n + 1,))
-    S[..., 0] = 1.0
+    S = np.zeros((n + 1,) + kappas.shape[:-1])
+    S[0] = 1.0
     for i in range(n):
         kap = kappas[..., i]
         for j in range(i + 1, 0, -1):
-            S[..., j] += kap * S[..., j - 1]
-    return S
+            S[j] += kap * S[j - 1]
+    return node_major(S, 1)
 
 
 def h_from_s(S: np.ndarray) -> np.ndarray:
@@ -395,16 +400,24 @@ def h_from_s(S: np.ndarray) -> np.ndarray:
 
 def newton_family_batch(A: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Stack P_1..P_{n-1} as ``P[..., k-1, :, :]``, P_0 = I left out;
-    input A shape (..., n, n), output (..., n-1, n, n).
+    input A shape (..., n, n) and S = S_0..S_n shape (..., n+1), output
+    (..., n-1, n, n).
+
+    P_1 = S_1 I - A and P_k = S_k I - A P_{k-1}, each product formed by
+    ``_grid.matmul`` from whole grids, written into a component-major
+    (n-1, n, n) + grid buffer whose node-major view is returned.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[-1]
-    eye = np.eye(n)
-    P = np.empty(A.shape[:-2] + (n - 1, n, n))
+    Sc = components(S)
+    P = np.empty((n - 1, n, n) + A.shape[:-2])
     for k in range(1, n):
-        prev = P[..., k - 2, :, :] if k > 1 else eye
-        P[..., k - 1, :, :] = S[..., k, None, None] * eye - A @ prev
-    return P
+        product = A if k == 1 else matmul(A, node_major(P[k - 2], 2))
+        Pk = P[k - 1]
+        np.negative(components(product, 2), out=Pk)
+        for i in range(n):
+            Pk[i, i] += Sc[k]
+    return node_major(P, 3)
 
 
 def newton_spectrum_batch(kappas: np.ndarray) -> np.ndarray:

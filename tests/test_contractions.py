@@ -3,22 +3,25 @@ they replaced.
 
 The library runs its per-node n x n algebra component-major: the
 primitives of ``warpcurv._grid`` (``dot``, ``matvec``, ``matmul``,
-``contract_first``, ``trace_product`` and ``lower_triangular_inverse``)
-move the component axes first and sum whole-grid products, as does the
-curvature kernel.
+``contract_first``, ``trace_product``, ``lower_triangular_inverse`` and
+``cholesky``) move the component axes first and sum whole-grid products,
+as does the curvature kernel, and every tensor field of a geometry is
+stored so that each component is one contiguous grid.
 Each site is compared here with a test-side oracle written as the old
 einsum or ``@`` form, on seeded stacks with n = 2 and 3, contiguous,
 strided and component-major; the two must agree to 1e-13 of max|field|.
 Each comparison whose operands are not all symmetric is also shown to
 reject the result with one operand transposed, so it could not pass on
-an index slip.  The inverse Cholesky factor is checked against
-``np.linalg.inv`` for n = 1..8, an ill-conditioned metric included.  The
-stencils must equal their ``np.roll`` forms, and the curvature kernel its
-oracle on the diagonal fiber metrics the charts store, bit for bit.  A scan of the package pins every
-``np.linalg`` call and every call of the batched Jacobi solver, so that
-neither a spectrum the geometry stores nor the triangular factor is solved
-again, and finds no unused import and no
-private module-level name that nothing references.  It also finds no
+an index slip.  The Cholesky factor is checked against
+``np.linalg.cholesky``, and its inverse against ``np.linalg.inv``, for
+n = 1..8, an ill-conditioned metric included; a pivot that is not
+positive must be refused.  The stencils must equal their ``np.roll``
+forms, and the curvature kernel its oracle on the diagonal fiber metrics
+the charts store, bit for bit.  A scan of the package pins every
+``np.linalg`` call, the one factorization of the metric and every call
+of the batched Jacobi solver, so that neither a spectrum the geometry
+stores nor the triangular factor is solved again, and finds no unused
+import and no private module-level name that nothing references.  It also finds no
 public name that only the tests reach: none that nothing reached from the
 benchmark files, the module-level code or ``cli.main`` reads.  Every
 export must resolve, and ``__init__`` may import nothing it does not
@@ -35,9 +38,9 @@ import pytest
 import warpcurv
 from helpers import make_product, point_curvature, random_immersion
 from warpcurv import operators
-from warpcurv._grid import (contract_first, diff, dot, gradient, hessian,
-                            lower_triangular_inverse, matmul, matvec,
-                            trace_product)
+from warpcurv._grid import (cholesky, components, contract_first, diff, dot,
+                            gradient, hessian, lower_triangular_inverse,
+                            matmul, matvec, trace_product)
 from warpcurv.ambient import curvature_tensor_components, warping_eval
 from warpcurv.hypersurface import evaluate_geometry
 
@@ -149,6 +152,87 @@ def test_lower_triangular_inverse(n):
         if n > 1:
             assert not _agree(lower_triangular_inverse(L),
                               np.linalg.inv(_t(L)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cholesky_against_lapack(n):
+    # both factors are backward stable, so each must reproduce g, and the
+    # two agree, to a small multiple of n eps |g| per node (|g| its largest
+    # entry; L carries the units of |g|^(1/2)).  Measured worst: 1.0 n eps
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(60 + n)
+    shape = (5, 4)
+    A = rng.normal(size=shape + (n, n))
+    for g0 in (A @ _t(A) + np.eye(n), _ill_conditioned_metric(rng, n, shape)):
+        for scale in (1e-150, 1.0, 1e150):
+            g = scale * g0
+            held = g.copy()
+            L = cholesky(g)
+            assert np.array_equal(g, held)
+            assert L.shape == g.shape
+            assert np.all(np.triu(L, 1) == 0.0)
+            size = np.max(np.abs(g), axis=(-2, -1))[..., None, None]
+            assert np.all(np.abs(L @ _t(L) - g) <= 4 * n * eps * size)
+            assert np.all(np.abs(L - np.linalg.cholesky(g))
+                          <= 4 * n * eps * np.sqrt(size))
+            # per-node arithmetic: a node or a strided sub-stack factors
+            # to the bits it has in the whole stack
+            assert np.array_equal(cholesky(g[2, 1]), L[2, 1])
+            assert np.array_equal(cholesky(g[1:4, ::2]), L[1:4, ::2])
+            assert np.array_equal(cholesky(_component_major(g, 2)), L)
+    if n > 1:
+        assert not _agree(cholesky(g), _t(np.linalg.cholesky(g)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cholesky_refuses_a_pivot_that_is_not_positive(n):
+    # one bad node fails the whole stack, at the first pivot or the last
+    g = np.broadcast_to(np.eye(n), (3, 2, n, n)).copy()
+    v = np.arange(1.0, n + 1.0)
+    bad = [np.zeros((n, n)), -np.eye(n), np.diag(np.r_[np.ones(n - 1), -1.0]),
+           np.diag(np.r_[np.ones(n - 1), np.nan])]
+    if n > 1:
+        # rank one with integer entries: the second pivot is exactly 0
+        bad.append(np.outer(v, v))
+        nan_below = np.eye(n)
+        nan_below[n - 1, 0] = np.nan
+        bad.append(nan_below)
+    for node in bad:
+        doctored = g.copy()
+        doctored[1, 1] = node
+        with pytest.raises(ValueError, match="positive definite"):
+            cholesky(doctored)
+    assert np.array_equal(cholesky(g), g)
+
+
+def test_a_metric_that_is_not_positive_definite_is_refused(monkeypatch):
+    W = make_product("cosh", "flat-torus", 2, 0.0)
+    imm = random_immersion(W, seed=4, t_center=0.7, amplitude=0.1, res=12)
+    monkeypatch.setattr(W.fiber, "metric",
+                        lambda x: -np.broadcast_to(np.eye(2), x.shape + (2,)))
+    with pytest.raises(ValueError, match="singular induced metric"):
+        evaluate_geometry(imm)
+
+
+def test_every_tensor_field_is_stored_component_major(geom):
+    # each component of a stored tensor field is one contiguous grid, so
+    # the whole-grid products read it without a stride; the flat chart's
+    # broadcast fiber constants store no grid at all
+    grid = geom.u.shape
+    checked = []
+    for f in dataclasses.fields(geom):
+        X = getattr(geom, f.name)
+        if not isinstance(X, np.ndarray) or X.shape[:len(grid)] != grid:
+            continue
+        if 0 in X.strides:
+            assert geom.imm.W.fiber.chart == "flat-torus"
+            assert f.name in ("ghat", "gammahat")
+            continue
+        assert components(X, X.ndim - len(grid)).flags.c_contiguous, f.name
+        checked.append(f.name)
+    assert {"L", "normal", "II", "shape_frame", "H", "newton"} <= set(checked)
+    for k in range(1, geom.n):
+        assert components(geom.newton_tensor(k), 2).flags.c_contiguous
 
 
 def test_g_inv_and_a(geom):
@@ -556,9 +640,10 @@ def test_no_stored_spectrum_is_solved_again():
     # remain by design: the eigen frame of one beta_k route, and the
     # spectrum of the calligraphic combination that semidefiniteness is
     # measured on, over the audited nodes only.  No np.linalg eigen-call
-    # is left.  The Cholesky factor is inverted by forward substitution, so
-    # a solve or inv that comes back fails here; the norm only bounds a box
-    # corner
+    # is left.  The metric is factored once, by _grid.cholesky in the
+    # geometry body, and the factor is inverted by forward substitution,
+    # so a cholesky, solve or inv that comes back fails here; the norm only
+    # bounds a box corner
     assert _attribute_calls("def f(A):\n    return np.linalg.eigvalsh(A @ A)",
                             "np.linalg") == [("f", "eigvalsh", "A @ A")]
     assert _attribute_calls("w, v = np.linalg.eigh(M, UPLO='U')",
@@ -574,8 +659,14 @@ def test_no_stored_spectrum_is_solved_again():
     assert found == [
         ("ambient.py", "check_points", "norm",
          "np.asarray(x, dtype=float), axis=-1"),
-        ("hypersurface.py", "_geometry_fields", "cholesky", "g"),
     ]
+    assert _package_callers("cholesky") == {
+        "hypersurface.py": ["_geometry_fields"]}
+    assert {name: source.count("cholesky(")
+            for name, source in sources.items()
+            if name != "_grid.py" and "cholesky(" in source} \
+        == {"hypersurface.py": 1}
+    assert "L = cholesky(g)\n" in sources["hypersurface.py"]
     solves = [(name,) + site for name, source in sources.items()
               for site in _attribute_calls(source, "symfun")
               if site[1] == "jacobi_eigh_batch"]
