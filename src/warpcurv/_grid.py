@@ -137,8 +137,8 @@ def matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     Mc, vc = components(M, 2), components(v)
     out = np.empty(Mc.shape[:1]
                    + np.broadcast_shapes(Mc.shape[2:], vc.shape[1:]))
-    for o, row in zip(out, Mc):
-        _sum_of_products(o, zip(row, vc))
+    for i, row in enumerate(Mc):
+        _sum_of_products(out[i, ...], zip(row, vc))
     return node_major(out, 1)
 
 
@@ -150,7 +150,7 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
                    + np.broadcast_shapes(Ac.shape[2:], Bc.shape[2:]))
     for i, row in enumerate(Ac):
         for k in range(Bc.shape[1]):
-            _sum_of_products(out[i, k], zip(row, Bc[:, k]))
+            _sum_of_products(out[i, k, ...], zip(row, Bc[:, k]))
     return node_major(out, 2)
 
 
@@ -160,9 +160,9 @@ def contract_first(T: np.ndarray, v: np.ndarray) -> np.ndarray:
     Tc, vc = components(T, 3), components(v)
     out = np.empty(Tc.shape[1:3]
                    + np.broadcast_shapes(Tc.shape[3:], vc.shape[1:]))
-    for i, row in enumerate(out):
-        for j, o in enumerate(row):
-            _sum_of_products(o, zip(Tc[:, i, j], vc))
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
+            _sum_of_products(out[i, j, ...], zip(Tc[:, i, j], vc))
     return node_major(out, 2)
 
 
@@ -188,7 +188,7 @@ def lower_triangular_inverse(L: np.ndarray) -> np.ndarray:
     for j in range(n):
         out[j, j] = 1.0 / Lc[j, j]
         for i in range(j + 1, n):
-            x = _sum_of_products(out[i, j], ((Lc[i, m], out[m, j])
+            x = _sum_of_products(out[i, j, ...], ((Lc[i, m], out[m, j])
                                             for m in range(j, i)))
             x /= Lc[i, i]
             np.negative(x, out=x)

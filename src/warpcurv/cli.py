@@ -118,16 +118,12 @@ def write_json(path: str, obj) -> None:
         fh.write(text)
 
 
-def write_table(path: str, columns: list, rows: list) -> None:
-    lines = ["\t".join(columns)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(repr(float(v)))
-            else:
-                cells.append(str(v))
-        lines.append("\t".join(cells))
+def write_table(path: str, header: list, columns: list) -> None:
+    """Tab-separated table with one sequence per column.  ``tolist``
+    turns each column into Python numbers, whose ``str`` is their
+    ``repr``: a float is written with every digit it needs."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    lines = ["\t".join(header)] + ["\t".join(map(str, row)) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -533,7 +529,7 @@ def _convergence(run, op, stem):
         run.imm, run.cfg,
         lambda geom: {identity: suite(geom, k)[0][key].grid})[identity]
     write_table(stem + ".tsv", ["spacing", "max_residual"],
-                list(zip(study["spacings"], study["maxima"])))
+                [study["spacings"], study["maxima"]])
     fields = dict(study, identity=identity)
     if study["slope"] is None:
         return dict(fields, status=STATUS_PASS,
@@ -632,7 +628,7 @@ def _parabolicity(run, op, stem):
     with _config_inputs():   # its ValueErrors all reject the op's inputs
         rep = scenarios.parabolicity_integral(model, H, k, t_max=t_max)
     write_table(stem + ".tsv", ["t", "integrand"],
-                list(zip(rep["ts"], rep["integrand"])))
+                [rep["ts"], rep["integrand"]])
     return {"report": {key: val for key, val in rep.items()
                        if key not in ("ts", "integrand")},
             "status": STATUS_PASS}
@@ -723,11 +719,9 @@ def run_probe(config: dict, args, out_dir: str) -> int:
             if isinstance(v, (bool, np.bool_))))
 
     write_json(os.path.join(out_dir, "probe-00-omori-yau.json"), entry)
-    write_table(
-        os.path.join(out_dir, "probe-00-omori-yau.tsv"),
-        ["j", "radius", "gap", "grad_norm", "Lu"],
-        [(rec["j"], rec["radius"], rec["gap"], rec["grad_norm"], rec["Lu"])
-         for rec in probe.records])
+    keys = ["j", "radius", "gap", "grad_norm", "Lu"]
+    write_table(os.path.join(out_dir, "probe-00-omori-yau.tsv"), keys,
+                [[rec[key] for rec in probe.records] for key in keys])
     return _summarize("probe", config, args.seed, [entry], out_dir)
 
 
@@ -772,7 +766,7 @@ def run_comparison(config: dict, args, out_dir: str) -> int:
     write_table(
         os.path.join(out_dir, "comparison-01-solution.tsv"),
         ["t", "phi", "dphi", "psi", "dpsi", "envelope"],
-        list(zip(sol.ts, sol.phi, sol.dphi, sol.psi, sol.dpsi, sol.envelope)))
+        [sol.ts, sol.phi, sol.dphi, sol.psi, sol.dpsi, sol.envelope])
 
     if model is not None:
         entry = {"op": "hessian-comparison", "report": hess}

@@ -38,23 +38,32 @@ class GrowthFunction:
     dfn: callable
 
     def __call__(self, t):
-        return self.fn(np.asarray(t, dtype=float))
+        """G at ``t``.  A float (``np.float64`` included) is passed to
+        ``fn`` as a Python float, so the comparison ODE's right-hand side
+        pays for no 0-d array; ``fn`` must return the double its array
+        evaluation gives at that point."""
+        return self.fn(float(t) if isinstance(t, float)
+                       else np.asarray(t, dtype=float))
 
     def derivative(self, t):
         return self.dfn(np.asarray(t, dtype=float))
 
 
+def _constant(level: float):
+    """Growth values of the constant ``level``: the level itself at a
+    float, a filled array otherwise."""
+    return lambda t: level if isinstance(t, float) else np.full_like(t, level)
+
+
 GROWTH_FUNCTIONS = {
-    "one": lambda: GrowthFunction(
-        "one", lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        lambda t: np.zeros_like(np.asarray(t, dtype=float))),
+    "one": lambda: GrowthFunction("one", _constant(1.0), np.zeros_like),
+    # t * t, not t ** 2: Python's pow need not round as numpy's square
     "quadratic": lambda: GrowthFunction(
-        "quadratic", lambda t: 1.0 + np.asarray(t, dtype=float) ** 2,
-        lambda t: 2.0 * np.asarray(t, dtype=float)),
+        "quadratic", lambda t: 1.0 + t * t, lambda t: 2.0 * t),
+    # np.exp, not math.exp, which rounds differently at some points
     "exp-square": lambda: GrowthFunction(
-        "exp-square", lambda t: np.exp(np.asarray(t, dtype=float) ** 2),
-        lambda t: 2.0 * np.asarray(t, dtype=float)
-        * np.exp(np.asarray(t, dtype=float) ** 2)),
+        "exp-square", lambda t: np.exp(t * t),
+        lambda t: 2.0 * t * np.exp(t * t)),
 }
 
 
@@ -154,12 +163,6 @@ class ComparisonSolution:
     report: dict
     _dense: object = field(default=None, repr=False)
 
-    def phi_at(self, t):
-        return self._dense(np.asarray(t, dtype=float))[0]
-
-    def dphi_at(self, t):
-        return self._dense(np.asarray(t, dtype=float))[1]
-
     def envelope_at(self, t):
         return np.exp(self._dense(np.asarray(t, dtype=float))[3])
 
@@ -190,12 +193,13 @@ def solve_comparison(G: GrowthFunction, T: float) -> ComparisonSolution:
     ts = np.linspace(0.0, T, 2001)
     # an overflowing G or phi makes the step fail, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, T), [0.0, 1.0, 0.0, 0.0], t_eval=ts,
-                        rtol=1e-11, atol=1e-13, dense_output=True,
-                        method="RK45")
+        sol = solve_ivp(rhs, (0.0, T), [0.0, 1.0, 0.0, 0.0], rtol=1e-11,
+                        atol=1e-13, dense_output=True, method="RK45")
     if not sol.success:
         raise ValueError(f"comparison integrator failed: {sol.message}")
-    phi, dphi, I_sqrtG, I_invsqrtG = sol.y
+    # the dense solution evaluates ts grouped by step, as a t_eval loop
+    # would, so the samples are the same doubles
+    phi, dphi, I_sqrtG, I_invsqrtG = sol.sol(ts)
     if float(np.min(phi[1:])) <= 0.0:
         raise ValueError("phi lost positivity on (0, T]; growth function rejected")
 
@@ -337,8 +341,8 @@ def hessian_comparison_check(model: RadialModel, G: GrowthFunction) -> dict:
             "curvature_margin_min": float(np.min(curv_margin)),
         }
 
-    sol = solve_comparison(G, model.R)
-    ratio_phi = sol.dphi_at(rs) / sol.phi_at(rs)
+    phi, dphi = solve_comparison(G, model.R)._dense(rs)[:2]
+    ratio_phi = dphi / phi
     ratio_f = model.volume_slope(rs)
     margin = ratio_phi - ratio_f
 
@@ -410,10 +414,7 @@ def default_growth_for(model: RadialModel) -> GrowthFunction:
     """
     rs = np.linspace(model.R / 512.0, model.R, 512)
     level = max(float(np.max(model.d2f(rs) / model.f(rs))), 1.0)
-    return GrowthFunction(
-        f"const-{level:g}",
-        lambda t: np.full_like(np.asarray(t, dtype=float), level),
-        lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+    return GrowthFunction(f"const-{level:g}", _constant(level), np.zeros_like)
 
 
 def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
@@ -451,10 +452,6 @@ def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
         raise ValueError(f"omori-yau probe: comparison ODE to T = {span} "
                          f"(model radius {model.R:g}) failed: {exc}") from exc
 
-    def envelope_gamma(r):
-        return sol.envelope_at(np.minimum(np.asarray(r, dtype=float) ** 2,
-                                          sol.domain[1]))
-
     # realized constants of the gamma = r^2 probe machinery:
     # |grad gamma| = 2r = 2 sqrt(gamma) exactly, and the operator bound
     # over the outer half of the domain
@@ -470,7 +467,7 @@ def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
     def volume_slope_safe(r):
         return float(model.volume_slope(max(r, 1e-12)))
 
-    envelope_rs = envelope_gamma(rs)
+    envelope_rs = sol.envelope_at(np.minimum(rs ** 2, T))
     records = []
     boundary_flag = False
     for j in range(1, jmax + 1):
@@ -482,7 +479,7 @@ def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
         elif i > 0:
             def fj_cont(r):
                 return float((u(r) - u_star + 1.0)
-                             / envelope_gamma(r) ** (1.0 / j))
+                             / sol.envelope_at(min(r * r, T)) ** (1.0 / j))
             r_j = golden_max(fj_cont, float(rs[i - 1]), float(rs[i + 1]))
 
         u_j = float(u(r_j))

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from warpcurv.comparison import (
+    GROWTH_FUNCTIONS,
+    MODELS,
     GrowthFunction,
     RadialModel,
     builtin_growth,
@@ -138,6 +140,56 @@ def test_envelope_log_slope():
     slope = (np.log(sol.envelope_at(ts + h))
              - np.log(sol.envelope_at(ts - h))) / (2.0 * h)
     assert np.max(np.abs(slope - 1.0 / np.sqrt(1.0 + ts ** 2))) <= 1e-7
+
+
+def _registered_and_default_growths():
+    return ([builtin_growth(name) for name in GROWTH_FUNCTIONS]
+            + [default_growth_for(builtin_model(name)) for name in MODELS])
+
+
+@pytest.mark.parametrize("G", _registered_and_default_growths(),
+                         ids=lambda G: G.name)
+def test_growth_at_a_float_is_its_array_value(G):
+    # the comparison ODE evaluates G one float at a time: each value must
+    # be a plain number, the same double as that point of the array
+    T = 10.0
+    rng = np.random.default_rng(11)
+    ts = np.concatenate([np.linspace(0.0, T, 5001), rng.uniform(0.0, T, 5000)])
+    values = G(ts)
+    for t, value in zip(ts.tolist(), values.tolist()):
+        for point in (t, np.float64(t)):
+            at = G(point)
+            assert not isinstance(at, np.ndarray)
+            assert at == value, (G.name, t)
+
+
+def _t_eval_solve(G, T):
+    """solve_comparison's samples as a t_eval solve gives them, with G at
+    each step wrapped in a 0-d array."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        g = float(G.fn(np.asarray(t, dtype=float)))
+        return [y[1], g * y[0], math.sqrt(g), 1.0 / math.sqrt(g)]
+
+    ts = np.linspace(0.0, T, 2001)
+    sol = solve_ivp(rhs, (0.0, T), [0.0, 1.0, 0.0, 0.0], t_eval=ts,
+                    rtol=1e-11, atol=1e-13, dense_output=True, method="RK45")
+    phi, dphi, I_sqrtG, I_invsqrtG = sol.y
+    g0 = math.sqrt(float(G(0.0)))
+    return {"phi": phi, "dphi": dphi, "psi": (np.exp(I_sqrtG) - 1.0) / g0,
+            "dpsi": np.sqrt(G(ts)) * np.exp(I_sqrtG) / g0,
+            "envelope": np.exp(I_invsqrtG)}
+
+
+@pytest.mark.parametrize("name, T", [
+    ("one", 1.0), ("one", 5.5), ("one", 10.0), ("quadratic", 1.0),
+    ("quadratic", 5.5), ("quadratic", 10.0), ("exp-square", 2.0)])
+def test_samples_equal_a_t_eval_solve(name, T):
+    G = builtin_growth(name)
+    sol = solve_comparison(G, T)
+    for key, oracle in _t_eval_solve(G, T).items():
+        assert np.array_equal(getattr(sol, key), oracle), key
 
 
 def test_solver_input_validation():

@@ -43,6 +43,7 @@ from warpcurv._grid import (cholesky, components, contract_first, diff, dot,
                             matmul, matvec, trace_product)
 from warpcurv.ambient import curvature_tensor_components, warping_eval
 from warpcurv.hypersurface import evaluate_geometry
+from warpcurv.symfun import newton_family_batch
 
 REL = 1e-13
 
@@ -122,6 +123,37 @@ def test_primitives(geom):
     assert not _agree(matmul(_t(M), B), M @ B)
     assert not _agree(trace_product(M, _t(B)),
                       np.einsum("...ij,...ji->...", M, B))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_primitives_on_one_node(n):
+    # a single node, a stack of shape (n, n), gets the bits it gets as the
+    # one node of a 1-node stack
+    rng = np.random.default_rng(80 + n)
+    A, B = rng.normal(size=(2, n, n))
+    T = rng.normal(size=(n, n, n))
+    v, w = rng.normal(size=(2, n))
+    g = A @ A.T + np.eye(n)
+    L = np.linalg.cholesky(g)
+    S = rng.normal(size=n + 1)
+    P, prev = [], np.eye(n)
+    for k in range(1, n):
+        prev = S[k] * np.eye(n) - A @ prev
+        P.append(prev)
+    cases = [
+        (dot, (v, w), v @ w),
+        (matvec, (A, v), A @ v),
+        (matmul, (A, B), A @ B),
+        (contract_first, (T, v), np.einsum("kij,k->ij", T, v)),
+        (trace_product, (A, B), np.trace(A @ B)),
+        (lower_triangular_inverse, (L,), np.linalg.inv(L)),
+        (cholesky, (g,), L),
+        (newton_family_batch, (A, S), np.stack(P)),
+    ]
+    for fn, args, oracle in cases:
+        one = fn(*args)
+        assert np.array_equal(one, fn(*(x[None] for x in args))[0])
+        assert _agree(one, oracle)
 
 
 def _ill_conditioned_metric(rng, n, shape):
