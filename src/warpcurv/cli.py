@@ -278,7 +278,7 @@ def build_immersion(W: WarpedProduct, section: dict,
 
     def bump(mesh):
         r2 = sum((mesh[..., i] - center[i]) ** 2 for i in range(n))
-        return t_center + amplitude * np.exp(-r2 / (2.0 * width ** 2))
+        return t_center + amplitude * np.exp(-r2 / (2.0 * width * width))
 
     return GraphImmersion.from_function(W, bump, res, box=box,
                                         orientation=orientation)
@@ -683,7 +683,11 @@ def _height_function(section: dict):
         center = _float(section.get("center", 0.3), "center")
         width = _float(section.get("width", 0.15), "width", positive=True)
         amplitude = _float(section.get("amplitude", 1.0), "amplitude")
-        return lambda r: amplitude * np.exp(-((r - center) / width) ** 2)
+
+        def bump(r):   # np.square, not **: Python's float pow raises
+            with np.errstate(over="ignore"):   # exp(-inf) = 0 is the limit
+                return amplitude * np.exp(-np.square((r - center) / width))
+        return bump
     return lambda r: -np.asarray(r) ** 2
 
 

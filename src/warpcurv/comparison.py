@@ -178,8 +178,8 @@ def solve_comparison(G: GrowthFunction, T: float) -> ComparisonSolution:
     """
     from scipy.integrate import solve_ivp
 
-    if T <= 0:
-        raise ValueError("need T > 0")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"need a finite T > 0, got {T:g}")
     g0 = float(G(0.0))
     if not 0.0 < g0 < math.inf:
         raise ValueError("G(0) must be positive and finite")
@@ -444,7 +444,7 @@ def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
     u_star = float(u_grid[i_star])
     p0_radius = float(rs[i_star])
 
-    T = model.R ** 2 if model.R > 1 else 1.0
+    T = model.R * model.R if model.R > 1 else 1.0
     try:
         sol = solve_comparison(G, T)
     except ValueError as exc:

@@ -54,8 +54,7 @@ class DiscretizationConfig:
     refine_levels: int = 3
 
     def __post_init__(self):
-        if self.order not in (2, 4):
-            raise ValueError("stencil order must be 2 or 4")
+        stencil_radius(self.order)   # refuses an order with no stencil
         if self.refine_levels < 2:
             raise ValueError("a convergence slope needs at least two "
                              "refinement levels")
@@ -363,14 +362,10 @@ class GeometryGrid:
     hcal: np.ndarray
     dhcal: np.ndarray
     sigma: np.ndarray
-    g_inv: np.ndarray
     L: np.ndarray            # Cholesky factor of the metric, g = L L^T
     L_inv: np.ndarray
-    sqrt_det_g: np.ndarray
-    theta: np.ndarray
     normal: np.ndarray       # ambient components (..., n+1), index 0 along T
     a: np.ndarray            # frame components of grad h (..., n)
-    grad_h_chart: np.ndarray
     II: np.ndarray           # second fundamental form, chart (..., n, n)
     shape_frame: np.ndarray  # A~ = L^-1 II L^-T (..., n, n)
     kappas: np.ndarray       # ascending principal curvatures (..., n)
@@ -401,9 +396,14 @@ class GeometryGrid:
     def spacing(self):
         return self.imm.spacing
 
+    @property
+    def theta(self) -> np.ndarray:
+        """Theta = <N, T>, the normal's T component (a read-only view)."""
+        return self.normal[..., 0]
+
     def grad_chart(self, f: np.ndarray) -> np.ndarray:
-        """Chart components of grad f (indices up)."""
-        return matvec(self.g_inv, gradient(f, self.spacing, self.cfg.order))
+        """Chart components of grad f (indices up): L^-T L^-1 df."""
+        return self.frame_vector_to_chart(self.grad_frame(f))
 
     def grad_frame(self, f: np.ndarray) -> np.ndarray:
         """Orthonormal-frame components of grad f."""
@@ -441,11 +441,12 @@ class GeometryGrid:
 
     def divergence(self, Y_chart: np.ndarray) -> np.ndarray:
         """div Y = (det g)^{-1/2} d_i( (det g)^{1/2} Y^i ), differenced."""
+        sqrt_det_g = math.prod(self.L[..., i, i] for i in range(self.n))
         out = np.zeros(self.u.shape)
         for i in range(self.n):
-            flux = self.sqrt_det_g * Y_chart[..., i]
+            flux = sqrt_det_g * Y_chart[..., i]
             out += diff(flux, i, self.spacing[i], self.cfg.order)
-        return out / self.sqrt_det_g
+        return out / sqrt_det_g
 
     def newton_tensor(self, k: int) -> np.ndarray:
         """Frame P~_k, 0 <= k < n; P~_0 = I is a read-only broadcast."""
@@ -525,29 +526,23 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
         L = cholesky(g)
     except ValueError:
         raise ValueError("singular induced metric on the grid")
-    Lc = components(L, 2)
     L_inv = lower_triangular_inverse(L)
     L_inv_t = np.swapaxes(L_inv, -1, -2)
-    g_inv = matmul(L_inv_t, L_inv)
-    sqrt_det_g = math.prod(Lc[i, i] for i in range(n))
+    g_inv = matmul(L_inv_t, L_inv)   # raises the Christoffel symbols only
 
     ghat_inv_du = matvec(ghat_inv, du)
     du_hat_sq = dot(du, ghat_inv_du)
     w_factor = np.sqrt(1.0 + du_hat_sq / (rho * rho))
     sgn = float(imm.orientation)
-    theta = -sgn / w_factor
 
-    # N = sgn/W * (-d/dt + rho^-2 ghat^{jk} u_k d/dx^j)
+    # N = sgn/W * (-d/dt + rho^-2 ghat^{jk} u_k d/dx^j); Theta = -sgn/W
     normal = np.empty((n + 1,) + u.shape)
-    normal[0] = theta
+    normal[0] = -sgn / w_factor
     np.multiply(sgn / (w_factor * rho * rho), components(ghat_inv_du),
                 out=normal[1:])
     normal = node_major(normal, 1)
 
     a = matvec(L_inv, du)
-    # Sherman-Morrison: g^{-1} du = ghat^{-1} du / (rho^2 W^2)
-    grad_h_chart = node_major(components(ghat_inv_du)
-                              / (rho * rho * w_factor * w_factor), 1)
 
     II = np.negative(components(hess_u - contract_first(gammahat, du), 2))
     II += (rho * drho) * components(ghat, 2)
@@ -593,9 +588,7 @@ def _geometry_fields(imm: GraphImmersion, cfg: DiscretizationConfig) -> dict:
         rho=rho, drho=drho,
         hcal=np.asarray(data.hcal), dhcal=np.asarray(data.dhcal),
         sigma=np.asarray(data.sigma),
-        g_inv=g_inv, L=L, L_inv=L_inv, sqrt_det_g=sqrt_det_g,
-        theta=theta, normal=normal,
-        a=a, grad_h_chart=grad_h_chart,
+        L=L, L_inv=L_inv, normal=normal, a=a,
         II=II, shape_frame=shape_frame, kappas=kappas,
         H=H, c=c, newton=newton,
         christoffel=christoffel, interior=interior,
@@ -614,8 +607,9 @@ def structure_identities(geom: GeometryGrid) -> dict:
     """Pointwise residuals of the gradient/Hessian structure of the height.
 
     * ``unit-decomposition``: |grad h|^2 + Theta^2 - 1 (algebraic).
-    * ``gradient-decomposition``: chart components of grad h against the
-      tangential part of T - Theta N (algebraic).
+    * ``gradient-decomposition``: chart components of grad h by the
+      Cholesky route L^-T a = L^-T L^-1 du against the tangential part
+      of T - Theta N from the normal's closed form (algebraic).
     * ``height-hessian``: covariant differenced Hessian of h against the
       closed form hcal (g - dh x dh) + Theta II (converges at stencil
       order).
@@ -628,7 +622,7 @@ def structure_identities(geom: GeometryGrid) -> dict:
     out["unit-decomposition"] = {"grid": unit, "max": masked_max(unit, mask)}
 
     tang = -geom.theta[..., None] * geom.normal[..., 1:]
-    gdec = geom.grad_h_chart - tang
+    gdec = geom.frame_vector_to_chart(geom.a) - tang
     out["gradient-decomposition"] = {"grid": gdec, "max": masked_max(gdec, mask)}
 
     hess_fd = geom.hess_covariant(geom.u)

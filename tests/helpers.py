@@ -21,6 +21,12 @@ def make_product(profile="cosh", chart="flat-torus", n=2, kappa=0.0):
         fiber=wc.FiberSpec(n=n, kappa=kappa, chart=chart))
 
 
+def inverse_metric(L_inv):
+    """g^-1 = L^-T L^-1 from a stack of inverse Cholesky factors; a
+    geometry stores no inverse metric."""
+    return np.einsum("...ki,...kj->...ij", L_inv, L_inv)
+
+
 def slice_immersion(W, t, res=24, orientation=1):
     return wc.GraphImmersion.from_function(
         W, lambda m: t + 0.0 * m[..., 0], res, orientation=orientation)

@@ -404,6 +404,10 @@ def test_config_errors_exit_two(tmp_path, capsys):
             ("disc-list", "verify", {"ambient": torus, "immersion": slice12,
                                      "discretization": [],
                                      "operations": structure}),
+            ("disc-order3", "verify", {"ambient": torus,
+                                       "immersion": slice12,
+                                       "discretization": {"order": 3},
+                                       "operations": structure}),
             # every other section refuses the keys it does not read
             ("immersion-typo", "verify", {
                 "ambient": torus,
@@ -939,6 +943,30 @@ def test_probe_ode_failure_names_the_probe_and_radius(tmp_path):
         "height": {"family": "tanh"}})
     assert err.startswith("config error: omori-yau probe: comparison ODE to "
                           "T = R^2 = 900 (model radius 30) failed: "), err
+
+
+def test_probe_radius_whose_square_overflows_exits_two(tmp_path):
+    # Python's float ** raises OverflowError where numpy returns inf: R * R
+    # is inf, and the comparison ODE refuses a domain it cannot integrate
+    err = _assert_one_line_refusal(tmp_path, "probe", {
+        "model": {"name": "flat", "R": 1e200}})
+    assert "T = R^2 = inf" in err, err
+
+
+@pytest.mark.parametrize("sub,config", [
+    ("probe", {"height": {"family": "gaussian-bump", "width": 1e-300}}),
+    ("verify", {"ambient": {"profile": "cosh", "chart": "flat-torus",
+                            "n": 2},
+                "immersion": {"family": "bump", "resolution": 12,
+                              "width": 1e200},
+                "operations": [{"op": "structure"}]}),
+])
+def test_extreme_bump_widths_take_their_limits(tmp_path, sub, config):
+    # a width whose square overflows (or an offset over a tiny width that
+    # does) leaves exp its limit, 1 or 0, with no OverflowError and no
+    # RuntimeWarning (an error under this suite's filterwarnings)
+    cfg = _write_config(tmp_path / "cfg.json", config)
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_parabolicity_past_the_sinh_overflow(tmp_path):

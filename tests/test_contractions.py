@@ -36,7 +36,8 @@ import numpy as np
 import pytest
 
 import warpcurv
-from helpers import make_product, point_curvature, random_immersion
+from helpers import (inverse_metric, make_product, point_curvature,
+                     random_immersion)
 from warpcurv import operators
 from warpcurv._grid import (cholesky, components, contract_first, diff, dot,
                             gradient, hessian, lower_triangular_inverse,
@@ -268,16 +269,13 @@ def test_every_tensor_field_is_stored_component_major(geom):
 
 
 def test_g_inv_and_a(geom):
-    def g_inv(L_inv):
-        return np.einsum("...ki,...kj->...ij", L_inv, L_inv)
-
     def a(L_inv):
         return np.einsum("...ij,...j->...i", L_inv, geom.du)
-    assert _agree(geom.g_inv, g_inv(geom.L_inv))
     g = geom.L @ _t(geom.L)
-    assert _agree(geom.g_inv @ g, np.broadcast_to(np.eye(geom.n), g.shape))
+    eye = np.broadcast_to(np.eye(geom.n), g.shape)
+    assert _agree(inverse_metric(geom.L_inv) @ g, eye)
+    assert not _agree(inverse_metric(_t(geom.L_inv)) @ g, eye)
     assert _agree(geom.a, a(geom.L_inv))
-    assert not _agree(geom.g_inv, g_inv(_t(geom.L_inv)))
     assert not _agree(geom.a, a(_t(geom.L_inv)))
 
 
@@ -332,12 +330,15 @@ def test_gradients(geom):
                   np.einsum("...ij,...j->...i", geom.L_inv, df))
     assert not _agree(geom.grad_frame(f),
                       np.einsum("...ji,...j->...i", geom.L_inv, df))
-    # g_inv is symmetric: a non-symmetric stand-in exposes its indices
-    for G in (geom.g_inv, M, strided):
-        site = dataclasses.replace(geom, g_inv=G).grad_chart(f)
-        assert _agree(site, np.einsum("...ij,...j->...i", G, df))
-    assert not _agree(dataclasses.replace(geom, g_inv=_t(M)).grad_chart(f),
-                      np.einsum("...ij,...j->...i", M, df))
+    # grad_chart raises df through L^-T L^-1; a non-triangular stand-in
+    # for L^-1 exposes both of its indices
+    def raised(L_inv):
+        return np.einsum("...ij,...j->...i", inverse_metric(L_inv), df)
+    for L_inv in (geom.L_inv, M, strided):
+        site = dataclasses.replace(geom, L_inv=L_inv).grad_chart(f)
+        assert _agree(site, raised(L_inv))
+    assert not _agree(dataclasses.replace(geom, L_inv=_t(M)).grad_chart(f),
+                      raised(M))
 
 
 def test_hess_covariant(geom):
@@ -420,17 +421,19 @@ def test_christoffel(geom):
     dg = np.stack([diff(g, i, geom.spacing[i], geom.cfg.order)
                    for i in range(geom.n)], axis=-3)
 
+    g_inv = inverse_metric(geom.L_inv)
+
     def oracle(dg):
-        return 0.5 * (np.einsum("...kl,...ilj->...kij", geom.g_inv, dg)
-                      + np.einsum("...kl,...jil->...kij", geom.g_inv, dg)
-                      - np.einsum("...kl,...lij->...kij", geom.g_inv, dg))
+        return 0.5 * (np.einsum("...kl,...ilj->...kij", g_inv, dg)
+                      + np.einsum("...kl,...jil->...kij", g_inv, dg)
+                      - np.einsum("...kl,...lij->...kij", g_inv, dg))
     assert _agree(geom.christoffel, oracle(dg))
     assert not _agree(geom.christoffel, oracle(np.swapaxes(dg, -3, -2)))
     # the stacked form: every (l, i, j) of the first kind differenced and
     # combined, then raised by one matmul; differencing and raising only
     # i <= j must reproduce it bit for bit
     first = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
-    stacked = matmul(geom.g_inv, first.reshape(geom.u.shape + (geom.n, -1)))
+    stacked = matmul(g_inv, first.reshape(geom.u.shape + (geom.n, -1)))
     assert np.array_equal(geom.christoffel, stacked.reshape(first.shape))
 
 

@@ -9,7 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import CHART, make_product, random_immersion, slice_immersion
+from helpers import (CHART, inverse_metric, make_product, random_immersion,
+                     slice_immersion)
 from warpcurv import cli, symfun
 from warpcurv._grid import min_or_nan
 from warpcurv.ambient import PROFILES, curvature_tensor_components
@@ -174,7 +175,7 @@ def test_metric_factorization_consistency():
         + (geom.rho * geom.rho)[..., None, None] * geom.ghat
     reassembled = np.einsum("...ik,...jk->...ij", geom.L, geom.L)
     assert np.max(np.abs(reassembled - g)) <= 1e-12
-    prod = np.einsum("...ij,...jk->...ik", geom.g_inv, g)
+    prod = np.einsum("...ij,...jk->...ik", inverse_metric(geom.L_inv), g)
     assert np.max(np.abs(prod - np.eye(2))) <= 1e-10
     assert np.max(np.abs(geom.theta ** 2
                          + np.einsum("...i,...i->...", geom.a, geom.a) - 1.0)) <= 1e-12
@@ -185,6 +186,7 @@ def test_point_route_matches_batched_fields():
     W = make_product("cosh", "flat-torus", 2, 0.0)
     imm = random_immersion(W, seed=9, t_center=0.4, amplitude=0.15)
     geom = evaluate_geometry(imm)
+    g_inv = inverse_metric(geom.L_inv)
     for idx in [(3, 5), (10, 17), (20, 2)]:
         kappas = symfun.jacobi_eigenvalues(geom.shape_frame[idx])
         P = symfun.newton_family(geom.shape_frame[idx]).P
@@ -192,7 +194,7 @@ def test_point_route_matches_batched_fields():
         for k in range(2):
             assert np.max(np.abs(P[k] - geom.newton_tensor(k)[idx])) <= 1e-10
         # chart-mixed shape operator has the same spectrum as the frame one
-        A_chart = geom.g_inv[idx] @ geom.II[idx]
+        A_chart = g_inv[idx] @ geom.II[idx]
         chart_eigs = np.sort(np.linalg.eigvals(A_chart).real)
         assert np.max(np.abs(chart_eigs - kappas)) <= 1e-9
 
@@ -229,8 +231,11 @@ def test_geometry_holds_each_buffer_once():
         while isinstance(value.base, np.ndarray):
             value = value.base
         owners[id(value)] = value.nbytes
-    assert sum(owners.values()) == 13_063_992
-    assert not {"g", "x"} & set(_array_fields(geom))
+    assert sum(owners.values()) == 11_515_704
+    # nor what L and the normal already give: g^-1, sqrt(det g), the chart
+    # gradient of the height and Theta
+    assert not {"g", "x", "g_inv", "sqrt_det_g", "grad_h_chart",
+                "theta"} & set(_array_fields(geom))
 
 
 def test_refinement_shapes():
@@ -260,6 +265,24 @@ def test_structure_identities_converge_at_stencil_order():
         slopes = [math.log2(maxima[i] / maxima[i + 1]) for i in range(2)]
         assert maxima[0] > 1e-9, "residual too small to measure a slope"
         assert all(s >= 1.9 for s in slopes), (key, maxima, slopes)
+
+
+@pytest.mark.parametrize("profile,chart,n,kappa", [
+    ("cosh", "flat-torus", 3, 0.0),
+    ("exp", "space-form", 2, 1.0),
+    ("cosh", "space-form", 2, -1.0),
+])
+def test_gradient_decomposition_sees_the_metric_factor(profile, chart, n,
+                                                       kappa):
+    # grad h raised through L^-1 against the normal's closed form: the two
+    # routes share no metric factor, so a transposed L^-1 must show
+    W = make_product(profile, chart, n, kappa)
+    geom = evaluate_geometry(random_immersion(W, seed=3, t_center=0.2,
+                                              res=24))
+    key = "gradient-decomposition"
+    assert structure_identities(geom)[key]["max"] <= 1e-15
+    slipped = dataclasses.replace(geom, L_inv=np.swapaxes(geom.L_inv, -1, -2))
+    assert structure_identities(slipped)[key]["max"] > 1e-4
 
 
 @pytest.mark.parametrize("profile,fiber,kappa,origin", [
@@ -537,11 +560,14 @@ def test_immersion_and_its_geometry_are_read_only():
         imm.orientation = -1
     geom = evaluate_geometry(imm)
     fields = _array_fields(geom)
-    assert len(fields) == 25
+    assert len(fields) == 21
     for name, value in fields.items():
         with pytest.raises(ValueError, match="read-only"):
             value[...] = 0
         assert not value.flags.writeable, name
+    # Theta is the normal's T component, read through it
+    assert not geom.theta.flags.writeable
+    assert np.shares_memory(geom.theta, geom.normal)
     # the grid is frozen too, and what it memoizes is read-only
     with pytest.raises(dataclasses.FrozenInstanceError):
         geom.u = geom.u
