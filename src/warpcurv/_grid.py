@@ -269,20 +269,31 @@ def min_or_nan(values) -> float:
 
 
 def golden_max(fn, a: float, b: float) -> float:
-    """Deterministic golden-section maximization of ``fn`` on [a, b]."""
+    """Deterministic golden-section maximization of ``fn`` on [a, b].
+
+    Once the bracket is a few ulps wide, new points repeat earlier ones;
+    ``fn`` runs once per distinct point and a repeat reads its value back.
+    """
+    values = {}
+
+    def value(t):
+        if t not in values:
+            values[t] = fn(t)
+        return values[t]
+
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = value(c), value(d)
     for _ in range(80):      # shrinks [a, b] by invphi**80, about 2e-17
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = fn(c)
+            fc = value(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = fn(d)
+            fd = value(d)
     return 0.5 * (a + b)
 
 

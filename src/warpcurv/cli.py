@@ -271,6 +271,9 @@ def build_immersion(W: WarpedProduct, section: dict,
             orientation=orientation)
     # family == "bump"
     width = _float(section.get("width", 0.15), "width", positive=True)
+    if 2.0 * width * width < sys.float_info.min:
+        raise ConfigError(f"width={width!r} is too small: 2 width^2 "
+                          f"underflows the float range")
     center = section.get("center")
     if center is None:
         center = [0.5 * (lo + hi) for lo, hi in box]
@@ -688,7 +691,12 @@ def _height_function(section: dict):
             with np.errstate(over="ignore"):   # exp(-inf) = 0 is the limit
                 return amplitude * np.exp(-np.square((r - center) / width))
         return bump
-    return lambda r: -np.asarray(r) ** 2
+
+    def negative_square(r):
+        # a radius whose square overflows gives -inf, which the probe refuses
+        with np.errstate(over="ignore"):
+            return -np.asarray(r) ** 2
+    return negative_square
 
 
 def _growth(spec):

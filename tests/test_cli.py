@@ -969,6 +969,42 @@ def test_extreme_bump_widths_take_their_limits(tmp_path, sub, config):
     assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("sub, config, line", [
+    ("probe", {"height": {"family": "negative-square"},
+               "model": {"name": "flat", "R": 1e200}},
+     "config error: height field must be finite\n"),
+    ("verify", {"ambient": {"profile": "cosh", "chart": "flat-torus", "n": 2},
+                "immersion": {"family": "bump", "resolution": 12,
+                              "width": 1e-200},
+                "operations": [{"op": "structure"}]},
+     "config error: width=1e-200 is too small: 2 width^2 underflows the "
+     "float range\n"),
+])
+def test_refusals_raise_no_runtime_warning(tmp_path, sub, config, line):
+    # a squared radius that overflows and a squared width that underflows:
+    # the refusal is the whole of stderr, with no warning raised before it
+    cfg = _write_config(tmp_path / "cfg.json", config)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "warpcurv.cli",
+         sub, "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == line
+
+
+@pytest.mark.parametrize("model", [{"name": "hyperbolic", "R": 1e-6},
+                                   {"name": "flat", "R": 1e-8}])
+def test_hessian_comparison_at_a_small_radius_exits_clean(tmp_path, model):
+    # phi'/phi and f'/f near 1/r round apart by more than 1e-8 here; the
+    # gate scales with them, so the equality case is no falsification
+    cfg = _write_config(tmp_path / "cfg.json",
+                        {"growth": "one", "T": 2.0, "model": model})
+    out = tmp_path / "out"
+    assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
+    report = _read_json(out, "comparison-02-hessian.json")["report"]
+    assert report["slope_margin_min"] < -1e-8
+
+
 def test_parabolicity_past_the_sinh_overflow(tmp_path):
     # T = 2R = 800 runs sinh past its overflow near t = 710, where the
     # integrand takes its limit 0 without a warning

@@ -10,6 +10,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import make_product
+from warpcurv import ambient, comparison
+from warpcurv._grid import golden_max
+from warpcurv.ambient import PROFILES
 from warpcurv.comparison import (
     GROWTH_FUNCTIONS,
     MODELS,
@@ -192,6 +196,52 @@ def test_samples_equal_a_t_eval_solve(name, T):
         assert np.array_equal(getattr(sol, key), oracle), key
 
 
+def _scipy_solve(G, T):
+    """solve_comparison's RK45 solve, with scipy's own dense solution."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        g = float(G(t))
+        return [y[1], g * y[0], math.sqrt(g), 1.0 / math.sqrt(g)]
+
+    return solve_ivp(rhs, (0.0, T), [0.0, 1.0, 0.0, 0.0], rtol=1e-11,
+                     atol=1e-13, dense_output=True, method="RK45")
+
+
+# exp(t^2) outgrows RK45 before t = 5.5
+_DENSE_CASES = [("one", 1.0), ("one", 5.5), ("one", 10.0), ("quadratic", 1.0),
+                ("quadratic", 5.5), ("quadratic", 10.0), ("exp-square", 1.0),
+                ("exp-square", 2.0)]
+
+
+def test_dense_cases_cover_every_registered_growth():
+    assert {name for name, _ in _DENSE_CASES} == set(GROWTH_FUNCTIONS)
+
+
+@pytest.mark.parametrize("name, T", _DENSE_CASES)
+def test_dense_solution_equals_scipys(name, T):
+    # scipy's OdeSolution is the oracle: the evaluator reads the same step
+    # polynomials with the same products, so every value is the same double
+    G = builtin_growth(name)
+    dense = solve_comparison(G, T)._dense
+    oracle = _scipy_solve(G, T)
+    rng = np.random.default_rng(30)
+    # a step end is the edge between two steps, read from the earlier one
+    points = np.concatenate([rng.uniform(0.0, T, 5000), oracle.t, [0.0, T]])
+    for t in points.tolist():
+        assert np.array_equal(dense(t), oracle.sol(t)), t
+    # the grids of solve_comparison's samples, the probe's envelope radii
+    # (with a radius whose ODE runs to T) and the Hessian check's radii
+    R = math.sqrt(T) if T > 1.0 else 0.5
+    grids = {"solve_comparison": np.linspace(0.0, T, 2001),
+             "omori_yau_probe": np.minimum(np.linspace(0.0, R, 4001) ** 2, T),
+             "hessian_comparison_check": np.linspace(T / 2000, T, 2000)}
+    for caller, ts in grids.items():
+        assert np.array_equal(dense(ts), oracle.sol(ts)), caller
+    with pytest.raises(ValueError, match="non-decreasing"):
+        dense(np.array([0.5 * T, 0.25 * T]))
+
+
 def test_solver_input_validation():
     with pytest.raises(ValueError, match="T > 0"):
         solve_comparison(builtin_growth("one"), T=-1.0)
@@ -248,6 +298,27 @@ def test_hessian_comparison_strict_case():
     assert rep["applicable"]
     assert rep["slope_comparison_holds"]
     assert rep["slope_margin_min"] > 1e-4
+
+
+@pytest.mark.parametrize("name, R", [("hyperbolic", 1e-6), ("flat", 1e-8)])
+def test_hessian_comparison_holds_at_small_radii(name, R):
+    # near r = 0 both slopes are about 1/r and round to a few ulps of it:
+    # the margin reads below -1e-8 but within the gate scaled by the slopes
+    rep = hessian_comparison_check(builtin_model(name, R=R),
+                                   builtin_growth("one"))
+    assert rep["slope_margin_min"] < -1e-8
+    assert rep["slope_comparison_holds"]
+
+
+def test_hessian_comparison_fails_a_slope_above_phis():
+    # f'/f = coth r + 1e-6 exceeds phi'/phi = coth r wherever the scaled
+    # slack 1e-8 coth r is below 1e-6, so for r > 0.01
+    model = RadialModel(m=2, f=np.sinh,
+                        df=lambda r: np.cosh(r) + 1e-6 * np.sinh(r),
+                        d2f=np.sinh, R=3.0)
+    rep = hessian_comparison_check(model, builtin_growth("one"))
+    assert rep["applicable"]
+    assert not rep["slope_comparison_holds"]
 
 
 def test_hessian_comparison_rejects_undershooting_bound():
@@ -353,3 +424,74 @@ def test_probe_is_deterministic():
     b = omori_yau_probe(model, np.tanh, jmax=8)
     assert a.records == b.records
     assert a.trends == b.trends
+
+
+# ---------------------------------------------------------------------------
+# golden-section search
+# ---------------------------------------------------------------------------
+
+def _golden_max_at_every_point(fn, a, b):
+    """golden_max without its memo: ``fn`` at each of the 82 points."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(80):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def _repeats_skipped(fn, a, b):
+    """Checks that golden_max calls ``fn`` once at each point the loop
+    without the memo visits, and returns the same float; returns how
+    many of that loop's calls repeat a point."""
+    calls, visits = [], []
+    got = golden_max(lambda t: calls.append(t) or fn(t), a, b)
+    want = _golden_max_at_every_point(lambda t: visits.append(t) or fn(t),
+                                      a, b)
+    assert got == want
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(visits)
+    return len(visits) - len(calls)
+
+
+def test_golden_max_evaluates_each_probe_point_once(monkeypatch):
+    # the probe's fj_cont for j = 1..20, checked as each search runs
+    repeats = []
+
+    def checked(fn, a, b):
+        repeats.append(_repeats_skipped(fn, a, b))
+        return golden_max(fn, a, b)
+
+    monkeypatch.setattr(comparison, "golden_max", checked)
+    omori_yau_probe(builtin_model("hyperbolic"), np.tanh, jmax=20)
+    assert len(repeats) == 20
+    # the bracket shrinks to a few ulps, where points repeat
+    assert sum(repeats) > 0
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_golden_max_evaluates_each_profile_point_once(monkeypatch, profile):
+    searches = []
+
+    def checked(fn, a, b):
+        searches.append(_repeats_skipped(fn, a, b))
+        return golden_max(fn, a, b)
+
+    monkeypatch.setattr(ambient, "golden_max", checked)
+    ambient.profile_summary(make_product(profile))
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize("fn", [lambda t: min(t, 0.5), lambda t: 1.0],
+                         ids=["plateau", "constant"])
+def test_golden_max_on_ties(fn):
+    # every comparison past the plateau's edge is a tie
+    _repeats_skipped(fn, 0.0, 1.0)

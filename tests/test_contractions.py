@@ -724,6 +724,39 @@ def test_no_stored_spectrum_is_solved_again():
             or "scipy.linalg" in source or "linalg as" in source] == []
 
 
+def _attribute_reads(source, attr):
+    """(enclosing function, expression) of every ``.attr`` read, in
+    source order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.append((where, ast.unparse(child)))
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_one_dense_path_reads_the_comparison_ode():
+    # the solve_ivp result's dense solution is read once, to build the
+    # evaluator from its step polynomials; a second reader of scipy's
+    # OdeSolution would be a second dense path
+    assert _attribute_reads("def f(s):\n    return s.sol(1.0), s.sol.ts\n"
+                            "x = r.sol\n", "sol") \
+        == [("f", "s.sol"), ("f", "s.sol"), (None, "r.sol")]
+    package = Path(warpcurv.__file__).parent
+    found = [(path.name,) + site for path in sorted(package.glob("*.py"))
+             for site in _attribute_reads(path.read_text(), "sol")]
+    assert found == [("comparison.py", "solve_comparison", "sol.sol")]
+    assert "_DenseSolution(sol.sol.interpolants)" in \
+        (package / "comparison.py").read_text()
+
+
 def _callers(source, name):
     """Enclosing function of every call of ``name`` (bare or as an
     attribute), in source order."""
