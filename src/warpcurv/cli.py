@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -846,6 +847,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares: ``parse_args`` returns a
+    fresh namespace and leaves the parser as it was."""
+    return build_parser()
+
+
 # subcommand -> (runner, the top-level keys it reads besides seed and
 # tolerance, which main reads for every subcommand)
 _RUNNERS = {
@@ -859,8 +867,7 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     out_dir = args.out or os.environ.get(ENV_OUT) or "."
     try:

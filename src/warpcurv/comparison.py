@@ -32,17 +32,26 @@ from ._grid import golden_max
 
 @dataclass(frozen=True)
 class GrowthFunction:
-    """A curvature growth bound G with its derivative."""
+    """A curvature growth bound G with its derivative.
+
+    ``fn`` must be pure: comparison solves with one instance share their
+    RK45 steps, so a later solve reads G's values from an earlier one.
+    The last solve's steps are kept on the instance, so
+    ``dataclasses.replace`` starts without them and they are freed
+    with G.
+    """
 
     name: str
     fn: callable
     dfn: callable
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __call__(self, t):
         """G at ``t``.  A float (``np.float64`` included) is passed to
-        ``fn`` as a Python float, so the comparison ODE's right-hand side
-        pays for no 0-d array; ``fn`` must return the double its array
-        evaluation gives at that point."""
+        ``fn`` as a Python float, as the comparison ODE's right-hand side
+        passes each point, so a scalar pays for no 0-d array; ``fn`` must
+        return the double its array evaluation gives at that point."""
         return self.fn(float(t) if isinstance(t, float)
                        else np.asarray(t, dtype=float))
 
@@ -93,8 +102,8 @@ def check_growth_conditions(G: GrowthFunction, T: float) -> dict:
     # scipy.integrate is most of the package's import time: load it on use
     from scipy.integrate import quad
 
-    if T <= 0:
-        raise ValueError("need T > 0")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"need a finite T > 0, got {T:g}")
     # a fast-growing G such as exp(t^2) overflows to inf inside [0, T]; the
     # infs carry into the verdicts, so numpy's warnings would only add noise
     with np.errstate(over="ignore"):
@@ -195,6 +204,76 @@ class _DenseSolution:
 
 
 @dataclass
+class _RK45Run:
+    """The steps of one RK45 solve of the comparison ODE on [0, T].
+
+    ``starts[k]`` is the solver state (t, y, f, proposed h_abs) before
+    step k, and ``starts[-1]`` the state after the last step taken (the
+    state a failed step left unchanged).  ``interpolants[k]`` is step
+    k's dense output.
+    """
+
+    T: float
+    starts: list
+    interpolants: list
+
+
+def _rk45_interpolants(G: GrowthFunction, T: float) -> list:
+    """The dense outputs of the RK45 solve of the comparison ODE on
+    [0, T], at rtol 1e-11 and atol 1e-13: the loop ``solve_ivp`` runs.
+
+    The steps a previous solve with this ``G`` already took are replayed,
+    not recomputed.  The step-size controller reads the horizon only
+    when the horizon clips a step (Hairer, Norsett and Wanner, *Solving
+    ODE I*, II.4), and ``select_initial_step`` when it clips the first
+    guess.  So with the same first step, every stored step whose first
+    attempt t + h (h clamped to the solver's minimum step) exceeds
+    neither horizon is the step a fresh solve takes, and the solve goes
+    on from the first step that either horizon would clip, with the
+    stored state and proposed step.  Every double equals a fresh
+    ``solve_ivp`` run's.  An integrator failure raises ValueError.
+    """
+    from scipy.integrate import RK45
+
+    # the solver and its right-hand side form a reference cycle, freed only
+    # by the garbage collector; the right-hand side holds G's fn, not G,
+    # so G and its stored steps are freed as soon as the caller drops G
+    fn = G.fn
+
+    def rhs(t, y):
+        g = float(fn(float(t)))
+        if g <= 0.0:
+            raise ValueError(f"G({t}) <= 0 inside the domain")
+        return [y[1], g * y[0], math.sqrt(g), 1.0 / math.sqrt(g)]
+
+    solver = RK45(rhs, 0.0, [0.0, 1.0, 0.0, 0.0], T, rtol=1e-11, atol=1e-13)
+    last = G._memo.get("rk45")
+    starts = [(solver.t, solver.y, solver.f, solver.h_abs)]
+    interpolants = []
+    if last is not None and last.starts[0][3] == starts[0][3]:
+        reach = min(T, last.T)
+        for (t, _, _, h_abs), step, end in zip(
+                last.starts, last.interpolants, last.starts[1:]):
+            # scipy raises the proposed step to 10 ulps of t, then clips
+            # an attempt past the horizon
+            if t + max(h_abs, 10 * (math.nextafter(t, math.inf) - t)) > reach:
+                break
+            interpolants.append(step)
+            starts.append(end)
+        solver.t, solver.y, solver.f, solver.h_abs = starts[-1]
+    while solver.t < T:
+        message = solver.step()
+        if solver.status == "failed":
+            break
+        interpolants.append(solver.dense_output())
+        starts.append((solver.t, solver.y, solver.f, solver.h_abs))
+    G._memo["rk45"] = _RK45Run(T, starts, interpolants)
+    if solver.status == "failed":
+        raise ValueError(f"comparison integrator failed: {message}")
+    return interpolants
+
+
+@dataclass
 class ComparisonSolution:
     """phi'' = G phi alongside its explicit supersolution psi.
 
@@ -223,34 +302,23 @@ def solve_comparison(G: GrowthFunction, T: float) -> ComparisonSolution:
 
     RK45 at rtol 1e-11, atol 1e-13, sampled at 2001 points.  The
     integration state carries the cumulative integrals of sqrt(G) (for
-    psi) and of G^{-1/2} (for the envelope).  The growth function is
-    rejected with a ValueError if the integrator fails or phi loses
-    positivity on (0, T].
+    psi) and of G^{-1/2} (for the envelope).  A later solve with the
+    same ``G`` replays the steps it shares with this one.  The growth
+    function is rejected with a ValueError if the integrator fails or
+    phi loses positivity on (0, T].
     """
-    from scipy.integrate import solve_ivp
-
     if not 0.0 < T < math.inf:
         raise ValueError(f"need a finite T > 0, got {T:g}")
     g0 = float(G(0.0))
     if not 0.0 < g0 < math.inf:
         raise ValueError("G(0) must be positive and finite")
 
-    def rhs(t, y):
-        g = float(G(t))
-        if g <= 0.0:
-            raise ValueError(f"G({t}) <= 0 inside the domain")
-        return [y[1], g * y[0], math.sqrt(g), 1.0 / math.sqrt(g)]
-
     ts = np.linspace(0.0, T, 2001)
-    # an overflowing G or phi makes the step fail, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, T), [0.0, 1.0, 0.0, 0.0], rtol=1e-11,
-                        atol=1e-13, dense_output=True, method="RK45")
-    if not sol.success:
-        raise ValueError(f"comparison integrator failed: {sol.message}")
+    # an overflowing G or phi makes the step fail, reported as a ValueError;
     # the dense solution evaluates ts grouped by step, as a t_eval loop
     # would, so the samples are the same doubles
-    dense = _DenseSolution(sol.sol.interpolants)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = _DenseSolution(_rk45_interpolants(G, float(T)))
     phi, dphi, I_sqrtG, I_invsqrtG = dense(ts)
     if float(np.min(phi[1:])) <= 0.0:
         raise ValueError("phi lost positivity on (0, T]; growth function rejected")

@@ -878,6 +878,30 @@ def test_seed_flag_overrides_config(tmp_path):
     assert ra != rb  # different seeds, different random graphs
 
 
+def test_consecutive_calls_parse_independently(tmp_path, monkeypatch):
+    # every main call parses with the one parser of the process; no flag
+    # value carries over to the next call
+    seen = []
+
+    def record(config, args, out_dir):
+        seen.append((args.subcommand, args.seed, args.tol, args.refine))
+        return 0
+
+    for name, (_, keys) in list(cli._RUNNERS.items()):
+        monkeypatch.setitem(cli._RUNNERS, name, (record, keys))
+    cfg = _write_config(tmp_path / "cfg.json", {"seed": 3, "tolerance": 0.25})
+    out = str(tmp_path / "out")
+    calls = [["comparison", "--seed", "9", "--tol", "0.5", "--refine", "2"],
+             ["probe"],
+             ["verify", "--tol", "0.125"],
+             ["comparison", "--seed", "4"]]
+    for argv in calls:
+        assert main(argv + ["--config", cfg, "--out", out]) == 0
+    assert seen == [("comparison", 9, 0.5, 2), ("probe", 3, 0.25, None),
+                    ("verify", 3, 0.125, None), ("comparison", 4, 0.25, None)]
+    assert cli._parser() is cli._parser()
+
+
 def test_console_script_entry_point(tmp_path):
     cfg = _write_config(tmp_path / "cfg.json", {"growth": "one", "T": 2.0})
     out = tmp_path / "out"

@@ -5,7 +5,10 @@ Closed-form oracles: G = 1 gives phi = sinh, psi = e^t - 1, envelope e^t;
 G = 4 gives phi = sinh(2t)/2.
 """
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -242,9 +245,140 @@ def test_dense_solution_equals_scipys(name, T):
         dense(np.array([0.5 * T, 0.25 * T]))
 
 
+def _counted(name):
+    """A fresh instance of a registered growth, and the list of the float
+    points its ``fn`` is called at (the comparison ODE's right-hand side
+    and solve_comparison's G(0))."""
+    base = builtin_growth(name)
+    points = []
+
+    def fn(t):
+        if isinstance(t, float):
+            points.append(t)
+        return base.fn(t)
+
+    return GrowthFunction(name, fn, base.dfn), points
+
+
+def _assert_steps_equal(sol, oracle):
+    """Step for step, the solve is scipy's: (t_old, h, Q, y_old) and the
+    step ends, and the dense solution at every step end and between."""
+    steps = oracle.sol.interpolants
+    dense = sol._dense
+    assert len(dense._steps) == len(steps)
+    for (t_old, h, Q, y_old), step in zip(dense._steps, steps):
+        assert t_old == step.t_old and h == step.h
+        assert np.array_equal(Q, step.Q) and np.array_equal(y_old, step.y_old)
+    assert dense._ends == [step.t for step in steps]
+    T = sol.domain[1]
+    points = np.concatenate([oracle.t, np.linspace(0.0, T, 301)]).tolist()
+    for t in points:
+        assert np.array_equal(dense(t), oracle.sol(t)), t
+
+
+@pytest.mark.parametrize("name, T", [("one", 6.0), ("quadratic", 6.0),
+                                     ("exp-square", 2.0)])
+def test_replayed_solves_equal_fresh_ones(name, T):
+    # one instance through a sequence of horizons: each solve replays the
+    # steps it shares with the one before, and equals a fresh solve_ivp
+    G, points = _counted(name)
+    steps = _scipy_solve(G, T).sol.interpolants
+    end = float(steps[len(steps) // 2].t)
+    horizons = [
+        (T, "fresh"),
+        (T / 2, "restart"),                 # shorter than the stored run
+        (T / 2, "restart"),                 # equal: its last step was clipped
+        (T, "extend"),                      # longer
+        (end, "replay"),                    # a stored step's end
+        (math.nextafter(end, 0.0), "restart"),
+        (math.nextafter(end, math.inf), "restart"),
+        (1e-7, "fresh"),                    # another first step
+        (T / 3, "fresh"),
+    ]
+    first_step = None
+    for horizon, kind in horizons:
+        oracle = _scipy_solve(G, horizon)
+        points.clear()
+        sol = solve_comparison(G, horizon)
+        _assert_steps_equal(sol, oracle)
+        # G(0) is the one float point outside the ODE; the solver's
+        # constructor makes 2 evaluations and every step attempt 6
+        evaluations = len(points) - 1
+        if kind == "fresh":
+            assert evaluations == oracle.nfev, horizon
+            assert oracle.sol.interpolants[0].h != first_step
+        elif kind == "replay":
+            assert evaluations == 2, horizon
+        elif kind == "extend":
+            assert 2 < evaluations < oracle.nfev, horizon
+        else:
+            assert 2 < evaluations <= 2 + 6 * 3 < oracle.nfev, horizon
+        first_step = oracle.sol.interpolants[0].h
+
+
+def test_a_new_instance_never_replays():
+    # the steps belong to one instance: the same registered growth built
+    # again, or a replaced copy, integrates from scratch
+    G = builtin_growth("quadratic")
+    stored = {id(Q) for _, _, Q, _ in solve_comparison(G, 6.0)._dense._steps}
+    oracle = _scipy_solve(G, 3.0)
+
+    def replayed(H):
+        sol = solve_comparison(H, 3.0)
+        _assert_steps_equal(sol, oracle)
+        return sum(id(Q) in stored for _, _, Q, _ in sol._dense._steps)
+
+    assert replayed(builtin_growth("quadratic")) == 0
+    assert replayed(dataclasses.replace(G)) == 0
+    assert replayed(G) >= len(oracle.sol.interpolants) - 2
+
+
+def test_the_stored_steps_are_freed_with_their_growth():
+    # the solver and its right-hand side form a reference cycle; it must
+    # not hold G, whose stored steps would then wait for a full collection
+    gc.disable()
+    try:
+        G = builtin_growth("quadratic")
+        solve_comparison(G, 3.0)
+        assert G._memo
+        held = weakref.ref(G)
+        del G
+        assert held() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["one", "quadratic"])
+def test_hessian_check_evaluates_only_the_restarted_steps(name):
+    # the comparison subcommand solves to T and then, in the Hessian
+    # check, to the model radius R < T: the second solve replays the
+    # steps below R and recomputes only those from the first step that R
+    # clips
+    model = builtin_model("hyperbolic")
+    G, points = _counted(name)
+    solve_comparison(G, 6.0)
+    long, short = _scipy_solve(G, 6.0), _scipy_solve(G, model.R)
+    shared = 0
+    for a, b in zip(long.sol.interpolants, short.sol.interpolants):
+        if not (a.t == b.t and np.array_equal(a.Q, b.Q)):
+            break
+        shared += 1
+    restarted = len(short.sol.interpolants) - shared
+    assert 1 <= restarted <= 2
+    points.clear()
+    report = hessian_comparison_check(model, G)
+    assert report["slope_comparison_holds"]
+    assert len(points) == 1 + 2 + 6 * restarted < short.nfev
+
+
 def test_solver_input_validation():
     with pytest.raises(ValueError, match="T > 0"):
         solve_comparison(builtin_growth("one"), T=-1.0)
+    # a NaN or infinite horizon is refused by both entry points
+    for T in (math.nan, math.inf):
+        for entry in (solve_comparison, check_growth_conditions):
+            with pytest.raises(ValueError, match="need a finite T > 0"):
+                entry(builtin_growth("one"), T)
     bad = GrowthFunction(
         "neg", lambda t: -np.ones_like(np.asarray(t, dtype=float)),
         lambda t: np.zeros_like(np.asarray(t, dtype=float)))

@@ -743,18 +743,19 @@ def _attribute_reads(source, attr):
 
 
 def test_one_dense_path_reads_the_comparison_ode():
-    # the solve_ivp result's dense solution is read once, to build the
-    # evaluator from its step polynomials; a second reader of scipy's
-    # OdeSolution would be a second dense path
+    # the comparison ODE runs scipy's RK45 one step at a time and reads
+    # each step's dense output at one call site; a solve_ivp call or a
+    # read of an OdeSolution (``.sol``) would be a second integration or
+    # a second dense path
     assert _attribute_reads("def f(s):\n    return s.sol(1.0), s.sol.ts\n"
                             "x = r.sol\n", "sol") \
         == [("f", "s.sol"), ("f", "s.sol"), (None, "r.sol")]
     package = Path(warpcurv.__file__).parent
-    found = [(path.name,) + site for path in sorted(package.glob("*.py"))
-             for site in _attribute_reads(path.read_text(), "sol")]
-    assert found == [("comparison.py", "solve_comparison", "sol.sol")]
-    assert "_DenseSolution(sol.sol.interpolants)" in \
-        (package / "comparison.py").read_text()
+    assert [(path.name,) + site for path in sorted(package.glob("*.py"))
+            for site in _attribute_reads(path.read_text(), "sol")] == []
+    assert _package_callers("solve_ivp") == {}
+    assert _package_callers("dense_output") == {
+        "comparison.py": ["_rk45_interpolants"]}
 
 
 def _callers(source, name):

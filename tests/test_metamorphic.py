@@ -16,6 +16,15 @@ to the same bits: no tolerance enters.
 Two graphs are used: ``cosh`` x torus, n = 2 at 24^2, and ``exp`` x
 torus, n = 3 at 12^3, both seed 3 with ``max_mode`` 2.  The axis and the
 shift are drawn by ``hypothesis``.
+
+The profile ``cosh`` is even, so t -> -t is an isometry of ``cosh`` x
+torus, and it maps the graph of u to the graph of -u.  With the same
+orientation, H_k -> (-1)^k H_k, ``kappas`` -> -``kappas`` reversed and
+Theta is unchanged; with the orientation flipped too, H and ``kappas``
+are unchanged and Theta changes sign.  These hold bit for bit except
+H_k at n = 3 under the same orientation, which holds to a stated
+rounding bound.  The random graphs (n = 2 at 24^2, n = 3 at 12^3,
+``max_mode`` 2) take their seed from ``hypothesis``.
 """
 
 import dataclasses
@@ -28,6 +37,7 @@ from hypothesis import strategies as st
 from helpers import make_product, random_immersion
 from warpcurv.hypersurface import GeometryGrid, GraphImmersion, evaluate_geometry
 from warpcurv.operators import height_sigma_identities
+from warpcurv.symfun import elementary_symmetric_batch, h_from_s
 
 CASES = {2: ("cosh", 24), 3: ("exp", 12)}
 
@@ -104,3 +114,67 @@ def test_reflecting_the_nodes_maps_the_scalars(n, data):
     old, new = _sigma_grids(imm), _sigma_grids(reflected)
     for key, grid in old.items():
         assert _same(new[key], reflect(grid)), key
+
+
+# ---------------------------------------------------------------------------
+# parity: t -> -t on cosh x torus
+# ---------------------------------------------------------------------------
+
+PARITY_RES = {2: 24, 3: 12}
+
+
+def _mirrored_pair(n, seed, orientation):
+    """Geometries of the graph u on ``cosh`` x torus and of the graph -u
+    with ``orientation`` (the first has orientation +1)."""
+    W = make_product("cosh", "flat-torus", n, 0.0)
+    imm = random_immersion(W, seed=seed, res=PARITY_RES[n], max_mode=2)
+    mirrored = GraphImmersion(W=imm.W, u=-imm.u, box=imm.box,
+                              periodic=imm.periodic, orientation=orientation)
+    return evaluate_geometry(imm), evaluate_geometry(mirrored)
+
+
+def _sigma_maxima(geom):
+    return {(k, name): residual.max for k in (0, 1)
+            for name, residual in height_sigma_identities(
+                None, k, geom=geom).items()}
+
+
+seeds = st.integers(0, 2 ** 16)
+
+
+@given(n=cases, seed=seeds)
+@settings(max_examples=8, deadline=None)
+def test_mirroring_the_height_maps_the_curvatures(n, seed):
+    # with the same orientation the mirror turns the normal's T component
+    # and so every principal curvature: kappas -> -kappas, reversed to
+    # stay ascending, and H_k -> (-1)^k H_k
+    old, new = _mirrored_pair(n, seed, 1)
+    assert _same(new.kappas, -old.kappas[..., ::-1])
+    assert _same(new.theta, old.theta)
+    signed = (-1.0) ** np.arange(n + 1) * old.H
+    if n == 2:
+        # S_1 and S_2 of two curvatures do not depend on their order
+        assert _same(new.H, signed)
+        assert _sigma_maxima(new) == _sigma_maxima(old)
+        return
+    # elementary_symmetric_batch accumulates S_k over the curvatures in
+    # index order, and the mirror reverses the order, so H_k differs at
+    # rounding (seen, about 2 eps of the scale below).  Each order's S_k
+    # is within gamma_2n of the exact value, relative to S_k of |kappas|,
+    # and the normalization adds one rounding: (2n + 1) eps bounds the gap
+    scale = h_from_s(elementary_symmetric_batch(np.abs(old.kappas)))
+    gap = np.abs(new.H - signed)
+    assert np.all(gap <= (2 * n + 1) * np.finfo(float).eps * scale)
+
+
+@given(n=cases, seed=seeds)
+@settings(max_examples=8, deadline=None)
+def test_mirroring_with_the_opposite_normal_keeps_the_curvatures(n, seed):
+    # flipping the orientation as well undoes the turn of the normal:
+    # the curvatures are unchanged and only Theta = <N, d/dt> changes sign
+    old, new = _mirrored_pair(n, seed, -1)
+    for name in ("H", "kappas"):
+        assert _same(getattr(new, name), getattr(old, name)), name
+    assert _same(new.theta, -old.theta)
+    if n == 2:
+        assert _sigma_maxima(new) == _sigma_maxima(old)
