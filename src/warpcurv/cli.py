@@ -316,6 +316,7 @@ def _build_model(spec, **params):
     """A radial model from a registry name, or an object with a 'name' and
     the model's parameters."""
     if isinstance(spec, dict):
+        _refuse_unknown("model", spec, ("name", "m", "R"))
         params = {**spec, **params}
         spec = params.pop("name", None)
     if not isinstance(spec, str) or spec not in MODELS:

@@ -453,6 +453,20 @@ def test_config_errors_exit_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
 
+    # a radial model object takes its name, m and R and nothing else,
+    # wherever a config reads one
+    bogus = {"name": "hyperbolic", "R": 3, "bogus": 1}
+    for sub, config in (
+            ("comparison", {"model": bogus}),
+            ("probe", {"model": bogus}),
+            ("scenario", {"operations": [{"op": "parabolicity",
+                                          "model": bogus}]})):
+        cfg = _write_config(tmp_path / f"model-{sub}.json", config)
+        assert main([sub, "--config", cfg, "--out", out]) == 2, sub
+        assert capsys.readouterr().err == (
+            "config error: unknown model key(s) bogus; accepted: name, m, "
+            "R\n"), sub
+
     # a fiber the charts cannot carry is refused by name, before any report
     # is written: the removed polar charts (a polar box would silently mean
     # something else), a dimension outside [1, 8], box lengths on the curved
@@ -1027,6 +1041,18 @@ def test_hessian_comparison_at_a_small_radius_exits_clean(tmp_path, model):
     assert main(["comparison", "--config", cfg, "--out", str(out)]) == 0
     report = _read_json(out, "comparison-02-hessian.json")["report"]
     assert report["slope_margin_min"] < -1e-8
+
+
+def test_hessian_comparison_at_a_tiny_radius_warns_nothing(tmp_path):
+    # the check reads phi'/phi from the integrator's dense solution; the
+    # Sturm report of a solve to R = 1e-14 would divide by psi = 0
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "growth": "one", "T": 1, "model": {"name": "flat", "R": 1e-14}})
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "warpcurv.cli",
+         "comparison", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_parabolicity_past_the_sinh_overflow(tmp_path):

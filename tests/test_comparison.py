@@ -139,13 +139,31 @@ def test_envelope_identity_quadratic_growth():
     assert sol.report["envelope_identity_nonneg"]
 
 
+@pytest.mark.parametrize("name, T", [
+    ("one", 0.3), ("one", 0.1), ("one", 1e-3), ("one", 1e-6),
+    ("quadratic", 1e-3), ("quadratic", 1e-6), ("exp-square", 1e-3)])
+def test_envelope_identity_holds_on_short_domains(name, T):
+    # the second difference of E rounds to about 2 eps/h^2 with
+    # h = T/2000, below -1e-8 for T <= 0.3; the gate scales with it
+    sol = solve_comparison(builtin_growth(name), T)
+    assert sol.report["envelope_identity_nonneg"]
+
+
+@pytest.mark.parametrize("T", [5.0, 0.1, 1e-3])
+def test_envelope_identity_fails_a_decreasing_growth(T):
+    # G = 1/(1 + t) decreases: (E'/E)^2 - E''/E = G^{-3/2} G'/2 is -1/2
+    # to first order, far below the rounding slack down to T = 1e-3
+    G = GrowthFunction("decreasing", lambda t: 1.0 / (1.0 + t),
+                       lambda t: -1.0 / (1.0 + t) ** 2)
+    assert not solve_comparison(G, T).report["envelope_identity_nonneg"]
+
+
 def test_envelope_log_slope():
     # the integrated state, not a formula: d/dt log E = G^{-1/2}, with
-    # G = 1 + t^2, by a central difference of the dense envelope
-    sol = solve_comparison(builtin_growth("quadratic"), T=5.0)
+    # G = 1 + t^2, by a central difference of the dense log-envelope
+    run = comparison._integrate(builtin_growth("quadratic"), 5.0)
     ts, h = np.array([0.5, 1.0, 3.0]), 1e-4
-    slope = (np.log(sol.envelope_at(ts + h))
-             - np.log(sol.envelope_at(ts - h))) / (2.0 * h)
+    slope = (run(ts + h)[3] - run(ts - h)[3]) / (2.0 * h)
     assert np.max(np.abs(slope - 1.0 / np.sqrt(1.0 + ts ** 2))) <= 1e-7
 
 
@@ -226,7 +244,7 @@ def test_dense_solution_equals_scipys(name, T):
     # scipy's OdeSolution is the oracle: the evaluator reads the same step
     # polynomials with the same products, so every value is the same double
     G = builtin_growth(name)
-    dense = solve_comparison(G, T)._dense
+    dense = comparison._integrate(G, T)
     oracle = _scipy_solve(G, T)
     rng = np.random.default_rng(30)
     # a step end is the edge between two steps, read from the earlier one
@@ -248,7 +266,7 @@ def test_dense_solution_equals_scipys(name, T):
 def _counted(name):
     """A fresh instance of a registered growth, and the list of the float
     points its ``fn`` is called at (the comparison ODE's right-hand side
-    and solve_comparison's G(0))."""
+    and the refusal's G(0))."""
     base = builtin_growth(name)
     points = []
 
@@ -260,20 +278,18 @@ def _counted(name):
     return GrowthFunction(name, fn, base.dfn), points
 
 
-def _assert_steps_equal(sol, oracle):
+def _assert_steps_equal(run, oracle):
     """Step for step, the solve is scipy's: (t_old, h, Q, y_old) and the
     step ends, and the dense solution at every step end and between."""
     steps = oracle.sol.interpolants
-    dense = sol._dense
-    assert len(dense._steps) == len(steps)
-    for (t_old, h, Q, y_old), step in zip(dense._steps, steps):
+    assert len(run.steps) == len(steps)
+    for (t_old, h, Q, y_old), step in zip(run.steps, steps):
         assert t_old == step.t_old and h == step.h
         assert np.array_equal(Q, step.Q) and np.array_equal(y_old, step.y_old)
-    assert dense._ends == [step.t for step in steps]
-    T = sol.domain[1]
-    points = np.concatenate([oracle.t, np.linspace(0.0, T, 301)]).tolist()
+    assert run._ends == [step.t for step in steps]
+    points = np.concatenate([oracle.t, np.linspace(0.0, run.T, 301)]).tolist()
     for t in points:
-        assert np.array_equal(dense(t), oracle.sol(t)), t
+        assert np.array_equal(run(t), oracle.sol(t)), t
 
 
 @pytest.mark.parametrize("name, T", [("one", 6.0), ("quadratic", 6.0),
@@ -299,8 +315,7 @@ def test_replayed_solves_equal_fresh_ones(name, T):
     for horizon, kind in horizons:
         oracle = _scipy_solve(G, horizon)
         points.clear()
-        sol = solve_comparison(G, horizon)
-        _assert_steps_equal(sol, oracle)
+        _assert_steps_equal(comparison._integrate(G, horizon), oracle)
         # G(0) is the one float point outside the ODE; the solver's
         # constructor makes 2 evaluations and every step attempt 6
         evaluations = len(points) - 1
@@ -320,13 +335,13 @@ def test_a_new_instance_never_replays():
     # the steps belong to one instance: the same registered growth built
     # again, or a replaced copy, integrates from scratch
     G = builtin_growth("quadratic")
-    stored = {id(Q) for _, _, Q, _ in solve_comparison(G, 6.0)._dense._steps}
+    stored = {id(Q) for _, _, Q, _ in comparison._integrate(G, 6.0).steps}
     oracle = _scipy_solve(G, 3.0)
 
     def replayed(H):
-        sol = solve_comparison(H, 3.0)
-        _assert_steps_equal(sol, oracle)
-        return sum(id(Q) in stored for _, _, Q, _ in sol._dense._steps)
+        run = comparison._integrate(H, 3.0)
+        _assert_steps_equal(run, oracle)
+        return sum(id(Q) in stored for _, _, Q, _ in run.steps)
 
     assert replayed(builtin_growth("quadratic")) == 0
     assert replayed(dataclasses.replace(G)) == 0
@@ -541,6 +556,16 @@ def test_probe_penalization_pulls_linear_height_inside():
     assert not probe.boundary_flag
     expect = (2.0 + math.sqrt(6.0)) / 2.0
     assert abs(probe.records[0]["radius"] - expect) <= 1e-4
+
+
+def test_probe_penalization_reads_the_envelope_of_its_growth():
+    # the stretched model's default growth is G = 4, whose envelope is
+    # exp(r^2 / 2), not the exp(2 r^2) of the integral of sqrt(G): the
+    # j = 1 maximizer of (r - 2) e^{-r^2/2} sits at 1 + sqrt 2
+    probe = omori_yau_probe(builtin_model("stretched"),
+                            lambda r: np.asarray(r, dtype=float), jmax=1)
+    assert probe.growth_name == "const-4"
+    assert abs(probe.records[0]["radius"] - (1.0 + math.sqrt(2.0))) <= 1e-4
 
 
 def test_probe_boundary_flag_for_runaway_height():

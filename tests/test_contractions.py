@@ -755,7 +755,15 @@ def test_one_dense_path_reads_the_comparison_ode():
             for site in _attribute_reads(path.read_text(), "sol")] == []
     assert _package_callers("solve_ivp") == {}
     assert _package_callers("dense_output") == {
-        "comparison.py": ["_rk45_interpolants"]}
+        "comparison.py": ["_integrate"]}
+
+
+def test_only_the_comparison_subcommand_samples_the_comparison_ode():
+    # the Hessian check and the probe read the integrator's dense solution
+    # directly; a report of 2,001 samples built for them would be thrown
+    # away
+    assert _package_callers("solve_comparison") == {
+        "cli.py": ["run_comparison"]}
 
 
 def _callers(source, name):
