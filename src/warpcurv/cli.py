@@ -683,7 +683,11 @@ def _height_function(section: dict):
     _refuse_unknown("height", section, ("family",) + _HEIGHT_KEYS[family])
     if family == "tanh":
         scale = _float(section.get("scale", 1.0), "scale")
-        return lambda r: np.tanh(scale * r)
+
+        def tanh(r):
+            with np.errstate(over="ignore"):   # tanh(+-inf) = +-1
+                return np.tanh(scale * r)
+        return tanh
     if family == "gaussian-bump":
         center = _float(section.get("center", 0.3), "center")
         width = _float(section.get("width", 0.15), "width", positive=True)

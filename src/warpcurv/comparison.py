@@ -17,6 +17,7 @@ Two distinct auxiliary functions appear:
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -36,9 +37,12 @@ class GrowthFunction:
 
     ``fn`` must be pure: comparison solves with one instance share their
     RK45 steps, so a later solve reads G's values from an earlier one.
-    The last solve's steps are kept on the instance, so
+    The steps of the longest solve so far are kept on the instance, so
     ``dataclasses.replace`` starts without them and they are freed
-    with G.
+    with G.  ``builtin_growth`` hands out one instance per name for the
+    life of the process, and ``default_growth_for`` one per level (the
+    last 8 levels used), so the solves with a registered or default
+    growth share their steps across calls.
     """
 
     name: str
@@ -77,7 +81,10 @@ GROWTH_FUNCTIONS = {
 }
 
 
+@functools.cache
 def builtin_growth(name: str) -> GrowthFunction:
+    """The registered growth ``name``: one instance per name, shared by
+    every caller in the process."""
     try:
         return GROWTH_FUNCTIONS[name]()
     except KeyError:
@@ -137,7 +144,10 @@ def check_growth_conditions(G: GrowthFunction, T: float) -> dict:
 
         upper = max(T, 1.0 + 1e-6)
         tv = np.geomspace(1.0, upper, 200)
-        ratio = tv * np.asarray(G(np.sqrt(tv))) / np.asarray(G(tv))
+        # where both sides overflow the ratio inf/inf is NaN, and so is
+        # the slope fitted through it: the bounded verdict fails
+        with np.errstate(invalid="ignore"):
+            ratio = tv * np.asarray(G(np.sqrt(tv))) / np.asarray(G(tv))
         slope = float(np.polyfit(np.log(tv),
                                  np.log(np.maximum(ratio, 1e-300)), 1)[0])
         out["iv_max_ratio"] = float(np.max(ratio))
@@ -215,7 +225,9 @@ def _integrate(G: GrowthFunction, T: float) -> _RK45Steps:
 
     The state is (phi, phi', integral of sqrt(G), integral of G^{-1/2}).
     The steps a previous solve with this ``G`` already took are replayed,
-    not recomputed.  The step-size controller reads the horizon only
+    not recomputed: the instance keeps the steps of its longest solve so
+    far, replaced by a solve whose horizon is at least as long and that
+    is not refused.  The step-size controller reads the horizon only
     when the horizon clips a step (Hairer, Norsett and Wanner, *Solving
     ODE I*, II.4), and ``select_initial_step`` when it clips the first
     guess.  So with the same first step, every stored step whose first
@@ -272,12 +284,18 @@ def _integrate(G: GrowthFunction, T: float) -> _RK45Steps:
             s = solver.dense_output()
             steps.append((float(s.t_old), float(s.h), s.Q, s.y_old))
             starts.append((solver.t, solver.y, solver.f, solver.h_abs))
-    run = G._memo["rk45"] = _RK45Steps(T, starts, steps)
     if solver.status == "failed":
         raise ValueError(f"comparison integrator failed: {message}")
     if min(y[0] for _, y, _, _ in starts[1:]) <= 0.0:
         raise ValueError("phi lost positivity on (0, T]; growth function "
                          "rejected")
+    run = _RK45Steps(T, starts, steps)
+    # a shorter solve (the Hessian check's R after the comparison's T)
+    # must not evict the steps a later long solve replays; a refused
+    # solve is not kept, since a shared growth would hold its tens of
+    # thousands of steps for the life of the process
+    if last is None or T >= last.T:
+        G._memo["rk45"] = run
     return run
 
 
@@ -305,9 +323,10 @@ def solve_comparison(G: GrowthFunction, T: float) -> ComparisonSolution:
     ``_integrate``'s RK45 solve, sampled at 2001 points, with the Sturm,
     Riccati and envelope report.  The integration state carries the
     cumulative integrals of sqrt(G) (for psi) and of G^{-1/2} (for the
-    envelope).  A later solve with the same ``G`` replays the steps it
-    shares with this one.  The growth function is rejected with a
-    ValueError if the integrator fails or phi loses positivity on (0, T].
+    envelope).  A later solve with the same ``G``, in this call or any
+    later one, replays the steps it shares with the longest solve so
+    far.  The growth function is rejected with a ValueError if the
+    integrator fails or phi loses positivity on (0, T].
     """
     run = _integrate(G, T)
     ts = np.linspace(0.0, T, 2001)
@@ -437,6 +456,16 @@ def builtin_model(name: str, **params) -> RadialModel:
         raise KeyError(f"unknown model {name!r}; registered: {sorted(MODELS)}")
 
 
+def _refuse_underflowing_squares(model: RadialModel) -> None:
+    """Refuse a model radius at which gamma = r^2 is not a normal double
+    on the outer half [R/2, R], where the realized constants divide by
+    sqrt(gamma G(sqrt gamma)), which reads 0 at R = 1e-300."""
+    half = 0.5 * model.R   # a float product, not **, which can raise
+    if half * half < np.finfo(float).tiny:
+        raise ValueError(f"model radius {model.R:g} is too small: r^2 "
+                         f"underflows on [R/2, R]")
+
+
 def hessian_comparison_check(model: RadialModel, G: GrowthFunction) -> dict:
     """Hessian comparison on a radial model against the growth bound G.
 
@@ -447,6 +476,7 @@ def hessian_comparison_check(model: RadialModel, G: GrowthFunction) -> dict:
     the domain (the closed-form eigenvalues of Hess(r^2) are 2 and
     2 r f'/f).
     """
+    _refuse_underflowing_squares(model)
     rs = np.linspace(model.R / 2000, model.R, 2000)
     with np.errstate(over="ignore"):   # an infinite bound holds trivially
         curv_margin = np.asarray(G(rs)) - model.d2f(rs) / model.f(rs)
@@ -537,6 +567,15 @@ def default_growth_for(model: RadialModel) -> GrowthFunction:
     """
     rs = np.linspace(model.R / 512.0, model.R, 512)
     level = max(float(np.max(model.d2f(rs) / model.f(rs))), 1.0)
+    return _constant_growth(level)
+
+
+# keyed by the level itself, not its name: two levels can print alike; a
+# library model can produce any level, so the cache is bounded
+@functools.lru_cache(maxsize=8)
+def _constant_growth(level: float) -> GrowthFunction:
+    """The constant growth at ``level``: one instance per level, so the
+    probes of every model at that level share their RK45 steps."""
     return GrowthFunction(f"const-{level:g}", _constant(level), np.zeros_like)
 
 
@@ -555,6 +594,7 @@ def omori_yau_probe(model: RadialModel, u, L="laplacian", jmax: int = 20,
     if jmax < 1:
         raise ValueError("need jmax >= 1")
     p_rad, p_tan = _normalize_selector(L)
+    _refuse_underflowing_squares(model)
     if G is None:
         G = default_growth_for(model)
     n_r = 4001

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from helpers import make_product, random_immersion
 from test_acceptance import BATTERY
-from warpcurv import cli, hypersurface, operators
+from warpcurv import cli, comparison, hypersurface, operators
 from warpcurv.ambient import FiberSpec
 from warpcurv.cli import ENV_OUT, main, write_json
 from warpcurv.hypersurface import (
@@ -707,6 +707,40 @@ def test_nan_residual_fails_the_gate(tmp_path, monkeypatch):
     assert _read_json(out, "verify-summary.json")["failed"] == ["height-sigma"]
 
 
+def _pool_battery(v):
+    """The v-th of the benchmark's 12 cli-battery config sets: the c8
+    battery with its seed, slice height, growth and T varied."""
+    battery = copy.deepcopy(BATTERY)
+    for config in battery.values():
+        config["seed"] = 17 + v
+    battery["scenario"]["immersion"]["t"] = 0.5 + 0.1 * (v % 4)
+    battery["comparison"].update(growth=("quadratic", "one")[v % 2],
+                                 T=6.0 - (v % 3) * 0.5)
+    return battery
+
+
+def test_battery_trees_do_not_depend_on_the_batteries_before(tmp_path):
+    # registered and default growths are shared by the process and keep
+    # the steps of their longest solve: the 12 batteries, run from cold
+    # in order and then in reverse, each write the same bytes both times
+    comparison.builtin_growth.cache_clear()
+    comparison._constant_growth.cache_clear()
+    runs = {}
+    for sweep, order in (("forward", range(12)),
+                         ("reverse", range(11, -1, -1))):
+        for v in order:
+            root = tmp_path / sweep / f"{v:02d}"
+            exits = {}
+            for sub, config in _pool_battery(v).items():
+                cfg = _write_config(tmp_path / f"{sweep}-{v:02d}-{sub}.json",
+                                    config)
+                exits[sub] = main([sub, "--config", cfg,
+                                   "--out", str(root / sub)])
+            runs.setdefault(v, []).append((exits, _tree_bytes(root)))
+    for v, (forward, reverse) in runs.items():
+        assert forward == reverse, v
+
+
 def test_reports_are_strict_json(tmp_path):
     path = tmp_path / "report.json"
     write_json(str(path), {"numpy": np.float64("nan"), "python": math.inf,
@@ -1007,6 +1041,18 @@ def test_extreme_bump_widths_take_their_limits(tmp_path, sub, config):
     assert main([sub, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
+def test_an_extreme_tanh_scale_takes_its_limit(tmp_path):
+    # scale * r overflows to inf at every r > 0, where tanh takes its
+    # limit 1 with no RuntimeWarning (an error under this suite's
+    # filterwarnings)
+    cfg = _write_config(tmp_path / "cfg.json",
+                        {"height": {"family": "tanh", "scale": 1e308}})
+    out = tmp_path / "out"
+    assert main(["probe", "--config", cfg, "--out", str(out)]) == 0
+    records = _read_json(out, "probe-00-omori-yau.json")["records"]
+    assert all(rec["u"] == 1.0 for rec in records if rec["radius"] > 0.0)
+
+
 @pytest.mark.parametrize("sub, config, line", [
     ("probe", {"height": {"family": "negative-square"},
                "model": {"name": "flat", "R": 1e200}},
@@ -1017,10 +1063,21 @@ def test_extreme_bump_widths_take_their_limits(tmp_path, sub, config):
                 "operations": [{"op": "structure"}]},
      "config error: width=1e-200 is too small: 2 width^2 underflows the "
      "float range\n"),
+    ("comparison", {"growth": "one", "T": 1,
+                    "model": {"name": "hyperbolic", "R": 1e-300}},
+     "config error: model radius 1e-300 is too small: r^2 underflows on "
+     "[R/2, R]\n"),
+    ("probe", {"model": {"name": "hyperbolic", "R": 1e-300}},
+     "config error: model radius 1e-300 is too small: r^2 underflows on "
+     "[R/2, R]\n"),
+    ("comparison", {"growth": "quadratic", "T": 1e300},
+     "config error: comparison integrator failed: Required step size is "
+     "less than spacing between numbers.\n"),
 ])
 def test_refusals_raise_no_runtime_warning(tmp_path, sub, config, line):
-    # a squared radius that overflows and a squared width that underflows:
-    # the refusal is the whole of stderr, with no warning raised before it
+    # a squared radius that overflows, a squared width or radius that
+    # underflows, and a growth ratio whose sides both overflow: the
+    # refusal is the whole of stderr, with no warning raised before it
     cfg = _write_config(tmp_path / "cfg.json", config)
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "warpcurv.cli",
