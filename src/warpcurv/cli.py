@@ -685,7 +685,11 @@ def _height_function(section: dict):
         scale = _float(section.get("scale", 1.0), "scale")
 
         def tanh(r):
-            with np.errstate(over="ignore"):   # tanh(+-inf) = +-1
+            # tanh(+-inf) = +-1; a float product overflows to inf without
+            # a warning, so the probe's scalar points skip the errstate
+            if type(r) is float:
+                return np.tanh(scale * r)
+            with np.errstate(over="ignore"):
                 return np.tanh(scale * r)
         return tanh
     if family == "gaussian-bump":

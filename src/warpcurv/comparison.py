@@ -17,7 +17,6 @@ Two distinct auxiliary functions appear:
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -37,12 +36,10 @@ class GrowthFunction:
 
     ``fn`` must be pure: comparison solves with one instance share their
     RK45 steps, so a later solve reads G's values from an earlier one.
-    The steps of the longest solve so far are kept on the instance, so
+    The last solve's steps are kept on the instance, so
     ``dataclasses.replace`` starts without them and they are freed
-    with G.  ``builtin_growth`` hands out one instance per name for the
-    life of the process, and ``default_growth_for`` one per level (the
-    last 8 levels used), so the solves with a registered or default
-    growth share their steps across calls.
+    with G.  ``builtin_growth`` and ``default_growth_for`` build a new
+    instance on every call, so no solve outlives its caller.
     """
 
     name: str
@@ -81,10 +78,7 @@ GROWTH_FUNCTIONS = {
 }
 
 
-@functools.cache
 def builtin_growth(name: str) -> GrowthFunction:
-    """The registered growth ``name``: one instance per name, shared by
-    every caller in the process."""
     try:
         return GROWTH_FUNCTIONS[name]()
     except KeyError:
@@ -219,15 +213,93 @@ class _RK45Steps:
         return out
 
 
+class _RK45Stepper:
+    """scipy's RK45 steps without its per-call wrappers: ``step`` is
+    ``RungeKutta._step_impl`` with ``rk_step`` written out, for a forward
+    solve with no maximum step, and ``dense_output`` gives the step's
+    (t_old, h, Q, y_old) as ``RkDenseOutput`` holds them.
+
+    The state, tolerances, tableau and first step are read from a
+    constructed ``scipy.integrate.RK45``.  Every product, sum, ``np.dot``
+    and power is the one scipy computes, on arrays of the same layout,
+    so each double is scipy's.  The right-hand side is called directly,
+    not through scipy's two function wrappers, and no ``OdeSolver.step``
+    bookkeeping or dense-output object is made, which saves about a
+    third of the stepping time.
+    """
+
+    # the step-size factors of scipy.integrate._ivp.rk
+    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
+
+    def __init__(self, solver, rhs):
+        self.rhs = rhs
+        self.T = solver.t_bound
+        self.rtol, self.atol = solver.rtol, solver.atol
+        self.exponent = solver.error_exponent
+        self.too_small = solver.TOO_SMALL_STEP
+        self.t, self.y, self.f = solver.t, solver.y, solver.f
+        self.h_abs = solver.h_abs
+        self.K = K = np.empty_like(solver.K)
+        # the views of K and rows of the tableau rk_step takes per stage
+        self.stages = [(s, K[:s].T, solver.A[s, :s], float(solver.C[s]))
+                       for s in range(1, solver.n_stages)]
+        self.B, self.E, self.P = solver.B, solver.E, solver.P
+        self.status = "running"
+
+    def step(self):
+        """One accepted step, or status "failed" and scipy's message."""
+        t, y, rhs, K = self.t, self.y, self.rhs, self.K
+        rtol, atol, exponent = self.rtol, self.atol, self.exponent
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = min_step if self.h_abs < min_step else self.h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return self.too_small
+            t_new = min(t + h_abs, self.T)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = self.f
+            for s, K_s, a, c in self.stages:
+                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
+            y_new = y + h * np.dot(K[:-1].T, self.B)
+            f_new = np.array(rhs(t + h, y_new), dtype=float)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = np.dot(K.T, self.E) * h / scale
+            # scipy's RMS norm: np.linalg.norm's sqrt(x . x) over sqrt(4);
+            # math.sqrt and pow are numpy's on a float, and faster
+            error_norm = math.sqrt(error.dot(error)) / 2.0
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = self.MAX_FACTOR
+                else:
+                    factor = min(self.MAX_FACTOR,
+                                 self.SAFETY * error_norm ** exponent)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(self.MIN_FACTOR, self.SAFETY * error_norm ** exponent)
+            rejected = True
+        self.t_old, self.y_old = t, y
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        return None
+
+    def dense_output(self):
+        """The last step's (t_old, h, Q, y_old)."""
+        return (float(self.t_old), float(self.t - self.t_old),
+                self.K.T.dot(self.P), self.y_old)
+
+
 def _integrate(G: GrowthFunction, T: float) -> _RK45Steps:
     """The RK45 solve of phi'' = G phi, phi(0) = 0, phi'(0) = 1 on
     [0, T], at rtol 1e-11 and atol 1e-13: the loop ``solve_ivp`` runs.
 
     The state is (phi, phi', integral of sqrt(G), integral of G^{-1/2}).
     The steps a previous solve with this ``G`` already took are replayed,
-    not recomputed: the instance keeps the steps of its longest solve so
-    far, replaced by a solve whose horizon is at least as long and that
-    is not refused.  The step-size controller reads the horizon only
+    not recomputed.  The step-size controller reads the horizon only
     when the horizon clips a step (Hairer, Norsett and Wanner, *Solving
     ODE I*, II.4), and ``select_initial_step`` when it clips the first
     guess.  So with the same first step, every stored step whose first
@@ -260,8 +332,8 @@ def _integrate(G: GrowthFunction, T: float) -> _RK45Steps:
 
     # an overflowing G or phi makes the step fail, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = RK45(rhs, 0.0, [0.0, 1.0, 0.0, 0.0], T, rtol=1e-11,
-                      atol=1e-13)
+        solver = _RK45Stepper(RK45(rhs, 0.0, [0.0, 1.0, 0.0, 0.0], T,
+                                   rtol=1e-11, atol=1e-13), rhs)
         last = G._memo.get("rk45")
         starts = [(solver.t, solver.y, solver.f, solver.h_abs)]
         steps = []
@@ -281,21 +353,14 @@ def _integrate(G: GrowthFunction, T: float) -> _RK45Steps:
             message = solver.step()
             if solver.status == "failed":
                 break
-            s = solver.dense_output()
-            steps.append((float(s.t_old), float(s.h), s.Q, s.y_old))
+            steps.append(solver.dense_output())
             starts.append((solver.t, solver.y, solver.f, solver.h_abs))
+    run = G._memo["rk45"] = _RK45Steps(T, starts, steps)
     if solver.status == "failed":
         raise ValueError(f"comparison integrator failed: {message}")
     if min(y[0] for _, y, _, _ in starts[1:]) <= 0.0:
         raise ValueError("phi lost positivity on (0, T]; growth function "
                          "rejected")
-    run = _RK45Steps(T, starts, steps)
-    # a shorter solve (the Hessian check's R after the comparison's T)
-    # must not evict the steps a later long solve replays; a refused
-    # solve is not kept, since a shared growth would hold its tens of
-    # thousands of steps for the life of the process
-    if last is None or T >= last.T:
-        G._memo["rk45"] = run
     return run
 
 
@@ -323,10 +388,9 @@ def solve_comparison(G: GrowthFunction, T: float) -> ComparisonSolution:
     ``_integrate``'s RK45 solve, sampled at 2001 points, with the Sturm,
     Riccati and envelope report.  The integration state carries the
     cumulative integrals of sqrt(G) (for psi) and of G^{-1/2} (for the
-    envelope).  A later solve with the same ``G``, in this call or any
-    later one, replays the steps it shares with the longest solve so
-    far.  The growth function is rejected with a ValueError if the
-    integrator fails or phi loses positivity on (0, T].
+    envelope).  A later solve with the same ``G`` replays the steps it
+    shares with this one.  The growth function is rejected with a
+    ValueError if the integrator fails or phi loses positivity on (0, T].
     """
     run = _integrate(G, T)
     ts = np.linspace(0.0, T, 2001)
@@ -567,15 +631,6 @@ def default_growth_for(model: RadialModel) -> GrowthFunction:
     """
     rs = np.linspace(model.R / 512.0, model.R, 512)
     level = max(float(np.max(model.d2f(rs) / model.f(rs))), 1.0)
-    return _constant_growth(level)
-
-
-# keyed by the level itself, not its name: two levels can print alike; a
-# library model can produce any level, so the cache is bounded
-@functools.lru_cache(maxsize=8)
-def _constant_growth(level: float) -> GrowthFunction:
-    """The constant growth at ``level``: one instance per level, so the
-    probes of every model at that level share their RK45 steps."""
     return GrowthFunction(f"const-{level:g}", _constant(level), np.zeros_like)
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from helpers import make_product, random_immersion
 from test_acceptance import BATTERY
-from warpcurv import cli, comparison, hypersurface, operators
+from warpcurv import cli, hypersurface, operators
 from warpcurv.ambient import FiberSpec
 from warpcurv.cli import ENV_OUT, main, write_json
 from warpcurv.hypersurface import (
@@ -720,11 +720,9 @@ def _pool_battery(v):
 
 
 def test_battery_trees_do_not_depend_on_the_batteries_before(tmp_path):
-    # registered and default growths are shared by the process and keep
-    # the steps of their longest solve: the 12 batteries, run from cold
-    # in order and then in reverse, each write the same bytes both times
-    comparison.builtin_growth.cache_clear()
-    comparison._constant_growth.cache_clear()
+    # the benchmark's digest check runs the 12 batteries in one process:
+    # run in order and then in reverse, each writes the same bytes both
+    # times, whatever the process ran before
     runs = {}
     for sweep, order in (("forward", range(12)),
                          ("reverse", range(11, -1, -1))):

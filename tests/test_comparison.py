@@ -305,31 +305,26 @@ def _assert_steps_equal(run, oracle):
                                      ("exp-square", 2.0)])
 def test_replayed_solves_equal_fresh_ones(name, T):
     # one instance through a sequence of horizons: each solve replays the
-    # steps it shares with the longest solve so far, which the instance
-    # keeps, and equals a fresh solve_ivp
+    # steps it shares with the one before, and equals a fresh solve_ivp
     G, points = _counted(name)
     steps = _scipy_solve(G, T).sol.interpolants
     end = float(steps[len(steps) // 2].t)
     horizons = [
         (T, "fresh"),
         (T / 2, "restart"),                 # shorter than the stored run
-        (T / 2, "restart"),                 # which the first one did not evict
-        (T, "restart"),                     # equal: its last step was clipped
+        (T / 2, "restart"),                 # equal: its last step was clipped
+        (T, "extend"),                      # longer
         (end, "replay"),                    # a stored step's end
         (math.nextafter(end, 0.0), "restart"),
         (math.nextafter(end, math.inf), "restart"),
         (1e-7, "fresh"),                    # another first step
-        (T / 3, "restart"),                 # still against the run to T
-        (1.5 * T, "extend"),                # longer: replaces the stored run
-        (1.25 * T, "restart"),              # against the run to 1.5 T
+        (T / 3, "fresh"),
     ]
-    first_step, longest = None, 0.0
+    first_step = None
     for horizon, kind in horizons:
         oracle = _scipy_solve(G, horizon)
         points.clear()
         _assert_steps_equal(comparison._integrate(G, horizon), oracle)
-        longest = max(longest, horizon)
-        assert G._memo["rk45"].T == longest, horizon
         # G(0) is the one float point outside the ODE; the solver's
         # constructor makes 2 evaluations and every step attempt 6
         evaluations = len(points) - 1
@@ -339,28 +334,43 @@ def test_replayed_solves_equal_fresh_ones(name, T):
         elif kind == "replay":
             assert evaluations == 2, horizon
         elif kind == "extend":
-            assert 2 + 6 * 3 < evaluations < oracle.nfev, horizon
+            assert 2 < evaluations < oracle.nfev, horizon
         else:
             assert 2 < evaluations <= 2 + 6 * 3 < oracle.nfev, horizon
         first_step = oracle.sol.interpolants[0].h
 
 
-def test_a_refused_solve_keeps_the_stored_steps():
-    # G jumps to 1e300 at t = 1, where phi overflows and the integrator
-    # fails: the refused longer solve does not replace the stored one,
-    # so a shared growth never holds a failed solve's steps
-    G = GrowthFunction("jump", lambda t: 1.0 if t < 1.0 else 1e300,
+@pytest.mark.parametrize("jump", [4.0, 1e300])
+def test_rejected_attempts_and_failures_are_scipys(jump):
+    # G jumps from 1 to ``jump`` at t = 1, where the step controller
+    # rejects about 30 attempts; at 1e300 phi overflows until the step
+    # falls below 10 ulps of t and the integrator fails.  The steps
+    # taken, and the failure's message, are solve_ivp's
+    G = GrowthFunction("jump", lambda t: 1.0 if t < 1.0 else jump,
                        np.zeros_like)
-    stored = comparison._integrate(G, 0.5)
-    with pytest.raises(ValueError, match="integrator failed"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = _scipy_solve(G, 2.0)
+    steps = oracle.sol.interpolants
+    assert oracle.nfev >= 2 + 6 * (len(steps) + 25)
+    if oracle.status == 0:
+        _assert_steps_equal(comparison._integrate(G, 2.0), oracle)
+        return
+    assert jump == 1e300
+    with pytest.raises(ValueError) as refused:
         comparison._integrate(G, 2.0)
-    assert G._memo["rk45"] is stored
+    assert str(refused.value) == ("comparison integrator failed: "
+                                  + oracle.message)
+    run = G._memo["rk45"]
+    assert len(run.steps) == len(steps)
+    for (t_old, h, Q, y_old), step in zip(run.steps, steps):
+        assert t_old == step.t_old and h == step.h
+        assert np.array_equal(Q, step.Q) and np.array_equal(y_old, step.y_old)
 
 
 def test_a_new_instance_never_replays():
     # the steps belong to one instance: the same registered growth built
-    # again by its factory, or a replaced copy, integrates from scratch
-    G = GROWTH_FUNCTIONS["quadratic"]()
+    # again, or a replaced copy, integrates from scratch
+    G = builtin_growth("quadratic")
     stored = {id(Q) for _, _, Q, _ in comparison._integrate(G, 6.0).steps}
     oracle = _scipy_solve(G, 3.0)
 
@@ -369,7 +379,7 @@ def test_a_new_instance_never_replays():
         _assert_steps_equal(run, oracle)
         return sum(id(Q) in stored for _, _, Q, _ in run.steps)
 
-    assert replayed(GROWTH_FUNCTIONS["quadratic"]()) == 0
+    assert replayed(builtin_growth("quadratic")) == 0
     assert replayed(dataclasses.replace(G)) == 0
     assert replayed(G) >= len(oracle.sol.interpolants) - 2
 
@@ -379,7 +389,7 @@ def test_the_stored_steps_are_freed_with_their_growth():
     # not hold G, whose stored steps would then wait for a full collection
     gc.disable()
     try:
-        G = GROWTH_FUNCTIONS["quadratic"]()
+        G = builtin_growth("quadratic")
         solve_comparison(G, 3.0)
         assert G._memo
         held = weakref.ref(G)
@@ -387,61 +397,6 @@ def test_the_stored_steps_are_freed_with_their_growth():
         assert held() is None
     finally:
         gc.enable()
-
-
-def test_builtin_growth_is_one_instance_per_name():
-    # every solve with a registered growth shares its steps, across calls
-    growths = [builtin_growth(name) for name in GROWTH_FUNCTIONS]
-    assert len({id(G) for G in growths}) == len(GROWTH_FUNCTIONS)
-    for name, G in zip(GROWTH_FUNCTIONS, growths):
-        assert builtin_growth(name) is G
-
-
-def _scaled_model(a):
-    """The model f = sinh(a r)/a, whose default growth is about a^2."""
-    return RadialModel(m=2, f=lambda r: np.sinh(a * np.asarray(r)) / a,
-                       df=lambda r: np.cosh(a * np.asarray(r)),
-                       d2f=lambda r: a * np.sinh(a * np.asarray(r)), R=3.0)
-
-
-def test_default_growth_is_one_instance_per_level():
-    # hyperbolic and flat both give level 1; two levels that print alike
-    # under :g are still two growths, each with its own solves
-    assert (default_growth_for(builtin_model("hyperbolic"))
-            is default_growth_for(builtin_model("flat")))
-    G, H = (default_growth_for(_scaled_model(a)) for a in (2.0, 2.0 + 1e-9))
-    assert G.name == H.name == "const-4"
-    assert G is not H and G(0.0) != H(0.0)
-    assert default_growth_for(_scaled_model(2.0)) is G
-
-
-def test_a_second_probe_replays_the_first_probes_steps(monkeypatch):
-    # the probe's default growth is shared, so a second probe of the same
-    # model replays the first one's solve to T = R^2 = 9: G is evaluated
-    # at the solver constructor's 2 points and in the 6 attempts of the
-    # one step the horizon clipped, where the first probe took 362 steps
-    points = []
-
-    def counted(level):
-        def fn(t):
-            if isinstance(t, float):
-                points.append(t)
-            return level if isinstance(t, float) else np.full_like(t, level)
-        return fn
-
-    monkeypatch.setattr(comparison, "_constant", counted)
-    comparison._constant_growth.cache_clear()
-    try:
-        model = builtin_model("hyperbolic")
-        first = omori_yau_probe(model, np.tanh, jmax=4)
-        fresh = len(points) - 1
-        points.clear()
-        second = omori_yau_probe(model, np.tanh, jmax=4)
-        # G(0) is the one float point outside the ODE
-        assert len(points) - 1 == 2 + 6 < fresh
-        assert second.records == first.records
-    finally:
-        comparison._constant_growth.cache_clear()
 
 
 @pytest.mark.parametrize("name", ["one", "quadratic"])
