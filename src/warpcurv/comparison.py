@@ -36,10 +36,11 @@ class GrowthFunction:
 
     ``fn`` must be pure: comparison solves with one instance share their
     RK45 steps, so a later solve reads G's values from an earlier one.
-    The last solve's steps are kept on the instance, so
-    ``dataclasses.replace`` starts without them and they are freed
-    with G.  ``builtin_growth`` and ``default_growth_for`` build a new
-    instance on every call, so no solve outlives its caller.
+    The last solve, failed or not, is kept on the instance with its
+    steps and solver states, so ``dataclasses.replace`` starts without
+    it and it is freed with G.  ``builtin_growth`` and
+    ``default_growth_for`` build a new instance on every call, so no
+    solve outlives its caller.
     """
 
     name: str
@@ -158,36 +159,122 @@ def check_growth_conditions(G: GrowthFunction, T: float) -> dict:
 # the comparison ODE pair
 # ---------------------------------------------------------------------------
 
-class _RK45Steps:
-    """The accepted steps of one forward RK45 solve of the comparison ODE
-    on [0, T], and its dense solution.
+class _RK45Solve:
+    """One forward RK45 solve of the comparison ODE on [0, T]: scipy's
+    steps without its per-call wrappers, their record, and the dense
+    solution they make.
 
     ``starts[k]`` is the solver state (t, y, f, proposed h_abs) before
-    step k, and ``starts[-1]`` the state after the last step taken (the
-    state a failed step left unchanged).  ``steps[k]`` is step k's dense
-    output (t_old, h, Q, y_old): it covers [t_old, t_old + h] and holds
+    step k, and ``starts[-1]`` the state ``step`` goes on from: the one
+    after the last step taken, or the one a failed step left unchanged.
+    ``steps[k]`` is step k's dense output (t_old, h, Q, y_old), as
+    ``RkDenseOutput`` holds it: it covers [t_old, t_old + h] and holds
     y(t) = y_old + h Q p(x), with x = (t - t_old)/h and
-    p = (x, x^2, x^3, x^4) (Shampine, Math. Comp. 46 (1986)).  A point is
-    read from the step whose end is the first one at or past it (the
-    first and last steps extend the range), with the products and the
-    ``np.dot`` scipy's ``OdeSolution`` computes, so every value is the
-    same double.
+    p = (x, x^2, x^3, x^4) (Shampine, Math. Comp. 46 (1986)).
+
+    The tolerances, tableau and first state are read from a constructed
+    ``scipy.integrate.RK45``, and ``step`` is ``RungeKutta._step_impl``
+    with ``rk_step`` written out, for a forward solve with no maximum
+    step.  Every product, sum, ``np.dot`` and power is the one scipy
+    computes, on arrays of the same layout, so each double is scipy's.
+    The right-hand side is called directly, not through scipy's two
+    function wrappers, and no ``OdeSolver.step`` bookkeeping or
+    dense-output object is made, which saves about a third of the
+    stepping time.  A point is read from the step whose end is the first
+    one at or past it (the first and last steps extend the range), with
+    the products and the ``np.dot`` scipy's ``OdeSolution`` computes.
     """
 
-    def __init__(self, T: float, starts: list, steps: list):
-        self.T = T
-        self.starts = starts
-        self.steps = steps
-        self._ends_array = np.array([s[0] for s in starts[1:]], dtype=float)
-        self._ends = self._ends_array.tolist()
-        self._last = len(steps) - 1
+    def __init__(self, solver, rhs, factors):
+        self.rhs, self.factors = rhs, factors
+        self.T = solver.t_bound
+        self.rtol, self.atol = solver.rtol, solver.atol
+        self.exponent = solver.error_exponent
+        self.too_small = solver.TOO_SMALL_STEP
+        self.K = K = np.empty_like(solver.K)
+        # the views of K and rows of the tableau rk_step takes per stage
+        self.stages = [(s, K[:s].T, solver.A[s, :s], float(solver.C[s]))
+                       for s in range(1, solver.n_stages)]
+        self.B, self.E, self.P = solver.B, solver.E, solver.P
+        self.starts = [(solver.t, solver.y, solver.f, solver.h_abs)]
+        self.steps = []
+        self._ends = []
+
+    def replay(self, last):
+        """Take the steps of ``last``, an earlier solve of the same ODE,
+        that this solve takes too.
+
+        The step-size controller reads the horizon only when the horizon
+        clips a step (Hairer, Norsett and Wanner, *Solving ODE I*, II.4),
+        and ``select_initial_step`` when it clips the first guess.  So
+        with the same first step, every stored step whose first attempt
+        t + h (h clamped to the solver's minimum step) exceeds neither
+        horizon is the step this solve takes.
+        """
+        if last.starts[0][3] != self.starts[0][3]:
+            return
+        reach = min(self.T, last.T)
+        shared = 0
+        for t, _, _, h_abs in last.starts[:-1]:
+            # scipy raises the proposed step to 10 ulps of t, then clips
+            # an attempt past the horizon
+            if t + max(h_abs, 10 * (math.nextafter(t, math.inf) - t)) > reach:
+                break
+            shared += 1
+        self.starts[1:] = last.starts[1:shared + 1]
+        self.steps = last.steps[:shared]
+        self._ends = last._ends[:shared]
+
+    def step(self):
+        """Take and record one accepted step; None, or scipy's message
+        when the step falls below 10 ulps of t and the solve fails."""
+        t, y, f, h_abs = self.starts[-1]
+        rhs, K = self.rhs, self.K
+        rtol, atol, exponent = self.rtol, self.atol, self.exponent
+        safety, min_factor, max_factor = self.factors
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs = min_step if h_abs < min_step else h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return self.too_small
+            t_new = min(t + h_abs, self.T)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s, K_s, a, c in self.stages:
+                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
+            y_new = y + h * np.dot(K[:-1].T, self.B)
+            f_new = np.array(rhs(t + h, y_new), dtype=float)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = np.dot(K.T, self.E) * h / scale
+            # scipy's RMS norm: np.linalg.norm's sqrt(x . x) over sqrt(4);
+            # math.sqrt and pow are numpy's on a float, and faster
+            error_norm = math.sqrt(error.dot(error)) / 2.0
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = max_factor
+                else:
+                    factor = min(max_factor, safety * error_norm ** exponent)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(min_factor, safety * error_norm ** exponent)
+            rejected = True
+        self.steps.append((float(t), float(h), K.T.dot(self.P), y))
+        self.starts.append((t_new, y_new, f_new, h_abs))
+        self._ends.append(float(t_new))
+        return None
 
     def __call__(self, t):
         """The state at a float ``t`` (shape (4,)), or at a non-decreasing
         1-D array of points (shape (4, len(t)))."""
+        last = len(self.steps) - 1
         if isinstance(t, float):
             t_old, h, Q, y_old = self.steps[
-                min(bisect_left(self._ends, t), self._last)]
+                min(bisect_left(self._ends, t), last)]
             x = (t - t_old) / h
             x2 = x * x
             x3 = x2 * x
@@ -197,8 +284,7 @@ class _RK45Steps:
             raise ValueError("dense points must be a float or a 1-D array")
         if np.any(t[1:] < t[:-1]):
             raise ValueError("dense points must be non-decreasing")
-        steps = np.minimum(np.searchsorted(self._ends_array, t, side="left"),
-                           self._last)
+        steps = np.minimum(np.searchsorted(self._ends, t, side="left"), last)
         starts = np.flatnonzero(np.diff(steps, prepend=-1)).tolist()
         out = np.empty((4, t.size))
         for lo, hi in zip(starts, starts[1:] + [t.size]):
@@ -213,105 +299,18 @@ class _RK45Steps:
         return out
 
 
-class _RK45Stepper:
-    """scipy's RK45 steps without its per-call wrappers: ``step`` is
-    ``RungeKutta._step_impl`` with ``rk_step`` written out, for a forward
-    solve with no maximum step, and ``dense_output`` gives the step's
-    (t_old, h, Q, y_old) as ``RkDenseOutput`` holds them.
-
-    The state, tolerances, tableau and first step are read from a
-    constructed ``scipy.integrate.RK45``.  Every product, sum, ``np.dot``
-    and power is the one scipy computes, on arrays of the same layout,
-    so each double is scipy's.  The right-hand side is called directly,
-    not through scipy's two function wrappers, and no ``OdeSolver.step``
-    bookkeeping or dense-output object is made, which saves about a
-    third of the stepping time.
-    """
-
-    # the step-size factors of scipy.integrate._ivp.rk
-    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10
-
-    def __init__(self, solver, rhs):
-        self.rhs = rhs
-        self.T = solver.t_bound
-        self.rtol, self.atol = solver.rtol, solver.atol
-        self.exponent = solver.error_exponent
-        self.too_small = solver.TOO_SMALL_STEP
-        self.t, self.y, self.f = solver.t, solver.y, solver.f
-        self.h_abs = solver.h_abs
-        self.K = K = np.empty_like(solver.K)
-        # the views of K and rows of the tableau rk_step takes per stage
-        self.stages = [(s, K[:s].T, solver.A[s, :s], float(solver.C[s]))
-                       for s in range(1, solver.n_stages)]
-        self.B, self.E, self.P = solver.B, solver.E, solver.P
-        self.status = "running"
-
-    def step(self):
-        """One accepted step, or status "failed" and scipy's message."""
-        t, y, rhs, K = self.t, self.y, self.rhs, self.K
-        rtol, atol, exponent = self.rtol, self.atol, self.exponent
-        min_step = 10 * (math.nextafter(t, math.inf) - t)
-        h_abs = min_step if self.h_abs < min_step else self.h_abs
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                self.status = "failed"
-                return self.too_small
-            t_new = min(t + h_abs, self.T)
-            h = t_new - t
-            h_abs = abs(h)
-            K[0] = self.f
-            for s, K_s, a, c in self.stages:
-                K[s] = rhs(t + c * h, y + np.dot(K_s, a) * h)
-            y_new = y + h * np.dot(K[:-1].T, self.B)
-            f_new = np.array(rhs(t + h, y_new), dtype=float)
-            K[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error = np.dot(K.T, self.E) * h / scale
-            # scipy's RMS norm: np.linalg.norm's sqrt(x . x) over sqrt(4);
-            # math.sqrt and pow are numpy's on a float, and faster
-            error_norm = math.sqrt(error.dot(error)) / 2.0
-            if error_norm < 1:
-                if error_norm == 0:
-                    factor = self.MAX_FACTOR
-                else:
-                    factor = min(self.MAX_FACTOR,
-                                 self.SAFETY * error_norm ** exponent)
-                if rejected:
-                    factor = min(1, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(self.MIN_FACTOR, self.SAFETY * error_norm ** exponent)
-            rejected = True
-        self.t_old, self.y_old = t, y
-        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
-        return None
-
-    def dense_output(self):
-        """The last step's (t_old, h, Q, y_old)."""
-        return (float(self.t_old), float(self.t - self.t_old),
-                self.K.T.dot(self.P), self.y_old)
-
-
-def _integrate(G: GrowthFunction, T: float) -> _RK45Steps:
+def _integrate(G: GrowthFunction, T: float) -> _RK45Solve:
     """The RK45 solve of phi'' = G phi, phi(0) = 0, phi'(0) = 1 on
     [0, T], at rtol 1e-11 and atol 1e-13: the loop ``solve_ivp`` runs.
 
     The state is (phi, phi', integral of sqrt(G), integral of G^{-1/2}).
-    The steps a previous solve with this ``G`` already took are replayed,
-    not recomputed.  The step-size controller reads the horizon only
-    when the horizon clips a step (Hairer, Norsett and Wanner, *Solving
-    ODE I*, II.4), and ``select_initial_step`` when it clips the first
-    guess.  So with the same first step, every stored step whose first
-    attempt t + h (h clamped to the solver's minimum step) exceeds
-    neither horizon is the step a fresh solve takes, and the solve goes
-    on from the first step that either horizon would clip, with the
-    stored state and proposed step.  Every double equals a fresh
-    ``solve_ivp`` run's.  A ValueError refuses a T that is not finite
-    and positive, a G(0) that is not, an integrator failure, and phi
-    <= 0 at a step end.
+    The steps the last solve with this ``G`` took are replayed up to the
+    first step that either horizon would clip, and the solve goes on
+    from there, so every double equals a fresh ``solve_ivp`` run's.  A
+    ValueError refuses a T that is not finite and positive, a G(0) that
+    is not, an integrator failure, and phi <= 0 at a step end.
     """
-    from scipy.integrate import RK45
+    from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, RK45, SAFETY
 
     if not 0.0 < T < math.inf:
         raise ValueError(f"need a finite T > 0, got {T:g}")
@@ -319,9 +318,8 @@ def _integrate(G: GrowthFunction, T: float) -> _RK45Steps:
         raise ValueError("G(0) must be positive and finite")
     T = float(T)
 
-    # the solver and its right-hand side form a reference cycle, freed only
-    # by the garbage collector; the right-hand side holds G's fn, not G,
-    # so G and its stored steps are freed as soon as the caller drops G
+    # G keeps the solve, which keeps the right-hand side; it holds G's fn,
+    # not G, so no reference cycle keeps G and its steps past the caller
     fn = G.fn
 
     def rhs(t, y):
@@ -332,33 +330,18 @@ def _integrate(G: GrowthFunction, T: float) -> _RK45Steps:
 
     # an overflowing G or phi makes the step fail, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        solver = _RK45Stepper(RK45(rhs, 0.0, [0.0, 1.0, 0.0, 0.0], T,
-                                   rtol=1e-11, atol=1e-13), rhs)
-        last = G._memo.get("rk45")
-        starts = [(solver.t, solver.y, solver.f, solver.h_abs)]
-        steps = []
-        if last is not None and last.starts[0][3] == starts[0][3]:
-            reach = min(T, last.T)
-            for (t, _, _, h_abs), step, end in zip(
-                    last.starts, last.steps, last.starts[1:]):
-                # scipy raises the proposed step to 10 ulps of t, then
-                # clips an attempt past the horizon
-                h = max(h_abs, 10 * (math.nextafter(t, math.inf) - t))
-                if t + h > reach:
-                    break
-                steps.append(step)
-                starts.append(end)
-            solver.t, solver.y, solver.f, solver.h_abs = starts[-1]
-        while solver.t < T:
-            message = solver.step()
-            if solver.status == "failed":
-                break
-            steps.append(solver.dense_output())
-            starts.append((solver.t, solver.y, solver.f, solver.h_abs))
-    run = G._memo["rk45"] = _RK45Steps(T, starts, steps)
-    if solver.status == "failed":
+        run = _RK45Solve(RK45(rhs, 0.0, [0.0, 1.0, 0.0, 0.0], T,
+                              rtol=1e-11, atol=1e-13),
+                         rhs, (SAFETY, MIN_FACTOR, MAX_FACTOR))
+        if "rk45" in G._memo:
+            run.replay(G._memo["rk45"])
+        message = None
+        while message is None and run.starts[-1][0] < T:
+            message = run.step()
+    G._memo["rk45"] = run
+    if message is not None:
         raise ValueError(f"comparison integrator failed: {message}")
-    if min(y[0] for _, y, _, _ in starts[1:]) <= 0.0:
+    if min(y[0] for _, y, _, _ in run.starts[1:]) <= 0.0:
         raise ValueError("phi lost positivity on (0, T]; growth function "
                          "rejected")
     return run
@@ -579,9 +562,6 @@ def hessian_comparison_check(model: RadialModel, G: GrowthFunction) -> dict:
         "slope_comparison_holds": bool(np.all(holds)),
         "equality_gap_max": float(np.max(np.abs(margin))),
         "hessian_constant": c_hess,
-        "radii": rs,
-        "phi_ratio": ratio_phi,
-        "model_ratio": ratio_f,
     }
 
 

@@ -367,6 +367,36 @@ def test_rejected_attempts_and_failures_are_scipys(jump):
         assert np.array_equal(Q, step.Q) and np.array_equal(y_old, step.y_old)
 
 
+def test_a_failed_solve_is_replayed_like_a_stored_one():
+    # G jumps from 1 to 1e300 at t = 1, where a solve to 2 fails (see
+    # above).  The failed solve keeps the steps it took and the state the
+    # failed step left, so the next solves replay the steps below their
+    # horizon, and a solve past the jump fails with scipy's message again
+    points = []
+
+    def fn(t):
+        points.append(t)
+        return 1.0 if t < 1.0 else 1e300
+
+    G = GrowthFunction("jump", fn, np.zeros_like)
+    with pytest.raises(ValueError, match="integrator failed"):
+        comparison._integrate(G, 2.0)
+    for horizon in (0.9, 0.5):
+        oracle = _scipy_solve(G, horizon)
+        points.clear()
+        _assert_steps_equal(comparison._integrate(G, horizon), oracle)
+        # G(0), the solver's constructor and the one attempt the horizon
+        # clips
+        assert len(points) - 1 == 2 + 6, horizon
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = _scipy_solve(G, 3.0)
+    with pytest.raises(ValueError) as refused:
+        comparison._integrate(G, 3.0)
+    assert str(refused.value) == ("comparison integrator failed: "
+                                  + oracle.message)
+    assert len(G._memo["rk45"].steps) == len(oracle.sol.interpolants)
+
+
 def test_a_new_instance_never_replays():
     # the steps belong to one instance: the same registered growth built
     # again, or a replaced copy, integrates from scratch

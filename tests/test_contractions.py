@@ -743,19 +743,25 @@ def _attribute_reads(source, attr):
 
 
 def test_one_dense_path_reads_the_comparison_ode():
-    # the comparison ODE runs scipy's RK45 one step at a time and reads
-    # each step's dense output at one call site; a solve_ivp call or a
-    # read of an OdeSolution (``.sol``) would be a second integration or
-    # a second dense path
+    # the comparison ODE runs RK45 one step at a time, and one site forms
+    # each step's dense output Q = K^T P from the tableau's P; a solve_ivp
+    # call, a read of an OdeSolution (``.sol``) or a scipy dense output
+    # would be a second integration or a second dense path
     assert _attribute_reads("def f(s):\n    return s.sol(1.0), s.sol.ts\n"
                             "x = r.sol\n", "sol") \
         == [("f", "s.sol"), ("f", "s.sol"), (None, "r.sol")]
     package = Path(warpcurv.__file__).parent
-    assert [(path.name,) + site for path in sorted(package.glob("*.py"))
-            for site in _attribute_reads(path.read_text(), "sol")] == []
+    sources = {path.name: path.read_text()
+               for path in sorted(package.glob("*.py"))}
+    for attr in ("sol", "dense_output", "solve_ivp"):
+        assert [(name,) + site for name, source in sources.items()
+                for site in _attribute_reads(source, attr)] == [], attr
     assert _package_callers("solve_ivp") == {}
-    assert _package_callers("dense_output") == {
-        "comparison.py": ["_integrate"]}
+    assert _package_callers("dense_output") == {}
+    assert _attribute_reads(sources["comparison.py"], "P") == [
+        ("__init__", "self.P"), ("__init__", "solver.P"),
+        ("step", "self.P")]
+    assert sources["comparison.py"].count("K.T.dot(self.P)") == 1
 
 
 def test_only_the_comparison_subcommand_samples_the_comparison_ode():

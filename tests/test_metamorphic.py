@@ -8,7 +8,9 @@ each field the geometry stores, and each residual grid built from them,
 to the same bits: no tolerance enters.
 
 * Rolling ``u`` by s nodes along an axis rolls every ``GeometryGrid``
-  array field and every ``height_sigma_identities`` grid (k = 0, 1).
+  array field, every ``height_sigma_identities`` grid (k = 0, 1) and
+  every grid of the five other identity suites, and keeps the least
+  eigenvalue of ``calligraphic_ops`` and the least H_k of ``frak_phi``.
 * Reflecting node i to -i mod N along an axis negates the frame and the
   chart components of that axis exactly, so it maps the scalars H,
   ``kappas``, Theta and the ``height_sigma_identities`` grids to their
@@ -37,8 +39,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_product, random_immersion
-from warpcurv.hypersurface import GeometryGrid, GraphImmersion, evaluate_geometry
-from warpcurv.operators import height_sigma_identities
+from warpcurv.hypersurface import (
+    GeometryGrid,
+    GraphImmersion,
+    evaluate_geometry,
+    structure_identities,
+)
+from warpcurv.operators import (
+    IdentityResidual,
+    calligraphic_ops,
+    div_pk,
+    frak_phi,
+    height_sigma_identities,
+    theta_hat_identity,
+)
 from warpcurv.symfun import elementary_symmetric_batch, h_from_s
 
 CASES = {2: ("cosh", 24), 3: ("exp", 12)}
@@ -64,6 +78,35 @@ def _sigma_grids(imm):
                 None, k, geom=geom).items()}
 
 
+def _suite_results(geom):
+    """Every grid of the identity suites other than
+    ``height_sigma_identities``, and the scalars a roll keeps, by suite,
+    k and key: ``structure_identities``, ``div_pk`` (k = 1..n-1),
+    ``theta_hat_identity`` (k = 0..n-1), ``calligraphic_ops`` (k = 2..n)
+    with its least eigenvalue and ``frak_phi`` (k = 1..n) with the least
+    H_k where it is not applicable."""
+    n = geom.n
+    suites = [("structure", None, structure_identities(geom))]
+    suites += [(suite.__name__, k, suite(None, k, geom=geom))
+               for suite, ks in ((div_pk, range(1, n)),
+                                 (theta_hat_identity, range(n)),
+                                 (calligraphic_ops, range(2, n + 1)),
+                                 (frak_phi, range(1, n + 1)))
+               for k in ks]
+    grids, scalars = {}, {}
+    for suite, k, result in suites:
+        for key, value in result.items():
+            if isinstance(value, IdentityResidual):
+                value = value.grid
+            elif isinstance(value, dict) and "grid" in value:
+                value = value["grid"]
+            if isinstance(value, np.ndarray):
+                grids[suite, k, key] = value
+            elif key in ("min_eigenvalue", "min_Hk"):
+                scalars[suite, k, key] = value
+    return grids, scalars
+
+
 def _array_fields(geom):
     return {f.name: getattr(geom, f.name) for f in dataclasses.fields(geom)
             if isinstance(getattr(geom, f.name), np.ndarray)}
@@ -87,7 +130,8 @@ def test_rolling_the_heights_rolls_every_field(n, data):
         return np.roll(X, shift, axis)
 
     rolled = _moved(imm, roll)
-    old, new = (_array_fields(evaluate_geometry(i)) for i in (imm, rolled))
+    geoms = [evaluate_geometry(i) for i in (imm, rolled)]
+    old, new = (_array_fields(geom) for geom in geoms)
     assert set(old) == {f.name for f in dataclasses.fields(GeometryGrid)} \
         - {"imm", "cfg", "_memo"}
     for name, X in old.items():
@@ -97,6 +141,13 @@ def test_rolling_the_heights_rolls_every_field(n, data):
     assert len(old) == 8
     for key, grid in old.items():
         assert _same(new[key], roll(grid)), key
+    (old, old_scalars), (new, new_scalars) = map(_suite_results, geoms)
+    # every suite and k contributes: 1 + (n - 1) + n + (n - 1) + n runs
+    assert len({key[:2] for key in [*old, *old_scalars]}) == 4 * n - 1
+    assert set(new) == set(old)
+    for key, grid in old.items():
+        assert _same(new[key], roll(grid)), key
+    assert new_scalars == old_scalars
 
 
 @given(n=cases, data=st.data())
