@@ -10,9 +10,42 @@ the audited region.
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
+
+# glibc's malloc raises its mmap threshold only to the largest mmapped
+# chunk freed so far, and its trim threshold to twice that.  So when one
+# 24^3 geometry and its temporaries are freed, the top of the heap goes
+# back to the kernel, and the next grid of that size page-faults it in
+# again as zero-filled pages: about 4,800 minor faults and 8 ms of system
+# time per identity-grid item of the benchmark, 500 per audit-battery
+# item.  Fixed thresholds keep those freed buffers in the heap.  Setting
+# either one turns off glibc's adjustment of both, so both are set.
+# Repeated 24^3, n = 3 items read about 1 fault each at 4 MiB / 32 MiB.
+# An mmap threshold of 2 MiB left up to 900 faults on some items (the
+# Christoffel field alone is 3 MB), and a trim threshold of 16 MiB about
+# 5,000 on most.
+MMAP_THRESHOLD = 4 << 20
+TRIM_THRESHOLD = 32 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # glibc's <malloc.h>
+
+
+def _set_malloc_thresholds():
+    """mallopt's return for each threshold (1 when set), or None where
+    the C library has no ``mallopt``; run once at import."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+            mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD))
+
+
+_set_malloc_thresholds()
 
 _RADIUS = {2: 1, 4: 2}
 

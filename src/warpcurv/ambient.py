@@ -23,7 +23,7 @@ supplied (the identity for an orthonormal fiber basis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -300,6 +300,10 @@ class WarpedProduct:
 
     profile: WarpingProfile
     fiber: FiberSpec
+    # (profile, its profile_summary): kept per instance, and read only
+    # while ``profile`` is still that profile
+    _summary: tuple = field(default=None, init=False, repr=False,
+                            compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +337,17 @@ def profile_summary(W: WarpedProduct) -> dict:
     Returns ``alpha_sampled`` (the maximum over 10000 samples, refined by
     golden section around the discrete argmax), ``alpha_closed`` (the
     profile's closed form, None when it has none), ``alpha`` (the closed
-    form when there is one, else the sampled sup).
+    form when there is one, else the sampled sup).  Computed once per
+    ambient and profile: a later call on the same ``W`` returns a copy.
     """
-    samples = 10000
     p = W.profile
+    if W._summary is None or W._summary[0] is not p:
+        W._summary = (p, _profile_summary(p))
+    return dict(W._summary[1])
+
+
+def _profile_summary(p: WarpingProfile) -> dict:
+    samples = 10000
     ts = np.linspace(p.t_min, p.t_max, samples)
 
     def q(t):

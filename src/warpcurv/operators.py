@@ -178,14 +178,22 @@ def default_test_vectors(geom: GeometryGrid):
     return [np.broadcast_to(row, geom.a.shape) for row in eye] + [geom.a]
 
 
-def _ambient_inner(geom: GeometryGrid, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _ambient_inner(geom: GeometryGrid, U: np.ndarray, V: np.ndarray,
+                   U_low: np.ndarray = None) -> np.ndarray:
     """<U, V> = U_T V_T + rho^2 U_f . ghat . V_f for ambient components.
 
     The fiber product is summed as sum_j (sum_i U_i ghat_ij) V_j, the
     curvature kernel's order, so that on a diagonal fiber metric it equals
-    the single-einsum form bit for bit."""
-    fib = dot(matvec(np.swapaxes(geom.ghat, -1, -2), U[..., 1:]), V[..., 1:])
-    return U[..., 0] * V[..., 0] + geom.rho ** 2 * fib
+    the single-einsum form bit for bit.  ``U_low`` is ``_lowered(geom, U)``
+    when the caller pairs one U with several V."""
+    if U_low is None:
+        U_low = _lowered(geom, U)
+    return U[..., 0] * V[..., 0] + geom.rho ** 2 * dot(U_low, V[..., 1:])
+
+
+def _lowered(geom: GeometryGrid, U: np.ndarray) -> np.ndarray:
+    """sum_i U_i ghat_ij: the fiber part of U lowered by ghat."""
+    return matvec(np.swapaxes(geom.ghat, -1, -2), U[..., 1:])
 
 
 def _frame_to_ambient(geom: GeometryGrid, w: np.ndarray) -> np.ndarray:
@@ -194,43 +202,61 @@ def _frame_to_ambient(geom: GeometryGrid, w: np.ndarray) -> np.ndarray:
 
 def _kernel_vectors(geom: GeometryGrid) -> tuple:
     """R(E_i, E_a) N in ambient components for the frame pairs i < a, in
-    lexicographic order: n(n-1)/2 kernel calls, once per geometry."""
+    lexicographic order: n(n-1)/2 kernel calls, once per geometry.
+
+    The frame vectors E_i they are built from are the vectors P_0 E_i, so
+    the covector row C_0 is paired with them here; they are not kept."""
     def build():
         eye = np.eye(geom.n)
         frame_amb = [
             _frame_to_ambient(geom, np.broadcast_to(eye[i], geom.a.shape))
             for i in range(geom.n)]
-        return tuple(
+        kernels = tuple(
             curvature_tensor_components(
                 geom.imm.W.fiber.kappa, geom.rho, geom.hcal, geom.dhcal,
                 geom.ghat, frame_amb[i], frame_amb[a], geom.normal)
             for i, a in itertools.combinations(range(geom.n), 2))
+        geom._memoized(("covector", 0),
+                       lambda: _covector_row(geom, kernels, frame_amb))
+        return kernels
     return geom._memoized("kernel", build)
 
 
-def _curvature_covectors(geom: GeometryGrid, k: int) -> np.ndarray:
-    """C[j, a] = sum_i <R(E_i, E_a) N, P_j E_i> for j < k, component-major
-    (shape (k, n) + grid).
+def _covector_row(geom: GeometryGrid, kernels, P_amb) -> np.ndarray:
+    """C_j[a] = sum_i <R(E_i, E_a) N, P_j E_i>, component-major (shape
+    (n,) + grid), from the kernel vectors and P_j E_i in ambient
+    components (``P_amb[i]``).
+
+    The four-term tensor rounds symmetrically under negation, so
+    R(E_a, E_i) N = -R(E_i, E_a) N and R(E_i, E_i) N = 0 exactly, and
+    lexicographic pairs keep each sum over i increasing.  Each kernel
+    vector is lowered once and paired with P_j E_i and P_j E_a.
+    """
+    C = np.zeros((geom.n,) + geom.u.shape)
+    pairs = itertools.combinations(range(geom.n), 2)
+    for (i, a), R in zip(pairs, kernels):
+        R_low = _lowered(geom, R)
+        C[a] += _ambient_inner(geom, R, P_amb[i], R_low)
+        C[i] -= _ambient_inner(geom, R, P_amb[a], R_low)
+    return C
+
+
+def _curvature_covectors(geom: GeometryGrid, k: int) -> list:
+    """The rows C_j of ``_covector_row`` for j < k.
 
     sum_i <R(E_i, Y) N, P_j E_i> is linear in Y, so it is
-    sum_a C[m, a] Y^a for Y in frame components.  The four-term tensor is
-    read from ``_kernel_vectors``, evaluated once per frame pair i < a
-    and per geometry, so every k of one geometry shares the same vectors:
-    it rounds symmetrically under negation, so R(E_a, E_i) N =
-    -R(E_i, E_a) N and R(E_i, E_i) N = 0 exactly, and lexicographic pairs
-    keep each sum over i increasing.
+    sum_a C_j[a] Y^a for Y in frame components.  The kernel vectors and
+    each row are built once per geometry: a row's sums do not depend on
+    k, so every k of one geometry reads the same rows.
     """
-    n = geom.n
-    # P_j E_i in ambient components
-    P_amb = [[_frame_to_ambient(geom, geom.newton_tensor(j)[..., :, i])
-              for j in range(k)] for i in range(n)]
-    C = np.zeros((k, n) + geom.u.shape)
-    pairs = itertools.combinations(range(n), 2)
-    for (i, a), R in zip(pairs, _kernel_vectors(geom)):
-        for j in range(k):
-            C[j, a] += _ambient_inner(geom, R, P_amb[i][j])
-            C[j, i] -= _ambient_inner(geom, R, P_amb[a][j])
-    return C
+    kernels = _kernel_vectors(geom)   # also builds C_0
+
+    def row(j):
+        return _covector_row(geom, kernels, [
+            _frame_to_ambient(geom, geom.newton_tensor(j)[..., :, i])
+            for i in range(geom.n)])
+    return [geom._memoized(("covector", j), lambda: row(j))
+            for j in range(k)]
 
 
 def _curvature_route(geom: GeometryGrid, k: int, vecs) -> np.ndarray:
@@ -245,7 +271,7 @@ def _curvature_route(geom: GeometryGrid, k: int, vecs) -> np.ndarray:
                 y = matvec(geom.shape_frame, y)
             yc = components(y)
             total += (-1.0) ** (k - 1 - j) * sum(
-                C[j, i] * yc[i] for i in range(geom.n))
+                C[j][i] * yc[i] for i in range(geom.n))
     return np.moveaxis(out, 0, -1)
 
 
@@ -286,7 +312,8 @@ def div_pk(imm: GraphImmersion, k: int, cfg: DiscretizationConfig = None,
         over i is linear in its second slot.  The four-term tensor is
         evaluated once per frame pair i < a and per geometry: n(n-1)/2
         times on the first call, and not again for a later k on the same
-        geometry.  Each test vector costs one dot product per j.
+        geometry.  Each row C_j is likewise built once per geometry, and
+        each test vector costs one dot product per j.
 
     (a)-(b) and (a)-(c) converge at the stencil order; (b)-(c) agree
     algebraically.

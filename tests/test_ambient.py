@@ -57,6 +57,31 @@ def test_alpha_closed_forms(name, alpha):
     assert abs(summ["alpha_sampled"] - alpha) <= 1e-6
 
 
+def test_profile_summary_is_kept_per_ambient_and_profile(monkeypatch):
+    # a second call on the same W runs no search and returns an equal,
+    # separate dict; a replaced profile is searched again, and another
+    # instance keeps its own summary
+    searches = []
+    golden_max = ambient.golden_max
+
+    def counted(fn, a, b):
+        searches.append((a, b))
+        return golden_max(fn, a, b)
+
+    monkeypatch.setattr(ambient, "golden_max", counted)
+    W = make_product("sin", "flat-torus", 2, 0.0)
+    first = ambient.profile_summary(W)
+    first["alpha"] = None
+    second = ambient.profile_summary(W)
+    assert len(searches) == 1
+    assert second["alpha"] == second["alpha_sampled"] is not None
+    W.profile = ambient.builtin_profile("exp")
+    assert ambient.profile_summary(W)["alpha"] == 0.0
+    assert len(searches) == 2
+    ambient.profile_summary(make_product("sin", "flat-torus", 2, 0.0))
+    assert len(searches) == 3
+
+
 def test_sin_profile_alpha_sampled_only():
     W = make_product("sin", "flat-torus", 2, 0.0)
     summ = ambient.profile_summary(W)

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import platform
 import warnings
 import weakref
 
@@ -11,11 +12,11 @@ import pytest
 
 from helpers import (CHART, inverse_metric, make_product, random_immersion,
                      slice_immersion)
-from warpcurv import cli, symfun
+from warpcurv import _grid, cli, symfun
 from warpcurv._grid import min_or_nan
 from warpcurv.ambient import PROFILES, curvature_tensor_components
 from warpcurv.operators import (NotApplicableError, calligraphic_ops,
-                                convergence_study, frak_phi)
+                                convergence_study, div_pk, frak_phi)
 from warpcurv.hypersurface import (
     DiscretizationConfig,
     GraphImmersion,
@@ -544,6 +545,39 @@ def test_geometry_memo_makes_no_reference_cycle():
         assert [ref() for ref in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+@pytest.mark.skipif(_grid._set_malloc_thresholds() is None
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the malloc thresholds are set through glibc's "
+                           "mallopt")
+def test_repeated_grids_reuse_the_heap_without_page_faults():
+    # with glibc's dynamic thresholds, each freed 24^3 geometry handed the
+    # top of the heap back to the kernel, and the next item faulted it in
+    # again: about 3,000 minor faults per item here.  The fixed thresholds
+    # keep the freed buffers, so a repeated item of the same size faults
+    # in next to nothing (seen: 6 over four items)
+    import resource   # Unix only, as is the skip condition above
+    # setting them again at import's values returns 1 for each
+    assert _grid._set_malloc_thresholds() == (1, 1)
+    W = make_product("cosh", "flat-torus", 3, 0.0)
+
+    def item(seed):
+        imm = random_immersion(W, seed=seed, t_center=0.7, res=24)
+        geom = evaluate_geometry(imm)
+        div_pk(imm, 1, geom=geom)
+        structure_identities(geom)
+
+    # the first two items grow the heap to the size these items need
+    item(0)
+    item(1)
+    faults = []
+    for seed in (2, 3, 0, 1):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        item(seed)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    assert sum(faults) < 100 * len(faults), faults
 
 
 def test_immersion_and_its_geometry_are_read_only():

@@ -29,16 +29,29 @@ changes sign.  These hold bit for bit except H_k at n = 3 under the
 same orientation, which holds to a stated rounding bound.  The random
 graphs (n = 2 at 24^2, n = 3 at 12^3 on the torus and 24^3 on a space
 form, ``max_mode`` 2) take their fiber and seed from ``hypothesis``.
+
+Two isometries hold only to rounding, on seed-3 graphs with ``max_mode``
+2, so each is checked against a stated bound:
+
+* the horospherical isometry (t, x) -> (t + c, e^-c x) of ``exp`` x
+  torus (hyperbolic space) maps the graph of u over a box of length L to
+  the graph of u + c over the box of length e^-c L, node for node;
+* on the symmetric ``space-form`` box, x_0 -> -x_0 is an isometry of the
+  fiber for either sign of kappa, and maps the graph of u to the graph
+  of u with its node order reversed along axis 0.
 """
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_product, random_immersion
+from warpcurv.ambient import FiberSpec, WarpedProduct
 from warpcurv.hypersurface import (
     GeometryGrid,
     GraphImmersion,
@@ -238,3 +251,74 @@ def test_mirroring_with_the_opposite_normal_keeps_the_curvatures(fiber, n,
         assert _same(getattr(new, name), getattr(old, name)), name
     assert _same(new.theta, -old.theta)
     assert _sigma_maxima(new) == _sigma_maxima(old)
+
+
+# ---------------------------------------------------------------------------
+# isometries that hold to rounding
+# ---------------------------------------------------------------------------
+
+def _largest_gaps(new, old, move, where):
+    """Largest absolute gap of H, ``kappas`` and Theta between ``new`` and
+    the moved ``old`` fields, over the nodes ``where``."""
+    return {name: float(np.max(np.abs(
+        getattr(new, name) - move(getattr(old, name)))[where]))
+        for name in ("H", "kappas", "theta")}
+
+
+@pytest.mark.parametrize("c", [math.log(2.0), 0.37], ids=["ln2", "0.37"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_horospherical_isometry_keeps_the_curvatures(n, c):
+    # on exp x torus, t -> t + c scales rho by e^c and x -> e^-c x scales
+    # the chart metric by e^-2c, so the graph of u + c over the shrunk box
+    # is the same hypersurface with the same nodes.  Not bit for bit: the
+    # spacing e^-c h, the heights u + c and rho(u + c) = e^c rho(u) are
+    # each rounded, and the stencils divide by the new spacing.  Seen on
+    # these graphs: H to 1.6e-14, kappas to 8.3e-15, Theta to 1 eps, and
+    # the residual maxima to 1e-11 relative
+    W = make_product("exp", "flat-torus", n, 0.0)
+    imm = random_immersion(W, seed=3, res=CASES[n][1], max_mode=2)
+    s = math.exp(-c)
+    shrunk = WarpedProduct(profile=W.profile, fiber=FiberSpec(
+        n=n, kappa=0.0, chart="flat-torus",
+        lengths=tuple(s * L for L in W.fiber.lengths)))
+    moved = GraphImmersion(W=shrunk, u=imm.u + c,
+                           box=tuple((s * lo, s * hi) for lo, hi in imm.box),
+                           periodic=imm.periodic)
+    old, new = (evaluate_geometry(i) for i in (imm, moved))
+    gaps = _largest_gaps(new, old, lambda X: X, ...)
+    assert gaps["H"] <= 1e-13 and gaps["kappas"] <= 1e-13, gaps
+    assert gaps["theta"] <= 2 * np.finfo(float).eps, gaps
+    pairs = [(height_sigma_identities(None, 1, geom=g)["height"].max,
+              div_pk(None, 1, geom=g)["residual_ab"].max) for g in (old, new)]
+    for before, after in zip(*pairs):
+        assert abs(after - before) <= 1e-9 * before
+
+
+@pytest.mark.parametrize("kappa", [1.0, -1.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_reflecting_the_space_form_box_keeps_the_curvatures(n, kappa):
+    # the box is symmetric about 0 and the chart's conformal factor reads
+    # |x|^2 only, so reversing the nodes of axis 0 reflects the graph.  Not
+    # bit for bit: linspace's nodes lo + i h are not exact negatives of
+    # the mirrored ones (10 to 12 of 24 differ), so the conformal factor
+    # and its derivatives differ in their last bits.  Compared on the
+    # audited nodes, away from the wrapped stencils.  Seen on seeds 3-10:
+    # H to 2.7e-15 at n = 2 and 4.6e-14 at n = 3, where |H_3| reaches 120;
+    # kappas to 3.6e-15; Theta to 1 eps
+    W = make_product("cosh", "space-form", n, kappa)
+    imm = random_immersion(W, seed=3, res=24, max_mode=2)
+
+    def flip(X):
+        return np.flip(X, 0)
+
+    reflected = GraphImmersion(W=W, u=flip(imm.u), box=imm.box,
+                               periodic=imm.periodic)
+    old, new = (evaluate_geometry(i) for i in (imm, reflected))
+    assert _same(new.interior, flip(old.interior))
+    gaps = _largest_gaps(new, old, flip, new.interior)
+    assert gaps["H"] <= (1e-14 if n == 2 else 1e-13), gaps
+    assert gaps["kappas"] <= 1e-14, gaps
+    assert gaps["theta"] <= 2 * np.finfo(float).eps, gaps
+    after = _sigma_maxima(new)
+    for key, before in _sigma_maxima(old).items():
+        assert abs(after[key] - before) <= 1e-12 * before, key

@@ -314,6 +314,33 @@ def test_curvature_route_calls_the_kernel_once_per_pair_i_below_a(
         assert len(calls) == pairs
 
 
+@pytest.mark.parametrize("chart,kappa,n", [("flat-torus", 0.0, 3),
+                                           ("space-form", -1.0, 4)])
+def test_covector_rows_are_built_once_per_geometry(monkeypatch, chart,
+                                                   kappa, n):
+    # each row C_j is summed in the same order for every k, so it is
+    # built once per geometry: k = 1..n-1 in turn build n - 1 rows, each
+    # lowering every kernel vector once.  Row 0 pairs the kernels with
+    # the frame vectors they were built from, so only rows j >= 1 carry
+    # P_j E_i to ambient components
+    counts = dict.fromkeys(("_covector_row", "_lowered",
+                            "_frame_to_ambient"), 0)
+    for name in counts:
+        def counted(*args, name=name, fn=getattr(operators, name)):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(operators, name, counted)
+    W = make_product("cosh", chart, n, kappa)
+    imm = random_immersion(W, seed=9, t_center=0.6, amplitude=0.1, res=8)
+    geom = evaluate_geometry(imm)
+    for k in list(range(1, n)) * 2:
+        div_pk(imm, k, geom=geom)
+    pairs = n * (n - 1) // 2
+    assert counts == {"_covector_row": n - 1,
+                      "_lowered": (n - 1) * pairs,
+                      "_frame_to_ambient": n + (n - 2) * n}
+
+
 def _suite_runs(imm, n):
     """(suite, k, run) for every identity-grid suite at every k, where
     ``run(geom, k)`` returns the suite's report."""
